@@ -42,6 +42,8 @@ def _number(obj, path: str, lo: float | None = None, hi: float | None = None,
             integer: bool = False):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ConfigError(f"{path}: must be finite")
     if integer and int(obj) != obj:
         raise ConfigError(f"{path}: expected an integer")
     val = int(obj) if integer else float(obj)
@@ -118,6 +120,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     theta = _number(solver.get("theta", 0.5), "config.solver.theta",
                     lo=1e-9, hi=1.0)
     tol = _number(solver.get("tol", 1e-8), "config.solver.tol", lo=0.0)
+    if tol <= 0.0:
+        raise ConfigError("config.solver.tol: must be > 0")
     max_iter = _number(solver.get("max_iter", 500), "config.solver.max_iter",
                        lo=1, integer=True)
 

@@ -153,18 +153,6 @@ def _rows(x) -> np.ndarray:
     return x[None, :] if x.ndim == 1 else x
 
 
-def project_rows_to_simplex(y: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean projection onto the probability simplex."""
-    y = np.atleast_2d(y)
-    n = y.shape[1]
-    u = -np.sort(-y, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
-    ks = np.arange(1, n + 1, dtype=float)
-    k = np.sum(u * ks > css, axis=1)
-    tau = css[np.arange(y.shape[0]), k - 1] / k
-    return np.maximum(y - tau[:, None], 0.0)
-
-
 def project_balls(x: np.ndarray, centers: np.ndarray, radii) -> np.ndarray:
     """Row-wise projection onto balls B[centers[i], radii[i]]."""
     x = _rows(x)
@@ -178,81 +166,95 @@ def project_balls(x: np.ndarray, centers: np.ndarray, radii) -> np.ndarray:
     return centers + delta * scale[:, None]
 
 
-def _wolfe_min_norm(vertices: np.ndarray, x: np.ndarray, gap_tol: float,
-                    max_major: int = 1000):
-    """Wolfe's minimum-norm-point method for one hull, exact up to gap_tol.
+def _affine_weights(v: np.ndarray, x: np.ndarray, corral: np.ndarray,
+                    lam: np.ndarray) -> np.ndarray:
+    """Weights of the point nearest to x on each corral's affine hull.
 
-    Finite active-face refinement used when the spectral-step iteration
-    stalls on a degenerate Gram matrix. Returns (lam, gap) with
-    gap = max_v <x - p, v - p>.
+    The corral members are gathered to the front of each row. With the
+    heaviest member r as reference, the weights beta_s of the others solve
+    the normal equations of min ||v_r - x + sum_s beta_s (v_s - v_r)||, all
+    rows in one batched solve; slots that are not free members get identity
+    rows, which pin their weight to zero. Vertex differences keep the Gram
+    matrix accurate when the hull is small next to its distance from x.
     """
-    w = vertices - x
-    n = w.shape[0]
-    sq = np.einsum("nd,nd->n", w, w)
-    j = int(np.argmin(sq))
-    corral = [j]
-    lam_c = np.array([1.0])
-    p = w[j].copy()
-    for _ in range(max_major):
-        inner = w @ p
-        gap = float(p @ p - inner.min())
-        if gap <= gap_tol:
-            break
-        j = int(np.argmin(inner))
-        if j not in corral:
-            corral.append(j)
-            lam_c = np.append(lam_c, 0.0)
-        for _ in range(2 * n + 10):
-            ws = w[corral]
-            k = len(corral)
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = ws @ ws.T
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            try:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            except np.linalg.LinAlgError:  # pragma: no cover
-                sol = np.linalg.pinv(kkt) @ rhs
-            alpha = sol[:k]
-            if np.all(alpha > 1e-14):
-                lam_c = alpha
-                p = ws.T @ alpha
-                break
-            diff = lam_c - alpha
-            mask = diff > 1e-14
-            theta = np.min(lam_c[mask] / diff[mask]) if mask.any() else 0.0
-            theta = min(max(theta, 0.0), 1.0)
-            lam_c = (1.0 - theta) * lam_c + theta * alpha
-            lam_c[lam_c < 1e-14] = 0.0
-            keep = lam_c > 0.0
-            if not keep.any():
-                keep[int(np.argmax(lam_c))] = True
-            corral = [c for c, k_ in zip(corral, keep) if k_]
-            lam_c = lam_c[keep]
-            s = lam_c.sum()
-            lam_c = lam_c / s if s > 0 else np.full(len(corral), 1.0 / len(corral))
-            p = w[corral].T @ lam_c
-    lam = np.zeros(n)
-    lam[corral] = lam_c
-    inner = w @ p
-    gap = float(p @ p - inner.min())
-    return lam, gap
+    size = int(corral.sum(axis=1).max())
+    rows = np.arange(lam.shape[0])
+    cols = rows[:, None]
+    order = np.argsort(~corral, axis=1, kind="stable")[:, :size]
+    free = corral[cols, order]
+    vc = v[cols, order]
+    ref = np.argmax(np.where(free, lam[cols, order], -1.0), axis=1)
+    free[rows, ref] = False
+    base = vc[rows, ref]
+    e = vc - base[:, None, :]
+    gram = e @ e.transpose(0, 2, 1)
+    gram[~(free[:, :, None] & free[:, None, :])] = 0.0
+    slots = np.arange(size)
+    gram[:, slots, slots] += ~free
+    rhs = (e @ (x - base)[:, :, None]) * free[:, :, None]
+    try:
+        beta = np.linalg.solve(gram, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        # A repeated vertex inside a corral makes its system singular; the
+        # least-norm solution splits the weight among the copies.
+        beta = np.where(free, (np.linalg.pinv(gram) @ rhs)[:, :, 0], 0.0)
+    beta[rows, ref] = 1.0 - beta.sum(axis=1)
+    alpha = np.zeros(lam.shape)
+    alpha[cols, order] = beta
+    return alpha
+
+
+def _minor_cycles(v: np.ndarray, x: np.ndarray, corral: np.ndarray,
+                  lam: np.ndarray) -> None:
+    """Wolfe's minor cycles on every row at once, updating corral and lam.
+
+    A row whose affine minimizer has positive weights moves there. Any
+    other row moves towards it until a weight reaches zero, drops that
+    vertex, and solves again. Each pass drops a vertex and a lone vertex
+    is its own minimizer, so at most n passes run.
+    """
+    pending = np.arange(lam.shape[0])
+    while True:
+        alpha = _affine_weights(v[pending], x[pending], corral[pending],
+                                lam[pending])
+        negative = corral[pending] & (alpha < 0.0)
+        blocked = negative.any(axis=1)
+        lam[pending[~blocked]] = alpha[~blocked]
+        if not blocked.any():
+            return
+        pending = pending[blocked]
+        alpha, negative, cur = alpha[blocked], negative[blocked], lam[pending]
+        ratio = np.where(negative,
+                         cur / np.where(negative, cur - alpha, 1.0), np.inf)
+        leaving = np.argmin(ratio, axis=1)
+        rows = np.arange(pending.size)
+        cur += ratio[rows, leaving][:, None] * (alpha - cur)
+        cur[rows, leaving] = 0.0
+        np.maximum(cur, 0.0, out=cur)
+        lam[pending] = cur
+        corral[pending] &= cur > 0.0
 
 
 class HullProjector:
     """Batched projection onto convex hulls, one vertex set per row.
 
-    Solves the simplex-constrained least-squares problems
-    min_lam ||V[i]^T lam - x[i]|| with Barzilai-Borwein projected-gradient
-    steps; keeps the last barycentric iterate for warm starts across calls
-    (the alternating-projection loops call it with slowly moving inputs).
-    The warm-start state makes instances single-threaded; the module-level
+    Wolfe's minimum-norm-point method ("Finding the nearest point in a
+    polytope", 1976), run on all rows at once. Each row keeps a corral, an
+    affinely independent subset of its vertices held as one row of an
+    (m, n) boolean mask, and barycentric weights `lam` supported on it.
+    Minor cycles move every row to the nearest point of its corral's affine
+    hull, one batched solve per pass, and drop vertices whose weight would
+    turn negative. Each major cycle checks the vertex-set certificate
+    gap = max_v <x - p, v - p> <= tol * (1 + ||x||) and adds the most
+    violating vertex to the corral of every row that fails it. Rows retire
+    as soon as their certificate holds; the result is exact on its support.
+
+    The first call starts every row at its nearest vertex; later calls
+    resume from the previous weights and their support, since the
+    alternating-projection loops call it with slowly moving inputs. The
+    warm-start state makes instances single-threaded; the module-level
     entry points construct a fresh projector per call and stay pure.
     """
-
-    _bb_cap = 500  # spectral-step phase before the exact fallback kicks in
 
     def __init__(self, vertices: np.ndarray):
         v = np.asarray(vertices, dtype=float)
@@ -260,149 +262,64 @@ class HullProjector:
             v = v[None, :, :]
         self.v = v
         self.m, self.n, self.d = v.shape
-        self.gram = np.einsum("mid,mjd->mij", v, v)
-        self.lam = np.full((self.m, self.n), 1.0 / self.n)
-        trace = np.einsum("mii->m", self.gram)
-        self._step0 = 1.0 / np.maximum(trace, 1e-30)
+        self.lam = None  # weights of the last call, (m, n)
 
     def project(self, x: np.ndarray, tol: float = PROJECTION_TOL,
-                max_iter: int = PROJECTION_BUDGET, polish: bool = False):
+                max_iter: int = PROJECTION_BUDGET):
         """Returns (points, gaps). gaps[i] = max_v <x-p, v-p> at return.
 
         Raises ProjectionDidNotConverge when the certificate
-        gap <= tol * (1 + ||x||) cannot be met within the budget.
-
-        With `polish`, the barycentric weights are refined by one exact
-        affine least-squares solve on the detected support, which removes
-        the sqrt-of-gap distance error of the certificate-stopped iteration
-        (needed when downstream residuals must resolve below ~1e-9).
+        gap <= tol * (1 + ||x||) does not hold on every row after
+        `max_iter` major cycles, or when a row stops improving short of it.
         """
         x = _rows(x)
         if x.shape != (self.m, self.d):
             raise DimensionMismatch(
                 f"expected query shape {(self.m, self.d)}, got {x.shape}")
         if self.n == 1:
-            p = self.v[:, 0, :]
-            gaps = np.zeros(self.m)
-            return p.copy(), gaps
+            return self.v[:, 0, :].copy(), np.zeros(self.m)
         scale = tol * (1.0 + np.linalg.norm(x, axis=1))
-        lam_all = self.lam
-        gaps_all = self._gaps_at(np.arange(self.m), x, lam_all)
-        # Rows leave the active set as soon as their certificate holds, so the
-        # cost of stragglers does not multiply with the batch size.
-        active = np.flatnonzero(gaps_all > scale)
-        if active.size:
-            v = self.v[active]
-            gram = self.gram[active]
-            xa = x[active]
-            b = np.einsum("mnd,md->mn", v, xa)
-            lam = lam_all[active]
-            grad = np.einsum("mij,mj->mi", gram, lam) - b
-            step0 = self._step0[active]
-            step = step0.copy()
-            sc = scale[active]
-            for _ in range(min(max_iter, self._bb_cap)):
-                lam_new = project_rows_to_simplex(lam - step[:, None] * grad)
-                grad_new = np.einsum("mij,mj->mi", gram, lam_new) - b
-                s = lam_new - lam
-                y = grad_new - grad
-                sy = np.einsum("mi,mi->m", s, y)
-                ss = np.einsum("mi,mi->m", s, s)
-                step = np.where(sy > 1e-300, ss / np.maximum(sy, 1e-300), step0 * 1e3)
-                np.clip(step, 1e-8 * step0, 1e8 * step0, out=step)
-                lam, grad = lam_new, grad_new
-                p = np.einsum("mnd,mn->md", v, lam)
-                gaps = np.einsum("mnd,md->mn", v - p[:, None, :], xa - p).max(axis=1)
-                done = gaps <= sc
-                if done.any():
-                    sel = np.flatnonzero(done)
-                    rows = active[sel]
-                    lam_all[rows] = lam[sel]
-                    gaps_all[rows] = gaps[sel]
-                    keep = np.flatnonzero(~done)
-                    if keep.size == 0:
-                        active = active[:0]
-                        break
-                    active = active[keep]
-                    v, gram, xa, b = v[keep], gram[keep], xa[keep], b[keep]
-                    lam, grad = lam[keep], grad[keep]
-                    step, step0, sc = step[keep], step0[keep], sc[keep]
-            if active.size:
-                lam_all[active] = lam
-                # Spectral steps can limit-cycle when the Gram matrix is rank
-                # deficient; finish stragglers with the finite active-face
-                # method, which meets the certificate exactly.
-                for row_pos, row in enumerate(active):
-                    lam_w, gap_w = _wolfe_min_norm(
-                        self.v[row], x[row], gap_tol=scale[row])
-                    lam_all[row] = lam_w
-                    gaps_all[row] = gap_w
-                self.lam = lam_all
-                if not np.all(gaps_all <= scale):
-                    worst = float(np.max(gaps_all - scale))
-                    raise ProjectionDidNotConverge(
-                        "hull projection budget exhausted without certificate",
-                        worst)
-        if polish:
-            lam_all = self._polish(x, lam_all)
-            gaps_all = self._gaps_at(np.arange(self.m), x, lam_all)
-        self.lam = lam_all
-        return np.einsum("mnd,mn->md", self.v, lam_all), gaps_all
-
-    def _polish(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        out = lam.copy()
-        for i in range(self.m):
-            li = lam[i]
-            support = np.flatnonzero(li > 1e-10 * max(1.0, float(li.max())))
-            if support.size == 0:
-                continue
-            alpha = None
-            # Affine least squares on the support; indices whose weight
-            # turns negative are dropped and the face re-solved.
-            for _ in range(self.n):
-                ws = self.v[i, support, :]
-                k = support.size
-                kkt = np.zeros((k + 1, k + 1))
-                kkt[:k, :k] = ws @ ws.T
-                kkt[:k, k] = 1.0
-                kkt[k, :k] = 1.0
-                rhs = np.zeros(k + 1)
-                rhs[:k] = ws @ x[i]
-                rhs[k] = 1.0
-                try:
-                    alpha = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-                except np.linalg.LinAlgError:  # pragma: no cover
-                    alpha = None
-                    break
-                negative = alpha < -1e-12
-                if not negative.any():
-                    break
-                keep = ~negative
-                if not keep.any():
-                    alpha = None
-                    break
-                support = support[keep]
-            if alpha is None:
-                continue
-            alpha = np.clip(alpha, 0.0, None)
-            total = alpha.sum()
-            if total <= 0.0:
-                continue
-            alpha /= total
-            old = self.v[i].T @ li - x[i]
-            new = self.v[i, support, :].T @ alpha - x[i]
-            if new @ new <= old @ old + 1e-300:
-                cand = np.zeros(self.n)
-                cand[support] = alpha
-                out[i] = cand
-        return out
-
-    def _gaps_at(self, rows, x, lam):
-        v = self.v[rows] if rows.size != self.m else self.v
-        p = np.einsum("mnd,mn->md", v, lam)
-        inner = np.einsum("mnd,md->mn", v - p[:, None, :], x - p)
-        return inner.max(axis=1)
-
+        if self.lam is None:
+            lam = np.zeros((self.m, self.n))
+            w = self.v - x[:, None, :]
+            nearest = np.argmin(np.einsum("mnd,mnd->mn", w, w), axis=1)
+            lam[np.arange(self.m), nearest] = 1.0
+        else:
+            lam = self.lam.copy()
+        self.lam = lam
+        corral = lam > 0.0
+        points = np.empty_like(x)
+        gaps = np.full(self.m, np.inf)
+        active = np.arange(self.m)
+        entered = None
+        for _ in range(max_iter):
+            v, xa = self.v[active], x[active]
+            kept, lam_a = corral[active], lam[active]
+            _minor_cycles(v, xa, kept, lam_a)
+            lam[active] = lam_a
+            p = (lam_a[:, None, :] @ v)[:, 0, :]
+            inner = ((v - p[:, None, :]) @ (xa - p)[:, :, None])[:, :, 0]
+            points[active] = p
+            gaps[active] = inner.max(axis=1)
+            rows = np.arange(active.size)
+            inner[kept] = -np.inf
+            entering = np.argmax(inner, axis=1)
+            go_on = inner[rows, entering] > scale[active]
+            if entered is not None:
+                # In exact arithmetic the vertex that entered last stays in
+                # the corral; a row that dropped it is stuck at rounding
+                # level and would only repeat itself.
+                go_on &= kept[rows, entered]
+            active, entered = active[go_on], entering[go_on]
+            if active.size == 0:
+                break
+            kept[go_on, entered] = True
+            corral[active] = kept[go_on]
+        if np.any(gaps > scale):
+            raise ProjectionDidNotConverge(
+                "hull projection left rows without certificate",
+                float(np.max(gaps - scale)))
+        return points, gaps
 
 
 def _polytope_stack(poly: Polytope, m: int) -> np.ndarray:
@@ -418,7 +335,7 @@ def _distance_rows(x: np.ndarray, body: ConvexBody,
         return np.maximum(d, 0.0)
     if isinstance(body, Polytope):
         proj = HullProjector(_polytope_stack(body, x.shape[0]))
-        p, _ = proj.project(x, tol=tol, polish=True)
+        p, _ = proj.project(x, tol=tol)
         return np.linalg.norm(x - p, axis=1)
     p, _, _, _ = _dykstra_ball_polytope(x, body.ball, body.polytope)
     return np.linalg.norm(x - p, axis=1)
@@ -430,7 +347,7 @@ def _project_rows(x: np.ndarray, body: ConvexBody) -> np.ndarray:
         return project_balls(x, body.center, body.radius)
     if isinstance(body, Polytope):
         proj = HullProjector(_polytope_stack(body, x.shape[0]))
-        p, _ = proj.project(x, polish=True)
+        p, _ = proj.project(x)
         return p
     p, _, _, _ = _dykstra_ball_polytope(x, body.ball, body.polytope)
     return p
@@ -559,7 +476,7 @@ def project_points_onto_polytopes(points: np.ndarray, polys,
     """One certified projection per (point, polytope) pair, batched."""
     stacks = pad_vertex_stack(polys)
     proj = HullProjector(stacks)
-    pts, _ = proj.project(_rows(points), tol=tol, polish=True)
+    pts, _ = proj.project(_rows(points), tol=tol)
     return pts
 
 
@@ -582,7 +499,7 @@ def polytope_pair_hausdorff(list_a, list_b,
         queries = src.reshape(m * n_src, d)
         targets = np.repeat(tgt, n_src, axis=0)
         proj = HullProjector(targets)
-        pts, _ = proj.project(queries, tol=tol, polish=True)
+        pts, _ = proj.project(queries, tol=tol)
         dists = np.linalg.norm(queries - pts, axis=1)
         return dists.reshape(m, n_src).max(axis=1)
 
@@ -652,7 +569,7 @@ def directed_hausdorff(source: ConvexBody, target: ConvexBody,
     function over a hull is attained at a vertex) and for ball-to-ball;
     otherwise a deterministic boundary sample plus Lipschitz slack.
     """
-    if _body_dim(source) != _body_dim(target):
+    if source.dim != target.dim:
         raise DimensionMismatch("bodies must share dimension")
     if isinstance(source, Polytope):
         val = float(_distance_rows(source.vertices, target).max())
@@ -673,10 +590,6 @@ def hausdorff_distance(a: ConvexBody, b: ConvexBody,
     ba = directed_hausdorff(b, a, resolution)
     return HausdorffBracket(max(ab.lower, ba.lower),
                             max(ab.upper, ba.upper), resolution)
-
-
-def _body_dim(body: ConvexBody) -> int:
-    return body.dim
 
 
 # ---------------------------------------------------------------------------

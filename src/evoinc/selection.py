@@ -62,7 +62,7 @@ def nearest_point_selection(family, u: TimePath, v: TimePath,
     if not anchor.same_grid(u):
         raise ValueError("anchor must share the state grid")
     projector = HullProjector(verts)
-    points, _ = projector.project(anchor.values, polish=True)
+    points, _ = projector.project(anchor.values)
     path = TimePath(u.t0, u.t1, points, family.target_weight)
     return SelectionPath(path, np.zeros(u.num_nodes))
 
@@ -79,7 +79,7 @@ def node_distances(family, u: TimePath, v: TimePath,
     """Node-wise distance of f to the image hulls, in the target norm."""
     verts = _image_vertices(family, u, v)
     projector = HullProjector(verts)
-    points, _ = projector.project(f.values, polish=True)
+    points, _ = projector.project(f.values)
     w = math.sqrt(family.target_weight)
     return w * np.linalg.norm(f.values - points, axis=1)
 
@@ -99,7 +99,7 @@ def approximate_selection(family, u_new: TimePath, v: TimePath,
     w = math.sqrt(family.target_weight)
     anchors = f.values
     projector = HullProjector(verts)
-    hull_points, _ = projector.project(anchors, polish=True)
+    hull_points, _ = projector.project(anchors)
     gaps = w * np.linalg.norm(anchors - hull_points, axis=1)
     if np.any(gaps > eps + tol):
         node = int(np.argmax(gaps))
@@ -117,7 +117,7 @@ def approximate_selection(family, u_new: TimePath, v: TimePath,
         return project_balls(z, anchors, radius)
 
     def proj_hull(z):
-        pts, _ = projector.project(z, polish=True)
+        pts, _ = projector.project(z)
         return pts
 
     points, res_ball, res_hull, converged = dykstra(anchors, proj_ball, proj_hull)

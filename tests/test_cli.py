@@ -128,6 +128,40 @@ def test_solve_rejects_unknown_key_naming_it(tmp_path, capsys):
     assert not (tmp_path / "nope").exists()
 
 
+@pytest.mark.parametrize("name, mutate", [
+    ("config.time.horizon",
+     lambda cfg: cfg["time"].update(horizon=float("nan"))),
+    ("config.solver.tol",
+     lambda cfg: cfg["solver"].update(tol=float("inf"))),
+    ("config.rhs_f.coefficients[0].c",
+     lambda cfg: cfg["rhs_f"]["coefficients"][0].update(c=float("nan"))),
+])
+def test_solve_rejects_non_finite_numbers(tmp_path, capsys, name, mutate):
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    mutate(cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))  # writes the NaN / Infinity literals
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert name in err and "finite" in err
+    assert not out.exists()
+
+
+def test_solve_rejects_zero_tolerance(tmp_path, capsys):
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    cfg["solver"]["tol"] = 0.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config.solver.tol" in err
+    assert not out.exists()
+
+
 def test_solve_nonconvergence_exits_one_with_partial_output(tmp_path, capsys):
     cfg = json.loads(_read(preset_path("heat_debye")))
     cfg["solver"]["max_iter"] = 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evoinc import geometry as geo
+from evoinc import suites
 
 from conftest import monotone_chain, polygon_boundary_sample, polygon_distances
 
@@ -121,15 +122,96 @@ def test_project_polytope_certificate_over_vertices(rng):
         assert gaps.max() <= 1e-12 * (1.0 + np.linalg.norm(x)) + 1e-15
 
 
-def test_project_polytope_budget_exhaustion_reports(monkeypatch):
-    poly = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    projector = geo.HullProjector(poly.vertices[None, :, :])
-    # disable both phases: no spectral steps, a fallback that cannot certify
-    monkeypatch.setattr(projector, "_bb_cap", 0)
-    monkeypatch.setattr(geo, "_wolfe_min_norm",
-                        lambda v, x, gap_tol: (np.array([1.0, 0.0, 0.0]), 1.0))
-    with pytest.raises(geo.ProjectionDidNotConverge):
-        projector.project(np.array([[5.0, 1.7]]), tol=1e-16, max_iter=1)
+def test_project_polytope_budget_exhaustion_reports():
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # the projection (0.4, 0.6) lies inside the hypotenuse: the cold start
+    # at the nearest vertex (0, 1) fails the certificate, so one major cycle
+    # cannot certify it and a second one does
+    x = np.array([[0.7, 0.9]])
+    with pytest.raises(geo.ProjectionDidNotConverge) as err:
+        geo.HullProjector(triangle).project(x, max_iter=1)
+    assert np.isfinite(err.value.residual) and err.value.residual > 0.0
+    p, gaps = geo.HullProjector(triangle).project(x, max_iter=2)
+    assert np.allclose(p, [[0.4, 0.6]], atol=1e-12)
+    assert gaps[0] <= 1e-12 * (1.0 + np.linalg.norm(x))
+
+
+# A hull whose last vertex is repeated three times (padding of a batched
+# vertex stack), with the query of projection-difference seed 1732327213
+# that once ended without a certificate at gap 9.5e-12 against 8.3e-12.
+REPEATED_VERTEX_HULL = np.array([
+    [0.40204826248554715, 1.9565699581433647, -2.384787177818414],
+    [3.780393471822878, -0.2374457205975597, -2.96736096612052],
+    [0.20276940659088438, 0.15532401338595364, -0.12902535811239257],
+    [0.5019569777927374, 3.165949756254017, -2.373530765509826],
+    [1.9488298069276113, -1.674752327242698, -0.8282350073988182],
+    [-1.5759439265568524, -4.341625493377109, -1.9148599989572481],
+    [-1.5759439265568524, -4.341625493377109, -1.9148599989572481],
+    [-1.5759439265568524, -4.341625493377109, -1.9148599989572481]])
+REPEATED_VERTEX_QUERY = np.array(
+    [-6.54039905118453, 2.454496223758445, -1.9973710473973527])
+
+
+def _certificate(vertices, x, p):
+    """Vertex-set gaps max_v <x - p, v - p> and their bound, per row."""
+    gaps = np.einsum("mnd,md->mn", vertices - p[:, None, :], x - p).max(axis=1)
+    return gaps, 1e-12 * (1.0 + np.linalg.norm(x, axis=1))
+
+
+def test_project_polytope_repeated_vertex_is_certified():
+    x = REPEATED_VERTEX_QUERY
+    p, gaps = geo.HullProjector(REPEATED_VERTEX_HULL).project(x)
+    check, bound = _certificate(REPEATED_VERTEX_HULL[None], x[None], p)
+    assert gaps[0] <= bound[0] and check[0] <= bound[0]
+    # the padding copies change nothing: same point as the distinct vertices
+    alone = geo.project_polytope(x, geo.Polytope(REPEATED_VERTEX_HULL[:6]))
+    assert np.linalg.norm(p[0] - alone) <= 1e-10
+
+
+def test_hull_projector_warm_start_on_repeated_vertex_support():
+    # weights left on both copies of a vertex make the corral's system
+    # singular; the least-norm solve must still reach the certified point
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    projector = geo.HullProjector(vertices)
+    projector.lam = np.array([[0.0, 0.5, 0.5, 0.0]])
+    p, gaps = projector.project(np.array([0.7, 0.9]))
+    assert np.allclose(p, [[0.4, 0.6]], atol=1e-12)
+    assert gaps[0] <= 1e-12 * (1.0 + math.hypot(0.7, 0.9))
+
+
+def test_projection_difference_known_seed_is_certified():
+    result = suites.projection_difference_battery(1732327213, 1000)
+    assert result.passed
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_hull_projector_batch_rows_and_warm_start_agree(dim):
+    rng = np.random.default_rng(100 + dim)
+    m, n = 40, 9
+    vertices = rng.normal(size=(m, n, dim)) * rng.uniform(0.2, 3.0,
+                                                            size=(m, 1, 1))
+    # repeated vertices in every row, as padded vertex stacks carry them
+    for i in range(m):
+        copies = int(rng.integers(1, 4))
+        vertices[i, n - copies:] = vertices[i, int(rng.integers(0, n - copies))]
+    x = rng.normal(size=(m, dim)) * 3.0
+    x[::4] = vertices[::4].mean(axis=1)  # some queries inside their hull
+
+    projector = geo.HullProjector(vertices)
+    batch, _ = projector.project(x)
+    rows = np.vstack([geo.HullProjector(vertices[i]).project(x[i])[0]
+                      for i in range(m)])
+    assert np.abs(batch - rows).max() <= 1e-10
+    gaps, bound = _certificate(vertices, x, batch)
+    assert np.all(gaps <= bound)
+
+    moved = x + 1e-3 * rng.normal(size=x.shape)
+    warm, _ = projector.project(moved)
+    cold, _ = geo.HullProjector(vertices).project(moved)
+    assert np.abs(warm - cold).max() <= 1e-10
+    for points in (warm, cold):
+        gaps, bound = _certificate(vertices, moved, points)
+        assert np.all(gaps <= bound)
 
 
 # ---------------------------------------------------------------------------
