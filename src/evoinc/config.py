@@ -109,6 +109,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     steps = _number(time_cfg["steps_per_window"],
                     "config.time.steps_per_window", lo=2, hi=1_000_000,
                     integer=True)
+    if d_profile[0] == "linear_decay" and d_profile[1] <= horizon:
+        # D(t) = start - t must stay positive on [0, horizon]
+        raise ConfigError("config.spatial.d_profile.start: must be > "
+                          "config.time.horizon")
     max_window = time_cfg.get("max_window")
     if max_window is not None:
         max_window = _number(max_window, "config.time.max_window", lo=1e-9)

@@ -9,10 +9,10 @@ discretizes a coefficient-weighted p(x)-Laplacian plus a zeroth-order term;
 forward differences include both boundary nodes, so the discrete divergence
 below is the exact adjoint of the difference stencil. The flow is advanced
 by proximal implicit Euler: each step minimizes
-energy(t_next, w) + ||w - v - tau g||^2 / (2 tau) with a spectral-step
-descent and a damped tridiagonal Newton fallback. Exponents stay above 2
-(strict) outside the documented linear cross-check mode, which keeps the
-energy twice continuously differentiable.
+energy(t_next, w) + ||w - v - tau g||^2 / (2 tau) by damped Newton on the
+tridiagonal Hessian. Exponents stay above 2 (strict) outside the
+documented linear cross-check mode, which keeps the energy twice
+continuously differentiable.
 """
 
 from __future__ import annotations
@@ -25,20 +25,7 @@ import numpy as np
 from .paths import TimePath
 
 PROX_RESIDUAL_TOL = 1e-10
-PROX_BB_ITERS = 40
 PROX_NEWTON_ITERS = 60
-
-# Regularity bookkeeping for the time-dependent potential family: the
-# comparison exponent pair and the translation/energy comparison functions
-# used to justify well-posedness of the flow (w-tilde = w works because the
-# coefficient field is nonincreasing in time).
-REGULARITY_ALPHA = 0.5
-REGULARITY_BETA = 2.0
-
-
-def regularity_comparison_functions(n: int):
-    """(K_n, g_n, h_n): constants and comparison maps, indexed by n >= 1."""
-    return float(n), (lambda t: t + n), (lambda t: float(n))
 
 
 class MonotoneError(ValueError):
@@ -169,28 +156,54 @@ def make_potential(j: int, p_spec=("constant", 3.0),
 # energy, gradient, Hessian
 
 
-def _gradients_of_state(pot: VariableExponentPotential,
-                        v: np.ndarray) -> np.ndarray:
-    """Forward differences over the closed grid, boundary values zero."""
-    h = pot.mesh
-    full = np.zeros(pot.interior_nodes + 2)
-    full[1:-1] = v
-    return np.diff(full) / h
+class _EnergyKernel:
+    """The energy's terms at one state and one coefficient field.
+
+    Forward differences over the closed grid (boundary values zero) and
+    the powers |g|^(p-2) and |v|^(p-2) are formed once; the energy value,
+    the mesh-weighted gradient and the tridiagonal Hessian all derive from
+    them, each only when asked for.
+    """
+
+    __slots__ = ("pot", "d", "v", "g", "g_pow", "v_pow")
+
+    def __init__(self, pot: VariableExponentPotential, d: np.ndarray,
+                 v: np.ndarray):
+        p = pot.exponents
+        full = np.zeros(p.size)
+        full[1:-1] = v
+        self.pot = pot
+        self.d = d
+        self.v = v
+        self.g = np.diff(full) / pot.mesh
+        self.g_pow = np.abs(self.g) ** (p[:-1] - 2.0)
+        self.v_pow = np.abs(v) ** (p[1:-1] - 2.0)
+
+    def value(self) -> float:
+        p = self.pot.exponents
+        grad_term = np.sum(self.d[:-1] / p[:-1] * self.g_pow * self.g ** 2)
+        value_term = np.sum(self.v_pow * self.v ** 2 / p[1:-1])
+        return float(self.pot.mesh * (grad_term + value_term))
+
+    def gradient(self) -> np.ndarray:
+        """-div of the flux plus the zeroth-order term."""
+        flux = self.d[:-1] * self.g_pow * self.g
+        return (flux[:-1] - flux[1:]) / self.pot.mesh + self.v_pow * self.v
+
+    def hessian(self):
+        """(diag, off) of the Hessian in the mesh-weighted metric."""
+        p = self.pot.exponents
+        h2 = self.pot.mesh ** 2
+        kappa = self.d[:-1] * (p[:-1] - 1.0) * self.g_pow
+        diag = (kappa[:-1] + kappa[1:]) / h2 + (p[1:-1] - 1.0) * self.v_pow
+        return diag, -kappa[1:-1] / h2
 
 
 def energy(pot: VariableExponentPotential, t: float, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if v.size != pot.interior_nodes:
         raise MonotoneError("state has wrong number of interior nodes")
-    h = pot.mesh
-    p = pot.exponents
-    d = pot.coefficient_at(t)
-    g = _gradients_of_state(pot, v)
-    p_edge = p[:-1]
-    grad_term = h * np.sum(d[:-1] / p_edge * np.abs(g) ** p_edge)
-    p_int = p[1:-1]
-    value_term = h * np.sum(np.abs(v) ** p_int / p_int)
-    return float(grad_term + value_term)
+    return _EnergyKernel(pot, pot.coefficient_at(t), v).value()
 
 
 def subgradient(pot: VariableExponentPotential, t: float,
@@ -199,28 +212,7 @@ def subgradient(pot: VariableExponentPotential, t: float,
     the zeroth-order term. Coincides with the tridiagonal -Delta_h + I in
     the p = 2 cross-check mode."""
     v = np.asarray(v, dtype=float)
-    h = pot.mesh
-    p = pot.exponents
-    d = pot.coefficient_at(t)
-    g = _gradients_of_state(pot, v)
-    flux = d[:-1] * np.abs(g) ** (p[:-1] - 2.0) * g
-    p_int = p[1:-1]
-    return (flux[:-1] - flux[1:]) / h + np.abs(v) ** (p_int - 2.0) * v
-
-
-def _hessian_tridiagonal(pot: VariableExponentPotential, t: float,
-                         v: np.ndarray):
-    """(diag, off) of the energy Hessian in the mesh-weighted metric."""
-    h = pot.mesh
-    p = pot.exponents
-    d = pot.coefficient_at(t)
-    g = _gradients_of_state(pot, v)
-    kappa = d[:-1] * (p[:-1] - 1.0) * np.abs(g) ** (p[:-1] - 2.0)
-    p_int = p[1:-1]
-    diag = (kappa[:-1] + kappa[1:]) / h ** 2 \
-        + (p_int - 1.0) * np.abs(v) ** (p_int - 2.0)
-    off = -kappa[1:-1] / h ** 2
-    return diag, off
+    return _EnergyKernel(pot, pot.coefficient_at(t), v).gradient()
 
 
 def _thomas_solve(diag: np.ndarray, off: np.ndarray,
@@ -262,69 +254,48 @@ def prox_step(pot: VariableExponentPotential, t_next: float,
               v_prev: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
     """Minimizer of energy(t_next, w) + ||w - v_prev - tau g||^2 / (2 tau).
 
-    Spectral-step descent first, damped Newton on the tridiagonal Hessian
-    when the gradient stalls; returns with mesh-weighted gradient residual
-    below PROX_RESIDUAL_TOL * (1 + ||v_prev||).
+    Damped Newton on the tridiagonal Hessian from w = v_prev + tau g, with
+    Armijo backtracking on the prox objective; returns with mesh-weighted
+    gradient residual below PROX_RESIDUAL_TOL * (1 + ||v_prev||) and raises
+    ProxDidNotConverge after PROX_NEWTON_ITERS steps otherwise.
     """
     if tau <= 0.0:
         raise MonotoneError("step size must be positive")
     v_prev = np.asarray(v_prev, dtype=float)
     g = np.asarray(g, dtype=float)
     h = pot.mesh
+    root_h = math.sqrt(h)
+    d = pot.coefficient_at(t_next)
     z = v_prev + tau * g
-    target = PROX_RESIDUAL_TOL * (1.0 + math.sqrt(h) * float(np.linalg.norm(v_prev)))
-
-    def grad(w):
-        return subgradient(pot, t_next, w) + (w - z) / tau
-
-    def objective(w):
-        return energy(pot, t_next, w) \
-            + h * float(np.sum((w - z) ** 2)) / (2.0 * tau)
-
-    def res_norm(r):
-        return math.sqrt(h) * float(np.linalg.norm(r))
-
-    w = z.copy()
-    r = grad(w)
-    if res_norm(r) <= target:
+    target = PROX_RESIDUAL_TOL * (1.0 + root_h * float(np.linalg.norm(v_prev)))
+    w = z
+    kernel = _EnergyKernel(pot, d, w)
+    r = kernel.gradient()  # the proximal term vanishes at z
+    res = root_h * float(np.linalg.norm(r))
+    if res <= target:
         return w
-    step = tau  # curvature of the quadratic part; safe first guess
-    f_cur = objective(w)
-    for _ in range(PROX_BB_ITERS):
-        w_new = w - step * r
-        r_new = grad(w_new)
-        f_new = objective(w_new)
-        # plain backtracking keeps the nonmonotone spectral steps in check
-        bt = 0
-        while f_new > f_cur + 1e-12 * (1.0 + abs(f_cur)) and bt < 40:
-            step *= 0.5
-            w_new = w - step * r
-            r_new = grad(w_new)
-            f_new = objective(w_new)
-            bt += 1
-        s = w_new - w
-        y = r_new - r
-        sy = float(np.dot(s, y))
-        step = float(np.dot(s, s)) / sy if sy > 1e-300 else tau
-        w, r, f_cur = w_new, r_new, f_new
-        if res_norm(r) <= target:
-            return w
+    f_cur = kernel.value()
     for _ in range(PROX_NEWTON_ITERS):
-        diag, off = _hessian_tridiagonal(pot, t_next, w)
-        diag = diag + 1.0 / tau
-        delta = _thomas_solve(diag, off, -r)
+        diag, off = kernel.hessian()
+        delta = _thomas_solve(diag + 1.0 / tau, off, -r)
+        slope = h * float(np.dot(r, delta))  # mesh-weighted, negative
         alpha = 1.0
-        f_cur = objective(w)
         for _ in range(50):
             w_new = w + alpha * delta
-            if objective(w_new) <= f_cur + 1e-12 * (1.0 + abs(f_cur)):
+            kernel = _EnergyKernel(pot, d, w_new)
+            f_new = kernel.value() \
+                + h * float(np.sum((w_new - z) ** 2)) / (2.0 * tau)
+            # Armijo decrease, up to the rounding of the objective
+            if f_new <= f_cur + 1e-4 * alpha * slope \
+                    + 1e-12 * (1.0 + abs(f_cur)):
                 break
             alpha *= 0.5
-        w = w + alpha * delta
-        r = grad(w)
-        if res_norm(r) <= target:
+        w, f_cur = w_new, f_new
+        r = kernel.gradient() + (w - z) / tau
+        res = root_h * float(np.linalg.norm(r))
+        if res <= target:
             return w
-    raise ProxDidNotConverge(res_norm(r))
+    raise ProxDidNotConverge(res)
 
 
 def solve_monotone_ivp(pot: VariableExponentPotential, v0: np.ndarray,

@@ -53,9 +53,6 @@ class TimePath:
     def node_norms(self) -> np.ndarray:
         return np.sqrt(self.weight) * np.linalg.norm(self.values, axis=1)
 
-    def state_norm(self, value: np.ndarray) -> float:
-        return float(np.sqrt(self.weight) * np.linalg.norm(value))
-
     def same_grid(self, other: "TimePath") -> bool:
         return (self.num_nodes == other.num_nodes
                 and np.isclose(self.t0, other.t0)
@@ -83,12 +80,6 @@ def path_distance(p: TimePath, q: TimePath) -> float:
         raise ValueError("paths must share the time grid")
     diff = np.sqrt(p.weight) * np.linalg.norm(p.values - q.values, axis=1)
     return trapezoid_l2(diff, p.dt)
-
-
-def lincomb(a: float, p: TimePath, b: float, q: TimePath) -> TimePath:
-    if not p.same_grid(q):
-        raise ValueError("paths must share the time grid")
-    return p.with_values(a * p.values + b * q.values)
 
 
 def zero_path(t0: float, t1: float, num_nodes: int, dim: int,

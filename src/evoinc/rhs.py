@@ -200,9 +200,6 @@ class GeneralCoefficient:
         return self.expr.bound()
 
 
-Coefficient = GrowthCoefficient | GeneralCoefficient
-
-
 @dataclass(frozen=True)
 class GrowthEnvelope:
     a: float
@@ -372,10 +369,6 @@ class BasisFamilyMap:
         return out
 
 
-def evaluate(family: BasisFamilyMap, u, v) -> Polytope:
-    return family.evaluate(u, v)
-
-
 @dataclass(frozen=True)
 class SingletonAffineMap:
     """Degenerate single-valued member of the family: {A u + B v + c}.
@@ -430,6 +423,3 @@ class SingletonAffineMap:
         b = sw_t * float(np.linalg.norm(self.mat_v, 2)) / math.sqrt(self.v_weight)
         c = sw_t * float(np.linalg.norm(self.offset))
         return GrowthEnvelope(a, b, c)
-
-
-SetValuedMap = BasisFamilyMap | SingletonAffineMap

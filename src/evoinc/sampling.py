@@ -97,11 +97,3 @@ def sphere_points(count: int, dim: int) -> np.ndarray:
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return g / norms
-
-
-def box_points(count: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Deterministic low-discrepancy cloud in the axis box [lo, hi]."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    u = halton(count, lo.size)
-    return lo + u * (hi - lo)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .monotone import VariableExponentPotential, solve_monotone_ivp
-from .paths import TimePath, path_distance, path_l2_norm, trapezoid_l2, zero_path
-from .selection import (SelectionPath, nearest_point_selection,
-                        node_distances)
+from .paths import TimePath, path_distance, path_l2_norm, zero_path
+from .selection import SelectionPath, nearest_point_selection
 from .semigroup import SpectralGenerator, duhamel_solve, yosida_smooth
 
 SELECTION_TOL = 1e-8
@@ -96,7 +95,6 @@ class SolveReport:
     residual_f: float
     residual_g: float
     residual_history: tuple
-    relaxed_history: tuple
     converged: bool
     theta_final: float
     apriori: "AprioriReport | None"
@@ -162,7 +160,6 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     f_path, g_path = f_sel.path, g_sel.path
 
     history = []
-    relaxed_history = []
     prev_res = math.inf
     converged = False
     iterations = 0
@@ -191,18 +188,12 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
             (1.0 - theta) * f_path.values + theta * f_star.values)
         g_path = g_path.with_values(
             (1.0 - theta) * g_path.values + theta * g_star.values)
-        # Convexity of the node distance: the relaxed pair must sit within
-        # (1 - theta) of the previous residual against the same images.
-        rel_f = trapezoid_l2(node_distances(f_map, u, v, f_path), f_path.dt)
-        rel_g = trapezoid_l2(node_distances(g_map, u, v, g_path), g_path.dt)
-        relaxed_history.append((rel_f, rel_g))
 
     apriori = apriori_bound_check(u, v, f_star.path, g_star.path, window)
     membership = (path_l2_norm(f_star.path) <= window.m + 1e-6
                   and path_l2_norm(g_star.path) <= window.m + 1e-6)
     report = SolveReport(iterations, res_f, res_g, tuple(history),
-                         tuple(relaxed_history), converged, theta,
-                         apriori, membership)
+                         converged, theta, apriori, membership)
     defect_f = np.linalg.norm(f_path.values - f_star.values, axis=1)
     defect_g = math.sqrt(h) * np.linalg.norm(g_path.values - g_star.values,
                                              axis=1)
@@ -233,13 +224,17 @@ class GlobalSolution:
     gronwall: "GronwallReport | None"
 
     def node_times(self) -> np.ndarray:
+        """Node times of all windows, shared endpoints once; empty when the
+        run stopped before its first window."""
         parts = [w.u.times() if i == 0 else w.u.times()[1:]
                  for i, w in enumerate(self.windows)]
-        return np.concatenate(parts)
+        return np.concatenate([np.empty(0)] + parts)
 
     def node_table(self) -> np.ndarray:
-        """Columns: t, ||u||, ||v||, node defect of f, node defect of g."""
-        rows = []
+        """Columns: t, ||u||, ||v||, node defect of f, node defect of g.
+
+        Zero rows when the run stopped before its first window."""
+        rows = [np.empty((0, 5))]
         for i, w in enumerate(self.windows):
             start = 0 if i == 0 else 1
             t = w.u.times()[start:]
@@ -327,27 +322,6 @@ def gronwall_constants(a: float, b: float, c: float, u0_norm: float,
         + (2.0 + c_tilde) * c * t_end
     rho = (2.0 + c_tilde) * max(a, b)
     return k_const, rho
-
-
-def gronwall_check(u: TimePath, v: TimePath, a: float, b: float, c: float,
-                   u0: np.ndarray, v0: np.ndarray, t_end: float,
-                   c_tilde: float = 1.0, rho_override: float | None = None,
-                   slack: float = 1e-6) -> GronwallReport:
-    """Node-wise ||u(t)|| + ||v(t)|| <= K e^{rho t} check.
-
-    `rho_override` substitutes a deliberately different exponent for
-    falsification runs.
-    """
-    u0_norm = float(np.linalg.norm(np.asarray(u0, dtype=float)))
-    v0_norm = math.sqrt(v.weight) * float(np.linalg.norm(np.asarray(v0, dtype=float)))
-    k_const, rho = gronwall_constants(a, b, c, u0_norm, v0_norm, t_end, c_tilde)
-    if rho_override is not None:
-        rho = rho_override
-    total = u.node_norms() + v.node_norms()
-    envelope = k_const * np.exp(rho * u.times())
-    margins = envelope + slack * (1.0 + k_const) - total
-    return GronwallReport(k_const, rho, bool(np.all(margins >= 0.0)),
-                          float(margins.min()))
 
 
 def gronwall_check_windows(windows, a: float, b: float, c: float,

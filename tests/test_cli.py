@@ -162,6 +162,38 @@ def test_solve_rejects_zero_tolerance(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("start", [0.5, 1.0])
+def test_solve_rejects_linear_decay_reaching_zero(tmp_path, capsys, start):
+    # D(t) = start - t must stay positive up to the horizon 1.0
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    cfg["spatial"]["d_profile"]["start"] = start
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config.spatial.d_profile.start" in err
+    assert not out.exists()
+
+
+def test_solve_blowup_before_first_window(tmp_path, capsys):
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    cfg["initial"]["u"]["amplitude"] = 1e300
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(bad), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 1
+    assert _read(out / "trajectory.csv") \
+        == b"t,u_norm,v_norm,residual_f,residual_g\n"
+    report = json.loads(_read(out / "report.json"))
+    assert report["blowup"] is True
+    assert report["converged"] is False
+    assert report["windows"] == []
+
+
 def test_solve_nonconvergence_exits_one_with_partial_output(tmp_path, capsys):
     cfg = json.loads(_read(preset_path("heat_debye")))
     cfg["solver"]["max_iter"] = 1

@@ -112,6 +112,24 @@ def test_subgradient_matches_finite_differences(rng):
         assert np.abs(grad - fd).max() <= 1e-5 * (1.0 + np.abs(grad).max())
 
 
+def test_hessian_matches_finite_differences_of_gradient(rng):
+    pot = mono.make_potential(15, ("ramp", 2.2, 4.0), ("separable", 2.0, 0.3))
+    for _ in range(10):
+        v = rng.normal(size=15)
+        t = float(rng.uniform(0.0, 1.0))
+        diag, off = mono._EnergyKernel(pot, pot.coefficient_at(t), v).hessian()
+        hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        eps = 1e-6
+        fd = np.empty((15, 15))
+        for j in range(15):
+            vp, vm = v.copy(), v.copy()
+            vp[j] += eps
+            vm[j] -= eps
+            fd[:, j] = (mono.subgradient(pot, t, vp)
+                        - mono.subgradient(pot, t, vm)) / (2.0 * eps)
+        assert np.abs(hess - fd).max() <= 1e-5 * (1.0 + np.abs(hess).max())
+
+
 # ---------------------------------------------------------------------------
 # proximal step
 
@@ -122,7 +140,9 @@ def test_prox_step_stationary_zero():
     assert np.linalg.norm(out) <= 1e-10
 
 
-def test_prox_step_linear_closed_form(rng):
+def test_prox_step_linear_closed_form(rng, monkeypatch):
+    # one Newton step is exact on the quadratic p = 2 objective
+    monkeypatch.setattr(mono, "PROX_NEWTON_ITERS", 1)
     pot = mono.make_potential(5, ("constant", 2.0), oracle_p2=True)
     tau = 0.01
     v_prev = rng.normal(size=5)
@@ -182,6 +202,15 @@ def test_prox_nonexpansive_seeded():
                                          rng.normal(size=15),
                                          rng.normal(size=15))
         assert gap <= 1e-10
+
+
+def test_prox_step_reports_exhausted_newton_budget(monkeypatch):
+    monkeypatch.setattr(mono, "PROX_NEWTON_ITERS", 0)
+    pot = mono.make_potential(9, ("constant", 3.0))
+    v_prev = np.linspace(-1.0, 1.0, 9)
+    with pytest.raises(mono.ProxDidNotConverge) as err:
+        mono.prox_step(pot, 0.1, v_prev, np.zeros(9), 0.05)
+    assert math.isfinite(err.value.residual) and err.value.residual > 0.0
 
 
 def test_prox_step_rejects_nonpositive_tau():

@@ -7,9 +7,11 @@ import pytest
 
 from evoinc import monotone as mono
 from evoinc import rhs
+from evoinc import selection as sel
 from evoinc import semigroup as sg
 from evoinc import solver as sv
-from evoinc.paths import TimePath, constant_path, zero_path
+from evoinc.paths import (TimePath, constant_path, path_distance,
+                          trapezoid_l2, zero_path)
 
 
 @pytest.fixture(scope="module")
@@ -171,9 +173,27 @@ def test_relaxed_update_contracts_residual(heat_setup):
                                            g_map.growth_envelope()], 0.5)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
                           num_nodes=65, theta=0.5)
-    assert sol.report.relaxed_history
-    for (res_f, res_g), (rel_f, rel_g) in zip(sol.report.residual_history,
-                                              sol.report.relaxed_history):
+    history = sol.report.residual_history
+    assert len(history) >= 2
+    # Replay the iteration. Convexity of the node distance: the relaxed pair
+    # must sit within (1 - theta) of the residual against the same images.
+    f_path = zero_path(0.0, window.t_window, 65, gen.state_dim, 1.0)
+    g_path = zero_path(0.0, window.t_window, 65, 15, pot.mesh)
+    u = sg.duhamel_solve(gen, u0, f_path)
+    v = mono.solve_monotone_ivp(pot, v0, g_path)
+    f_path = sel.nearest_point_selection(f_map, u, v, f_path).path
+    g_path = sel.nearest_point_selection(g_map, u, v, g_path).path
+    for res_f, res_g in history:
+        u = sg.duhamel_solve(gen, u0, f_path)
+        v = mono.solve_monotone_ivp(pot, v0, g_path)
+        f_star = sel.nearest_point_selection(f_map, u, v, f_path).path
+        g_star = sel.nearest_point_selection(g_map, u, v, g_path).path
+        assert path_distance(f_path, f_star) == pytest.approx(res_f, abs=1e-12)
+        assert path_distance(g_path, g_star) == pytest.approx(res_g, abs=1e-12)
+        f_path = f_path.with_values(0.5 * f_path.values + 0.5 * f_star.values)
+        g_path = g_path.with_values(0.5 * g_path.values + 0.5 * g_star.values)
+        rel_f = trapezoid_l2(sel.node_distances(f_map, u, v, f_path), f_path.dt)
+        rel_g = trapezoid_l2(sel.node_distances(g_map, u, v, g_path), g_path.dt)
         assert rel_f <= 0.5 * res_f + 1e-10
         assert rel_g <= 0.5 * res_g + 1e-10
 
@@ -279,6 +299,16 @@ def test_global_failure_reports_partial_result(heat_setup):
     assert not run.converged
     assert run.failure_index == 0
     assert len(run.windows) == 1
+
+
+def test_global_blowup_before_first_window_is_empty(heat_setup):
+    gen, pot, u0, v0 = heat_setup
+    f_map, g_map = _growth_maps(gen, pot)
+    settings = sv.GlobalSettings(blowup_norm=1e-3)
+    run = sv.solve_global(gen, pot, u0, v0, f_map, g_map, 1.0, settings)
+    assert run.blowup and not run.converged and run.windows == ()
+    assert run.node_times().shape == (0,)
+    assert run.node_table().shape == (0, 5)
 
 
 # ---------------------------------------------------------------------------
