@@ -217,24 +217,30 @@ def subgradient(pot: VariableExponentPotential, t: float,
 
 def _thomas_solve(diag: np.ndarray, off: np.ndarray,
                   rhs: np.ndarray) -> np.ndarray:
-    n = diag.size
-    c = np.empty(n - 1) if n > 1 else np.empty(0)
-    d = np.empty(n)
+    """Solve the symmetric tridiagonal system (diag, off) x = rhs.
+
+    The recurrence runs on Python floats: indexing numpy arrays element by
+    element costs more than the arithmetic itself at these sizes.
+    """
+    diag, off, rhs = diag.tolist(), off.tolist(), rhs.tolist()
+    n = len(diag)
+    c = [0.0] * n
+    d = [0.0] * n
     c_prev = 0.0
     d_prev = 0.0
     for i in range(n):
         lower = off[i - 1] if i > 0 else 0.0
         denom = diag[i] - lower * c_prev
         if i < n - 1:
-            c[i] = off[i] / denom
-            c_prev = c[i]
+            c_prev = off[i] / denom
+            c[i] = c_prev
         d_prev = (rhs[i] - lower * d_prev) / denom
         d[i] = d_prev
-    x = np.empty(n)
+    x = [0.0] * n
     x[-1] = d[-1]
     for i in range(n - 2, -1, -1):
         x[i] = d[i] - c[i] * x[i + 1]
-    return x
+    return np.array(x)
 
 
 def monotonicity_probe(pot: VariableExponentPotential, t: float,

@@ -149,38 +149,39 @@ def _step_operators(gen: SpectralGenerator, tau: float):
     return (c, s), (int_c, int_s)
 
 
+def _modal(gen: SpectralGenerator, values: np.ndarray) -> np.ndarray:
+    """Per-mode scalars: heat coefficients as they are, 2-block pairs
+    (a, b) viewed without a copy as complex z = a + i b."""
+    values = np.ascontiguousarray(values, dtype=float)
+    return values if gen.kind == "heat" else values.view(np.complex128)
+
+
 def duhamel_solve(gen: SpectralGenerator, u0: np.ndarray,
                   forcing: TimePath) -> TimePath:
     """Mild solution path for piecewise-constant forcing, exact per step.
 
-    The forcing value on [t_k, t_{k+1}) is the node value at t_k.
+    The forcing value on [t_k, t_{k+1}) is the node value at t_k. Each mode
+    advances by one multiply-add, z_{k+1} = factor z_k + gain f_k, with the
+    exact step factors of `_step_operators`: factor exp(-tau n^2) and gain
+    (1 - exp(-tau n^2)) / n^2 for a heat mode; factor c + i s and gain
+    int_c + i int_s on the complex view z = a + i b of a 2-block.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.size != gen.state_dim or forcing.dim != gen.state_dim:
         raise SemigroupError("state dimension mismatch")
-    tau = forcing.dt
     k = forcing.num_nodes
-    out = np.empty((k, gen.state_dim))
-    out[0] = u0
     if gen.kind == "heat":
-        decay, forced = _step_operators(gen, tau)
-        for i in range(k - 1):
-            out[i + 1] = decay * out[i] + forced * forcing.values[i]
-        return TimePath(forcing.t0, forcing.t1, out, forcing.weight)
-    (c, s), (int_c, int_s) = _step_operators(gen, tau)
-    state = gen.as_pairs(u0[None, :])[0].copy()
-    f_pairs = gen.as_pairs(forcing.values)
-    out_pairs = np.empty((k, gen.modes, 2))
-    out_pairs[0] = state
+        factor, gain = _step_operators(gen, forcing.dt)
+    else:
+        (c, s), (int_c, int_s) = _step_operators(gen, forcing.dt)
+        factor, gain = c + 1j * s, int_c + 1j * int_s
+    drive = gain * _modal(gen, forcing.values[:-1])
+    out = np.empty((k, gen.modes), dtype=drive.dtype)
+    out[0] = _modal(gen, u0)
     for i in range(k - 1):
-        fa, fb = f_pairs[i, :, 0], f_pairs[i, :, 1]
-        a, b = state[:, 0], state[:, 1]
-        new_a = c * a - s * b + int_c * fa - int_s * fb
-        new_b = s * a + c * b + int_s * fa + int_c * fb
-        state = np.stack([new_a, new_b], axis=1)
-        out_pairs[i + 1] = state
-    return TimePath(forcing.t0, forcing.t1,
-                    out_pairs.reshape(k, -1), forcing.weight)
+        out[i + 1] = factor * out[i] + drive[i]
+    return TimePath(forcing.t0, forcing.t1, out.view(float).reshape(k, -1),
+                    forcing.weight)
 
 
 def yosida_factors(gen: SpectralGenerator, lam: float):
@@ -335,26 +336,44 @@ def rk4_oracle(gen: SpectralGenerator, u0: np.ndarray, forcing: TimePath,
     """Classical fourth-order integrator at `refine`-times finer steps.
 
     Independent route for cross-checking the exact-step solver: advances
-    du/dt = -E u + f with f held at the coarse-step value.
+    du/dt = -E u + f with f held at the coarse-step value. Each mode obeys
+    z' = lam z + f, with lam = -n^2 for a heat mode and lam = i w on the
+    complex view z = a + i b of a 2-block (w the rotation rate). One RK4
+    substep is therefore the per-mode map z -> R z + Q f, read off the four
+    stage formulas at (z, f) = (1, 0) and (0, 1); `refine` substeps compose
+    to one coarse-step pair (A, B). No exponential, sine or cosine enters.
     """
     u0 = np.asarray(u0, dtype=float)
-    k_coarse = forcing.num_nodes
-    tau_c = forcing.dt
-    tau = tau_c / refine
-    out = np.empty((k_coarse, gen.state_dim))
-    out[0] = u0
-    state = u0.copy()
+    if u0.size != gen.state_dim or forcing.dim != gen.state_dim:
+        raise SemigroupError("state dimension mismatch")
+    if refine < 1:
+        raise SemigroupError("refine must be at least 1")
+    tau = forcing.dt / refine
+    if gen.kind == "heat":
+        lam = -gen.mode_numbers() ** 2
+    else:
+        lam = 1j * gen.rotation_rates()
 
     def rhs(s, f):
-        return -gen.apply_generator(s) + f
+        return lam * s + f
 
+    def substep(s, f):
+        k1 = rhs(s, f)
+        k2 = rhs(s + 0.5 * tau * k1, f)
+        k3 = rhs(s + 0.5 * tau * k2, f)
+        k4 = rhs(s + tau * k3, f)
+        return s + (tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    one, zero = np.ones_like(lam), np.zeros_like(lam)
+    r, q = substep(one, zero), substep(zero, one)
+    a, b = one, zero
+    for _ in range(refine):
+        a, b = r * a, r * b + q
+    drive = b * _modal(gen, forcing.values[:-1])
+    k_coarse = forcing.num_nodes
+    out = np.empty((k_coarse, gen.modes), dtype=drive.dtype)
+    out[0] = _modal(gen, u0)
     for i in range(k_coarse - 1):
-        f = forcing.values[i]
-        for _ in range(refine):
-            k1 = rhs(state, f)
-            k2 = rhs(state + 0.5 * tau * k1, f)
-            k3 = rhs(state + 0.5 * tau * k2, f)
-            k4 = rhs(state + tau * k3, f)
-            state = state + (tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = state
-    return TimePath(forcing.t0, forcing.t1, out, forcing.weight)
+        out[i + 1] = a * out[i] + drive[i]
+    return TimePath(forcing.t0, forcing.t1,
+                    out.view(float).reshape(k_coarse, -1), forcing.weight)

@@ -266,8 +266,10 @@ def solve_global(gen: SpectralGenerator, pot: VariableExponentPotential,
     blowup = False
     failure = None
     while t_cur < horizon - 1e-12:
-        beta = max(float(np.linalg.norm(u_cur)),
-                   math.sqrt(h) * float(np.linalg.norm(v_cur)))
+        # a norm that overflows to inf is a blow-up, not a warning
+        with np.errstate(over="ignore"):
+            beta = max(float(np.linalg.norm(u_cur)),
+                       math.sqrt(h) * float(np.linalg.norm(v_cur)))
         if beta > settings.blowup_norm:
             blowup = True
             break

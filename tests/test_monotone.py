@@ -130,6 +130,22 @@ def test_hessian_matches_finite_differences_of_gradient(rng):
         assert np.abs(hess - fd).max() <= 1e-5 * (1.0 + np.abs(hess).max())
 
 
+@pytest.mark.parametrize("n", [1, 2, 15, 63])
+def test_thomas_solve_matches_dense_solve(n):
+    for i in range(20):
+        rng = np.random.default_rng([52, n, i])
+        off = rng.normal(size=n - 1)
+        # strictly diagonally dominant, as the prox Hessian plus 1/tau is
+        bound = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+        diag = bound + rng.uniform(0.1, 2.0, size=n)
+        rhs = rng.normal(size=n)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        x = mono._thomas_solve(diag, off, rhs)
+        assert x.shape == (n,)
+        assert np.abs(x - np.linalg.solve(dense, rhs)).max() \
+            <= 1e-12 * (1.0 + np.abs(x).max())
+
+
 # ---------------------------------------------------------------------------
 # proximal step
 

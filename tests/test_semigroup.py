@@ -102,6 +102,52 @@ def test_duhamel_against_rk4_oracle(kind):
     assert path_distance(mild, oracle) <= 1e-6
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_duhamel_unforced_matches_orbit(kind):
+    # pins the rotation direction of the step factors against propagate
+    gen = sg.SpectralGenerator(kind, 8)
+    rng = np.random.default_rng(44)
+    u0 = rng.normal(size=gen.state_dim)
+    f = TimePath(0.0, 1.0, np.zeros((257, gen.state_dim)))
+    mild = sg.duhamel_solve(gen, u0, f)
+    assert np.abs(mild.values - sg.orbit(gen, u0, f.times())).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rk4_oracle_single_step_matches_stage_formulas(kind):
+    gen = sg.SpectralGenerator(kind, 6)
+    rng = np.random.default_rng(45)
+    u0 = rng.normal(size=gen.state_dim)
+    f = rng.normal(size=gen.state_dim)
+    tau = 0.01
+    path = TimePath(0.0, tau, np.stack([f, rng.normal(size=gen.state_dim)]))
+
+    def rhs(s):
+        return -gen.apply_generator(s) + f
+
+    k1 = rhs(u0)
+    k2 = rhs(u0 + 0.5 * tau * k1)
+    k3 = rhs(u0 + 0.5 * tau * k2)
+    k4 = rhs(u0 + tau * k3)
+    step = u0 + (tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    oracle = sg.rk4_oracle(gen, u0, path, refine=1)
+    assert np.array_equal(oracle.values[0], u0)
+    assert np.abs(oracle.values[1] - step).max() <= 1e-13
+
+
+def test_rk4_oracle_rejects_bad_input():
+    gen = sg.SpectralGenerator("schroedinger", 2)
+    f = TimePath(0.0, 1.0, np.zeros((9, 4)))
+    with pytest.raises(sg.SemigroupError):
+        sg.rk4_oracle(gen, np.zeros(3), f, refine=4)
+    with pytest.raises(sg.SemigroupError):
+        sg.rk4_oracle(gen, np.zeros(4), TimePath(0.0, 1.0, np.zeros((9, 3))),
+                      refine=4)
+    for refine in (0, -1):
+        with pytest.raises(sg.SemigroupError):
+            sg.rk4_oracle(gen, np.zeros(4), f, refine=refine)
+
+
 def test_duhamel_linearity(rng):
     gen = sg.SpectralGenerator("wave", 6)
     k = 257
