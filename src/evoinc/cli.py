@@ -16,10 +16,18 @@ import numpy as np
 from . import suites
 from .config import (ConfigError, build_experiment, dump_json, format_number,
                      load_config)
+from .geometry import ProjectionDidNotConverge
+from .monotone import MonotoneError, ProxDidNotConverge
+from .rhs import RhsError
+from .selection import SelectionError
 from .semigroup import counterexample_profile
-from .solver import solve_global
+from .solver import GlobalSolution, SolverError, solve_global
 
 USAGE_ERROR = 2
+# Raised inside a solve the config validation let through: the run stops,
+# and its report names the exception instead of ending in a traceback.
+SOLVE_FAILURES = (MonotoneError, RhsError, ProxDidNotConverge,
+                  ProjectionDidNotConverge, SelectionError, SolverError)
 
 
 def main(argv=None) -> int:
@@ -118,9 +126,14 @@ def cmd_solve(args) -> int:
     # must not leave partial artifacts behind.
     cfg = load_config(args.config)
     experiment = build_experiment(cfg)
-    run = solve_global(experiment.generator, experiment.potential,
-                       experiment.u0, experiment.v0, experiment.rhs_f,
-                       experiment.rhs_g, cfg.horizon, experiment.settings)
+    failure = None
+    try:
+        run = solve_global(experiment.generator, experiment.potential,
+                           experiment.u0, experiment.v0, experiment.rhs_f,
+                           experiment.rhs_g, cfg.horizon, experiment.settings)
+    except SOLVE_FAILURES as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+        run = GlobalSolution((), False, False, None, None)
     args.out.mkdir(parents=True, exist_ok=True)
     dump_json(cfg.raw, args.out / "config_echo.json")
     table = run.node_table()
@@ -162,10 +175,12 @@ def cmd_solve(args) -> int:
             "worst_margin": run.gronwall.worst_margin,
         },
     }
+    if failure is not None:
+        report["failure"] = failure
     dump_json(report, args.out / "report.json")
     if not run.converged:
-        print("solve did not converge; partial outputs written",
-              file=sys.stderr)
+        reason = "did not converge" if failure is None else f"failed: {failure}"
+        print(f"solve {reason}; partial outputs written", file=sys.stderr)
         return 1
     print(f"wrote {args.out / 'report.json'}")
     return 0

@@ -547,7 +547,15 @@ def union_diameter_upper(a: ConvexBody, b: ConvexBody) -> float:
 
 
 def _source_sample(body: ConvexBody, resolution: int):
-    """(sample points inside the body, Lipschitz slack for the sup)."""
+    """(sample points inside the body, Lipschitz slack for the sup).
+
+    The slack 2 pi r / resolution is the covering arc of the exact angle
+    grid of `sphere_points`, so it certifies the sup only for d <= 2; the
+    Halton sphere sample of d >= 3 has no proven covering radius.
+    """
+    if body.dim >= 3:
+        raise GeometryError("sampled Hausdorff brackets are certified only "
+                            "for d <= 2; use a polytope source in 3-D and up")
     if isinstance(body, Ball):
         dirs = sphere_points(resolution, body.dim)
         pts = body.center + body.radius * dirs
@@ -567,7 +575,8 @@ def directed_hausdorff(source: ConvexBody, target: ConvexBody,
 
     Exact when the source is a polytope (the sup of the convex distance
     function over a hull is attained at a vertex) and for ball-to-ball;
-    otherwise a deterministic boundary sample plus Lipschitz slack.
+    otherwise a deterministic boundary sample plus Lipschitz slack, which
+    raises `GeometryError` for d >= 3 (see `_source_sample`).
     """
     if source.dim != target.dim:
         raise DimensionMismatch("bodies must share dimension")

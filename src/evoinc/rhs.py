@@ -309,9 +309,12 @@ class BasisFamilyMap:
                 nus.append(coeff.nu_bound)
             else:
                 sups.append(coeff.sup_bound)
-        a = math.sqrt(2.0) * float(np.linalg.norm(cs)) if cs else 0.0
-        b = math.sqrt(2.0) * float(np.linalg.norm(nus)) if nus else 0.0
-        c = float(np.linalg.norm(sups)) if sups else 0.0
+        # a constant too large to square is an infinite envelope, which the
+        # window computation then rejects, not an overflow warning
+        with np.errstate(over="ignore"):
+            a = math.sqrt(2.0) * float(np.linalg.norm(cs)) if cs else 0.0
+            b = math.sqrt(2.0) * float(np.linalg.norm(nus)) if nus else 0.0
+            c = float(np.linalg.norm(sups)) if sups else 0.0
         return GrowthEnvelope(a, b, c)
 
     def growth_check(self, u: np.ndarray, v: np.ndarray) -> GrowthCheck:

@@ -1,16 +1,21 @@
 """Spectral propagators on (0, pi): decay, rotation, and wave blocks.
 
-Three generator kinds, all diagonal over the Dirichlet sine basis:
+Three generator kinds, all diagonal over the Dirichlet sine basis. Each
+mode is one scalar z on the `_modal` view of the state, and obeys
+z' = s z for one eigenvalue s of -E, the mode's `symbol`:
 
-* ``heat``: one coefficient per mode, propagator factor exp(-t n^2);
-* ``schroedinger``: realified complex modes, one 2-block per mode rotating
-  by angle -t n^2 (multiplication by exp(-i t n^2) on real pairs);
-* ``wave``: velocity/strain 2-blocks rotating by angle t n (zero mode
+* ``heat``: one real coefficient per mode, s = -n^2;
+* ``schroedinger``: realified complex modes, the pair (a, b) viewed as
+  z = a + i b, s = -i n^2;
+* ``wave``: velocity/strain pairs viewed the same way, s = i n (zero mode
   removed, so every block is a genuine rotation).
 
-The inhomogeneous solver advances with exact per-step integrals for
-piecewise-constant forcing (exponential Euler), which makes it exact for
-the node-sampled selections the coupled iteration produces.
+Every operator is one expression in s, with no branch on the kind: E z =
+-s z, the propagator T(t) z = exp(t s) z, the exact Duhamel step for
+piecewise-constant forcing (exponential Euler), the Yosida smoothing
+lam (lam + E)^{-1} z = lam / (lam - s) z, and the RK4 oracle's substep.
+The exact step makes the inhomogeneous solve exact for the node-sampled
+selections the coupled iteration produces.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import TimePath
+from .paths import TimePath, trapezoid_l2
 
 _KINDS = ("heat", "schroedinger", "wave")
 
@@ -51,14 +56,14 @@ class SpectralGenerator:
     def mode_numbers(self) -> np.ndarray:
         return np.arange(1, self.modes + 1, dtype=float)
 
-    def rotation_rates(self) -> np.ndarray:
-        """Angle rate per mode for the 2-block kinds."""
+    def symbol(self) -> np.ndarray:
+        """Eigenvalue s of -E per mode on the `_modal` view: z' = s z."""
         n = self.mode_numbers()
-        if self.kind == "schroedinger":
+        if self.kind == "heat":
             return -n ** 2
-        if self.kind == "wave":
-            return n
-        raise SemigroupError("heat blocks are scalar")
+        if self.kind == "schroedinger":
+            return 1j * (-n ** 2)
+        return 1j * n
 
     def zero_state(self) -> np.ndarray:
         return np.zeros(self.state_dim)
@@ -70,27 +75,22 @@ class SpectralGenerator:
         s[self.block * (mode - 1) + phase_index] = amplitude
         return s
 
-    def as_pairs(self, states: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(states)
-        return states.reshape(states.shape[0], self.modes, self.block)
+    def apply_generator(self, states: np.ndarray) -> np.ndarray:
+        """E x for the generator -E of the propagator, row-wise on a batch."""
+        return _real(-self.symbol() * _modal(self, states))
 
-    def apply_generator(self, state: np.ndarray) -> np.ndarray:
-        """E s for the generator -E of the propagator."""
-        state = np.asarray(state, dtype=float)
-        if self.kind == "heat":
-            return self.mode_numbers() ** 2 * state
-        pairs = state.reshape(self.modes, 2)
-        w = self.rotation_rates()
-        out = np.empty_like(pairs)
-        out[:, 0] = w * pairs[:, 1]
-        out[:, 1] = -w * pairs[:, 0]
-        return out.reshape(-1)
 
-    def graph_norm(self, state: np.ndarray) -> float:
-        """sqrt(||s||^2 + ||E s||^2)."""
-        es = self.apply_generator(state)
-        return math.hypot(float(np.linalg.norm(state)),
-                          float(np.linalg.norm(es)))
+def _modal(gen: SpectralGenerator, values: np.ndarray) -> np.ndarray:
+    """Per-mode scalars along the last axis: heat coefficients as they are,
+    2-block pairs (a, b) viewed without a copy as complex z = a + i b."""
+    values = np.ascontiguousarray(values, dtype=float)
+    return values if gen.kind == "heat" else values.view(np.complex128)
+
+
+def _real(values: np.ndarray) -> np.ndarray:
+    """Inverse of `_modal`: complex z = a + i b viewed back as pairs (a, b);
+    real values pass through unchanged."""
+    return values.view(float)
 
 
 def _propagate_batch(gen: SpectralGenerator, states: np.ndarray,
@@ -100,17 +100,7 @@ def _propagate_batch(gen: SpectralGenerator, states: np.ndarray,
     times = np.broadcast_to(np.asarray(times, dtype=float), (states.shape[0],))
     if np.any(times < 0.0):
         raise SemigroupError("propagation time must be nonnegative")
-    if gen.kind == "heat":
-        mu = gen.mode_numbers() ** 2
-        return states * np.exp(-times[:, None] * mu[None, :])
-    w = gen.rotation_rates()
-    phi = times[:, None] * w[None, :]
-    c, s = np.cos(phi), np.sin(phi)
-    pairs = gen.as_pairs(states)
-    out = np.empty_like(pairs)
-    out[:, :, 0] = c * pairs[:, :, 0] - s * pairs[:, :, 1]
-    out[:, :, 1] = s * pairs[:, :, 0] + c * pairs[:, :, 1]
-    return out.reshape(states.shape[0], -1)
+    return _real(np.exp(times[:, None] * gen.symbol()) * _modal(gen, states))
 
 
 def propagate(gen: SpectralGenerator, state: np.ndarray, t: float) -> np.ndarray:
@@ -130,69 +120,40 @@ def orbit(gen: SpectralGenerator, state: np.ndarray,
     return _propagate_batch(gen, reps, times)
 
 
-def _step_operators(gen: SpectralGenerator, tau: float):
-    """Decay/rotation factors and the exact forcing integral for one step."""
-    if gen.kind == "heat":
-        mu = gen.mode_numbers() ** 2
-        decay = np.exp(-tau * mu)
-        # (1 - exp(-tau mu)) / mu, switching to the series limit tau when
-        # tau * mu underflows the expression.
-        small = tau * mu < 1e-8
-        forced = np.where(small, tau, -np.expm1(-tau * mu) / mu)
-        return decay, forced
-    w = gen.rotation_rates()
-    phi = tau * w
-    c, s = np.cos(phi), np.sin(phi)
-    small = np.abs(phi) < 1e-12
-    int_c = np.where(small, tau, s / np.where(small, 1.0, w))
-    int_s = np.where(small, 0.0, (1.0 - c) / np.where(small, 1.0, w))
-    return (c, s), (int_c, int_s)
-
-
-def _modal(gen: SpectralGenerator, values: np.ndarray) -> np.ndarray:
-    """Per-mode scalars: heat coefficients as they are, 2-block pairs
-    (a, b) viewed without a copy as complex z = a + i b."""
-    values = np.ascontiguousarray(values, dtype=float)
-    return values if gen.kind == "heat" else values.view(np.complex128)
-
-
 def duhamel_solve(gen: SpectralGenerator, u0: np.ndarray,
                   forcing: TimePath) -> TimePath:
     """Mild solution path for piecewise-constant forcing, exact per step.
 
     The forcing value on [t_k, t_{k+1}) is the node value at t_k. Each mode
-    advances by one multiply-add, z_{k+1} = factor z_k + gain f_k, with the
-    exact step factors of `_step_operators`: factor exp(-tau n^2) and gain
-    (1 - exp(-tau n^2)) / n^2 for a heat mode; factor c + i s and gain
-    int_c + i int_s on the complex view z = a + i b of a 2-block.
+    advances by one multiply-add, z_{k+1} = exp(tau s) z_k + gain f_k, with
+    the exact forcing integral gain = (exp(tau s) - 1) / s, taken as its
+    series limit tau where |tau s| < 1e-8.
     """
+    s = gen.symbol()
+    ts = forcing.dt * s
+    gain = np.where(np.abs(ts) < 1e-8, forcing.dt, np.expm1(ts) / s)
+    return _advance(gen, u0, forcing, np.exp(ts), gain)
+
+
+def _advance(gen: SpectralGenerator, u0: np.ndarray, forcing: TimePath,
+             factor: np.ndarray, gain: np.ndarray) -> TimePath:
+    """Path of z_{k+1} = factor z_k + gain f_k from z_0 = u0, per mode."""
     u0 = np.asarray(u0, dtype=float)
     if u0.size != gen.state_dim or forcing.dim != gen.state_dim:
         raise SemigroupError("state dimension mismatch")
-    k = forcing.num_nodes
-    if gen.kind == "heat":
-        factor, gain = _step_operators(gen, forcing.dt)
-    else:
-        (c, s), (int_c, int_s) = _step_operators(gen, forcing.dt)
-        factor, gain = c + 1j * s, int_c + 1j * int_s
     drive = gain * _modal(gen, forcing.values[:-1])
-    out = np.empty((k, gen.modes), dtype=drive.dtype)
+    out = np.empty((forcing.num_nodes, gen.modes), dtype=drive.dtype)
     out[0] = _modal(gen, u0)
-    for i in range(k - 1):
+    for i in range(forcing.num_nodes - 1):
         out[i + 1] = factor * out[i] + drive[i]
-    return TimePath(forcing.t0, forcing.t1, out.view(float).reshape(k, -1),
-                    forcing.weight)
+    return TimePath(forcing.t0, forcing.t1, _real(out), forcing.weight)
 
 
-def yosida_factors(gen: SpectralGenerator, lam: float):
+def yosida_factors(gen: SpectralGenerator, lam: float) -> np.ndarray:
+    """Per-mode factors lam / (lam - s) of the resolvent lam (lam + E)^{-1}."""
     if lam <= 0.0:
         raise SemigroupError("the smoothing parameter must be positive")
-    if gen.kind == "heat":
-        mu = gen.mode_numbers() ** 2
-        return lam / (lam + mu)
-    w = gen.rotation_rates()
-    denom = lam ** 2 + w ** 2
-    return lam ** 2 / denom, -lam * w / denom  # real/imag parts of the 2x2 block
+    return lam / (lam - gen.symbol())
 
 
 def yosida_smooth(gen: SpectralGenerator, lam: float,
@@ -200,15 +161,8 @@ def yosida_smooth(gen: SpectralGenerator, lam: float,
     """Node-wise resolvent smoothing lam (lam + E)^{-1} of the path."""
     if path.dim != gen.state_dim:
         raise SemigroupError("state dimension mismatch")
-    if gen.kind == "heat":
-        factors = yosida_factors(gen, lam)
-        return path.with_values(path.values * factors[None, :])
-    re, im = yosida_factors(gen, lam)
-    pairs = gen.as_pairs(path.values)
-    out = np.empty_like(pairs)
-    out[:, :, 0] = re * pairs[:, :, 0] - im * pairs[:, :, 1]
-    out[:, :, 1] = im * pairs[:, :, 0] + re * pairs[:, :, 1]
-    return path.with_values(out.reshape(path.num_nodes, -1))
+    return path.with_values(
+        _real(yosida_factors(gen, lam) * _modal(gen, path.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +280,9 @@ def _resample(path: TimePath, times: np.ndarray) -> TimePath:
 
 
 def _graph_l2(gen: SpectralGenerator, path: TimePath) -> float:
-    from .paths import trapezoid_l2
-    norms = np.array([gen.graph_norm(val) for val in path.values])
+    """L2 in time of the node graph norms sqrt(||f||^2 + ||E f||^2)."""
+    norms = np.hypot(np.linalg.norm(path.values, axis=1),
+                     np.linalg.norm(gen.apply_generator(path.values), axis=1))
     return trapezoid_l2(norms, path.dt)
 
 
@@ -337,22 +292,16 @@ def rk4_oracle(gen: SpectralGenerator, u0: np.ndarray, forcing: TimePath,
 
     Independent route for cross-checking the exact-step solver: advances
     du/dt = -E u + f with f held at the coarse-step value. Each mode obeys
-    z' = lam z + f, with lam = -n^2 for a heat mode and lam = i w on the
-    complex view z = a + i b of a 2-block (w the rotation rate). One RK4
-    substep is therefore the per-mode map z -> R z + Q f, read off the four
-    stage formulas at (z, f) = (1, 0) and (0, 1); `refine` substeps compose
-    to one coarse-step pair (A, B). No exponential, sine or cosine enters.
+    z' = lam z + f on the `_modal` view, with lam the generator's symbol.
+    One RK4 substep is therefore the per-mode map z -> R z + Q f, read off
+    the four stage formulas at (z, f) = (1, 0) and (0, 1); `refine`
+    substeps compose to one coarse-step pair (A, B). No exponential, sine
+    or cosine enters.
     """
-    u0 = np.asarray(u0, dtype=float)
-    if u0.size != gen.state_dim or forcing.dim != gen.state_dim:
-        raise SemigroupError("state dimension mismatch")
     if refine < 1:
         raise SemigroupError("refine must be at least 1")
     tau = forcing.dt / refine
-    if gen.kind == "heat":
-        lam = -gen.mode_numbers() ** 2
-    else:
-        lam = 1j * gen.rotation_rates()
+    lam = gen.symbol()
 
     def rhs(s, f):
         return lam * s + f
@@ -369,11 +318,4 @@ def rk4_oracle(gen: SpectralGenerator, u0: np.ndarray, forcing: TimePath,
     a, b = one, zero
     for _ in range(refine):
         a, b = r * a, r * b + q
-    drive = b * _modal(gen, forcing.values[:-1])
-    k_coarse = forcing.num_nodes
-    out = np.empty((k_coarse, gen.modes), dtype=drive.dtype)
-    out[0] = _modal(gen, u0)
-    for i in range(k_coarse - 1):
-        out[i + 1] = a * out[i] + drive[i]
-    return TimePath(forcing.t0, forcing.t1,
-                    out.view(float).reshape(k_coarse, -1), forcing.weight)
+    return _advance(gen, u0, forcing, a, b)

@@ -92,6 +92,7 @@ def test_solve_preset_heat(tmp_path, capsys):
     report = json.loads(_read(out / "report.json"))
     assert report["converged"] is True
     assert report["gronwall"]["passed"] is True
+    assert "failure" not in report
     for window in report["windows"]:
         assert window["residual_f"] <= 1e-8
         assert window["apriori"]["passed"] is True
@@ -194,6 +195,37 @@ def test_solve_blowup_before_first_window(tmp_path, capsys):
     assert report["windows"] == []
 
 
+def _set_huge_growth_constant(cfg):
+    cfg["rhs_f"]["coefficients"][0]["c"] = 1e300
+
+
+def _set_steep_exponent(cfg):
+    cfg["spatial"]["p_profile"] = {"kind": "constant", "value": 200}
+
+
+@pytest.mark.parametrize("mutate, failure", [
+    (_set_huge_growth_constant,
+     "SolverError: window length must lie in (0, t_cap]"),
+    (_set_steep_exponent, "ProxDidNotConverge: "),
+], ids=["huge-growth-constant", "steep-exponent"])
+def test_solve_time_failure_writes_report(tmp_path, capsys, mutate, failure):
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    mutate(cfg)
+    bad = tmp_path / "failing.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    report = json.loads(_read(out / "report.json"))
+    assert report["converged"] is False
+    assert report["failure"].startswith(failure)
+    assert report["windows"] == []
+    assert _read(out / "trajectory.csv") \
+        == b"t,u_norm,v_norm,residual_f,residual_g\n"
+
+
 def test_solve_nonconvergence_exits_one_with_partial_output(tmp_path, capsys):
     cfg = json.loads(_read(preset_path("heat_debye")))
     cfg["solver"]["max_iter"] = 1
@@ -206,6 +238,7 @@ def test_solve_nonconvergence_exits_one_with_partial_output(tmp_path, capsys):
     report = json.loads(_read(out / "report.json"))
     assert report["converged"] is False
     assert report["failure_index"] == 0
+    assert "failure" not in report
 
 
 def test_solve_outputs_are_byte_deterministic(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from evoinc import geometry as geo
 from evoinc import suites
+from evoinc.sampling import sphere_points
 
 from conftest import monotone_chain, polygon_boundary_sample, polygon_distances
 
@@ -283,6 +284,28 @@ def test_directed_hausdorff_vertex_attained():
     ball = geo.Ball(np.array([0.0, 0.0]), 0.25)
     bracket = geo.directed_hausdorff(seg, ball)
     assert bracket.lower == bracket.upper == pytest.approx(0.75)
+
+
+def test_directed_hausdorff_refuses_sampled_source_in_3d():
+    # the far point u of the ball is the worst-covered direction of the
+    # 256-point Halton sphere sample: covering angle 0.268 rad, against the
+    # 2 pi / 256 = 0.0245 the slack assumes
+    u = np.array([-0.785, 0.599, -0.156])
+    u /= np.linalg.norm(u)
+    ball = geo.Ball(np.zeros(3), 1.0)
+    vertex = geo.Polytope(-100.0 * u[None, :])
+    sampled = np.linalg.norm(sphere_points(256, 3) + 100.0 * u, axis=1).max()
+    assert sampled + 2.0 * np.pi / 256 < 101.0  # the true sup
+    with pytest.raises(geo.GeometryError):
+        geo.directed_hausdorff(ball, vertex)
+    cap = geo.BallCapPolytope(ball, geo.Polytope(np.vstack([np.eye(3),
+                                                            -np.eye(3)])))
+    with pytest.raises(geo.GeometryError):
+        geo.hausdorff_distance(cap, vertex)
+    exact = geo.directed_hausdorff(vertex, ball)
+    assert exact.lower == exact.upper == pytest.approx(99.0)
+    ball_to_ball = geo.directed_hausdorff(ball, geo.Ball(-100.0 * u, 0.5))
+    assert ball_to_ball.lower == ball_to_ball.upper == pytest.approx(100.5)
 
 
 def test_hausdorff_balls_closed_form(rng):

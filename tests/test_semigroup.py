@@ -37,6 +37,35 @@ def test_rotation_mode_two_by_quarter_period():
     assert np.allclose(out[2:4], -s[2:4], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_rotation_direction_hand_values(n):
+    t = 0.3
+    heat = sg.SpectralGenerator("heat", 4)
+    out = sg.propagate(heat, heat.mode_state(n), t)
+    assert out[n - 1] == pytest.approx(math.exp(-t * n ** 2), abs=1e-15)
+    expected = {"schroedinger": ((math.cos(-t * n ** 2), math.sin(-t * n ** 2)),
+                                 (0.0, n ** 2)),
+                "wave": ((math.cos(t * n), math.sin(t * n)), (0.0, -n))}
+    for kind, (rotated, generated) in expected.items():
+        gen = sg.SpectralGenerator(kind, 4)
+        e = gen.mode_state(n)
+        out = sg.propagate(gen, e, t)
+        assert np.abs(out[2 * n - 2:2 * n] - rotated).max() <= 1e-15
+        assert np.count_nonzero(out) == 2
+        assert np.array_equal(gen.apply_generator(e)[2 * n - 2:2 * n],
+                              generated)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_forward_difference_matches_minus_generator(kind, rng):
+    gen = sg.SpectralGenerator(kind, 4)
+    x = rng.normal(size=gen.state_dim)
+    h = 1e-8
+    quotient = (sg.propagate(gen, x, h) - x) / h
+    # truncation h |s|^2 |z| / 2 stays below 1e-5; a flipped sign is O(1)
+    assert np.abs(quotient + gen.apply_generator(x)).max() <= 1e-4
+
+
 def test_negative_time_rejected():
     gen = sg.SpectralGenerator("heat", 2)
     with pytest.raises(sg.SemigroupError):
@@ -186,6 +215,18 @@ def test_yosida_rejects_nonpositive_lambda():
     gen = sg.SpectralGenerator("heat", 2)
     with pytest.raises(sg.SemigroupError):
         sg.yosida_smooth(gen, 0.0, TimePath(0.0, 1.0, np.zeros((4, 2))))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_yosida_smooth_matches_dense_resolvent(kind, rng):
+    gen = sg.SpectralGenerator(kind, 4)
+    lam = 3.0
+    dense_e = np.column_stack([gen.apply_generator(e)
+                               for e in np.eye(gen.state_dim)])
+    resolvent = lam * np.linalg.inv(lam * np.eye(gen.state_dim) + dense_e)
+    p = TimePath(0.0, 1.0, rng.normal(size=(5, gen.state_dim)))
+    smoothed = sg.yosida_smooth(gen, lam, p)
+    assert np.abs(smoothed.values - p.values @ resolvent.T).max() <= 1e-13
 
 
 def test_yosida_ladder_monotone(rng):
