@@ -1,10 +1,14 @@
 """Compact convex bodies with metric projections and Hausdorff distances.
 
 Bodies are balls, polytopes (vertex hulls), or ball-polytope intersections.
-All projections come with certificates: polytope projections certify the
-variational inequality over the vertex set, alternating projections onto
-intersections report membership residuals for both factors. Hausdorff
-distances are exact when the source is a polytope and bracketed otherwise.
+All projections come with certificates. Polytope projections certify the
+variational inequality over the vertex set. A projection onto a ball
+intersected with a hull H is P_H of the query moved towards the ball's
+center by one Lagrange multiplier per row, found by a bracketed root search;
+its KKT certificate is the hull certificate at the moved query plus the
+ball constraint holding with equality whenever the multiplier is positive.
+Hausdorff distances are exact when the source is a polytope and bracketed
+otherwise.
 
 Everything is vectorized over batches of query points; the public
 single-point entry points are thin wrappers around the batch kernels.
@@ -20,8 +24,6 @@ from .sampling import sphere_points
 
 PROJECTION_TOL = 1e-12
 PROJECTION_BUDGET = 100_000
-DYKSTRA_TOL = 1e-10
-DYKSTRA_BUDGET = 100_000
 FEASIBILITY_TOL = 1e-8
 
 
@@ -99,23 +101,13 @@ class BallCapPolytope:
         if self.ball.dim != self.polytope.dim:
             raise DimensionMismatch("ball and polytope dimensions differ")
         # The intersection is empty exactly when the hull misses the closed
-        # ball; one certified projection of the center decides that and
-        # spares the alternating iteration its full budget on empty pairs.
+        # ball; one certified projection of the center decides that, and
+        # that projection is itself the witness of a nonempty pair.
         gap = float(_distance_rows(self.ball.center[None, :], self.polytope)[0])
         if gap > self.ball.radius + FEASIBILITY_TOL:
             raise EmptyIntersection(
                 f"ball-polytope intersection infeasible "
                 f"(center-to-hull gap {gap - self.ball.radius:.3e})")
-        # Feasibility witness: the ball center projected onto the pair must
-        # land within FEASIBILITY_TOL of both factors.
-        witness, res_ball, res_poly, _ = _dykstra_ball_polytope(
-            self.ball.center[None, :], self.ball, self.polytope,
-            tol=DYKSTRA_TOL, max_iter=20_000)
-        res = max(float(res_ball[0]), float(res_poly[0]))
-        if res > FEASIBILITY_TOL:
-            raise EmptyIntersection(
-                f"ball-polytope intersection infeasible (witness residual {res:.3e})")
-        object.__setattr__(self, "_witness", witness[0])
 
     @property
     def dim(self) -> int:
@@ -249,9 +241,9 @@ class HullProjector:
     violating vertex to the corral of every row that fails it. Rows retire
     as soon as their certificate holds; the result is exact on its support.
 
-    The first call starts every row at its nearest vertex; later calls
-    resume from the previous weights and their support, since the
-    alternating-projection loops call it with slowly moving inputs. The
+    A row's first call starts it at its nearest vertex; later calls resume
+    from the previous weights and their support, since the multiplier
+    search of `_project_cap` calls it with slowly moving inputs. The
     warm-start state makes instances single-threaded; the module-level
     entry points construct a fresh projector per call and stay pure.
     """
@@ -265,35 +257,41 @@ class HullProjector:
         self.lam = None  # weights of the last call, (m, n)
 
     def project(self, x: np.ndarray, tol: float = PROJECTION_TOL,
-                max_iter: int = PROJECTION_BUDGET):
+                max_iter: int = PROJECTION_BUDGET, rows=None):
         """Returns (points, gaps). gaps[i] = max_v <x-p, v-p> at return.
 
-        Raises ProjectionDidNotConverge when the certificate
+        `rows` limits the call to those rows of the vertex stack, one query
+        each; the other rows keep their warm start. Raises
+        ProjectionDidNotConverge when the certificate
         gap <= tol * (1 + ||x||) does not hold on every row after
         `max_iter` major cycles, or when a row stops improving short of it.
         """
         x = _rows(x)
-        if x.shape != (self.m, self.d):
+        every = rows is None
+        rows = np.arange(self.m) if every else np.asarray(rows)
+        if x.shape != (rows.size, self.d):
             raise DimensionMismatch(
-                f"expected query shape {(self.m, self.d)}, got {x.shape}")
+                f"expected query shape {(rows.size, self.d)}, got {x.shape}")
         if self.n == 1:
-            return self.v[:, 0, :].copy(), np.zeros(self.m)
+            return self.v[rows, 0, :].copy(), np.zeros(rows.size)
         scale = tol * (1.0 + np.linalg.norm(x, axis=1))
         if self.lam is None:
-            lam = np.zeros((self.m, self.n))
-            w = self.v - x[:, None, :]
+            self.lam = np.zeros((self.m, self.n))
+        # A full call works on the state itself; a row subset on a copy.
+        lam, stack = ((self.lam, self.v) if every
+                      else (self.lam[rows], self.v[rows]))
+        cold = ~lam.any(axis=1)
+        if cold.any():
+            w = stack - x[:, None, :]
             nearest = np.argmin(np.einsum("mnd,mnd->mn", w, w), axis=1)
-            lam[np.arange(self.m), nearest] = 1.0
-        else:
-            lam = self.lam.copy()
-        self.lam = lam
+            lam[cold, nearest[cold]] = 1.0
         corral = lam > 0.0
         points = np.empty_like(x)
-        gaps = np.full(self.m, np.inf)
-        active = np.arange(self.m)
+        gaps = np.full(rows.size, np.inf)
+        active = np.arange(rows.size)
         entered = None
         for _ in range(max_iter):
-            v, xa = self.v[active], x[active]
+            v, xa = stack[active], x[active]
             kept, lam_a = corral[active], lam[active]
             _minor_cycles(v, xa, kept, lam_a)
             lam[active] = lam_a
@@ -301,20 +299,22 @@ class HullProjector:
             inner = ((v - p[:, None, :]) @ (xa - p)[:, :, None])[:, :, 0]
             points[active] = p
             gaps[active] = inner.max(axis=1)
-            rows = np.arange(active.size)
+            ids = np.arange(active.size)
             inner[kept] = -np.inf
             entering = np.argmax(inner, axis=1)
-            go_on = inner[rows, entering] > scale[active]
+            go_on = inner[ids, entering] > scale[active]
             if entered is not None:
                 # In exact arithmetic the vertex that entered last stays in
                 # the corral; a row that dropped it is stuck at rounding
                 # level and would only repeat itself.
-                go_on &= kept[rows, entered]
+                go_on &= kept[ids, entered]
             active, entered = active[go_on], entering[go_on]
             if active.size == 0:
                 break
             kept[go_on, entered] = True
             corral[active] = kept[go_on]
+        if not every:
+            self.lam[rows] = lam
         if np.any(gaps > scale):
             raise ProjectionDidNotConverge(
                 "hull projection left rows without certificate",
@@ -337,8 +337,7 @@ def _distance_rows(x: np.ndarray, body: ConvexBody,
         proj = HullProjector(_polytope_stack(body, x.shape[0]))
         p, _ = proj.project(x, tol=tol)
         return np.linalg.norm(x - p, axis=1)
-    p, _, _, _ = _dykstra_ball_polytope(x, body.ball, body.polytope)
-    return np.linalg.norm(x - p, axis=1)
+    return np.linalg.norm(x - _project_rows(x, body), axis=1)
 
 
 def _project_rows(x: np.ndarray, body: ConvexBody) -> np.ndarray:
@@ -349,54 +348,63 @@ def _project_rows(x: np.ndarray, body: ConvexBody) -> np.ndarray:
         proj = HullProjector(_polytope_stack(body, x.shape[0]))
         p, _ = proj.project(x)
         return p
-    p, _, _, _ = _dykstra_ball_polytope(x, body.ball, body.polytope)
-    return p
+    hull = HullProjector(_polytope_stack(body.polytope, x.shape[0]))
+    return _project_cap(x, body.ball,
+                        lambda q, rows: hull.project(q, rows=rows)[0])
 
 
-def _dykstra_ball_polytope(x: np.ndarray, ball: Ball, poly: Polytope,
-                           tol: float = DYKSTRA_TOL,
-                           max_iter: int = DYKSTRA_BUDGET):
-    """Dykstra iteration specialized to one ball and one polytope."""
-    x = _rows(x)
-    hull = HullProjector(_polytope_stack(poly, x.shape[0]))
+def _project_cap(x: np.ndarray, ball: Ball, project_h):
+    """Rows of x projected onto B[c, r] cap H by one multiplier per row.
 
-    def proj_a(z):
-        return project_balls(z, ball.center, ball.radius)
-
-    def proj_b(z):
-        p, _ = hull.project(z, tol=max(tol * 1e-2, 1e-14))
-        return p
-
-    return dykstra(x, proj_a, proj_b, tol=tol, max_iter=max_iter)
-
-
-def dykstra(x: np.ndarray, proj_a, proj_b, tol: float = DYKSTRA_TOL,
-            max_iter: int = DYKSTRA_BUDGET):
-    """Batched Dykstra alternating projections onto an intersection A cap B.
-
-    Returns (points, residual_a, residual_b, converged). The residuals
-    measure the final iterate's distance to each factor via one extra
-    projection; `converged` records whether the per-cycle iterate change
-    fell below tol. Callers decide whether the residuals certify
-    feasibility; the iterate change criterion alone never does.
+    `project_h(q, rows)` returns the certified projections onto H of the
+    queries q for those rows of the batch. With mu the multiplier of the
+    ball constraint and t = mu / (1 + mu), the KKT conditions give
+    y = P_H((1 - t) x + t c) for one t in [0, 1), and phi(t) = ||y(t) - c||
+    - r does not increase in t (it is the derivative of a concave dual
+    function). A row retires at t = 0 when phi(0) <= tol, and otherwise once
+    a bracketed Illinois regula falsi on [0, 1] (t = 1 projects c) finds
+    |phi(t)| <= tol = PROJECTION_TOL * (1 + r). With H's own certificate
+    this certifies optimality, not only membership. When dist(c, H) >=
+    r - tol the cap is the single point P_H(c) (tangency) or empty to
+    within FEASIBILITY_TOL, and P_H(c) is returned.
     """
-    x = _rows(x).copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    converged = False
-    for _ in range(max_iter):
-        y = proj_a(x + p)
-        p = x + p - y
-        x_new = proj_b(y + q)
-        q = y + q - x_new
-        delta = np.max(np.linalg.norm(x_new - x, axis=1))
-        x = x_new
-        if delta <= tol:
-            converged = True
-            break
-    res_a = np.linalg.norm(x - proj_a(x), axis=1)
-    res_b = np.linalg.norm(x - proj_b(x), axis=1)
-    return x, res_a, res_b, converged
+    c, r = ball.center, ball.radius
+    tol = PROJECTION_TOL * (1.0 + r)
+    y = project_h(x, np.arange(x.shape[0]))
+    phi = np.linalg.norm(y - c, axis=1) - r
+    active = np.flatnonzero(phi > tol)
+    if active.size == 0:
+        return y
+    anchor = project_h(np.broadcast_to(c, (active.size, c.size)), active)
+    f_hi = np.linalg.norm(anchor - c, axis=1) - r
+    ends = f_hi >= -tol
+    y[active[ends]] = anchor[ends]
+    active, f_hi = active[~ends], f_hi[~ends]
+    f_lo = phi[active]
+    lo, hi = np.zeros(active.size), np.ones(active.size)
+    side = np.zeros(active.size)  # +1 / -1: which end the last step moved
+    for _ in range(PROJECTION_BUDGET):
+        if active.size == 0:
+            return y
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        q = x[active] + t[:, None] * (c - x[active])
+        y[active] = project_h(q, active)
+        f = np.linalg.norm(y[active] - c, axis=1) - r
+        above = f > 0.0
+        # Illinois: when the same end moves twice, halve the other's value.
+        f_hi = np.where(above & (side > 0), 0.5 * f_hi, f_hi)
+        f_lo = np.where(~above & (side < 0), 0.5 * f_lo, f_lo)
+        lo, f_lo = np.where(above, t, lo), np.where(above, f, f_lo)
+        hi, f_hi = np.where(above, hi, t), np.where(above, f_hi, f)
+        side = np.where(above, 1.0, -1.0)
+        go_on = np.abs(f) > tol
+        active, lo, hi, f_lo, f_hi, side, f = (
+            a[go_on] for a in (active, lo, hi, f_lo, f_hi, side, f))
+        if np.any(np.nextafter(lo, hi) >= hi):
+            break  # a bracket with no float inside: rounding level
+    raise ProjectionDidNotConverge(
+        "ball-hull projection left rows without certificate",
+        float(np.max(np.abs(f) - tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,19 +442,19 @@ class IntersectionProjection:
     polytope_residual: float
 
 
-def project_intersection(x, body: BallCapPolytope, tol: float = DYKSTRA_TOL,
-                         max_iter: int = DYKSTRA_BUDGET) -> IntersectionProjection:
-    """Dykstra projection onto ball cap polytope with membership residuals."""
+def project_intersection(x, body: BallCapPolytope) -> IntersectionProjection:
+    """KKT-certified projection onto ball cap polytope (see `_project_cap`).
+
+    The point is a convex combination of the vertices, so its polytope
+    residual is zero; the ball residual is nonzero only for a pair whose
+    hull lies within FEASIBILITY_TOL outside the ball.
+    """
     x = np.asarray(x, dtype=float)
     if x.size != body.dim:
         raise DimensionMismatch("point and body dimensions differ")
-    p, res_a, res_b, converged = _dykstra_ball_polytope(
-        x[None, :], body.ball, body.polytope, tol=tol, max_iter=max_iter)
-    res = max(float(res_a[0]), float(res_b[0]))
-    if not converged or res > max(100.0 * tol, FEASIBILITY_TOL):
-        raise ProjectionDidNotConverge(
-            "alternating projections left uncertified membership", res)
-    return IntersectionProjection(p[0], float(res_a[0]), float(res_b[0]))
+    p = _project_rows(x[None, :], body)[0]
+    gap = float(np.linalg.norm(p - body.ball.center)) - body.ball.radius
+    return IntersectionProjection(p, max(gap, 0.0), 0.0)
 
 
 def distance_to(x, body: ConvexBody) -> float:
@@ -564,8 +572,8 @@ def _source_sample(body: ConvexBody, resolution: int):
         dirs = sphere_points(resolution, body.dim)
         cloud = np.vstack([body.ball.center + body.ball.radius * dirs,
                            body.polytope.vertices])
-        pts, _, _, _ = _dykstra_ball_polytope(cloud, body.ball, body.polytope)
-        return pts, 2.0 * np.pi * body.ball.radius / resolution
+        slack = 2.0 * np.pi * body.ball.radius / resolution
+        return _project_rows(cloud, body), slack
     raise GeometryError("polytope sources are handled exactly")  # pragma: no cover
 
 
@@ -660,12 +668,13 @@ def slater_intersection_check(x, a_body: ConvexBody, b_body: ConvexBody,
         point = project_intersection(x, BallCapPolytope(a_body, b_body)).point
     elif isinstance(b_body, Ball) and isinstance(a_body, Polytope):
         point = project_intersection(x, BallCapPolytope(b_body, a_body)).point
+    elif isinstance(a_body, Ball) and isinstance(b_body, Ball):
+        point = _project_cap(
+            x[None, :], a_body,
+            lambda q, rows: project_balls(q, b_body.center, b_body.radius))[0]
     else:
-        point, _, _, _ = dykstra(
-            x[None, :],
-            lambda z: _project_rows(z, a_body),
-            lambda z: _project_rows(z, b_body))
-        point = point[0]
+        raise GeometryError("the Slater check takes a ball and a ball or a "
+                            "polytope")
     lhs = float(np.linalg.norm(x - point))
     d = union_diameter_upper(a_body, b_body)
     rhs = (1.0 + d / rho) * (distance_to(x, a_body) + distance_to(x, b_body))
@@ -680,9 +689,7 @@ class IntersectionContinuityResult:
 
 
 def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
-                                  resolution: int = 2048,
-                                  dykstra_tol: float = 1e-8,
-                                  max_iter: int = 20_000) -> IntersectionContinuityResult:
+                                  resolution: int = 2048) -> IntersectionContinuityResult:
     """Sampled Hausdorff gaps d(B[c_n, r] cap B_n, B[c, r] cap B) per n.
 
     A fixed deterministic cloud (limit-ball boundary plus limit vertices) is
@@ -690,9 +697,7 @@ def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
     of the two directed sampled sups plus the boundary-sampling slack.
     hypothesis_ok records whether the open ball B(c, r) genuinely meets B;
     members of the sequence with empty intersection are flagged, their value
-    set to NaN, and the probe continues. Families violating the open-ball
-    hypothesis (tangency) make the alternating projections sublinear, so
-    callers running such demonstrations should shrink `max_iter`.
+    set to NaN, and the probe continues.
     """
     c = np.asarray(c, dtype=float)
     limit_ball = Ball(c, r)
@@ -705,8 +710,7 @@ def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
     except EmptyIntersection:
         return IntersectionContinuityResult([float("nan")] * len(c_seq), False,
                                             list(range(len(c_seq))))
-    limit_sample, _, _, _ = _dykstra_ball_polytope(
-        cloud, limit.ball, limit.polytope, tol=dykstra_tol, max_iter=max_iter)
+    limit_sample = _project_rows(cloud, limit)
 
     values = []
     empty = []
@@ -718,18 +722,8 @@ def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
             empty.append(idx)
             values.append(float("nan"))
             continue
-        sample_n, _, _, _ = _dykstra_ball_polytope(
-            cloud, member.ball, member.polytope, tol=dykstra_tol,
-            max_iter=max_iter)
-        to_limit = _dykstra_distance(sample_n, limit, dykstra_tol, max_iter)
-        to_member = _dykstra_distance(limit_sample, member, dykstra_tol,
-                                      max_iter)
+        sample_n = _project_rows(cloud, member)
+        to_limit = _distance_rows(sample_n, limit)
+        to_member = _distance_rows(limit_sample, member)
         values.append(float(max(to_limit.max(), to_member.max())) + slack)
     return IntersectionContinuityResult(values, strict, empty)
-
-
-def _dykstra_distance(points: np.ndarray, body: BallCapPolytope, tol: float,
-                      max_iter: int = DYKSTRA_BUDGET) -> np.ndarray:
-    proj, _, _, _ = _dykstra_ball_polytope(points, body.ball, body.polytope,
-                                           tol=tol, max_iter=max_iter)
-    return np.linalg.norm(points - proj, axis=1)

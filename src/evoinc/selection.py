@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HullProjector, dykstra, project_balls
+from .geometry import HullProjector
 from .paths import TimePath, trapezoid_l2
 
 MEMBERSHIP_TOL = 1e-8
@@ -90,8 +90,10 @@ def approximate_selection(family, u_new: TimePath, v: TimePath,
     """Selection of the images along (u_new, v) within eps of f node-wise.
 
     Feasibility demands dist(f(t_i), image_i) <= eps at every node; the
-    node-wise target is the closed eps-ball around f(t_i) intersected with
-    the image hull, reached by alternating projections started at f(t_i).
+    node-wise target is the nearest point to f(t_i) of the closed eps-ball
+    around f(t_i) intersected with the image hull. That ball is centred at
+    the query itself, so the nearest point is the hull projection, and the
+    residuals are its excess over eps.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -107,25 +109,8 @@ def approximate_selection(family, u_new: TimePath, v: TimePath,
             f"updated images left the eps-tube at node {node}: "
             f"distance {gaps[node]:.3e} > eps {eps:.3e} "
             "(state update too large for this eps)")
-
-    # Closed eps-ball (weighted norm) around the old value, intersected with
-    # the hull. Radius converts to the raw Euclidean metric used by the
-    # projections.
-    radius = eps / w
-
-    def proj_ball(z):
-        return project_balls(z, anchors, radius)
-
-    def proj_hull(z):
-        pts, _ = projector.project(z)
-        return pts
-
-    points, res_ball, res_hull, converged = dykstra(anchors, proj_ball, proj_hull)
-    if not converged:
-        raise SelectionError("alternating projections did not settle")
-    residuals = w * np.maximum(res_ball, res_hull)
-    path = TimePath(u_new.t0, u_new.t1, points, family.target_weight)
-    return SelectionPath(path, residuals)
+    path = TimePath(u_new.t0, u_new.t1, hull_points, family.target_weight)
+    return SelectionPath(path, np.maximum(gaps - eps, 0.0))
 
 
 def convex_combination(f: SelectionPath, g: SelectionPath,

@@ -255,6 +255,144 @@ def test_project_intersection_against_grid_filter_oracle():
     assert np.linalg.norm(res.point - best) <= 2e-3
 
 
+def test_project_intersection_where_alternating_projections_stalled():
+    # slater battery seed 7, trial 128: P_H(x) lies 0.194 inside the ball,
+    # so it is the projection; an alternating-projection method that stops
+    # after one cycle without movement returned a point 7.16567 from x
+    rng = suites._rng(7, 5128)
+    center = rng.normal(size=3)
+    radius = float(rng.uniform(0.8, 2.0))
+    x0 = center + rng.normal(size=3) * 0.1
+    rho = float(rng.uniform(0.1, 0.3))
+    x0 = geo.project_ball(x0, center, max(radius - rho - 1e-6, 1e-3))
+    simplex = x0 + 0.5 * np.vstack([np.eye(3), -np.ones((1, 3))])
+    extra = x0 + rng.normal(size=(3, 3)) * rng.uniform(0.5, 2.0)
+    poly = geo.Polytope(np.vstack([simplex, extra]))
+    x = rng.normal(size=3) * 4.0
+    res = geo.project_intersection(x, geo.BallCapPolytope(
+        geo.Ball(center, radius), poly))
+    hull_point = geo.project_polytope(x, poly)
+    assert np.linalg.norm(res.point - hull_point) <= 1e-10
+    assert np.linalg.norm(res.point - x) == pytest.approx(7.11867, abs=1e-5)
+
+
+def _check_cap_kkt(x, ball, project_h, members):
+    """Runs `_project_cap` and checks its KKT certificate row by row.
+
+    `project_h(q, rows)` returns (points, hull gaps or None); every row's
+    last query q must be (1 - t) x + t c, the returned point its certified
+    projection, and the point must satisfy the ball constraint (with
+    equality when t > 0) and the variational inequality over `members`.
+    Returns the multipliers t.
+    """
+    c, r = ball.center, ball.radius
+    tol = 1e-12 * (1.0 + r)
+    last_q = np.full_like(x, np.nan)
+
+    def recording(q, rows):
+        points, gaps = project_h(q, rows)
+        last_q[rows] = q
+        if gaps is not None:
+            assert np.all(gaps <= 1e-12 * (1.0 + np.linalg.norm(q, axis=1)))
+        return points
+
+    y = geo._project_cap(x, ball, recording)
+    t = np.einsum("md,md->m", last_q - x, c - x) / np.sum((c - x) ** 2, axis=1)
+    assert np.abs(last_q - (x + t[:, None] * (c - x))).max() <= 1e-12
+    assert np.all((t >= 0.0) & (t <= 1.0))
+    dist = np.linalg.norm(y - c, axis=1)
+    assert np.all(dist <= r + tol)
+    assert np.all(np.abs(dist[t > 0.0] - r) <= tol)
+    assert members.shape[0] > 0
+    inner = np.einsum("md,mkd->mk", x - y, members[None] - y[:, None, :])
+    assert inner.max() <= 1e-9
+    return t
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_project_cap_kkt_certificate_on_hulls(dim):
+    rng = np.random.default_rng(300 + dim)
+    m = 40
+    multipliers = []
+    for _ in range(6):
+        vertices = rng.normal(size=(int(rng.integers(dim + 1, 9)), dim)) * 1.5
+        poly = geo.Polytope(vertices)
+        c = rng.normal(size=dim)
+        r = geo.distance_to(c, poly) + rng.uniform(0.4, 1.2)
+        x = c + rng.normal(size=(m, dim)) * 3.0
+        hull = geo.HullProjector(np.broadcast_to(vertices,
+                                                 (m,) + vertices.shape))
+        # members: hull vertices inside the ball, ball points inside the hull
+        ball_points = c + r * rng.uniform(size=(1000, 1)) ** (1.0 / dim) \
+            * sphere_points(1000, dim)
+        in_hull = geo._distance_rows(ball_points, poly) <= 1e-12
+        in_ball = np.linalg.norm(vertices - c, axis=1) <= r
+        members = np.vstack([vertices[in_ball], ball_points[in_hull]])
+        multipliers.append(_check_cap_kkt(
+            x, geo.Ball(c, r), lambda q, rows: hull.project(q, rows=rows),
+            members))
+    t = np.concatenate(multipliers)
+    assert np.any(t == 0.0) and np.any(t > 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_project_cap_kkt_certificate_on_ball_lens(dim):
+    rng = np.random.default_rng(310 + dim)
+    multipliers = []
+    for _ in range(6):
+        a = geo.Ball(rng.normal(size=dim), float(rng.uniform(0.5, 1.5)))
+        rb = float(rng.uniform(0.5, 1.5))
+        direction = rng.normal(size=dim)
+        direction /= np.linalg.norm(direction)
+        b_center = a.center + direction * rng.uniform(0.2, 0.95) \
+            * (a.radius + rb)
+        x = a.center + rng.normal(size=(40, dim)) * 3.0
+        points = a.center + a.radius * rng.uniform(size=(400, 1)) \
+            ** (1.0 / dim) * sphere_points(400, dim)
+        members = points[np.linalg.norm(points - b_center, axis=1) <= rb]
+        multipliers.append(_check_cap_kkt(
+            x, a, lambda q, rows: (geo.project_balls(q, b_center, rb), None),
+            members))
+    t = np.concatenate(multipliers)
+    assert np.any(t == 0.0) and np.any(t > 0.0)
+
+
+def test_project_intersection_tangent_pair_returns_touching_point():
+    # dist(c, H) = r: the intersection is the single point P_H(c) = (1, 0)
+    square = np.array([[1.0, -1.0], [2.0, -1.0], [2.0, 1.0], [1.0, 1.0]])
+    body = geo.BallCapPolytope(geo.Ball(np.zeros(2), 1.0),
+                               geo.Polytope(square))
+    x = np.array([[0.0, 3.0], [-2.0, 0.0], [3.0, 0.5]])
+    for row in x:
+        res = geo.project_intersection(row, body)
+        assert np.allclose(res.point, [1.0, 0.0], atol=1e-12)
+        assert res.ball_residual <= 1e-12
+    hull = geo.HullProjector(np.broadcast_to(square, (3, 4, 2)))
+    t = _check_cap_kkt(x, body.ball,
+                       lambda q, rows: hull.project(q, rows=rows),
+                       np.array([[1.0, 0.0]]))
+    assert np.array_equal(t, [1.0, 0.0, 1.0])
+
+
+def test_project_intersection_step_budget_exhaustion_reports(monkeypatch):
+    body = geo.BallCapPolytope(
+        geo.Ball(np.array([1.0, 0.0]), 1.0),
+        geo.Polytope(np.array([[0.0, -1.0], [0.0, 1.0], [2.0, 1.0],
+                               [2.0, -1.0]])))
+    monkeypatch.setattr(geo, "PROJECTION_BUDGET", 1)
+    with pytest.raises(geo.ProjectionDidNotConverge) as err:
+        geo.project_intersection(np.array([-1.0, 2.0]), body)
+    assert np.isfinite(err.value.residual) and err.value.residual > 0.0
+
+def test_project_intersection_near_empty_pair_reports_ball_residual():
+    # the segment misses the unit ball by 5e-9 < FEASIBILITY_TOL
+    body = geo.BallCapPolytope(
+        geo.Ball(np.zeros(2), 1.0),
+        geo.Polytope(np.array([[1.0 + 5e-9, -1.0], [1.0 + 5e-9, 1.0]])))
+    res = geo.project_intersection(np.array([0.0, 3.0]), body)
+    assert np.allclose(res.point, [1.0 + 5e-9, 0.0], atol=1e-15)
+    assert res.ball_residual == pytest.approx(5e-9, rel=1e-6)
+
 def test_empty_intersection_rejected():
     with pytest.raises(geo.EmptyIntersection):
         geo.BallCapPolytope(geo.Ball(np.array([0.0, 0.0]), 0.5),
@@ -411,6 +549,14 @@ def test_slater_check_rejects_bad_witness():
                                       np.array([2.5, 0.0]), 0.1)
 
 
+
+def test_slater_check_refuses_two_polytopes():
+    a = geo.Polytope(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
+    b = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + 0.1)
+    with pytest.raises(geo.GeometryError):
+        geo.slater_intersection_check(np.array([3.0, 3.0]), a, b,
+                                      np.array([0.4, 0.4]), 0.05)
+
 # ---------------------------------------------------------------------------
 # intersection continuity probe
 
@@ -447,7 +593,7 @@ def test_intersection_continuity_tangency_is_flagged_not_asserted():
     ns = [2, 4, 8]
     res = geo.intersection_continuity_probe(
         [np.zeros(2)] * len(ns), [square] * len(ns), 1.0, np.zeros(2),
-        square, resolution=64, max_iter=500)
+        square, resolution=64)
     assert not res.hypothesis_ok
     assert len(res.values) == len(ns)
 
