@@ -345,13 +345,18 @@ def _build_rhs(obj: dict, path: str, target: str, spaces: _SpaceInfo):
         else:
             raise ConfigError(f"{cpath}.form: must be growth or general")
     try:
-        return BasisFamilyMap(basis, tuple(coeffs),
-                              include_origin=include_origin,
-                              target_weight=spaces.weight(target),
-                              u_weight=spaces.weight_u,
-                              v_weight=spaces.weight_v)
+        family = BasisFamilyMap(basis, tuple(coeffs),
+                                include_origin=include_origin,
+                                target_weight=spaces.weight(target),
+                                u_weight=spaces.weight_u,
+                                v_weight=spaces.weight_v)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    env = family.growth_envelope()
+    if not np.isfinite([env.a, env.b, env.c]).all():
+        raise ConfigError(f"{path}: growth envelope is not finite "
+                          "(a coefficient bound is too large)")
+    return family
 
 
 def _build_initial_u(obj: dict, gen: SpectralGenerator) -> np.ndarray:

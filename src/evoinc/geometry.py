@@ -8,7 +8,10 @@ center by one Lagrange multiplier per row, found by a bracketed root search;
 its KKT certificate is the hull certificate at the moved query plus the
 ball constraint holding with equality whenever the multiplier is positive.
 Hausdorff distances are exact when the source is a polytope and bracketed
-otherwise.
+otherwise; a bracket's slack is proven only for d <= 2, so sampled brackets
+refuse d >= 3. The interior witness of the Slater check is verified
+exactly: against a ball in closed form, against a polytope by the depth of
+the witness over the hyperplanes of the hull's facets.
 
 Everything is vectorized over batches of query points; the public
 single-point entry points are thin wrappers around the batch kernels.
@@ -16,15 +19,18 @@ single-point entry points are thin wrappers around the batch kernels.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import sphere_points
-
 PROJECTION_TOL = 1e-12
 PROJECTION_BUDGET = 100_000
 FEASIBILITY_TOL = 1e-8
+# Most d-subsets of a polytope's vertices the exact Slater witness check
+# enumerates; larger vertex sets are refused.
+FACET_SUBSETS_MAX = 20_000
 
 
 class GeometryError(ValueError):
@@ -130,9 +136,10 @@ class HausdorffBracket:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Outcome of a two-sided inequality check."""
-    lhs: float
-    rhs: float
+    """Outcome of an inequality check lhs <= rhs; batched checks carry one
+    lhs and rhs per row and pass when every row does."""
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
     passed: bool
 
 
@@ -213,6 +220,9 @@ def _minor_cycles(v: np.ndarray, x: np.ndarray, corral: np.ndarray,
         blocked = negative.any(axis=1)
         lam[pending[~blocked]] = alpha[~blocked]
         if not blocked.any():
+            # A member whose weight came out exactly zero (a query on a face
+            # of its hull) leaves the corral, or the next major cycle stalls.
+            corral &= lam > 0.0
             return
         pending = pending[blocked]
         alpha, negative, cur = alpha[blocked], negative[blocked], lam[pending]
@@ -479,40 +489,20 @@ def pad_vertex_stack(polys) -> np.ndarray:
     return out
 
 
-def project_points_onto_polytopes(points: np.ndarray, polys,
-                                  tol: float = PROJECTION_TOL) -> np.ndarray:
-    """One certified projection per (point, polytope) pair, batched."""
-    stacks = pad_vertex_stack(polys)
-    proj = HullProjector(stacks)
-    pts, _ = proj.project(_rows(points), tol=tol)
-    return pts
-
-
-def polytope_pair_hausdorff(list_a, list_b,
-                            tol: float = PROJECTION_TOL) -> np.ndarray:
-    """Exact Hausdorff distances for paired polytopes, batched.
+def _pair_hausdorff(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
+    """Exact Hausdorff distances between paired vertex stacks, batched.
 
     Each directed value is the max over the source's vertices of the
     distance to the target hull.
     """
-    if len(list_a) != len(list_b):
-        raise GeometryError("need one target per source")
-    m = len(list_a)
-    stack_a = pad_vertex_stack(list_a)
-    stack_b = pad_vertex_stack(list_b)
-    na, nb = stack_a.shape[1], stack_b.shape[1]
-    d = stack_a.shape[2]
-
-    def directed(src, tgt, n_src):
+    def directed(src, tgt):
+        m, n_src, d = src.shape
         queries = src.reshape(m * n_src, d)
-        targets = np.repeat(tgt, n_src, axis=0)
-        proj = HullProjector(targets)
-        pts, _ = proj.project(queries, tol=tol)
+        pts, _ = HullProjector(np.repeat(tgt, n_src, axis=0)).project(queries)
         dists = np.linalg.norm(queries - pts, axis=1)
         return dists.reshape(m, n_src).max(axis=1)
 
-    return np.maximum(directed(stack_a, stack_b, na),
-                      directed(stack_b, stack_a, nb))
+    return np.maximum(directed(stack_a, stack_b), directed(stack_b, stack_a))
 
 
 # ---------------------------------------------------------------------------
@@ -554,27 +544,37 @@ def union_diameter_upper(a: ConvexBody, b: ConvexBody) -> float:
 # Hausdorff distances
 
 
-def _source_sample(body: ConvexBody, resolution: int):
-    """(sample points inside the body, Lipschitz slack for the sup).
+def _boundary_cloud(ball: Ball, vertices: np.ndarray, resolution: int):
+    """(ball boundary sample plus `vertices`, Lipschitz slack of the sup).
 
-    The slack 2 pi r / resolution is the covering arc of the exact angle
-    grid of `sphere_points`, so it certifies the sup only for d <= 2; the
-    Halton sphere sample of d >= 3 has no proven covering radius.
+    The boundary sample is the two endpoints, alternating, in 1-D and an
+    exact uniform angle grid in 2-D. The slack 2 pi r / resolution is the
+    covering arc of that grid, so it certifies a sampled sup only for
+    d <= 2; d >= 3 raises `GeometryError`.
     """
-    if body.dim >= 3:
-        raise GeometryError("sampled Hausdorff brackets are certified only "
-                            "for d <= 2; use a polytope source in 3-D and up")
+    if ball.dim >= 3:
+        raise GeometryError("sampled brackets are certified only for d <= 2; "
+                            "use a polytope source in 3-D and up")
+    if resolution < 1:
+        raise GeometryError("resolution must be >= 1")
+    if ball.dim == 1:
+        dirs = np.empty((resolution, 1))
+        dirs[::2, 0] = 1.0
+        dirs[1::2, 0] = -1.0
+    else:
+        theta = 2.0 * np.pi * np.arange(resolution) / resolution
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    cloud = np.vstack([ball.center + ball.radius * dirs, vertices])
+    return cloud, 2.0 * np.pi * ball.radius / resolution
+
+
+def _source_sample(body: Ball | BallCapPolytope, resolution: int):
+    """(sample points inside the body, Lipschitz slack for the sup)."""
     if isinstance(body, Ball):
-        dirs = sphere_points(resolution, body.dim)
-        pts = body.center + body.radius * dirs
-        return pts, 2.0 * np.pi * body.radius / resolution
-    if isinstance(body, BallCapPolytope):
-        dirs = sphere_points(resolution, body.dim)
-        cloud = np.vstack([body.ball.center + body.ball.radius * dirs,
-                           body.polytope.vertices])
-        slack = 2.0 * np.pi * body.ball.radius / resolution
-        return _project_rows(cloud, body), slack
-    raise GeometryError("polytope sources are handled exactly")  # pragma: no cover
+        return _boundary_cloud(body, np.empty((0, body.dim)), resolution)
+    cloud, slack = _boundary_cloud(body.ball, body.polytope.vertices,
+                                   resolution)
+    return _project_rows(cloud, body), slack
 
 
 def directed_hausdorff(source: ConvexBody, target: ConvexBody,
@@ -584,7 +584,7 @@ def directed_hausdorff(source: ConvexBody, target: ConvexBody,
     Exact when the source is a polytope (the sup of the convex distance
     function over a hull is attained at a vertex) and for ball-to-ball;
     otherwise a deterministic boundary sample plus Lipschitz slack, which
-    raises `GeometryError` for d >= 3 (see `_source_sample`).
+    raises `GeometryError` for d >= 3 (see `_boundary_cloud`).
     """
     if source.dim != target.dim:
         raise DimensionMismatch("bodies must share dimension")
@@ -613,40 +613,60 @@ def hausdorff_distance(a: ConvexBody, b: ConvexBody,
 # lemma checks
 
 
-def _contained_in_origin_ball(body: ConvexBody, radius: float,
-                              tol: float = 1e-9) -> bool:
-    if isinstance(body, Ball):
-        return float(np.linalg.norm(body.center)) + body.radius <= radius + tol
-    if isinstance(body, Polytope):
-        return float(np.linalg.norm(body.vertices, axis=1).max()) <= radius + tol
-    return (_contained_in_origin_ball(body.ball, radius, tol)
-            or _contained_in_origin_ball(body.polytope, radius, tol))
+def projection_difference_check(xs, bodies_c, bodies_d,
+                                big_radius: float) -> BoundCheck:
+    """||p_C(x) - p_D(x)|| against sqrt((4||x|| + 2R) d_H(C, D)), per row.
 
-
-def projection_difference_check(x, c_body: ConvexBody, d_body: ConvexBody,
-                                big_radius: float,
-                                resolution: int = 512) -> BoundCheck:
-    """||p_C(x) - p_D(x)|| against sqrt((4||x|| + 2R) d_Hd(C, D))."""
-    x = np.asarray(x, dtype=float)
-    for body in (c_body, d_body):
-        if not _contained_in_origin_ball(body, big_radius):
+    Row i pairs the query xs[i] with the polytopes bodies_c[i] and
+    bodies_d[i], which must lie in B[0, R]. The Hausdorff distances are
+    exact and both projections are certified, all rows in stacked solves.
+    """
+    xs = _rows(xs)
+    if not len(bodies_c) == len(bodies_d) == xs.shape[0]:
+        raise GeometryError("need one pair of bodies per query")
+    stack_c, stack_d = pad_vertex_stack(bodies_c), pad_vertex_stack(bodies_d)
+    for stack in (stack_c, stack_d):
+        if np.linalg.norm(stack, axis=2).max() > big_radius + 1e-9:
             raise GeometryError("bodies must lie in the ball of radius R at 0")
-    pc = _project_rows(x[None, :], c_body)[0]
-    pd = _project_rows(x[None, :], d_body)[0]
-    lhs = float(np.linalg.norm(pc - pd))
-    hd = hausdorff_distance(c_body, d_body, resolution)
-    rhs = float(np.sqrt((4.0 * np.linalg.norm(x) + 2.0 * big_radius) * hd.upper))
-    return BoundCheck(lhs, rhs, lhs <= rhs + 1e-8)
+    hd = _pair_hausdorff(stack_c, stack_d)
+    pc, _ = HullProjector(stack_c).project(xs)
+    pd, _ = HullProjector(stack_d).project(xs)
+    lhs = np.linalg.norm(pc - pd, axis=1)
+    rhs = np.sqrt((4.0 * np.linalg.norm(xs, axis=1) + 2.0 * big_radius) * hd)
+    return BoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + 1e-8)))
 
 
-def _verify_inner_ball(x0: np.ndarray, rho: float, body: ConvexBody,
-                       directions: int = 128, tol: float = 1e-8) -> bool:
-    """Numerically check B[x0, rho] subset of body (sampled for polytopes)."""
+def _verify_inner_ball(x0: np.ndarray, rho: float, body: Ball | Polytope,
+                       tol: float = 1e-8) -> bool:
+    """Exact check of B[x0, rho] subset of body, to within tol.
+
+    For a polytope in R^d, every hyperplane through d of its vertices that
+    has all vertices on one side (to within tol) supports the hull, and
+    every facet lies in such a hyperplane. The least distance from x0 to
+    these hyperplanes is therefore the depth of x0 in the hull, short by at
+    most tol. Vertices that do not span R^d leave no interior, and more
+    than FACET_SUBSETS_MAX d-subsets raise `GeometryError`.
+    """
     if isinstance(body, Ball):
         return float(np.linalg.norm(x0 - body.center)) + rho <= body.radius + tol
-    dirs = sphere_points(directions, x0.size)
-    shell = x0 + rho * dirs
-    return bool(np.all(_distance_rows(shell, body) <= tol))
+    v = body.vertices
+    n, d = v.shape
+    subsets = math.comb(n, d)
+    if subsets > FACET_SUBSETS_MAX:
+        raise GeometryError(
+            f"exact inner-ball check of a polytope with n = {n} vertices in "
+            f"d = {d} dimensions needs C(n, d) = {subsets} vertex subsets, "
+            f"more than {FACET_SUBSETS_MAX}")
+    if np.linalg.matrix_rank(v[1:] - v[0]) < d:
+        return False
+    pts = v[np.array(list(itertools.combinations(range(n), d)))]
+    normals = np.linalg.svd(pts[:, 1:] - pts[:, :1])[2][:, -1]
+    offsets = np.einsum("kd,kd->k", normals, pts[:, 0])
+    side = normals @ v.T - offsets[:, None]
+    height = normals @ x0 - offsets
+    depth = np.concatenate([-height[side.max(axis=1) <= tol],
+                            height[side.min(axis=1) >= -tol]])
+    return bool(depth.size > 0 and rho <= depth.min() + tol)
 
 
 def slater_intersection_check(x, a_body: ConvexBody, b_body: ConvexBody,
@@ -654,10 +674,15 @@ def slater_intersection_check(x, a_body: ConvexBody, b_body: ConvexBody,
     """dist(x, A cap B) against (1 + diam(A u B)/rho)(dist(x,A) + dist(x,B)).
 
     Requires a verified interior witness: x0 in A cap B with B[x0, rho]
-    inside B. Verification failures raise SlaterViolation.
+    inside B, checked exactly (see `_verify_inner_ball`). Verification
+    failures raise SlaterViolation.
     """
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
+    kinds = {type(a_body), type(b_body)}
+    if not kinds <= {Ball, Polytope} or kinds == {Polytope}:
+        raise GeometryError("the Slater check takes a ball and a ball or a "
+                            "polytope")
     feas_tol = 1e-8
     if distance_to(x0, a_body) > feas_tol or distance_to(x0, b_body) > feas_tol:
         raise SlaterViolation("witness point is not in the intersection")
@@ -668,13 +693,10 @@ def slater_intersection_check(x, a_body: ConvexBody, b_body: ConvexBody,
         point = project_intersection(x, BallCapPolytope(a_body, b_body)).point
     elif isinstance(b_body, Ball) and isinstance(a_body, Polytope):
         point = project_intersection(x, BallCapPolytope(b_body, a_body)).point
-    elif isinstance(a_body, Ball) and isinstance(b_body, Ball):
+    else:
         point = _project_cap(
             x[None, :], a_body,
             lambda q, rows: project_balls(q, b_body.center, b_body.radius))[0]
-    else:
-        raise GeometryError("the Slater check takes a ball and a ball or a "
-                            "polytope")
     lhs = float(np.linalg.norm(x - point))
     d = union_diameter_upper(a_body, b_body)
     rhs = (1.0 + d / rho) * (distance_to(x, a_body) + distance_to(x, b_body))
@@ -692,18 +714,17 @@ def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
                                   resolution: int = 2048) -> IntersectionContinuityResult:
     """Sampled Hausdorff gaps d(B[c_n, r] cap B_n, B[c, r] cap B) per n.
 
-    A fixed deterministic cloud (limit-ball boundary plus limit vertices) is
-    projected onto each intersection; the reported value per n is the larger
+    A fixed deterministic cloud (limit-ball boundary plus limit vertices,
+    see `_boundary_cloud`; d >= 3 raises `GeometryError`) is projected onto
+    each intersection; the reported value per n is the larger
     of the two directed sampled sups plus the boundary-sampling slack.
     hypothesis_ok records whether the open ball B(c, r) genuinely meets B;
     members of the sequence with empty intersection are flagged, their value
     set to NaN, and the probe continues.
     """
-    c = np.asarray(c, dtype=float)
     limit_ball = Ball(c, r)
-    strict = distance_to(c, b) < r - 1e-12
-    cloud = np.vstack([c + r * sphere_points(resolution, c.size), b.vertices])
-    slack = 2.0 * np.pi * r / resolution
+    cloud, slack = _boundary_cloud(limit_ball, b.vertices, resolution)
+    strict = distance_to(limit_ball.center, b) < r - 1e-12
 
     try:
         limit = BallCapPolytope(limit_ball, b)

@@ -73,14 +73,6 @@ class VariableExponentPotential:
     def mesh(self) -> float:
         return 1.0 / (self.interior_nodes + 1)
 
-    @property
-    def p_minus(self) -> float:
-        return float(self.exponents.min())
-
-    @property
-    def p_plus(self) -> float:
-        return float(self.exponents.max())
-
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.interior_nodes + 2)
 

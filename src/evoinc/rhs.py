@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polytope, hausdorff_distance, project_polytope
+from .geometry import Polytope, hausdorff_distance
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -309,8 +309,8 @@ class BasisFamilyMap:
                 nus.append(coeff.nu_bound)
             else:
                 sups.append(coeff.sup_bound)
-        # a constant too large to square is an infinite envelope, which the
-        # window computation then rejects, not an overflow warning
+        # a constant too large to square is an infinite envelope, which
+        # config validation then rejects, not an overflow warning
         with np.errstate(over="ignore"):
             a = math.sqrt(2.0) * float(np.linalg.norm(cs)) if cs else 0.0
             b = math.sqrt(2.0) * float(np.linalg.norm(nus)) if nus else 0.0
@@ -344,13 +344,6 @@ class BasisFamilyMap:
         return GrowthCheck(max_vertex, env.value(u_norm, v_norm), ok, env)
 
     # -- probes -------------------------------------------------------------
-
-    def distance_to_image(self, x: np.ndarray, u: np.ndarray,
-                          v: np.ndarray) -> float:
-        """Distance of x to the hull at (u, v), in the target norm."""
-        poly = self.evaluate(u, v)
-        p = project_polytope(np.asarray(x, dtype=float), poly)
-        return math.sqrt(self.target_weight) * float(np.linalg.norm(x - p))
 
     def hausdorff_modulus_probe(self, pairs, resolution: int = 64):
         """[(input distance, Hausdorff distance of the two hulls)] per pair.

@@ -223,13 +223,6 @@ class GlobalSolution:
     failure_index: int | None
     gronwall: "GronwallReport | None"
 
-    def node_times(self) -> np.ndarray:
-        """Node times of all windows, shared endpoints once; empty when the
-        run stopped before its first window."""
-        parts = [w.u.times() if i == 0 else w.u.times()[1:]
-                 for i, w in enumerate(self.windows)]
-        return np.concatenate([np.empty(0)] + parts)
-
     def node_table(self) -> np.ndarray:
         """Columns: t, ||u||, ||v||, node defect of f, node defect of g.
 

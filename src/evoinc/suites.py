@@ -123,24 +123,17 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
 def projection_difference_battery(seed: int = 7, trials: int = 1000,
                                   dim: int = 3,
                                   radius: float = 5.0) -> CheckResult:
-    """Seeded random body pairs against the projection-difference estimate.
-
-    All trials share batched projections: the per-pair exact Hausdorff
-    distances and both projected points come from three stacked solves.
-    """
+    """Seeded random polytope pairs against the projection-difference
+    estimate, all trials in one `geometry.projection_difference_check`."""
     bodies_c, bodies_d, queries = [], [], []
     for i in range(trials):
         rng = _rng(seed, 4000 + i)
         bodies_c.append(_random_polytope(rng, dim, radius))
         bodies_d.append(_random_polytope(rng, dim, radius))
         queries.append(rng.normal(size=dim) * radius)
-    xs = np.asarray(queries)
-    hd = geo.polytope_pair_hausdorff(bodies_c, bodies_d)
-    pc = geo.project_points_onto_polytopes(xs, bodies_c)
-    pd = geo.project_points_onto_polytopes(xs, bodies_d)
-    lhs = np.linalg.norm(pc - pd, axis=1)
-    rhs = np.sqrt((4.0 * np.linalg.norm(xs, axis=1) + 2.0 * radius) * hd)
-    worst = float((rhs + 1e-8 - lhs).min())
+    chk = geo.projection_difference_check(np.asarray(queries), bodies_c,
+                                          bodies_d, radius)
+    worst = float((chk.rhs + 1e-8 - chk.lhs).min())
     return CheckResult("projection-difference-bound", trials, worst, worst >= 0)
 
 

@@ -136,6 +136,9 @@ def test_solve_rejects_unknown_key_naming_it(tmp_path, capsys):
      lambda cfg: cfg["solver"].update(tol=float("inf"))),
     ("config.rhs_f.coefficients[0].c",
      lambda cfg: cfg["rhs_f"]["coefficients"][0].update(c=float("nan"))),
+    # finite, but its growth envelope overflows
+    ("config.rhs_f",
+     lambda cfg: cfg["rhs_f"]["coefficients"][0].update(c=1e300)),
 ])
 def test_solve_rejects_non_finite_numbers(tmp_path, capsys, name, mutate):
     cfg = json.loads(_read(preset_path("heat_debye")))
@@ -195,19 +198,13 @@ def test_solve_blowup_before_first_window(tmp_path, capsys):
     assert report["windows"] == []
 
 
-def _set_huge_growth_constant(cfg):
-    cfg["rhs_f"]["coefficients"][0]["c"] = 1e300
-
-
 def _set_steep_exponent(cfg):
     cfg["spatial"]["p_profile"] = {"kind": "constant", "value": 200}
 
 
 @pytest.mark.parametrize("mutate, failure", [
-    (_set_huge_growth_constant,
-     "SolverError: window length must lie in (0, t_cap]"),
     (_set_steep_exponent, "ProxDidNotConverge: "),
-], ids=["huge-growth-constant", "steep-exponent"])
+], ids=["steep-exponent"])
 def test_solve_time_failure_writes_report(tmp_path, capsys, mutate, failure):
     cfg = json.loads(_read(preset_path("heat_debye")))
     mutate(cfg)

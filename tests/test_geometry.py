@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from evoinc import geometry as geo
 from evoinc import suites
-from evoinc.sampling import sphere_points
 
 from conftest import monotone_chain, polygon_boundary_sample, polygon_distances
 
@@ -121,6 +120,23 @@ def test_project_polytope_certificate_over_vertices(rng):
         p = geo.project_polytope(x, geo.Polytope(vertices), tol=1e-12)
         gaps = (vertices - p) @ (x - p)
         assert gaps.max() <= 1e-12 * (1.0 + np.linalg.norm(x)) + 1e-15
+
+
+def test_project_polytope_on_cube_faces_matches_clip():
+    # queries on a face leave corral members with weight exactly zero; the
+    # projector must drop them instead of stalling on the next major cycle
+    cube = geo.Polytope(np.array([[a, b, c] for a in (-0.5, 0.5)
+                                  for b in (-0.5, 0.5) for c in (-0.5, 0.5)]))
+    on_face = np.array([0.5, 0.2, 0.1])
+    assert np.abs(geo.project_polytope(on_face, cube) - on_face).max() <= 1e-12
+    rng = np.random.default_rng(41)
+    x = rng.uniform(-0.5, 0.5, size=(400, 3))
+    x[np.arange(400), rng.integers(0, 3, size=400)] = rng.choice([-0.5, 0.5],
+                                                                 size=400)
+    x[1::2] += rng.normal(size=(200, 3))  # half of them moved off the face
+    p, _ = geo.HullProjector(np.broadcast_to(cube.vertices, (400, 8, 3))) \
+        .project(x)
+    assert np.abs(p - np.clip(x, -0.5, 0.5)).max() <= 1e-12
 
 
 def test_project_polytope_budget_exhaustion_reports():
@@ -255,11 +271,9 @@ def test_project_intersection_against_grid_filter_oracle():
     assert np.linalg.norm(res.point - best) <= 2e-3
 
 
-def test_project_intersection_where_alternating_projections_stalled():
-    # slater battery seed 7, trial 128: P_H(x) lies 0.194 inside the ball,
-    # so it is the projection; an alternating-projection method that stops
-    # after one cycle without movement returned a point 7.16567 from x
-    rng = suites._rng(7, 5128)
+def _slater_trial(trial):
+    """(x, ball, polytope, x0, rho) of `suites.slater_battery` at seed 7."""
+    rng = suites._rng(7, 5000 + trial)
     center = rng.normal(size=3)
     radius = float(rng.uniform(0.8, 2.0))
     x0 = center + rng.normal(size=3) * 0.1
@@ -269,11 +283,24 @@ def test_project_intersection_where_alternating_projections_stalled():
     extra = x0 + rng.normal(size=(3, 3)) * rng.uniform(0.5, 2.0)
     poly = geo.Polytope(np.vstack([simplex, extra]))
     x = rng.normal(size=3) * 4.0
-    res = geo.project_intersection(x, geo.BallCapPolytope(
-        geo.Ball(center, radius), poly))
+    return x, geo.Ball(center, radius), poly, x0, rho
+
+
+def test_project_intersection_where_alternating_projections_stalled():
+    # slater battery seed 7, trial 128: P_H(x) lies 0.194 inside the ball,
+    # so it is the projection; an alternating-projection method that stops
+    # after one cycle without movement returned a point 7.16567 from x
+    x, ball, poly, _, _ = _slater_trial(128)
+    res = geo.project_intersection(x, geo.BallCapPolytope(ball, poly))
     hull_point = geo.project_polytope(x, poly)
     assert np.linalg.norm(res.point - hull_point) <= 1e-10
     assert np.linalg.norm(res.point - x) == pytest.approx(7.11867, abs=1e-5)
+
+
+def _unit_rows(seed, count, dim):
+    """count seeded directions, uniform on the unit sphere of R^dim."""
+    g = np.random.default_rng(seed).normal(size=(count, dim))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def _check_cap_kkt(x, ball, project_h, members):
@@ -324,7 +351,7 @@ def test_project_cap_kkt_certificate_on_hulls(dim):
                                                  (m,) + vertices.shape))
         # members: hull vertices inside the ball, ball points inside the hull
         ball_points = c + r * rng.uniform(size=(1000, 1)) ** (1.0 / dim) \
-            * sphere_points(1000, dim)
+            * _unit_rows(320 + dim, 1000, dim)
         in_hull = geo._distance_rows(ball_points, poly) <= 1e-12
         in_ball = np.linalg.norm(vertices - c, axis=1) <= r
         members = np.vstack([vertices[in_ball], ball_points[in_hull]])
@@ -348,7 +375,7 @@ def test_project_cap_kkt_certificate_on_ball_lens(dim):
             * (a.radius + rb)
         x = a.center + rng.normal(size=(40, dim)) * 3.0
         points = a.center + a.radius * rng.uniform(size=(400, 1)) \
-            ** (1.0 / dim) * sphere_points(400, dim)
+            ** (1.0 / dim) * _unit_rows(330 + dim, 400, dim)
         members = points[np.linalg.norm(points - b_center, axis=1) <= rb]
         multipliers.append(_check_cap_kkt(
             x, a, lambda q, rows: (geo.project_balls(q, b_center, rb), None),
@@ -425,15 +452,12 @@ def test_directed_hausdorff_vertex_attained():
 
 
 def test_directed_hausdorff_refuses_sampled_source_in_3d():
-    # the far point u of the ball is the worst-covered direction of the
-    # 256-point Halton sphere sample: covering angle 0.268 rad, against the
-    # 2 pi / 256 = 0.0245 the slack assumes
+    # the bracket slack 2 pi r / resolution is proven only for the exact
+    # angle grid of d <= 2
     u = np.array([-0.785, 0.599, -0.156])
     u /= np.linalg.norm(u)
     ball = geo.Ball(np.zeros(3), 1.0)
     vertex = geo.Polytope(-100.0 * u[None, :])
-    sampled = np.linalg.norm(sphere_points(256, 3) + 100.0 * u, axis=1).max()
-    assert sampled + 2.0 * np.pi / 256 < 101.0  # the true sup
     with pytest.raises(geo.GeometryError):
         geo.directed_hausdorff(ball, vertex)
     cap = geo.BallCapPolytope(ball, geo.Polytope(np.vstack([np.eye(3),
@@ -485,25 +509,27 @@ def test_hausdorff_random_polytopes_against_boundary_sampling(rng):
 
 
 def test_projection_difference_identical_sets():
-    body = geo.Ball(np.array([0.2, 0.1]), 0.7)
-    chk = geo.projection_difference_check(np.array([2.0, 1.0]), body, body, 2.0)
-    assert chk.lhs <= 1e-12 and chk.passed
+    body = geo.Polytope(np.array([[0.2, 0.1], [0.9, 0.1], [0.2, 0.8]]))
+    chk = geo.projection_difference_check(np.array([2.0, 1.0]), [body], [body],
+                                          2.0)
+    assert chk.lhs[0] <= 1e-12 and chk.passed
 
 
-def test_projection_difference_closed_form_balls():
-    chk = geo.projection_difference_check(
-        np.array([2.0, 0.0]), geo.Ball(np.array([0.0, 0.0]), 1.0),
-        geo.Ball(np.array([0.0, 0.0]), 0.5), 1.0)
-    assert chk.lhs == pytest.approx(0.5)
-    assert chk.rhs == pytest.approx(math.sqrt(5.0))
+def test_projection_difference_closed_form_segments():
+    c = geo.Polytope(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+    d = geo.Polytope(np.array([[-0.5, 0.0], [0.5, 0.0]]))
+    chk = geo.projection_difference_check(np.array([[2.0, 0.0]]), [c], [d], 1.0)
+    assert chk.lhs[0] == pytest.approx(0.5)
+    assert chk.rhs[0] == pytest.approx(math.sqrt(5.0))
     assert chk.passed
 
 
 def test_projection_difference_requires_containment():
-    with pytest.raises(geo.GeometryError):
-        geo.projection_difference_check(
-            np.zeros(2), geo.Ball(np.array([5.0, 0.0]), 1.0),
-            geo.Ball(np.zeros(2), 0.5), 2.0)
+    far = geo.Polytope(np.array([[4.0, 0.0], [6.0, 0.0]]))
+    near = geo.Polytope(np.array([[-0.5, 0.0], [0.5, 0.0]]))
+    for pair in ([far], [near]), ([near], [far]):
+        with pytest.raises(geo.GeometryError):
+            geo.projection_difference_check(np.zeros((1, 2)), *pair, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +576,47 @@ def test_slater_check_rejects_bad_witness():
 
 
 
+def test_slater_check_rejects_witness_poking_out_of_polytope():
+    # slater battery seed 7, trial 68, with the polytope as the second body:
+    # the exact depth of x0 is 0.15076 < rho = 0.15245, which a sample of 128
+    # directions on the witness sphere did not detect
+    x, ball, poly, x0, rho = _slater_trial(68)
+    assert rho == pytest.approx(0.15245, abs=1e-5)
+    with pytest.raises(geo.SlaterViolation):
+        geo.slater_intersection_check(x, ball, poly, x0, rho)
+    assert geo.slater_intersection_check(x, ball, poly, x0, 0.15075).passed
+    assert geo.slater_intersection_check(x, poly, ball, x0, rho).passed
+
+
+def test_slater_witness_depth_in_cube_is_exact():
+    cube = geo.Polytope(np.array([[a, b, c] for a in (-0.5, 0.5)
+                                  for b in (-0.5, 0.5) for c in (-0.5, 0.5)]))
+    ball = geo.Ball(np.zeros(3), 2.0)
+    x = np.array([3.0, 1.0, -2.0])
+    assert geo.slater_intersection_check(x, ball, cube, np.zeros(3),
+                                         0.5 - 1e-9).passed
+    with pytest.raises(geo.SlaterViolation):
+        geo.slater_intersection_check(x, ball, cube, np.zeros(3), 0.5 + 1e-6)
+
+
+def test_slater_witness_in_flat_polytope_is_rejected():
+    # a square in the plane z = 0 of R^3 has no interior
+    square = geo.Polytope(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                    [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
+    x0 = np.array([0.5, 0.5, 0.0])
+    with pytest.raises(geo.SlaterViolation):
+        geo.slater_intersection_check(np.ones(3), geo.Ball(x0, 1.0), square,
+                                      x0, 1e-3)
+
+
+def test_slater_witness_check_refuses_large_vertex_sets():
+    rng = np.random.default_rng(5)
+    cloud = geo.Polytope(rng.normal(size=(60, 3)))  # C(60, 3) = 34220
+    with pytest.raises(geo.GeometryError, match="n = 60.*d = 3"):
+        geo.slater_intersection_check(np.ones(3), geo.Ball(np.zeros(3), 1.0),
+                                      cloud, np.zeros(3), 0.01)
+
+
 def test_slater_check_refuses_two_polytopes():
     a = geo.Polytope(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
     b = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + 0.1)
@@ -584,6 +651,16 @@ def test_intersection_continuity_shifted_squares_converges():
     assert np.all(diffs <= 1e-9)
     # recorded from this family: values drop below 1e-2 from n = 256 on
     assert all(v <= 1e-2 for n, v in zip(ns, res.values) if n >= 256)
+
+
+def test_intersection_continuity_refuses_3d():
+    simplex = np.vstack([np.eye(3), np.zeros((1, 3))])
+    ns = [2, 4, 8]
+    with pytest.raises(geo.GeometryError):
+        geo.intersection_continuity_probe(
+            [np.full(3, 0.25 + 1.0 / n) for n in ns],
+            [geo.Polytope(simplex + 1.0 / n) for n in ns], 0.5,
+            np.full(3, 0.25), geo.Polytope(simplex), resolution=64)
 
 
 def test_intersection_continuity_tangency_is_flagged_not_asserted():

@@ -28,7 +28,7 @@ def test_exponent_floor_enforced():
     with pytest.raises(mono.MonotoneError):
         mono.make_potential(7, ("constant", 2.0))
     pot = mono.make_potential(7, ("constant", 2.0), oracle_p2=True)
-    assert pot.p_minus == 2.0
+    assert pot.exponents.min() == 2.0
 
 
 def test_coefficient_positivity_checked_on_grid():

@@ -164,39 +164,6 @@ def test_modulus_probe_shrinking_sequence():
 
 
 # ---------------------------------------------------------------------------
-# distance to the image
-
-
-def test_distance_to_image_vertex_is_zero():
-    family = _growth_map([1.0, 0.5])
-    u = np.array([2.0, 1.0])
-    v = np.zeros(3)
-    vertex = family.evaluate(u, v).vertices[0]
-    assert family.distance_to_image(vertex, u, v) <= 1e-10
-
-
-def test_distance_to_image_segment_geometry():
-    family = rhs.BasisFamilyMap(
-        np.eye(2), (rhs.GeneralCoefficient(rhs.Const(1.0)),
-                    rhs.GeneralCoefficient(rhs.Const(1.0))))
-    d = family.distance_to_image(np.array([2.0, 0.0]), np.zeros(2), np.zeros(3))
-    assert d == pytest.approx(1.0, abs=1e-9)
-
-
-def test_distance_to_image_matches_grid_oracle():
-    family = _growth_map([0.8, 0.6], [0.2, 0.3])
-    rng = np.random.default_rng(34)
-    u, v = rng.normal(size=2), rng.normal(size=3)
-    x = rng.normal(size=2) * 2.0
-    d = family.distance_to_image(x, u, v)
-    verts = family.evaluate(u, v).vertices
-    lam = np.linspace(0.0, 1.0, 2001)[:, None]
-    cand = lam * verts[0] + (1.0 - lam) * verts[1]
-    oracle = float(np.linalg.norm(cand - x, axis=1).min())
-    assert d == pytest.approx(oracle, abs=1e-3)
-
-
-# ---------------------------------------------------------------------------
 # weak-continuity surrogate and misc invariants
 
 

@@ -120,6 +120,43 @@ def test_selection_residual_matches_recomputation(rng):
     assert res == pytest.approx(oracle, abs=1e-12)
 
 
+def _node_distance(family, x, u, v):
+    """node_distances at one node, read off constant two-node paths."""
+    dists = sel.node_distances(family, *(constant_path(0.0, 1.0, 2, value)
+                                         for value in (u, v, x)))
+    assert dists[0] == dists[1]
+    return float(dists[0])
+
+
+def test_node_distances_vertex_is_zero():
+    family = _map_with([1.0, 0.5])
+    u = np.array([2.0, 1.0])
+    v = np.zeros(3)
+    vertex = family.evaluate(u, v).vertices[0]
+    assert _node_distance(family, vertex, u, v) <= 1e-10
+
+
+def test_node_distances_segment_geometry():
+    family = rhs.BasisFamilyMap(
+        np.eye(2), (rhs.GeneralCoefficient(rhs.Const(1.0)),
+                    rhs.GeneralCoefficient(rhs.Const(1.0))))
+    d = _node_distance(family, np.array([2.0, 0.0]), np.zeros(2), np.zeros(3))
+    assert d == pytest.approx(1.0, abs=1e-9)
+
+
+def test_node_distances_match_grid_oracle():
+    family = _map_with([0.8, 0.6], [0.2, 0.3])
+    rng = np.random.default_rng(34)
+    u, v = rng.normal(size=2), rng.normal(size=3)
+    x = rng.normal(size=2) * 2.0
+    d = _node_distance(family, x, u, v)
+    verts = family.evaluate(u, v).vertices
+    lam = np.linspace(0.0, 1.0, 2001)[:, None]
+    cand = lam * verts[0] + (1.0 - lam) * verts[1]
+    oracle = float(np.linalg.norm(cand - x, axis=1).min())
+    assert d == pytest.approx(oracle, abs=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # eps-close regeneration
 

@@ -307,7 +307,6 @@ def test_global_blowup_before_first_window_is_empty(heat_setup):
     settings = sv.GlobalSettings(blowup_norm=1e-3)
     run = sv.solve_global(gen, pot, u0, v0, f_map, g_map, 1.0, settings)
     assert run.blowup and not run.converged and run.windows == ()
-    assert run.node_times().shape == (0,)
     assert run.node_table().shape == (0, 5)
 
 
