@@ -247,9 +247,10 @@ class HullProjector:
     Minor cycles move every row to the nearest point of its corral's affine
     hull, one batched solve per pass, and drop vertices whose weight would
     turn negative. Each major cycle checks the vertex-set certificate
-    gap = max_v <x - p, v - p> <= tol * (1 + ||x||) and adds the most
-    violating vertex to the corral of every row that fails it. Rows retire
-    as soon as their certificate holds; the result is exact on its support.
+    gap = max_v <x - p, v - p> <= tol * (1 + ||x||) * max(1, max_v ||v - x||)
+    and adds the most violating vertex to the corral of every row that
+    fails it. Rows retire as soon as their certificate holds; the result is
+    exact on its support.
 
     A row's first call starts it at its nearest vertex; later calls resume
     from the previous weights and their support, since the multiplier
@@ -273,8 +274,9 @@ class HullProjector:
         `rows` limits the call to those rows of the vertex stack, one query
         each; the other rows keep their warm start. Raises
         ProjectionDidNotConverge when the certificate
-        gap <= tol * (1 + ||x||) does not hold on every row after
-        `max_iter` major cycles, or when a row stops improving short of it.
+        gap <= tol * (1 + ||x||) * max(1, max_v ||v - x||) does not hold on
+        every row after `max_iter` major cycles, or when a row stops
+        improving short of it.
         """
         x = _rows(x)
         every = rows is None
@@ -284,16 +286,17 @@ class HullProjector:
                 f"expected query shape {(rows.size, self.d)}, got {x.shape}")
         if self.n == 1:
             return self.v[rows, 0, :].copy(), np.zeros(rows.size)
-        scale = tol * (1.0 + np.linalg.norm(x, axis=1))
         if self.lam is None:
             self.lam = np.zeros((self.m, self.n))
         # A full call works on the state itself; a row subset on a copy.
         lam, stack = ((self.lam, self.v) if every
                       else (self.lam[rows], self.v[rows]))
+        nearest, reach = _nearest_and_reach(stack, x)
+        # <x - p, v - p> is rounded at about eps ||x - p|| ||v - p||, so the
+        # bound grows with the farthest vertex once it is beyond unit reach
+        scale = tol * (1.0 + np.linalg.norm(x, axis=1)) * reach
         cold = ~lam.any(axis=1)
         if cold.any():
-            w = stack - x[:, None, :]
-            nearest = np.argmin(np.einsum("mnd,mnd->mn", w, w), axis=1)
             lam[cold, nearest[cold]] = 1.0
         corral = lam > 0.0
         points = np.empty_like(x)
@@ -330,6 +333,14 @@ class HullProjector:
                 "hull projection left rows without certificate",
                 float(np.max(gaps - scale)))
         return points, gaps
+
+
+def _nearest_and_reach(stack: np.ndarray, x: np.ndarray):
+    """Per row: the index of the vertex nearest to x, and
+    max(1, max_v ||v - x||)."""
+    w = stack - x[:, None, :]
+    dist2 = np.einsum("mnd,mnd->mn", w, w)
+    return dist2.argmin(axis=1), np.sqrt(dist2.max(axis=1, initial=1.0))
 
 
 def _polytope_stack(poly: Polytope, m: int) -> np.ndarray:

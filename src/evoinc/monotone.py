@@ -13,6 +13,12 @@ energy(t_next, w) + ||w - v - tau g||^2 / (2 tau) by damped Newton on the
 tridiagonal Hessian. Exponents stay above 2 (strict) outside the
 documented linear cross-check mode, which keeps the energy twice
 continuously differentiable.
+
+A flow evaluates the coefficient field once per time node into a
+(K, J + 2) table, validates positivity and time-monotonicity on that table
+and hands each step its row. The potential derives its mesh constants and
+the exponent arrays p - 2, 1/p and p - 1 once, at construction, so an
+energy evaluation is a handful of array operations and dot products.
 """
 
 from __future__ import annotations
@@ -44,7 +50,11 @@ class VariableExponentPotential:
 
     `exponents` and the coefficient profile live on the closed grid of
     J + 2 nodes including the Dirichlet endpoints; states are the J
-    interior values.
+    interior values. Construction also sets derived attributes, which are
+    not fields: `mesh` h, `inv_mesh` 1/h, `inv_mesh_sq` 1/h^2 and
+    `root_mesh` sqrt(h), and the exponent arrays p - 2, 1/p and p - 1 on
+    the J + 1 difference edges p[:-1] (`edge_p_minus_2`, `edge_inv_p`,
+    `edge_p_minus_1`) and on the J interior nodes p[1:-1] (`node_*`).
     """
 
     exponents: np.ndarray          # (J + 2,)
@@ -64,14 +74,21 @@ class VariableExponentPotential:
             raise MonotoneError(
                 "exponents must satisfy p > 2 (set oracle_p2 for the "
                 "linear cross-check mode)")
+        h = 1.0 / (p.size - 1)
+        edge, node = p[:-1], p[1:-1]
+        derived = {
+            "mesh": h, "inv_mesh": 1.0 / h,
+            "inv_mesh_sq": 1.0 / (h * h), "root_mesh": math.sqrt(h),
+            "edge_p_minus_2": edge - 2.0, "edge_inv_p": 1.0 / edge,
+            "edge_p_minus_1": edge - 1.0, "node_p_minus_2": node - 2.0,
+            "node_inv_p": 1.0 / node, "node_p_minus_1": node - 1.0,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def interior_nodes(self) -> int:
         return self.exponents.size - 2
-
-    @property
-    def mesh(self) -> float:
-        return 1.0 / (self.interior_nodes + 1)
 
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.interior_nodes + 2)
@@ -82,25 +99,30 @@ class VariableExponentPotential:
             raise MonotoneError("coefficient field has wrong shape")
         return d
 
-    def check_coefficient_on_grid(self, times: np.ndarray,
-                                  beta_floor: float = 0.0) -> float:
+    def coefficient_table(self, times: np.ndarray) -> np.ndarray:
+        """The coefficient field at every time, one (J + 2,) row each.
+
+        Raises MonotoneError unless the table is positive and nonincreasing
+        in time (up to 1e-12) from each row to the next.
+        """
+        times = np.asarray(times, dtype=float)
+        table = np.empty((times.size, self.exponents.size))
+        for k, t in enumerate(times.tolist()):
+            table[k] = self.coefficient_at(t)
+        low = table.min()
+        if not low > 0.0:  # NaN included
+            raise MonotoneError(
+                f"coefficient must stay positive, found {low:.3e}")
+        if np.any(table[1:] > table[:-1] + 1e-12):
+            raise MonotoneError("coefficient must be nonincreasing in time")
+        return table
+
+    def check_coefficient_on_grid(self, times: np.ndarray) -> float:
         """Validate positivity and time-monotonicity on the given grid.
 
         Returns the observed lower bound of the coefficient.
         """
-        prev = None
-        low = math.inf
-        for t in np.asarray(times, dtype=float):
-            d = self.coefficient_at(float(t))
-            low = min(low, float(d.min()))
-            if low <= beta_floor:
-                raise MonotoneError(
-                    f"coefficient must stay positive, found {low:.3e}")
-            if prev is not None and np.any(d > prev + 1e-12):
-                raise MonotoneError(
-                    "coefficient must be nonincreasing in time")
-            prev = d
-        return low
+        return float(self.coefficient_table(times).min())
 
 
 def exponent_profile(j: int, spec) -> np.ndarray:
@@ -151,51 +173,60 @@ def make_potential(j: int, p_spec=("constant", 3.0),
 class _EnergyKernel:
     """The energy's terms at one state and one coefficient field.
 
-    Forward differences over the closed grid (boundary values zero) and
-    the powers |g|^(p-2) and |v|^(p-2) are formed once; the energy value,
-    the mesh-weighted gradient and the tridiagonal Hessian all derive from
-    them, each only when asked for.
+    `d` is the coefficient on the J + 1 difference edges, d[:-1] of the
+    closed-grid field. Forward differences over the closed grid (boundary
+    values zero), the powers |g|^(p-2) and |v|^(p-2) and the flux
+    d |g|^(p-2) g are formed once; the energy value, the mesh-weighted
+    gradient and the tridiagonal Hessian all derive from them, each only
+    when asked for, with every reduction taken as a dot product.
     """
 
-    __slots__ = ("pot", "d", "v", "g", "g_pow", "v_pow")
+    __slots__ = ("pot", "d", "v", "g", "g_pow", "v_pow", "flux")
 
     def __init__(self, pot: VariableExponentPotential, d: np.ndarray,
                  v: np.ndarray):
-        p = pot.exponents
-        full = np.zeros(p.size)
+        full = np.zeros(v.size + 2)
         full[1:-1] = v
+        g = full[1:] - full[:-1]
+        g *= pot.inv_mesh
         self.pot = pot
         self.d = d
         self.v = v
-        self.g = np.diff(full) / pot.mesh
-        self.g_pow = np.abs(self.g) ** (p[:-1] - 2.0)
-        self.v_pow = np.abs(v) ** (p[1:-1] - 2.0)
+        self.g = g
+        self.g_pow = np.abs(g) ** pot.edge_p_minus_2
+        self.v_pow = np.abs(v) ** pot.node_p_minus_2
+        self.flux = d * self.g_pow * g
 
     def value(self) -> float:
-        p = self.pot.exponents
-        grad_term = np.sum(self.d[:-1] / p[:-1] * self.g_pow * self.g ** 2)
-        value_term = np.sum(self.v_pow * self.v ** 2 / p[1:-1])
-        return float(self.pot.mesh * (grad_term + value_term))
+        pot = self.pot
+        grad_term = self.flux @ (pot.edge_inv_p * self.g)
+        value_term = (self.v_pow * self.v) @ (pot.node_inv_p * self.v)
+        return pot.mesh * float(grad_term + value_term)
 
     def gradient(self) -> np.ndarray:
         """-div of the flux plus the zeroth-order term."""
-        flux = self.d[:-1] * self.g_pow * self.g
-        return (flux[:-1] - flux[1:]) / self.pot.mesh + self.v_pow * self.v
+        flux = self.flux
+        return (flux[:-1] - flux[1:]) * self.pot.inv_mesh \
+            + self.v_pow * self.v
 
     def hessian(self):
         """(diag, off) of the Hessian in the mesh-weighted metric."""
-        p = self.pot.exponents
-        h2 = self.pot.mesh ** 2
-        kappa = self.d[:-1] * (p[:-1] - 1.0) * self.g_pow
-        diag = (kappa[:-1] + kappa[1:]) / h2 + (p[1:-1] - 1.0) * self.v_pow
-        return diag, -kappa[1:-1] / h2
+        pot = self.pot
+        kappa = (self.d * pot.edge_p_minus_1 * self.g_pow) * pot.inv_mesh_sq
+        diag = kappa[:-1] + kappa[1:] + pot.node_p_minus_1 * self.v_pow
+        return diag, -kappa[1:-1]
+
+
+def _state(pot: VariableExponentPotential, v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (pot.interior_nodes,):
+        raise MonotoneError("state has wrong number of interior nodes")
+    return v
 
 
 def energy(pot: VariableExponentPotential, t: float, v: np.ndarray) -> float:
-    v = np.asarray(v, dtype=float)
-    if v.size != pot.interior_nodes:
-        raise MonotoneError("state has wrong number of interior nodes")
-    return _EnergyKernel(pot, pot.coefficient_at(t), v).value()
+    d = pot.coefficient_at(t)
+    return _EnergyKernel(pot, d[:-1], _state(pot, v)).value()
 
 
 def subgradient(pot: VariableExponentPotential, t: float,
@@ -203,8 +234,8 @@ def subgradient(pot: VariableExponentPotential, t: float,
     """Exact mesh-weighted gradient of the energy: -div of the flux plus
     the zeroth-order term. Coincides with the tridiagonal -Delta_h + I in
     the p = 2 cross-check mode."""
-    v = np.asarray(v, dtype=float)
-    return _EnergyKernel(pot, pot.coefficient_at(t), v).gradient()
+    d = pot.coefficient_at(t)
+    return _EnergyKernel(pot, d[:-1], _state(pot, v)).gradient()
 
 
 def _thomas_solve(diag: np.ndarray, off: np.ndarray,
@@ -248,10 +279,12 @@ def monotonicity_probe(pot: VariableExponentPotential, t: float,
 # proximal step and flow
 
 
-def prox_step(pot: VariableExponentPotential, t_next: float,
+def prox_step(pot: VariableExponentPotential, d: np.ndarray,
               v_prev: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
-    """Minimizer of energy(t_next, w) + ||w - v_prev - tau g||^2 / (2 tau).
+    """Minimizer of energy(w) + ||w - v_prev - tau g||^2 / (2 tau).
 
+    The energy takes the closed-grid coefficient field `d` of the step's
+    time, `pot.coefficient_at(t_next)` or a row of `coefficient_table`.
     Damped Newton on the tridiagonal Hessian from w = v_prev + tau g, with
     Armijo backtracking on the prox objective; returns with mesh-weighted
     gradient residual below PROX_RESIDUAL_TOL * (1 + ||v_prev||) and raises
@@ -259,38 +292,42 @@ def prox_step(pot: VariableExponentPotential, t_next: float,
     """
     if tau <= 0.0:
         raise MonotoneError("step size must be positive")
-    v_prev = np.asarray(v_prev, dtype=float)
-    g = np.asarray(g, dtype=float)
+    v_prev = _state(pot, v_prev)
+    g = _state(pot, g)
+    d = np.asarray(d, dtype=float)
+    if d.shape != pot.exponents.shape:
+        raise MonotoneError("coefficient field has wrong shape")
+    d = d[:-1]
     h = pot.mesh
-    root_h = math.sqrt(h)
-    d = pot.coefficient_at(t_next)
+    root_h = pot.root_mesh
+    inv_tau = 1.0 / tau
     z = v_prev + tau * g
-    target = PROX_RESIDUAL_TOL * (1.0 + root_h * float(np.linalg.norm(v_prev)))
+    target = PROX_RESIDUAL_TOL * (1.0 + root_h * math.sqrt(v_prev @ v_prev))
     w = z
     kernel = _EnergyKernel(pot, d, w)
     r = kernel.gradient()  # the proximal term vanishes at z
-    res = root_h * float(np.linalg.norm(r))
+    res = root_h * math.sqrt(r @ r)
     if res <= target:
         return w
     f_cur = kernel.value()
     for _ in range(PROX_NEWTON_ITERS):
         diag, off = kernel.hessian()
-        delta = _thomas_solve(diag + 1.0 / tau, off, -r)
-        slope = h * float(np.dot(r, delta))  # mesh-weighted, negative
+        delta = _thomas_solve(diag + inv_tau, off, -r)
+        slope = h * float(r @ delta)  # mesh-weighted, negative
         alpha = 1.0
         for _ in range(50):
             w_new = w + alpha * delta
             kernel = _EnergyKernel(pot, d, w_new)
-            f_new = kernel.value() \
-                + h * float(np.sum((w_new - z) ** 2)) / (2.0 * tau)
+            shift = w_new - z
+            f_new = kernel.value() + h * float(shift @ shift) * 0.5 * inv_tau
             # Armijo decrease, up to the rounding of the objective
             if f_new <= f_cur + 1e-4 * alpha * slope \
                     + 1e-12 * (1.0 + abs(f_cur)):
                 break
             alpha *= 0.5
         w, f_cur = w_new, f_new
-        r = kernel.gradient() + (w - z) / tau
-        res = root_h * float(np.linalg.norm(r))
+        r = kernel.gradient() + shift * inv_tau
+        res = root_h * math.sqrt(r @ r)
         if res <= target:
             return w
     raise ProxDidNotConverge(res)
@@ -301,20 +338,20 @@ def solve_monotone_ivp(pot: VariableExponentPotential, v0: np.ndarray,
     """Proximal implicit Euler flow driven by node-sampled forcing.
 
     The forcing value on [t_k, t_{k+1}) is the node value at t_k; the
-    potential is evaluated at the step's right endpoint. Coefficient
-    positivity and time-monotonicity are validated on the grid first.
+    potential is evaluated at the step's right endpoint. The coefficient
+    field is evaluated once per node into a table, validated for positivity
+    and time-monotonicity first, and step k takes row k + 1.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.size != pot.interior_nodes or forcing.dim != pot.interior_nodes:
         raise MonotoneError("state dimension mismatch")
-    times = forcing.times()
-    pot.check_coefficient_on_grid(times)
+    table = pot.coefficient_table(forcing.times())
     tau = forcing.dt
     out = np.empty((forcing.num_nodes, pot.interior_nodes))
     out[0] = v0
-    v = v0.copy()
+    v = out[0]
     for k in range(forcing.num_nodes - 1):
-        v = prox_step(pot, float(times[k + 1]), v, forcing.values[k], tau)
+        v = prox_step(pot, table[k + 1], v, forcing.values[k], tau)
         out[k + 1] = v
     return TimePath(forcing.t0, forcing.t1, out, pot.mesh)
 
@@ -322,9 +359,9 @@ def solve_monotone_ivp(pot: VariableExponentPotential, v0: np.ndarray,
 def prox_nonexpansive_gap(pot: VariableExponentPotential, t: float,
                           tau: float, x: np.ndarray, y: np.ndarray) -> float:
     """||prox(x) - prox(y)|| - ||x - y|| in the mesh norm (<= 0 expected)."""
+    d = pot.coefficient_at(t)
     zero = np.zeros_like(x)
-    px = prox_step(pot, t, np.asarray(x, dtype=float), zero, tau)
-    py = prox_step(pot, t, np.asarray(y, dtype=float), zero, tau)
-    h = pot.mesh
-    return math.sqrt(h) * (float(np.linalg.norm(px - py))
-                           - float(np.linalg.norm(np.asarray(x) - np.asarray(y))))
+    px = prox_step(pot, d, x, zero, tau)
+    py = prox_step(pot, d, y, zero, tau)
+    return pot.root_mesh * (float(np.linalg.norm(px - py))
+                            - float(np.linalg.norm(np.asarray(x) - np.asarray(y))))

@@ -9,6 +9,7 @@ piecewise-linear integrands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +56,19 @@ class TimePath:
 
     def same_grid(self, other: "TimePath") -> bool:
         return (self.num_nodes == other.num_nodes
-                and np.isclose(self.t0, other.t0)
-                and np.isclose(self.t1, other.t1))
+                and _isclose(self.t0, other.t0)
+                and _isclose(self.t1, other.t1))
 
     def with_values(self, values: np.ndarray) -> "TimePath":
         return TimePath(self.t0, self.t1, values, self.weight)
+
+
+def _isclose(a: float, b: float) -> bool:
+    """np.isclose(a, b) with its defaults rtol = 1e-5 and atol = 1e-8, on
+    plain floats: equal values, or finite ones within the tolerance."""
+    if a == b:
+        return True
+    return math.isfinite(b) and abs(a - b) <= 1e-8 + 1e-5 * abs(b)
 
 
 def path_l2_norm(path: TimePath) -> float:

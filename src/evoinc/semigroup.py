@@ -126,12 +126,12 @@ def duhamel_solve(gen: SpectralGenerator, u0: np.ndarray,
 
     The forcing value on [t_k, t_{k+1}) is the node value at t_k. Each mode
     advances by one multiply-add, z_{k+1} = exp(tau s) z_k + gain f_k, with
-    the exact forcing integral gain = (exp(tau s) - 1) / s, taken as its
-    series limit tau where |tau s| < 1e-8.
+    the exact forcing integral gain = expm1(tau s) / s (s is never zero,
+    and expm1 keeps the gain accurate to rounding however small tau s is).
     """
     s = gen.symbol()
     ts = forcing.dt * s
-    gain = np.where(np.abs(ts) < 1e-8, forcing.dt, np.expm1(ts) / s)
+    gain = np.expm1(ts) / s
     return _advance(gen, u0, forcing, np.exp(ts), gain)
 
 

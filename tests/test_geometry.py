@@ -231,6 +231,21 @@ def test_hull_projector_batch_rows_and_warm_start_agree(dim):
         assert np.all(gaps <= bound)
 
 
+def test_hull_projector_certifies_far_hulls():
+    # vertices near 100, queries near 0: <x - p, v - p> is rounded at about
+    # eps ||x - p|| ||v - p||, above tol (1 + ||x||) without the reach factor
+    for i in range(80):
+        rng = np.random.default_rng([97, i])
+        vertices = 100.0 + 10.0 * rng.normal(size=(20, 8, 3))
+        x = 0.01 * rng.normal(size=(20, 3))
+        p, gaps = geo.HullProjector(vertices).project(x)
+        check, _ = _certificate(vertices, x, p)
+        reach = np.linalg.norm(vertices - x[:, None, :], axis=2).max(axis=1)
+        bound = 1e-12 * (1.0 + np.linalg.norm(x, axis=1)) \
+            * np.maximum(reach, 1.0)
+        assert np.all(gaps <= bound) and np.all(check <= bound)
+
+
 # ---------------------------------------------------------------------------
 # intersection projection
 

@@ -37,6 +37,10 @@ def test_coefficient_positivity_checked_on_grid():
         pot.check_coefficient_on_grid(np.array([0.0, 1.0, 2.5]))
     assert pot.check_coefficient_on_grid(np.array([0.0, 0.5, 1.0])) \
         == pytest.approx(1.0)
+    undefined = mono.VariableExponentPotential(
+        np.full(9, 3.0), lambda t: np.full(9, math.nan))
+    with pytest.raises(mono.MonotoneError, match="positive"):
+        undefined.check_coefficient_on_grid(np.array([0.0, 1.0]))
 
 
 def test_coefficient_monotonicity_checked():
@@ -44,6 +48,22 @@ def test_coefficient_monotonicity_checked():
         np.full(9, 3.0), lambda t: np.full(9, 1.0 + t))
     with pytest.raises(mono.MonotoneError):
         pot.check_coefficient_on_grid(np.array([0.0, 1.0]))
+    with pytest.raises(mono.MonotoneError, match="nonincreasing"):
+        mono.solve_monotone_ivp(pot, np.zeros(7),
+                                zero_path(0.0, 1.0, 17, 7, pot.mesh))
+
+
+def test_flow_evaluates_coefficient_once_per_node():
+    times = []
+
+    def coefficient(t):
+        times.append(t)
+        return np.full(9, 2.0 - t)
+
+    pot = mono.VariableExponentPotential(np.full(9, 3.0), coefficient)
+    forcing = zero_path(0.0, 1.0, 33, 7, pot.mesh)
+    mono.solve_monotone_ivp(pot, np.linspace(-1.0, 1.0, 7), forcing)
+    assert times == forcing.times().tolist()
 
 
 def test_potential_time_monotone_for_decaying_coefficient(rng):
@@ -117,7 +137,8 @@ def test_hessian_matches_finite_differences_of_gradient(rng):
     for _ in range(10):
         v = rng.normal(size=15)
         t = float(rng.uniform(0.0, 1.0))
-        diag, off = mono._EnergyKernel(pot, pot.coefficient_at(t), v).hessian()
+        diag, off = mono._EnergyKernel(pot, pot.coefficient_at(t)[:-1],
+                                        v).hessian()
         hess = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         eps = 1e-6
         fd = np.empty((15, 15))
@@ -128,6 +149,34 @@ def test_hessian_matches_finite_differences_of_gradient(rng):
             fd[:, j] = (mono.subgradient(pot, t, vp)
                         - mono.subgradient(pot, t, vm)) / (2.0 * eps)
         assert np.abs(hess - fd).max() <= 1e-5 * (1.0 + np.abs(hess).max())
+
+
+@pytest.mark.parametrize("p_spec", [("constant", 3.0), ("ramp", 2.2, 4.0),
+                                    ("bump", 2.5, 1.5)])
+def test_energy_kernel_matches_naive_formulas(p_spec):
+    pot = mono.make_potential(15, p_spec, ("separable", 2.0, 0.3))
+    p = pot.exponents
+    h = 1.0 / 16.0
+    for i in range(10):
+        rng = np.random.default_rng([53, i])
+        v = rng.normal(size=15)
+        d = pot.coefficient_at(float(rng.uniform()))
+        g = np.diff(np.concatenate([[0.0], v, [0.0]])) / h
+        g_pow = np.abs(g) ** (p[:-1] - 2.0)
+        v_pow = np.abs(v) ** (p[1:-1] - 2.0)
+        value = h * (np.sum(d[:-1] / p[:-1] * g_pow * g ** 2)
+                     + np.sum(v_pow * v ** 2 / p[1:-1]))
+        flux = d[:-1] * g_pow * g
+        grad = (flux[:-1] - flux[1:]) / h + v_pow * v
+        kappa = d[:-1] * (p[:-1] - 1.0) * g_pow
+        diag = (kappa[:-1] + kappa[1:]) / h ** 2 + (p[1:-1] - 1.0) * v_pow
+        off = -kappa[1:-1] / h ** 2
+
+        kernel = mono._EnergyKernel(pot, d[:-1], v)
+        assert abs(kernel.value() - value) <= 1e-13 * abs(value)
+        for got, want in zip((kernel.gradient(), *kernel.hessian()),
+                             (grad, diag, off)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 63])
@@ -152,7 +201,8 @@ def test_thomas_solve_matches_dense_solve(n):
 
 def test_prox_step_stationary_zero():
     pot = mono.make_potential(9, ("constant", 3.0))
-    out = mono.prox_step(pot, 0.1, np.zeros(9), np.zeros(9), 0.05)
+    out = mono.prox_step(pot, pot.coefficient_at(0.1), np.zeros(9),
+                         np.zeros(9), 0.05)
     assert np.linalg.norm(out) <= 1e-10
 
 
@@ -163,7 +213,7 @@ def test_prox_step_linear_closed_form(rng, monkeypatch):
     tau = 0.01
     v_prev = rng.normal(size=5)
     g = rng.normal(size=5)
-    out = mono.prox_step(pot, 0.0, v_prev, g, tau)
+    out = mono.prox_step(pot, pot.coefficient_at(0.0), v_prev, g, tau)
     oracle = np.linalg.solve(_tridiagonal(5, pot.mesh, tau), v_prev + tau * g)
     assert np.abs(out - oracle).max() <= 1e-10
 
@@ -173,7 +223,7 @@ def test_prox_step_cubic_against_coordinate_search():
     v_prev = np.array([0.4, -0.2, 0.7])
     g = np.array([0.1, 0.0, -0.3])
     tau = 0.05
-    out = mono.prox_step(pot, 0.1, v_prev, g, tau)
+    out = mono.prox_step(pot, pot.coefficient_at(0.1), v_prev, g, tau)
 
     z = v_prev + tau * g
     h = pot.mesh
@@ -225,14 +275,31 @@ def test_prox_step_reports_exhausted_newton_budget(monkeypatch):
     pot = mono.make_potential(9, ("constant", 3.0))
     v_prev = np.linspace(-1.0, 1.0, 9)
     with pytest.raises(mono.ProxDidNotConverge) as err:
-        mono.prox_step(pot, 0.1, v_prev, np.zeros(9), 0.05)
+        mono.prox_step(pot, pot.coefficient_at(0.1), v_prev, np.zeros(9),
+                       0.05)
     assert math.isfinite(err.value.residual) and err.value.residual > 0.0
+
+
+def test_subgradient_rejects_wrong_state_size():
+    pot = mono.make_potential(9, ("constant", 3.0))
+    with pytest.raises(mono.MonotoneError):
+        mono.subgradient(pot, 0.0, np.zeros(8))
+
+
+def test_prox_step_rejects_wrong_state_size():
+    pot = mono.make_potential(9, ("constant", 3.0))
+    d = pot.coefficient_at(0.0)
+    with pytest.raises(mono.MonotoneError):
+        mono.prox_step(pot, d, np.zeros(10), np.zeros(9), 0.05)
+    with pytest.raises(mono.MonotoneError):
+        mono.prox_step(pot, d, np.zeros(9), np.zeros(8), 0.05)
 
 
 def test_prox_step_rejects_nonpositive_tau():
     pot = mono.make_potential(3, ("constant", 3.0))
     with pytest.raises(mono.MonotoneError):
-        mono.prox_step(pot, 0.0, np.zeros(3), np.zeros(3), 0.0)
+        mono.prox_step(pot, pot.coefficient_at(0.0), np.zeros(3),
+                       np.zeros(3), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,16 @@ def test_duhamel_stationary_balance():
     assert out.values[-1, 1] == pytest.approx(0.25, abs=1e-10)
 
 
+def test_duhamel_gain_exact_for_tiny_steps():
+    # one step of unit forcing from rest is the gain expm1(tau s) / s; for
+    # mode 1 of heat, tau s = -x and the gain is tau (1 - x/2 + x^2/6 - ...)
+    gen = sg.SpectralGenerator("heat", 1)
+    dt = 9e-9
+    out = sg.duhamel_solve(gen, np.zeros(1), TimePath(0.0, dt, np.ones((2, 1))))
+    exact = dt * (1.0 - dt / 2.0 + dt * dt / 6.0)
+    assert abs(out.values[1, 0] - exact) <= 1e-15 * exact
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_duhamel_against_rk4_oracle(kind):
     gen = sg.SpectralGenerator(kind, 12)

@@ -10,6 +10,7 @@ from evoinc import rhs
 from evoinc import selection as sel
 from evoinc import semigroup as sg
 from evoinc import solver as sv
+from evoinc.config import build_experiment, load_config, preset_path
 from evoinc.paths import (TimePath, constant_path, path_distance,
                           trapezoid_l2, zero_path)
 
@@ -272,6 +273,20 @@ def test_global_zero_maps_reproduce_decoupled_flows(heat_setup):
         pot, v0, zero_path(0.0, 1.0, 129, 15, pot.mesh))
     assert np.abs(run.windows[-1].v.values[-1] - v_flow.values[-1]).max() \
         <= 1e-10
+
+
+@pytest.mark.parametrize("name, iterations", [
+    ("heat_debye", [2, 1]),
+    ("schrodinger_debye", [9, 9]),
+    ("feedback_growth", [20, 22, 22, 22, 23, 24, 23, 21]),
+])
+def test_bundled_presets_relaxed_iterations(name, iterations):
+    exp = build_experiment(load_config(preset_path(name)))
+    run = sv.solve_global(exp.generator, exp.potential, exp.u0, exp.v0,
+                          exp.rhs_f, exp.rhs_g, exp.config.horizon,
+                          exp.settings)
+    assert run.converged
+    assert [w.report.iterations for w in run.windows] == iterations
 
 
 def test_global_growth_run_window_count(heat_setup):
