@@ -7,11 +7,12 @@ intersected with a hull H is P_H of the query moved towards the ball's
 center by one Lagrange multiplier per row, found by a bracketed root search;
 its KKT certificate is the hull certificate at the moved query plus the
 ball constraint holding with equality whenever the multiplier is positive.
-Hausdorff distances are exact when the source is a polytope and bracketed
-otherwise; a bracket's slack is proven only for d <= 2, so sampled brackets
-refuse d >= 3. The interior witness of the Slater check is verified
-exactly: against a ball in closed form, against a polytope by the depth of
-the witness over the hyperplanes of the hull's facets.
+Hausdorff distances are exact and taken only between polytopes; the one
+sampled bracket, with a slack proven only for d <= 2, lives inside the
+intersection-continuity probe, which refuses d >= 3. The interior witness
+of the Slater check is verified exactly: against a ball in closed form,
+against a polytope by the depth of the witness over the hyperplanes of the
+hull's facets.
 
 Everything is vectorized over batches of query points; the public
 single-point entry points are thin wrappers around the batch kernels.
@@ -121,17 +122,6 @@ class BallCapPolytope:
 
 
 ConvexBody = Ball | Polytope | BallCapPolytope
-
-
-@dataclass(frozen=True)
-class HausdorffBracket:
-    lower: float
-    upper: float
-    resolution: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper + 1e-15):
-            raise GeometryError("bracket must satisfy 0 <= lower <= upper")
 
 
 @dataclass(frozen=True)
@@ -347,17 +337,9 @@ def _polytope_stack(poly: Polytope, m: int) -> np.ndarray:
     return np.broadcast_to(poly.vertices, (m,) + poly.vertices.shape)
 
 
-def _distance_rows(x: np.ndarray, body: ConvexBody,
-                   tol: float = PROJECTION_TOL) -> np.ndarray:
+def _distance_rows(x: np.ndarray, body: ConvexBody) -> np.ndarray:
     """Row-wise Euclidean distance to a body."""
     x = _rows(x)
-    if isinstance(body, Ball):
-        d = np.linalg.norm(x - body.center, axis=1) - body.radius
-        return np.maximum(d, 0.0)
-    if isinstance(body, Polytope):
-        proj = HullProjector(_polytope_stack(body, x.shape[0]))
-        p, _ = proj.project(x, tol=tol)
-        return np.linalg.norm(x - p, axis=1)
     return np.linalg.norm(x - _project_rows(x, body), axis=1)
 
 
@@ -460,22 +442,21 @@ def project_polytope(x, poly: Polytope, tol: float = PROJECTION_TOL,
 class IntersectionProjection:
     point: np.ndarray
     ball_residual: float
-    polytope_residual: float
 
 
 def project_intersection(x, body: BallCapPolytope) -> IntersectionProjection:
     """KKT-certified projection onto ball cap polytope (see `_project_cap`).
 
-    The point is a convex combination of the vertices, so its polytope
-    residual is zero; the ball residual is nonzero only for a pair whose
-    hull lies within FEASIBILITY_TOL outside the ball.
+    The point is a convex combination of the vertices, so it lies in the
+    polytope by construction; the ball residual is nonzero only for a pair
+    whose hull lies within FEASIBILITY_TOL outside the ball.
     """
     x = np.asarray(x, dtype=float)
     if x.size != body.dim:
         raise DimensionMismatch("point and body dimensions differ")
     p = _project_rows(x[None, :], body)[0]
     gap = float(np.linalg.norm(p - body.ball.center)) - body.ball.radius
-    return IntersectionProjection(p, max(gap, 0.0), 0.0)
+    return IntersectionProjection(p, max(gap, 0.0))
 
 
 def distance_to(x, body: ConvexBody) -> float:
@@ -520,23 +501,17 @@ def _pair_hausdorff(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
 # diameters
 
 
-def diameter_upper(body: ConvexBody) -> float:
-    """Diameter; exact for balls and polytopes, an upper bound for caps."""
+def diameter_upper(body: Ball | Polytope) -> float:
+    """Diameter of a ball or a polytope, exact."""
     if isinstance(body, Ball):
         return 2.0 * body.radius
-    if isinstance(body, Polytope):
-        v = body.vertices
-        diff = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(-1)).max())
-    return min(diameter_upper(body.ball), diameter_upper(body.polytope))
+    v = body.vertices
+    diff = v[:, None, :] - v[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(-1)).max())
 
 
-def _cross_sup(a: ConvexBody, b: ConvexBody) -> float:
-    """sup over a x b of the pair distance (upper bound for caps)."""
-    if isinstance(a, BallCapPolytope):
-        return min(_cross_sup(a.ball, b), _cross_sup(a.polytope, b))
-    if isinstance(b, BallCapPolytope):
-        return _cross_sup(b, a)
+def _cross_sup(a: Ball | Polytope, b: Ball | Polytope) -> float:
+    """sup over a x b of the pair distance."""
     if isinstance(a, Ball) and isinstance(b, Ball):
         return float(np.linalg.norm(a.center - b.center)) + a.radius + b.radius
     if isinstance(a, Ball):
@@ -547,12 +522,25 @@ def _cross_sup(a: ConvexBody, b: ConvexBody) -> float:
     return float(np.sqrt((diff ** 2).sum(-1)).max())
 
 
-def union_diameter_upper(a: ConvexBody, b: ConvexBody) -> float:
+def union_diameter_upper(a: Ball | Polytope, b: Ball | Polytope) -> float:
     return max(diameter_upper(a), diameter_upper(b), _cross_sup(a, b))
 
 
 # ---------------------------------------------------------------------------
 # Hausdorff distances
+
+
+def hausdorff_distance(a: Polytope, b: Polytope) -> float:
+    """Exact Hausdorff distance between two vertex hulls.
+
+    The sup of the convex distance function over a hull is attained at a
+    vertex (see `_pair_hausdorff`). Any other body raises `GeometryError`.
+    """
+    if not (isinstance(a, Polytope) and isinstance(b, Polytope)):
+        raise GeometryError("Hausdorff distances are taken between polytopes")
+    if a.dim != b.dim:
+        raise DimensionMismatch("bodies must share dimension")
+    return float(_pair_hausdorff(a.vertices[None], b.vertices[None])[0])
 
 
 def _boundary_cloud(ball: Ball, vertices: np.ndarray, resolution: int):
@@ -564,8 +552,7 @@ def _boundary_cloud(ball: Ball, vertices: np.ndarray, resolution: int):
     d <= 2; d >= 3 raises `GeometryError`.
     """
     if ball.dim >= 3:
-        raise GeometryError("sampled brackets are certified only for d <= 2; "
-                            "use a polytope source in 3-D and up")
+        raise GeometryError("sampled brackets are certified only for d <= 2")
     if resolution < 1:
         raise GeometryError("resolution must be >= 1")
     if ball.dim == 1:
@@ -577,47 +564,6 @@ def _boundary_cloud(ball: Ball, vertices: np.ndarray, resolution: int):
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     cloud = np.vstack([ball.center + ball.radius * dirs, vertices])
     return cloud, 2.0 * np.pi * ball.radius / resolution
-
-
-def _source_sample(body: Ball | BallCapPolytope, resolution: int):
-    """(sample points inside the body, Lipschitz slack for the sup)."""
-    if isinstance(body, Ball):
-        return _boundary_cloud(body, np.empty((0, body.dim)), resolution)
-    cloud, slack = _boundary_cloud(body.ball, body.polytope.vertices,
-                                   resolution)
-    return _project_rows(cloud, body), slack
-
-
-def directed_hausdorff(source: ConvexBody, target: ConvexBody,
-                       resolution: int = 256) -> HausdorffBracket:
-    """Bracket on sup_{a in source} dist(a, target).
-
-    Exact when the source is a polytope (the sup of the convex distance
-    function over a hull is attained at a vertex) and for ball-to-ball;
-    otherwise a deterministic boundary sample plus Lipschitz slack, which
-    raises `GeometryError` for d >= 3 (see `_boundary_cloud`).
-    """
-    if source.dim != target.dim:
-        raise DimensionMismatch("bodies must share dimension")
-    if isinstance(source, Polytope):
-        val = float(_distance_rows(source.vertices, target).max())
-        return HausdorffBracket(val, val, resolution)
-    if isinstance(source, Ball) and isinstance(target, Ball):
-        delta = float(np.linalg.norm(source.center - target.center))
-        val = max(0.0, delta + source.radius - target.radius)
-        return HausdorffBracket(val, val, resolution)
-    pts, slack = _source_sample(source, resolution)
-    lower = float(_distance_rows(pts, target).max())
-    return HausdorffBracket(lower, lower + slack, resolution)
-
-
-def hausdorff_distance(a: ConvexBody, b: ConvexBody,
-                       resolution: int = 256) -> HausdorffBracket:
-    """Symmetric Hausdorff bracket: max of the two directed brackets."""
-    ab = directed_hausdorff(a, b, resolution)
-    ba = directed_hausdorff(b, a, resolution)
-    return HausdorffBracket(max(ab.lower, ba.lower),
-                            max(ab.upper, ba.upper), resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -680,13 +626,17 @@ def _verify_inner_ball(x0: np.ndarray, rho: float, body: Ball | Polytope,
     return bool(depth.size > 0 and rho <= depth.min() + tol)
 
 
-def slater_intersection_check(x, a_body: ConvexBody, b_body: ConvexBody,
-                              x0, rho: float, slack: float = 1e-8) -> BoundCheck:
+def slater_intersection_check(x, a_body: Ball | Polytope,
+                              b_body: Ball | Polytope, x0, rho: float,
+                              slack: float = 1e-8) -> BoundCheck:
     """dist(x, A cap B) against (1 + diam(A u B)/rho)(dist(x,A) + dist(x,B)).
 
     Requires a verified interior witness: x0 in A cap B with B[x0, rho]
     inside B, checked exactly (see `_verify_inner_ball`). Verification
-    failures raise SlaterViolation.
+    failures raise SlaterViolation. The witness makes A cap B nonempty, so
+    the projection onto it is one `_project_cap` call: the ball of the pair
+    (A when both are balls) caps the other body, which is projected in
+    closed form if it is a ball and by one `HullProjector` otherwise.
     """
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -700,14 +650,17 @@ def slater_intersection_check(x, a_body: ConvexBody, b_body: ConvexBody,
     if rho <= 0.0 or not _verify_inner_ball(x0, rho, b_body, tol=feas_tol):
         raise SlaterViolation("B[x0, rho] is not contained in the second body")
 
-    if isinstance(a_body, Ball) and isinstance(b_body, Polytope):
-        point = project_intersection(x, BallCapPolytope(a_body, b_body)).point
-    elif isinstance(b_body, Ball) and isinstance(a_body, Polytope):
-        point = project_intersection(x, BallCapPolytope(b_body, a_body)).point
+    ball, other = ((a_body, b_body) if isinstance(a_body, Ball)
+                   else (b_body, a_body))
+    if isinstance(other, Ball):
+        def project_other(q, rows):
+            return project_balls(q, other.center, other.radius)
     else:
-        point = _project_cap(
-            x[None, :], a_body,
-            lambda q, rows: project_balls(q, b_body.center, b_body.radius))[0]
+        hull = HullProjector(other.vertices[None])
+
+        def project_other(q, rows):
+            return hull.project(q, rows=rows)[0]
+    point = _project_cap(x[None, :], ball, project_other)[0]
     lhs = float(np.linalg.norm(x - point))
     d = union_diameter_upper(a_body, b_body)
     rhs = (1.0 + d / rho) * (distance_to(x, a_body) + distance_to(x, b_body))

@@ -117,13 +117,6 @@ class VariableExponentPotential:
             raise MonotoneError("coefficient must be nonincreasing in time")
         return table
 
-    def check_coefficient_on_grid(self, times: np.ndarray) -> float:
-        """Validate positivity and time-monotonicity on the given grid.
-
-        Returns the observed lower bound of the coefficient.
-        """
-        return float(self.coefficient_table(times).min())
-
 
 def exponent_profile(j: int, spec) -> np.ndarray:
     """Named exponent fields on the closed grid: constant, ramp, or bump."""

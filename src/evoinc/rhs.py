@@ -345,12 +345,11 @@ class BasisFamilyMap:
 
     # -- probes -------------------------------------------------------------
 
-    def hausdorff_modulus_probe(self, pairs, resolution: int = 64):
+    def hausdorff_modulus_probe(self, pairs):
         """[(input distance, Hausdorff distance of the two hulls)] per pair.
 
         Input distance is ||u - u'|| + ||v - v'|| in the weighted state
-        norms; hull distances are exact (polytope sources) and reported in
-        the target norm.
+        norms; hull distances are exact and reported in the target norm.
         """
         out = []
         sw_u = math.sqrt(self.u_weight)
@@ -359,9 +358,8 @@ class BasisFamilyMap:
         for (u, v), (u2, v2) in pairs:
             du = sw_u * float(np.linalg.norm(np.asarray(u) - np.asarray(u2)))
             dv = sw_v * float(np.linalg.norm(np.asarray(v) - np.asarray(v2)))
-            bracket = hausdorff_distance(self.evaluate(u, v),
-                                         self.evaluate(u2, v2), resolution)
-            out.append((du + dv, sw_t * bracket.upper))
+            hd = hausdorff_distance(self.evaluate(u, v), self.evaluate(u2, v2))
+            out.append((du + dv, sw_t * hd))
         return out
 
 

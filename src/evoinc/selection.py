@@ -45,10 +45,17 @@ class SelectionPath:
         return bool(np.all(self.residuals <= tol))
 
 
-def _image_vertices(family, u: TimePath, v: TimePath) -> np.ndarray:
+def _project_onto_images(family, u: TimePath, v: TimePath,
+                         anchor: TimePath) -> np.ndarray:
+    """Node-wise certified projections of the anchor onto the image hulls
+    along (u, v); all three paths must share one time grid."""
     if not u.same_grid(v):
         raise ValueError("state paths must share the time grid")
-    return family.vertex_array(u.values, v.values)
+    if not anchor.same_grid(u):
+        raise ValueError("anchor must share the state grid")
+    verts = family.vertex_array(u.values, v.values)
+    points, _ = HullProjector(verts).project(anchor.values)
+    return points
 
 
 def nearest_point_selection(family, u: TimePath, v: TimePath,
@@ -58,11 +65,7 @@ def nearest_point_selection(family, u: TimePath, v: TimePath,
     The returned values are exact convex combinations of the image
     vertices, so the membership residuals vanish by construction.
     """
-    verts = _image_vertices(family, u, v)
-    if not anchor.same_grid(u):
-        raise ValueError("anchor must share the state grid")
-    projector = HullProjector(verts)
-    points, _ = projector.project(anchor.values)
+    points = _project_onto_images(family, u, v, anchor)
     path = TimePath(u.t0, u.t1, points, family.target_weight)
     return SelectionPath(path, np.zeros(u.num_nodes))
 
@@ -77,9 +80,7 @@ def selection_residual(family, u: TimePath, v: TimePath,
 def node_distances(family, u: TimePath, v: TimePath,
                    f: TimePath) -> np.ndarray:
     """Node-wise distance of f to the image hulls, in the target norm."""
-    verts = _image_vertices(family, u, v)
-    projector = HullProjector(verts)
-    points, _ = projector.project(f.values)
+    points = _project_onto_images(family, u, v, f)
     w = math.sqrt(family.target_weight)
     return w * np.linalg.norm(f.values - points, axis=1)
 
@@ -97,12 +98,9 @@ def approximate_selection(family, u_new: TimePath, v: TimePath,
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    verts = _image_vertices(family, u_new, v)
+    hull_points = _project_onto_images(family, u_new, v, f.path)
     w = math.sqrt(family.target_weight)
-    anchors = f.values
-    projector = HullProjector(verts)
-    hull_points, _ = projector.project(anchors)
-    gaps = w * np.linalg.norm(anchors - hull_points, axis=1)
+    gaps = w * np.linalg.norm(f.values - hull_points, axis=1)
     if np.any(gaps > eps + tol):
         node = int(np.argmax(gaps))
         raise SelectionError(

@@ -34,10 +34,14 @@ class SolverError(ValueError):
 
 @dataclass(frozen=True)
 class WindowParams:
-    """Local-existence constants for one solve window."""
-    c_tilde: float       # propagator sup-norm bound on the window
+    """Local-existence constants for one solve window.
+
+    Every generator kind is a contraction semigroup (the
+    `isometry-contraction` check verifies it), so the propagator sup-norm
+    bound that scales the initial data is 1 throughout this module.
+    """
     beta: float          # bound of the initial-data set
-    m: float             # c_tilde * beta + 1
+    m: float             # beta + 1
     r: float             # image bound of the right-hand sides
     t_window: float      # admissible window length
     t_cap: float         # horizon cap the window was computed under
@@ -51,8 +55,7 @@ class WindowParams:
             raise SolverError("window length must lie in (0, t_cap]")
 
 
-def compute_window(c_tilde: float, b_bound: float, envelopes,
-                   t_max: float) -> WindowParams:
+def compute_window(b_bound: float, envelopes, t_max: float) -> WindowParams:
     """Self-consistent window length from the growth envelopes.
 
     The a-priori state radius rho = m - 1 + sqrt(T0) m and the image bound
@@ -61,12 +64,12 @@ def compute_window(c_tilde: float, b_bound: float, envelopes,
     an admissible pair (polished to 1e-12). Zero envelopes leave the window
     unconstrained at t_max.
     """
-    if min(c_tilde, b_bound, t_max) < 0.0 or t_max <= 0.0:
+    if min(b_bound, t_max) < 0.0 or t_max <= 0.0:
         raise SolverError("window inputs must be positive")
     envelopes = list(envelopes)
     if not envelopes:
         raise SolverError("need at least one growth envelope")
-    m = c_tilde * b_bound + 1.0
+    m = b_bound + 1.0
     t0 = t_max
 
     def image_bound(t_win: float) -> float:
@@ -86,7 +89,7 @@ def compute_window(c_tilde: float, b_bound: float, envelopes,
         raise SolverError("window fixed point did not settle")
     if r > 0.0 and t0 > (m / r) ** 2 + 1e-9:
         raise SolverError("window fixed point inadmissible")
-    return WindowParams(c_tilde, b_bound, m, r, t0, t_max)
+    return WindowParams(b_bound, m, r, t0, t_max)
 
 
 @dataclass(frozen=True)
@@ -267,7 +270,7 @@ def solve_global(gen: SpectralGenerator, pot: VariableExponentPotential,
             blowup = True
             break
         cap = min(settings.max_window, horizon - t_cur)
-        window = compute_window(1.0, beta, envelopes, cap)
+        window = compute_window(beta, envelopes, cap)
         sol = solve_window(gen, pot, u_cur, v_cur, f_map, g_map, window,
                            t_start=t_cur, num_nodes=settings.nodes_per_window,
                            theta=settings.theta, tol=settings.tol,
@@ -305,30 +308,27 @@ class GronwallReport:
 
 
 def gronwall_constants(a: float, b: float, c: float, u0_norm: float,
-                       v0_norm: float, t_end: float,
-                       c_tilde: float = 1.0) -> tuple:
+                       v0_norm: float, t_end: float) -> tuple:
     """(K, rho) of the exponential envelope K e^{rho t}.
 
     Aggregates the two state estimates: the monotone side contributes
     sqrt(2) ||v0|| + 2 c T plus twice the coupling integral, the propagator
-    side c_tilde ||u0|| + c_tilde c T plus c_tilde times the integral.
+    side (a contraction, see `WindowParams`) ||u0|| + c T plus the integral.
     """
-    k_const = c_tilde * u0_norm + math.sqrt(2.0) * v0_norm \
-        + (2.0 + c_tilde) * c * t_end
-    rho = (2.0 + c_tilde) * max(a, b)
+    k_const = u0_norm + math.sqrt(2.0) * v0_norm + 3.0 * c * t_end
+    rho = 3.0 * max(a, b)
     return k_const, rho
 
 
 def gronwall_check_windows(windows, a: float, b: float, c: float,
                            u0: np.ndarray, v0: np.ndarray, t_end: float,
-                           c_tilde: float = 1.0,
                            rho_override: float | None = None,
                            slack: float = 1e-6) -> GronwallReport:
     """Envelope check across a chain of window solutions."""
     u0_norm = float(np.linalg.norm(np.asarray(u0, dtype=float)))
     h_w = windows[0].v.weight
     v0_norm = math.sqrt(h_w) * float(np.linalg.norm(np.asarray(v0, dtype=float)))
-    k_const, rho = gronwall_constants(a, b, c, u0_norm, v0_norm, t_end, c_tilde)
+    k_const, rho = gronwall_constants(a, b, c, u0_norm, v0_norm, t_end)
     if rho_override is not None:
         rho = rho_override
     worst = math.inf
@@ -406,13 +406,13 @@ class YosidaStabilityReport:
 
 def yosida_stability_check(gen: SpectralGenerator, u0: np.ndarray,
                            forcing: TimePath, lambda_ladder,
-                           c_tilde: float = 1.0,
                            rel_slack: float = 1e-9) -> YosidaStabilityReport:
     """Resolvent-smoothed solves against the quadratic forcing estimate.
 
     For each ladder value, the squared path distance of the smoothed solve
-    must stay below (T0^2 c_tilde^2 / 2) times the squared forcing
-    distance, and both sides must vanish up the ladder.
+    must stay below (T0^2 / 2) times the squared forcing distance (the
+    propagator is a contraction, see `WindowParams`), and both sides must
+    vanish up the ladder.
     """
     t0_span = forcing.t1 - forcing.t0
     u = duhamel_solve(gen, u0, forcing)
@@ -421,8 +421,7 @@ def yosida_stability_check(gen: SpectralGenerator, u0: np.ndarray,
         f_lam = yosida_smooth(gen, lam, forcing)
         u_lam = duhamel_solve(gen, u0, f_lam)
         lhs.append(path_distance(u_lam, u) ** 2)
-        rhs.append(0.5 * (t0_span * c_tilde) ** 2
-                   * path_distance(f_lam, forcing) ** 2)
+        rhs.append(0.5 * t0_span ** 2 * path_distance(f_lam, forcing) ** 2)
     lhs_arr = np.array(lhs)
     rhs_arr = np.array(rhs)
     scale = rel_slack * (1.0 + rhs_arr)

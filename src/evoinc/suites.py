@@ -100,13 +100,13 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
         b = _random_polytope(rng, dim, 2.0)
         c = _random_polytope(rng, dim, 2.0)
         shift = rng.normal(size=dim)
-        d_ab = geo.hausdorff_distance(a, b).upper
-        d_ba = geo.hausdorff_distance(b, a).upper
-        d_self = geo.hausdorff_distance(a, a).upper
+        d_ab = geo.hausdorff_distance(a, b)
+        d_ba = geo.hausdorff_distance(b, a)
+        d_self = geo.hausdorff_distance(a, a)
         d_shift = geo.hausdorff_distance(
-            geo.Polytope(a.vertices + shift), geo.Polytope(b.vertices + shift)).upper
-        d_ac = geo.hausdorff_distance(a, c).upper
-        d_cb = geo.hausdorff_distance(c, b).upper
+            geo.Polytope(a.vertices + shift), geo.Polytope(b.vertices + shift))
+        d_ac = geo.hausdorff_distance(a, c)
+        d_cb = geo.hausdorff_distance(c, b)
         margins.append(1e-9 - abs(d_ab - d_ba))
         margins.append(1e-9 - d_self)
         margins.append(1e-9 - abs(d_shift - d_ab))
@@ -516,8 +516,8 @@ def solver_battery(seed: int = 7, trials: int | None = None) -> list:
     f_map = rhsmod.SingletonAffineMap.constant(f0, gen.state_dim, 15, 1.0, 1.0, h)
     g_map = rhsmod.SingletonAffineMap.constant(g0, gen.state_dim, 15, h, 1.0, h)
     beta = max(float(np.linalg.norm(u0)), math.sqrt(h) * float(np.linalg.norm(v0)))
-    window = sv.compute_window(1.0, beta, [f_map.growth_envelope(),
-                                           g_map.growth_envelope()], 1.0)
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 1.0)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window, num_nodes=65)
     decoupled_u = sg.duhamel_solve(gen, u0,
                                    constant_path(0.0, window.t_window, 65, f0))
@@ -580,8 +580,8 @@ def linear_block_oracle_battery(seed: int = 7,
     u0 = rng.normal(size=du) * 0.4
     v0 = rng.normal(size=dv) * 0.4
     beta = max(float(np.linalg.norm(u0)), math.sqrt(h) * float(np.linalg.norm(v0)))
-    window = sv.compute_window(1.0, beta, [f_map.growth_envelope(),
-                                           g_map.growth_envelope()], 0.5)
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 0.5)
     k = 65
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
                           num_nodes=k, tol=1e-11)
@@ -617,7 +617,7 @@ def linear_block_oracle_battery(seed: int = 7,
 def window_params_battery(seed: int = 7) -> CheckResult:
     """Window constants: arithmetic anchors plus refined-iteration agreement."""
     margins = []
-    w = sv.compute_window(1.0, 2.0, [rhsmod.GrowthEnvelope(0.0, 0.0, 1.5)], 10.0)
+    w = sv.compute_window(2.0, [rhsmod.GrowthEnvelope(0.0, 0.0, 1.5)], 10.0)
     margins.append(1e-12 - abs(w.m - 3.0))
     margins.append(1e-12 - abs(w.r - 1.5))
     margins.append(1e-12 - abs(w.t_window - (3.0 / 1.5) ** 2))
@@ -625,7 +625,7 @@ def window_params_battery(seed: int = 7) -> CheckResult:
         rng = _rng(seed, 19000 + i)
         env = rhsmod.GrowthEnvelope(*rng.uniform(0.05, 1.0, size=3))
         beta = float(rng.uniform(0.1, 3.0))
-        w1 = sv.compute_window(1.0, beta, [env], 5.0)
+        w1 = sv.compute_window(beta, [env], 5.0)
         margins.append(w1.t_window - 0.0)
         margins.append((w1.m / max(w1.r, 1e-12)) ** 2 + 1e-9 - w1.t_window)
     worst = _min_margin(margins)

@@ -1,5 +1,6 @@
 """Convex bodies: projections, Hausdorff distances, and the lemma checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -256,7 +257,7 @@ def test_project_intersection_symmetric_case():
         geo.Polytope(np.array([[-2.0, 0.0], [2.0, 0.0]])))
     res = geo.project_intersection(np.array([0.0, 3.0]), body)
     assert np.allclose(res.point, [0.0, 0.0], atol=1e-9)
-    assert res.ball_residual <= 1e-9 and res.polytope_residual <= 1e-9
+    assert res.ball_residual <= 1e-9
 
 
 def test_project_intersection_member_identity():
@@ -445,63 +446,23 @@ def test_empty_intersection_rejected():
 # Hausdorff distances
 
 
-def test_directed_hausdorff_self_within_slack():
-    ball = geo.Ball(np.array([0.5, -0.2]), 1.3)
-    bracket = geo.directed_hausdorff(ball, ball, resolution=512)
-    assert bracket.lower <= 1e-12
-    assert bracket.upper <= 2.0 * np.pi * 1.3 / 512 + 1e-12
-
-
-def test_directed_hausdorff_concentric_balls_exact():
-    big = geo.Ball(np.array([0.0, 0.0]), 2.0)
-    small = geo.Ball(np.array([0.0, 0.0]), 1.0)
-    bracket = geo.directed_hausdorff(big, small)
-    assert bracket.lower == bracket.upper == pytest.approx(1.0)
-
-
-def test_directed_hausdorff_vertex_attained():
-    seg = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    ball = geo.Ball(np.array([0.0, 0.0]), 0.25)
-    bracket = geo.directed_hausdorff(seg, ball)
-    assert bracket.lower == bracket.upper == pytest.approx(0.75)
-
-
-def test_directed_hausdorff_refuses_sampled_source_in_3d():
-    # the bracket slack 2 pi r / resolution is proven only for the exact
-    # angle grid of d <= 2
-    u = np.array([-0.785, 0.599, -0.156])
-    u /= np.linalg.norm(u)
-    ball = geo.Ball(np.zeros(3), 1.0)
-    vertex = geo.Polytope(-100.0 * u[None, :])
-    with pytest.raises(geo.GeometryError):
-        geo.directed_hausdorff(ball, vertex)
-    cap = geo.BallCapPolytope(ball, geo.Polytope(np.vstack([np.eye(3),
-                                                            -np.eye(3)])))
-    with pytest.raises(geo.GeometryError):
-        geo.hausdorff_distance(cap, vertex)
-    exact = geo.directed_hausdorff(vertex, ball)
-    assert exact.lower == exact.upper == pytest.approx(99.0)
-    ball_to_ball = geo.directed_hausdorff(ball, geo.Ball(-100.0 * u, 0.5))
-    assert ball_to_ball.lower == ball_to_ball.upper == pytest.approx(100.5)
-
-
-def test_hausdorff_balls_closed_form(rng):
-    for _ in range(25):
-        c1, c2 = rng.normal(size=2), rng.normal(size=2)
-        r1, r2 = rng.uniform(0.1, 2.0, size=2)
-        got = geo.hausdorff_distance(geo.Ball(c1, r1), geo.Ball(c2, r2))
-        expected = np.linalg.norm(c1 - c2) + abs(r1 - r2)
-        if np.linalg.norm(c1 - c2) >= abs(r1 - r2):
-            assert got.upper == pytest.approx(expected, abs=1e-12)
+def test_hausdorff_refuses_balls_and_caps():
+    square = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                    [0.0, 1.0]]))
+    ball = geo.Ball(np.array([0.5, 0.5]), 1.0)
+    cap = geo.BallCapPolytope(ball, square)
+    for other in (ball, cap):
+        with pytest.raises(geo.GeometryError):
+            geo.hausdorff_distance(square, other)
+        with pytest.raises(geo.GeometryError):
+            geo.hausdorff_distance(other, square)
 
 
 def test_hausdorff_shifted_squares():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     a = geo.Polytope(square)
     b = geo.Polytope(square + np.array([1.0, 0.0]))
-    bracket = geo.hausdorff_distance(a, b)
-    assert bracket.lower == pytest.approx(1.0, abs=1e-10)
-    assert bracket.upper == pytest.approx(1.0, abs=1e-10)
+    assert geo.hausdorff_distance(a, b) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_hausdorff_random_polytopes_against_boundary_sampling(rng):
@@ -516,7 +477,7 @@ def test_hausdorff_random_polytopes_against_boundary_sampling(rng):
         d_ab = polygon_distances(samples_a, hull_b).max()
         d_ba = polygon_distances(samples_b, hull_a).max()
         oracle = max(d_ab, d_ba)
-        assert got.upper == pytest.approx(oracle, abs=2e-3)
+        assert got == pytest.approx(oracle, abs=2e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +562,27 @@ def test_slater_check_rejects_witness_poking_out_of_polytope():
         geo.slater_intersection_check(x, ball, poly, x0, rho)
     assert geo.slater_intersection_check(x, ball, poly, x0, 0.15075).passed
     assert geo.slater_intersection_check(x, poly, ball, x0, rho).passed
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_slater_check_is_the_same_in_either_order(dim):
+    rng = np.random.default_rng(900 + dim)
+    cube = np.array(list(itertools.product((-0.5, 0.5), repeat=dim)))
+    for _ in range(20):
+        # x0 lies at depth 0.5 in the polytope and at least 0.5 in the ball
+        x0 = rng.normal(size=dim)
+        rho = float(rng.uniform(0.1, 0.3))
+        poly = geo.Polytope(np.vstack([x0 + cube,
+                                       x0 + rng.normal(size=(3, dim))]))
+        offset = 0.3 * rng.uniform(-1.0, 1.0, size=dim) / math.sqrt(dim)
+        ball = geo.Ball(x0 + offset, float(np.linalg.norm(offset)
+                                           + rng.uniform(0.5, 1.5)))
+        x = rng.normal(size=dim) * 4.0
+        first = geo.slater_intersection_check(x, poly, ball, x0, rho)
+        second = geo.slater_intersection_check(x, ball, poly, x0, rho)
+        assert first.passed and second.passed
+        assert first.lhs == pytest.approx(second.lhs, abs=1e-12)
+        assert first.rhs == pytest.approx(second.rhs, abs=1e-12)
 
 
 def test_slater_witness_depth_in_cube_is_exact():

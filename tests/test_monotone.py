@@ -34,20 +34,20 @@ def test_exponent_floor_enforced():
 def test_coefficient_positivity_checked_on_grid():
     pot = mono.make_potential(7, ("constant", 3.0), ("linear_decay", 2.0))
     with pytest.raises(mono.MonotoneError):
-        pot.check_coefficient_on_grid(np.array([0.0, 1.0, 2.5]))
-    assert pot.check_coefficient_on_grid(np.array([0.0, 0.5, 1.0])) \
+        pot.coefficient_table(np.array([0.0, 1.0, 2.5]))
+    assert pot.coefficient_table(np.array([0.0, 0.5, 1.0])).min() \
         == pytest.approx(1.0)
     undefined = mono.VariableExponentPotential(
         np.full(9, 3.0), lambda t: np.full(9, math.nan))
     with pytest.raises(mono.MonotoneError, match="positive"):
-        undefined.check_coefficient_on_grid(np.array([0.0, 1.0]))
+        undefined.coefficient_table(np.array([0.0, 1.0]))
 
 
 def test_coefficient_monotonicity_checked():
     pot = mono.VariableExponentPotential(
         np.full(9, 3.0), lambda t: np.full(9, 1.0 + t))
     with pytest.raises(mono.MonotoneError):
-        pot.check_coefficient_on_grid(np.array([0.0, 1.0]))
+        pot.coefficient_table(np.array([0.0, 1.0]))
     with pytest.raises(mono.MonotoneError, match="nonincreasing"):
         mono.solve_monotone_ivp(pot, np.zeros(7),
                                 zero_path(0.0, 1.0, 17, 7, pot.mesh))

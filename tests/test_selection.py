@@ -128,6 +128,14 @@ def _node_distance(family, x, u, v):
     return float(dists[0])
 
 
+def test_node_distances_refuse_path_on_another_time_range(rng):
+    family = _map_with([0.8, 0.5], [0.3, 0.2])
+    u, v = _random_paths(rng, 2, 3)
+    f = TimePath(0.0, 2.0, rng.normal(size=(17, 2)))
+    with pytest.raises(ValueError, match="grid"):
+        sel.node_distances(family, u, v, f)
+
+
 def test_node_distances_vertex_is_zero():
     family = _map_with([1.0, 0.5])
     u = np.array([2.0, 1.0])

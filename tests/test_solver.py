@@ -63,21 +63,21 @@ def _growth_maps(gen, pot, scale=0.3):
 
 
 def test_window_m_arithmetic():
-    w = sv.compute_window(1.0, 2.0, [rhs.GrowthEnvelope(0.1, 0.1, 0.5)], 10.0)
+    w = sv.compute_window(2.0, [rhs.GrowthEnvelope(0.1, 0.1, 0.5)], 10.0)
     assert w.m == pytest.approx(3.0)
 
 
 def test_window_constant_envelope_closed_form():
     r0 = 1.5
-    w = sv.compute_window(1.0, 2.0, [rhs.GrowthEnvelope(0.0, 0.0, r0)], 10.0)
+    w = sv.compute_window(2.0, [rhs.GrowthEnvelope(0.0, 0.0, r0)], 10.0)
     assert w.r == pytest.approx(r0)
     assert w.t_window == pytest.approx((3.0 / r0) ** 2)
-    capped = sv.compute_window(1.0, 2.0, [rhs.GrowthEnvelope(0.0, 0.0, r0)], 1.0)
+    capped = sv.compute_window(2.0, [rhs.GrowthEnvelope(0.0, 0.0, r0)], 1.0)
     assert capped.t_window == pytest.approx(1.0)
 
 
 def test_window_zero_envelopes_leave_cap():
-    w = sv.compute_window(1.0, 1.0, [rhs.GrowthEnvelope(0.0, 0.0, 0.0)], 2.5)
+    w = sv.compute_window(1.0, [rhs.GrowthEnvelope(0.0, 0.0, 0.0)], 2.5)
     assert w.t_window == pytest.approx(2.5)
     assert w.r == 0.0
 
@@ -89,7 +89,7 @@ def test_window_matches_refined_scalar_iteration():
         env = rhs.GrowthEnvelope(*rng.uniform(0.05, 1.2, size=3))
         beta = float(rng.uniform(0.1, 3.0))
         t_max = float(rng.uniform(0.5, 5.0))
-        w = sv.compute_window(1.0, beta, [env], t_max)
+        w = sv.compute_window(beta, [env], t_max)
         m = beta + 1.0
         t0 = t_max
         for _ in range(10_000):
@@ -115,8 +115,8 @@ def test_singleton_maps_converge_in_one_iteration(heat_setup):
     g0 = rng.normal(size=15) * 0.3
     f_map, g_map = _singleton_maps(gen, pot, f0, g0)
     beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
-    window = sv.compute_window(1.0, beta, [f_map.growth_envelope(),
-                                           g_map.growth_envelope()], 1.0)
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 1.0)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
                           num_nodes=65)
     assert sol.report.converged and sol.report.iterations == 1
@@ -139,8 +139,8 @@ def test_singleton_apriori_margin_hand_computed(heat_setup):
     f0[0] = 0.4
     f_map, g_map = _singleton_maps(gen, pot, f0, g0)
     beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
-    window = sv.compute_window(1.0, beta, [f_map.growth_envelope(),
-                                           g_map.growth_envelope()], 1.0)
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 1.0)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
                           num_nodes=65)
     rep = sol.report.apriori
@@ -153,8 +153,8 @@ def test_growth_maps_converge_below_tolerance(heat_setup):
     gen, pot, u0, v0 = heat_setup
     f_map, g_map = _growth_maps(gen, pot)
     beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
-    window = sv.compute_window(1.0, beta, [f_map.growth_envelope(),
-                                           g_map.growth_envelope()], 0.5)
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 0.5)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
                           num_nodes=65)
     assert sol.report.converged
@@ -170,8 +170,8 @@ def test_relaxed_update_contracts_residual(heat_setup):
     gen, pot, u0, v0 = heat_setup
     f_map, g_map = _growth_maps(gen, pot, scale=0.5)
     beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
-    window = sv.compute_window(1.0, beta, [f_map.growth_envelope(),
-                                           g_map.growth_envelope()], 0.5)
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 0.5)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
                           num_nodes=65, theta=0.5)
     history = sol.report.residual_history
@@ -203,8 +203,8 @@ def test_initial_data_bound_enforced(heat_setup):
     gen, pot, u0, v0 = heat_setup
     f_map, g_map = _singleton_maps(gen, pot, np.zeros(gen.state_dim),
                                    np.zeros(15))
-    window = sv.compute_window(1.0, 0.01, [f_map.growth_envelope(),
-                                           g_map.growth_envelope()], 1.0)
+    window = sv.compute_window(0.01, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 1.0)
     with pytest.raises(sv.SolverError):
         sv.solve_window(gen, pot, u0 * 100.0, v0, f_map, g_map, window)
 
@@ -213,8 +213,8 @@ def test_nonconvergence_is_reported_not_raised(heat_setup):
     gen, pot, u0, v0 = heat_setup
     f_map, g_map = _growth_maps(gen, pot, scale=0.4)
     beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
-    window = sv.compute_window(1.0, beta, [f_map.growth_envelope(),
-                                           g_map.growth_envelope()], 0.5)
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 0.5)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
                           num_nodes=65, max_iter=2)
     assert not sol.report.converged
@@ -332,7 +332,7 @@ def test_global_blowup_before_first_window_is_empty(heat_setup):
 def test_apriori_check_zero_data():
     u = zero_path(0.0, 1.0, 9, 3)
     v = zero_path(0.0, 1.0, 9, 4, 0.1)
-    window = sv.compute_window(1.0, 1.0, [rhs.GrowthEnvelope(0, 0, 1.0)], 1.0)
+    window = sv.compute_window(1.0, [rhs.GrowthEnvelope(0, 0, 1.0)], 1.0)
     rep = sv.apriori_bound_check(u, v, u, v, window)
     assert rep.passed and rep.lhs == 0.0
 
@@ -418,8 +418,8 @@ def test_window_consistency_under_refinement(heat_setup):
     gen, pot, u0, v0 = heat_setup
     f_map, g_map = _growth_maps(gen, pot)
     beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
-    window = sv.compute_window(1.0, beta, [f_map.growth_envelope(),
-                                           g_map.growth_envelope()], 0.5)
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 0.5)
 
     def solve(nodes, tol):
         return sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
