@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite",
                           choices=sorted(suites.SUITES) + ["all"],
                           help="which battery to run")
-    p_verify.add_argument("--seed", type=int, default=7)
-    p_verify.add_argument("--trials", type=int, default=None)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=7)
+    p_verify.add_argument("--trials", type=_int_at_least(1), default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_ce = sub.add_parser(
@@ -76,10 +76,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("name",
                          choices=["projection-difference", "slater",
                                   "intersection-continuity"])
-    p_lemma.add_argument("--trials", type=int, default=None)
-    p_lemma.add_argument("--seed", type=int, default=7)
+    p_lemma.add_argument("--trials", type=_int_at_least(1), default=None)
+    p_lemma.add_argument("--seed", type=_int_at_least(0), default=7)
     p_lemma.set_defaults(func=cmd_lemma)
     return parser
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; anything else exits 2 with the
+    flag named."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def cmd_verify(args) -> int:

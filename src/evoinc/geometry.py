@@ -1,12 +1,12 @@
 """Compact convex bodies with metric projections and Hausdorff distances.
 
-Bodies are balls, polytopes (vertex hulls), or ball-polytope intersections.
-All projections come with certificates. Polytope projections certify the
-variational inequality over the vertex set. A projection onto a ball
-intersected with a hull H is P_H of the query moved towards the ball's
-center by one Lagrange multiplier per row, found by a bracketed root search;
-its KKT certificate is the hull certificate at the moved query plus the
-ball constraint holding with equality whenever the multiplier is positive.
+Bodies are balls and polytopes (vertex hulls). All projections come with
+certificates. Polytope projections certify the variational inequality over
+the vertex set. A projection onto a ball intersected with a ball or a hull
+H is P_H of the query moved towards the ball's center by one Lagrange
+multiplier per row, found by a bracketed root search (`_project_cap`); its
+KKT certificate is the certificate of P_H at the moved query plus the ball
+constraint holding with equality whenever the multiplier is positive.
 Hausdorff distances are exact and taken only between polytopes; the one
 sampled bracket, with a slack proven only for d <= 2, lives inside the
 intersection-continuity probe, which refuses d >= 3. The interior witness
@@ -43,10 +43,6 @@ class DimensionMismatch(GeometryError):
 
 
 class SlaterViolation(GeometryError):
-    pass
-
-
-class EmptyIntersection(GeometryError):
     pass
 
 
@@ -99,29 +95,7 @@ class Polytope:
         return self.vertices.shape[1]
 
 
-@dataclass(frozen=True)
-class BallCapPolytope:
-    ball: Ball
-    polytope: Polytope
-
-    def __post_init__(self):
-        if self.ball.dim != self.polytope.dim:
-            raise DimensionMismatch("ball and polytope dimensions differ")
-        # The intersection is empty exactly when the hull misses the closed
-        # ball; one certified projection of the center decides that, and
-        # that projection is itself the witness of a nonempty pair.
-        gap = float(_distance_rows(self.ball.center[None, :], self.polytope)[0])
-        if gap > self.ball.radius + FEASIBILITY_TOL:
-            raise EmptyIntersection(
-                f"ball-polytope intersection infeasible "
-                f"(center-to-hull gap {gap - self.ball.radius:.3e})")
-
-    @property
-    def dim(self) -> int:
-        return self.ball.dim
-
-
-ConvexBody = Ball | Polytope | BallCapPolytope
+ConvexBody = Ball | Polytope
 
 
 @dataclass(frozen=True)
@@ -333,34 +307,37 @@ def _nearest_and_reach(stack: np.ndarray, x: np.ndarray):
     return dist2.argmin(axis=1), np.sqrt(dist2.max(axis=1, initial=1.0))
 
 
-def _polytope_stack(poly: Polytope, m: int) -> np.ndarray:
-    return np.broadcast_to(poly.vertices, (m,) + poly.vertices.shape)
-
-
 def _distance_rows(x: np.ndarray, body: ConvexBody) -> np.ndarray:
     """Row-wise Euclidean distance to a body."""
     x = _rows(x)
     return np.linalg.norm(x - _project_rows(x, body), axis=1)
 
 
-def _project_rows(x: np.ndarray, body: ConvexBody) -> np.ndarray:
-    x = _rows(x)
+def _body_projector(body: ConvexBody, m: int):
+    """`project(q, rows)`: certified projections onto the body of the
+    queries q, one per listed row of an m-row batch (None lists every row).
+
+    A ball projects in closed form; a polytope through one `HullProjector`
+    over m rows, so later calls warm-start from earlier ones.
+    """
     if isinstance(body, Ball):
-        return project_balls(x, body.center, body.radius)
-    if isinstance(body, Polytope):
-        proj = HullProjector(_polytope_stack(body, x.shape[0]))
-        p, _ = proj.project(x)
-        return p
-    hull = HullProjector(_polytope_stack(body.polytope, x.shape[0]))
-    return _project_cap(x, body.ball,
-                        lambda q, rows: hull.project(q, rows=rows)[0])
+        return lambda q, rows: project_balls(q, body.center, body.radius)
+    hull = HullProjector(np.broadcast_to(body.vertices,
+                                         (m,) + body.vertices.shape))
+    return lambda q, rows: hull.project(q, rows=rows)[0]
+
+
+def _project_rows(x: np.ndarray, body: ConvexBody) -> np.ndarray:
+    """Rows of the 2-D array x projected onto a body."""
+    return _body_projector(body, x.shape[0])(x, None)
 
 
 def _project_cap(x: np.ndarray, ball: Ball, project_h):
     """Rows of x projected onto B[c, r] cap H by one multiplier per row.
 
-    `project_h(q, rows)` returns the certified projections onto H of the
-    queries q for those rows of the batch. With mu the multiplier of the
+    Returns (points, P_H(x)). `project_h(q, rows)` returns the certified
+    projections onto H of the queries q for those rows of the batch, as
+    `_body_projector` builds it. With mu the multiplier of the
     ball constraint and t = mu / (1 + mu), the KKT conditions give
     y = P_H((1 - t) x + t c) for one t in [0, 1), and phi(t) = ||y(t) - c||
     - r does not increase in t (it is the derivative of a concave dual
@@ -373,11 +350,12 @@ def _project_cap(x: np.ndarray, ball: Ball, project_h):
     """
     c, r = ball.center, ball.radius
     tol = PROJECTION_TOL * (1.0 + r)
-    y = project_h(x, np.arange(x.shape[0]))
+    x_on_h = project_h(x, np.arange(x.shape[0]))
+    y = x_on_h.copy()
     phi = np.linalg.norm(y - c, axis=1) - r
     active = np.flatnonzero(phi > tol)
     if active.size == 0:
-        return y
+        return y, x_on_h
     anchor = project_h(np.broadcast_to(c, (active.size, c.size)), active)
     f_hi = np.linalg.norm(anchor - c, axis=1) - r
     ends = f_hi >= -tol
@@ -388,7 +366,7 @@ def _project_cap(x: np.ndarray, ball: Ball, project_h):
     side = np.zeros(active.size)  # +1 / -1: which end the last step moved
     for _ in range(PROJECTION_BUDGET):
         if active.size == 0:
-            return y
+            return y, x_on_h
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         q = x[active] + t[:, None] * (c - x[active])
         y[active] = project_h(q, active)
@@ -438,27 +416,6 @@ def project_polytope(x, poly: Polytope, tol: float = PROJECTION_TOL,
     return p[0]
 
 
-@dataclass(frozen=True)
-class IntersectionProjection:
-    point: np.ndarray
-    ball_residual: float
-
-
-def project_intersection(x, body: BallCapPolytope) -> IntersectionProjection:
-    """KKT-certified projection onto ball cap polytope (see `_project_cap`).
-
-    The point is a convex combination of the vertices, so it lies in the
-    polytope by construction; the ball residual is nonzero only for a pair
-    whose hull lies within FEASIBILITY_TOL outside the ball.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size != body.dim:
-        raise DimensionMismatch("point and body dimensions differ")
-    p = _project_rows(x[None, :], body)[0]
-    gap = float(np.linalg.norm(p - body.ball.center)) - body.ball.radius
-    return IntersectionProjection(p, max(gap, 0.0))
-
-
 def distance_to(x, body: ConvexBody) -> float:
     """Euclidean distance of x to the body."""
     return float(_distance_rows(np.asarray(x, dtype=float)[None, :], body)[0])
@@ -481,6 +438,11 @@ def pad_vertex_stack(polys) -> np.ndarray:
     return out
 
 
+def _stack_distances(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Distance of x[i] to the hull of stack[i], in one batched solve."""
+    return np.linalg.norm(x - HullProjector(stack).project(x)[0], axis=1)
+
+
 def _pair_hausdorff(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     """Exact Hausdorff distances between paired vertex stacks, batched.
 
@@ -489,9 +451,8 @@ def _pair_hausdorff(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     """
     def directed(src, tgt):
         m, n_src, d = src.shape
-        queries = src.reshape(m * n_src, d)
-        pts, _ = HullProjector(np.repeat(tgt, n_src, axis=0)).project(queries)
-        dists = np.linalg.norm(queries - pts, axis=1)
+        dists = _stack_distances(src.reshape(m * n_src, d),
+                                 np.repeat(tgt, n_src, axis=0))
         return dists.reshape(m, n_src).max(axis=1)
 
     return np.maximum(directed(stack_a, stack_b), directed(stack_b, stack_a))
@@ -501,7 +462,7 @@ def _pair_hausdorff(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
 # diameters
 
 
-def diameter_upper(body: Ball | Polytope) -> float:
+def diameter_upper(body: ConvexBody) -> float:
     """Diameter of a ball or a polytope, exact."""
     if isinstance(body, Ball):
         return 2.0 * body.radius
@@ -510,7 +471,7 @@ def diameter_upper(body: Ball | Polytope) -> float:
     return float(np.sqrt((diff ** 2).sum(-1)).max())
 
 
-def _cross_sup(a: Ball | Polytope, b: Ball | Polytope) -> float:
+def _cross_sup(a: ConvexBody, b: ConvexBody) -> float:
     """sup over a x b of the pair distance."""
     if isinstance(a, Ball) and isinstance(b, Ball):
         return float(np.linalg.norm(a.center - b.center)) + a.radius + b.radius
@@ -522,7 +483,7 @@ def _cross_sup(a: Ball | Polytope, b: Ball | Polytope) -> float:
     return float(np.sqrt((diff ** 2).sum(-1)).max())
 
 
-def union_diameter_upper(a: Ball | Polytope, b: Ball | Polytope) -> float:
+def union_diameter_upper(a: ConvexBody, b: ConvexBody) -> float:
     return max(diameter_upper(a), diameter_upper(b), _cross_sup(a, b))
 
 
@@ -593,7 +554,7 @@ def projection_difference_check(xs, bodies_c, bodies_d,
     return BoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + 1e-8)))
 
 
-def _verify_inner_ball(x0: np.ndarray, rho: float, body: Ball | Polytope,
+def _verify_inner_ball(x0: np.ndarray, rho: float, body: ConvexBody,
                        tol: float = 1e-8) -> bool:
     """Exact check of B[x0, rho] subset of body, to within tol.
 
@@ -626,17 +587,17 @@ def _verify_inner_ball(x0: np.ndarray, rho: float, body: Ball | Polytope,
     return bool(depth.size > 0 and rho <= depth.min() + tol)
 
 
-def slater_intersection_check(x, a_body: Ball | Polytope,
-                              b_body: Ball | Polytope, x0, rho: float,
-                              slack: float = 1e-8) -> BoundCheck:
+def slater_intersection_check(x, a_body: ConvexBody, b_body: ConvexBody,
+                              x0, rho: float, slack: float = 1e-8) -> BoundCheck:
     """dist(x, A cap B) against (1 + diam(A u B)/rho)(dist(x,A) + dist(x,B)).
 
     Requires a verified interior witness: x0 in A cap B with B[x0, rho]
     inside B, checked exactly (see `_verify_inner_ball`). Verification
     failures raise SlaterViolation. The witness makes A cap B nonempty, so
     the projection onto it is one `_project_cap` call: the ball of the pair
-    (A when both are balls) caps the other body, which is projected in
-    closed form if it is a ball and by one `HullProjector` otherwise.
+    (A when both are balls) caps the other body, through the other body's
+    `_body_projector`. The cap's first step projects x onto the other body,
+    which gives that body's term of the bound.
     """
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -652,18 +613,12 @@ def slater_intersection_check(x, a_body: Ball | Polytope,
 
     ball, other = ((a_body, b_body) if isinstance(a_body, Ball)
                    else (b_body, a_body))
-    if isinstance(other, Ball):
-        def project_other(q, rows):
-            return project_balls(q, other.center, other.radius)
-    else:
-        hull = HullProjector(other.vertices[None])
-
-        def project_other(q, rows):
-            return hull.project(q, rows=rows)[0]
-    point = _project_cap(x[None, :], ball, project_other)[0]
-    lhs = float(np.linalg.norm(x - point))
+    point, x_on_other = _project_cap(x[None, :], ball,
+                                     _body_projector(other, 1))
+    lhs = float(np.linalg.norm(x - point[0]))
     d = union_diameter_upper(a_body, b_body)
-    rhs = (1.0 + d / rho) * (distance_to(x, a_body) + distance_to(x, b_body))
+    to_other = float(np.linalg.norm(x - x_on_other, axis=1)[0])
+    rhs = (1.0 + d / rho) * (distance_to(x, ball) + to_other)
     return BoundCheck(lhs, rhs, lhs <= rhs + slack)
 
 
@@ -682,33 +637,42 @@ def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
     see `_boundary_cloud`; d >= 3 raises `GeometryError`) is projected onto
     each intersection; the reported value per n is the larger
     of the two directed sampled sups plus the boundary-sampling slack.
-    hypothesis_ok records whether the open ball B(c, r) genuinely meets B;
-    members of the sequence with empty intersection are flagged, their value
-    set to NaN, and the probe continues.
+    One batched projection of the centres [c, c_1, ...] onto their
+    polytopes decides which intersections are empty (the hull misses the
+    ball by more than FEASIBILITY_TOL) and whether the open ball B(c, r)
+    genuinely meets B, which hypothesis_ok records. Members with empty
+    intersection are flagged, their value set to NaN, and the probe
+    continues; an empty limit makes every value NaN. Each polytope has one
+    `_body_projector`, shared by every cap projection onto it.
     """
-    limit_ball = Ball(c, r)
-    cloud, slack = _boundary_cloud(limit_ball, b.vertices, resolution)
-    strict = distance_to(limit_ball.center, b) < r - 1e-12
-
-    try:
-        limit = BallCapPolytope(limit_ball, b)
-    except EmptyIntersection:
+    if len(c_seq) != len(b_seq):
+        raise GeometryError(f"{len(c_seq)} centres for {len(b_seq)} polytopes")
+    balls = [Ball(q, r) for q in (c, *c_seq)]
+    polys = [b, *b_seq]
+    if any(body.dim != b.dim for body in balls + polys):
+        raise DimensionMismatch("centres and polytopes must share dimension")
+    cloud, slack = _boundary_cloud(balls[0], b.vertices, resolution)
+    gaps = _stack_distances(np.array([ball.center for ball in balls]),
+                            pad_vertex_stack(polys))
+    if gaps[0] > r + FEASIBILITY_TOL:
         return IntersectionContinuityResult([float("nan")] * len(c_seq), False,
                                             list(range(len(c_seq))))
-    limit_sample = _project_rows(cloud, limit)
+    m = cloud.shape[0]
+    limit = _body_projector(b, m)
+    limit_sample, _ = _project_cap(cloud, balls[0], limit)
 
-    values = []
-    empty = []
-    for idx, (cn, bn) in enumerate(zip(c_seq, b_seq)):
-        cn = np.asarray(cn, dtype=float)
-        try:
-            member = BallCapPolytope(Ball(cn, r), bn)
-        except EmptyIntersection:
+    values, empty = [], []
+    for idx, (ball, bn) in enumerate(zip(balls[1:], b_seq)):
+        if gaps[idx + 1] > r + FEASIBILITY_TOL:
             empty.append(idx)
             values.append(float("nan"))
             continue
-        sample_n = _project_rows(cloud, member)
-        to_limit = _distance_rows(sample_n, limit)
-        to_member = _distance_rows(limit_sample, member)
-        values.append(float(max(to_limit.max(), to_member.max())) + slack)
-    return IntersectionContinuityResult(values, strict, empty)
+        member = _body_projector(bn, m)
+        sample_n, _ = _project_cap(cloud, ball, member)
+        to_limit = sample_n - _project_cap(sample_n, balls[0], limit)[0]
+        to_member = limit_sample - _project_cap(limit_sample, ball, member)[0]
+        values.append(float(max(np.linalg.norm(to_limit, axis=1).max(),
+                                np.linalg.norm(to_member, axis=1).max()))
+                      + slack)
+    return IntersectionContinuityResult(values, bool(gaps[0] < r - 1e-12),
+                                        empty)

@@ -93,7 +93,8 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
                                _min_margin(margins), _min_margin(margins) >= 0))
 
     margins = []
-    for i in range(n_pairs // 2):
+    n_triples = max(n_pairs // 2, 1)
+    for i in range(n_triples):
         rng = _rng(seed, 3000 + i)
         dim = 2
         a = _random_polytope(rng, dim, 2.0)
@@ -111,7 +112,7 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
         margins.append(1e-9 - d_self)
         margins.append(1e-9 - abs(d_shift - d_ab))
         margins.append(d_ac + d_cb + 1e-9 - d_ab)
-    results.append(CheckResult("hausdorff-metric-properties", n_pairs // 2,
+    results.append(CheckResult("hausdorff-metric-properties", n_triples,
                                _min_margin(margins), _min_margin(margins) >= 0))
 
     results.append(projection_difference_battery(seed, trials or 1000))
@@ -238,7 +239,8 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
 
     # convex combinations of selections stay selections
     margins = []
-    for i in range(n // 4):
+    n_mixes = max(n // 4, 1)
+    for i in range(n_mixes):
         rng = _rng(seed, 8000 + i)
         dim_u, dim_v, k = 4, 3, 17
         family = _random_growth_map(rng, dim_u, dim_v, 1.0)
@@ -253,7 +255,7 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
         res = sel.selection_residual(family, u, v, mix)
         margins.append(1e-8 - res)
     worst = _min_margin(margins)
-    results.append(CheckResult("selection-convexity-closure", n // 4, worst,
+    results.append(CheckResult("selection-convexity-closure", n_mixes, worst,
                                worst >= 0))
 
     # trapezoid path norm against the analytic linear-ramp integral
@@ -383,13 +385,14 @@ def monotone_battery(seed: int = 7, trials: int | None = None) -> list:
                                _min_margin(margins) >= 0))
 
     margins = []
-    for i in range(n // 4):
+    n_pairs = max(n // 4, 1)
+    for i in range(n_pairs):
         rng = _rng(seed, 12000 + i)
         x = rng.normal(size=15)
         y = rng.normal(size=15)
         gap = mono.prox_nonexpansive_gap(pot, 0.3, 0.05, x, y)
         margins.append(1e-10 - gap)
-    results.append(CheckResult("prox-nonexpansive", n // 4,
+    results.append(CheckResult("prox-nonexpansive", n_pairs,
                                _min_margin(margins), _min_margin(margins) >= 0))
 
     margins = []

@@ -38,6 +38,30 @@ def test_verify_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("command", [
+    "lemma slater --trials -5",
+    "lemma slater --trials 0",
+    "lemma intersection-continuity --trials two",
+    "verify convex --trials -3",
+    "lemma slater --seed -1",
+    "verify selection --seed -1",
+])
+def test_invalid_trials_and_seed_are_usage_errors(capsys, command):
+    argv = command.split()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["convex", "selection", "monotone"])
+def test_verify_one_trial_runs_every_check(capsys, suite):
+    assert main(["verify", suite, "--trials", "1", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert out and "trials=0 " not in out
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 

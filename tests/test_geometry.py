@@ -251,23 +251,32 @@ def test_hull_projector_certifies_far_hulls():
 # intersection projection
 
 
+def _cap_point(x, ball, poly):
+    """Projection of the point x onto ball cap poly by `_project_cap`."""
+    x = np.asarray(x, dtype=float)[None, :]
+    y, _ = geo._project_cap(x, ball, geo._body_projector(poly, 1))
+    return y[0]
+
+
+def _ball_excess(y, ball):
+    """||y - c|| - r: how far y lies outside the ball."""
+    return float(np.linalg.norm(y - ball.center)) - ball.radius
+
+
 def test_project_intersection_symmetric_case():
-    body = geo.BallCapPolytope(
-        geo.Ball(np.array([0.0, 0.0]), 1.0),
-        geo.Polytope(np.array([[-2.0, 0.0], [2.0, 0.0]])))
-    res = geo.project_intersection(np.array([0.0, 3.0]), body)
-    assert np.allclose(res.point, [0.0, 0.0], atol=1e-9)
-    assert res.ball_residual <= 1e-9
+    ball = geo.Ball(np.array([0.0, 0.0]), 1.0)
+    y = _cap_point([0.0, 3.0], ball,
+                   geo.Polytope(np.array([[-2.0, 0.0], [2.0, 0.0]])))
+    assert np.allclose(y, [0.0, 0.0], atol=1e-9)
+    assert _ball_excess(y, ball) <= 1e-9
 
 
 def test_project_intersection_member_identity():
-    body = geo.BallCapPolytope(
-        geo.Ball(np.array([0.0, 0.0]), 1.0),
-        geo.Polytope(np.array([[-2.0, -1.0], [2.0, -1.0], [2.0, 1.0],
-                               [-2.0, 1.0]])))
     x = np.array([0.3, 0.2])
-    res = geo.project_intersection(x, body)
-    assert np.linalg.norm(res.point - x) <= 1e-9
+    y = _cap_point(x, geo.Ball(np.array([0.0, 0.0]), 1.0),
+                   geo.Polytope(np.array([[-2.0, -1.0], [2.0, -1.0],
+                                          [2.0, 1.0], [-2.0, 1.0]])))
+    assert np.linalg.norm(y - x) <= 1e-9
 
 
 def test_project_intersection_against_grid_filter_oracle():
@@ -275,7 +284,7 @@ def test_project_intersection_against_grid_filter_oracle():
     rect = geo.Polytope(np.array([[0.0, -1.0], [0.0, 1.0], [2.0, 1.0],
                                   [2.0, -1.0]]))
     x = np.array([-1.0, 2.0])
-    res = geo.project_intersection(x, geo.BallCapPolytope(ball, rect))
+    y = _cap_point(x, ball, rect)
     # oracle: 1e-3 grid of the rectangle filtered by ball membership
     xs = np.arange(0.0, 2.0 + 1e-3, 1e-3)
     ys = np.arange(-1.0, 1.0 + 1e-3, 1e-3)
@@ -284,7 +293,7 @@ def test_project_intersection_against_grid_filter_oracle():
     inside = np.linalg.norm(pts - ball.center, axis=1) <= ball.radius
     cand = pts[inside]
     best = cand[np.argmin(np.linalg.norm(cand - x, axis=1))]
-    assert np.linalg.norm(res.point - best) <= 2e-3
+    assert np.linalg.norm(y - best) <= 2e-3
 
 
 def _slater_trial(trial):
@@ -307,10 +316,10 @@ def test_project_intersection_where_alternating_projections_stalled():
     # so it is the projection; an alternating-projection method that stops
     # after one cycle without movement returned a point 7.16567 from x
     x, ball, poly, _, _ = _slater_trial(128)
-    res = geo.project_intersection(x, geo.BallCapPolytope(ball, poly))
+    y = _cap_point(x, ball, poly)
     hull_point = geo.project_polytope(x, poly)
-    assert np.linalg.norm(res.point - hull_point) <= 1e-10
-    assert np.linalg.norm(res.point - x) == pytest.approx(7.11867, abs=1e-5)
+    assert np.linalg.norm(y - hull_point) <= 1e-10
+    assert np.linalg.norm(y - x) == pytest.approx(7.11867, abs=1e-5)
 
 
 def _unit_rows(seed, count, dim):
@@ -326,20 +335,24 @@ def _check_cap_kkt(x, ball, project_h, members):
     last query q must be (1 - t) x + t c, the returned point its certified
     projection, and the point must satisfy the ball constraint (with
     equality when t > 0) and the variational inequality over `members`.
+    The second return value must be the first call's projections of x.
     Returns the multipliers t.
     """
     c, r = ball.center, ball.radius
     tol = 1e-12 * (1.0 + r)
     last_q = np.full_like(x, np.nan)
+    first = []
 
     def recording(q, rows):
         points, gaps = project_h(q, rows)
         last_q[rows] = q
         if gaps is not None:
             assert np.all(gaps <= 1e-12 * (1.0 + np.linalg.norm(q, axis=1)))
+        first.append(points.copy())
         return points
 
-    y = geo._project_cap(x, ball, recording)
+    y, x_on_h = geo._project_cap(x, ball, recording)
+    assert np.array_equal(x_on_h, first[0])
     t = np.einsum("md,md->m", last_q - x, c - x) / np.sum((c - x) ** 2, axis=1)
     assert np.abs(last_q - (x + t[:, None] * (c - x))).max() <= 1e-12
     assert np.all((t >= 0.0) & (t <= 1.0))
@@ -403,43 +416,35 @@ def test_project_cap_kkt_certificate_on_ball_lens(dim):
 def test_project_intersection_tangent_pair_returns_touching_point():
     # dist(c, H) = r: the intersection is the single point P_H(c) = (1, 0)
     square = np.array([[1.0, -1.0], [2.0, -1.0], [2.0, 1.0], [1.0, 1.0]])
-    body = geo.BallCapPolytope(geo.Ball(np.zeros(2), 1.0),
-                               geo.Polytope(square))
+    ball = geo.Ball(np.zeros(2), 1.0)
     x = np.array([[0.0, 3.0], [-2.0, 0.0], [3.0, 0.5]])
     for row in x:
-        res = geo.project_intersection(row, body)
-        assert np.allclose(res.point, [1.0, 0.0], atol=1e-12)
-        assert res.ball_residual <= 1e-12
+        y = _cap_point(row, ball, geo.Polytope(square))
+        assert np.allclose(y, [1.0, 0.0], atol=1e-12)
+        assert _ball_excess(y, ball) <= 1e-12
     hull = geo.HullProjector(np.broadcast_to(square, (3, 4, 2)))
-    t = _check_cap_kkt(x, body.ball,
+    t = _check_cap_kkt(x, ball,
                        lambda q, rows: hull.project(q, rows=rows),
                        np.array([[1.0, 0.0]]))
     assert np.array_equal(t, [1.0, 0.0, 1.0])
 
 
 def test_project_intersection_step_budget_exhaustion_reports(monkeypatch):
-    body = geo.BallCapPolytope(
-        geo.Ball(np.array([1.0, 0.0]), 1.0),
-        geo.Polytope(np.array([[0.0, -1.0], [0.0, 1.0], [2.0, 1.0],
-                               [2.0, -1.0]])))
     monkeypatch.setattr(geo, "PROJECTION_BUDGET", 1)
     with pytest.raises(geo.ProjectionDidNotConverge) as err:
-        geo.project_intersection(np.array([-1.0, 2.0]), body)
+        _cap_point([-1.0, 2.0], geo.Ball(np.array([1.0, 0.0]), 1.0),
+                   geo.Polytope(np.array([[0.0, -1.0], [0.0, 1.0],
+                                          [2.0, 1.0], [2.0, -1.0]])))
     assert np.isfinite(err.value.residual) and err.value.residual > 0.0
+
 
 def test_project_intersection_near_empty_pair_reports_ball_residual():
     # the segment misses the unit ball by 5e-9 < FEASIBILITY_TOL
-    body = geo.BallCapPolytope(
-        geo.Ball(np.zeros(2), 1.0),
-        geo.Polytope(np.array([[1.0 + 5e-9, -1.0], [1.0 + 5e-9, 1.0]])))
-    res = geo.project_intersection(np.array([0.0, 3.0]), body)
-    assert np.allclose(res.point, [1.0 + 5e-9, 0.0], atol=1e-15)
-    assert res.ball_residual == pytest.approx(5e-9, rel=1e-6)
-
-def test_empty_intersection_rejected():
-    with pytest.raises(geo.EmptyIntersection):
-        geo.BallCapPolytope(geo.Ball(np.array([0.0, 0.0]), 0.5),
-                            geo.Polytope(np.array([[2.0, 0.0], [3.0, 0.0]])))
+    ball = geo.Ball(np.zeros(2), 1.0)
+    y = _cap_point([0.0, 3.0], ball, geo.Polytope(
+        np.array([[1.0 + 5e-9, -1.0], [1.0 + 5e-9, 1.0]])))
+    assert np.allclose(y, [1.0 + 5e-9, 0.0], atol=1e-15)
+    assert _ball_excess(y, ball) == pytest.approx(5e-9, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +455,10 @@ def test_hausdorff_refuses_balls_and_caps():
     square = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                                     [0.0, 1.0]]))
     ball = geo.Ball(np.array([0.5, 0.5]), 1.0)
-    cap = geo.BallCapPolytope(ball, square)
-    for other in (ball, cap):
-        with pytest.raises(geo.GeometryError):
-            geo.hausdorff_distance(square, other)
-        with pytest.raises(geo.GeometryError):
-            geo.hausdorff_distance(other, square)
+    with pytest.raises(geo.GeometryError):
+        geo.hausdorff_distance(square, ball)
+    with pytest.raises(geo.GeometryError):
+        geo.hausdorff_distance(ball, square)
 
 
 def test_hausdorff_shifted_squares():
@@ -636,13 +639,19 @@ def test_intersection_continuity_constant_family_within_slack():
     assert all(v <= 2.0 * slack + 1e-9 for v in res.values)
 
 
-def test_intersection_continuity_shifted_squares_converges():
+def _shifted_square_family(ns):
+    """(c_seq, b_seq, limit square) of squares and centres shifted by 1/n."""
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) - 0.5
-    ns = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
     c_seq = [np.array([1.0 / n, 0.0]) for n in ns]
     b_seq = [geo.Polytope(square + np.array([1.0 / n, 0.0])) for n in ns]
+    return c_seq, b_seq, geo.Polytope(square)
+
+
+def test_intersection_continuity_shifted_squares_converges():
+    ns = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
+    c_seq, b_seq, square = _shifted_square_family(ns)
     res = geo.intersection_continuity_probe(
-        c_seq, b_seq, 1.0, np.zeros(2), geo.Polytope(square), resolution=10_000)
+        c_seq, b_seq, 1.0, np.zeros(2), square, resolution=10_000)
     assert res.hypothesis_ok and not res.empty_indices
     diffs = np.diff(res.values)
     assert np.all(diffs <= 1e-9)
@@ -658,6 +667,42 @@ def test_intersection_continuity_refuses_3d():
             [np.full(3, 0.25 + 1.0 / n) for n in ns],
             [geo.Polytope(simplex + 1.0 / n) for n in ns], 0.5,
             np.full(3, 0.25), geo.Polytope(simplex), resolution=64)
+
+
+def test_empty_intersection_rejected():
+    # a member whose ball misses its polytope is flagged with a NaN value
+    ns = [2, 4, 8]
+    c_seq, b_seq, square = _shifted_square_family(ns)
+    c_seq[1] = np.array([5.0, 0.0])
+    res = geo.intersection_continuity_probe(c_seq, b_seq, 1.0, np.zeros(2),
+                                            square, resolution=64)
+    assert res.hypothesis_ok and res.empty_indices == [1]
+    assert np.isnan(res.values[1])
+    assert np.isfinite(res.values[0]) and np.isfinite(res.values[2])
+    # a limit ball that misses its polytope makes every value NaN
+    res = geo.intersection_continuity_probe(
+        c_seq, b_seq, 1.0, np.array([0.0, 5.0]), square, resolution=64)
+    assert not res.hypothesis_ok and res.empty_indices == [0, 1, 2]
+    assert all(np.isnan(v) for v in res.values)
+
+
+def test_intersection_continuity_refuses_unpaired_sequences():
+    c_seq, b_seq, square = _shifted_square_family([2, 4, 8])
+    with pytest.raises(geo.GeometryError, match="3 centres for 2 polytopes"):
+        geo.intersection_continuity_probe(c_seq, b_seq[:2], 1.0, np.zeros(2),
+                                          square, resolution=64)
+
+
+@pytest.mark.parametrize("member", ["centre", "polytope"])
+def test_intersection_continuity_refuses_member_of_other_dimension(member):
+    c_seq, b_seq, square = _shifted_square_family([2, 4, 8])
+    if member == "centre":
+        c_seq[2] = np.zeros(3)
+    else:
+        b_seq[2] = geo.Polytope(np.vstack([np.eye(3), np.zeros((1, 3))]))
+    with pytest.raises(geo.DimensionMismatch):
+        geo.intersection_continuity_probe(c_seq, b_seq, 1.0, np.zeros(2),
+                                          square, resolution=64)
 
 
 def test_intersection_continuity_tangency_is_flagged_not_asserted():

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from evoinc import rhs, selection as sel
-from evoinc.geometry import Ball, BallCapPolytope, project_intersection
+from evoinc import geometry as geo, rhs, selection as sel
 from evoinc.paths import (TimePath, constant_path, path_distance,
                           path_l2_norm, zero_path)
 
@@ -207,10 +206,10 @@ def test_approximate_selection_l2_bound_and_node_oracle(rng):
     # node-wise cross-check: intersection projection of the old value
     verts = family.vertex_array(u_new.values, v.values)
     for i in range(0, 33, 8):
-        from evoinc.geometry import Polytope
-        chi = BallCapPolytope(Ball(f.values[i], eps), Polytope(verts[i]))
-        oracle = project_intersection(f.values[i], chi)
-        assert np.linalg.norm(f_new.values[i] - oracle.point) <= 1e-6
+        oracle, _ = geo._project_cap(
+            f.values[i][None, :], geo.Ball(f.values[i], eps),
+            geo._body_projector(geo.Polytope(verts[i]), 1))
+        assert np.linalg.norm(f_new.values[i] - oracle[0]) <= 1e-6
 
 
 def test_approximate_selection_reports_failing_node(rng):
