@@ -15,7 +15,11 @@ against a polytope by the depth of the witness over the hyperplanes of the
 hull's facets.
 
 Everything is vectorized over batches of query points; the public
-single-point entry points are thin wrappers around the batch kernels.
+single-point entry points are thin wrappers around the batch kernels. The
+projection-difference and Slater checks are batched over rows: one call
+checks every trial, with the polytopes of each side in one vertex stack
+and one `HullProjector`, and the ball∩hull multiplier search runs over all
+rows at once, one ball per row.
 """
 
 from __future__ import annotations
@@ -307,48 +311,53 @@ def _nearest_and_reach(stack: np.ndarray, x: np.ndarray):
     return dist2.argmin(axis=1), np.sqrt(dist2.max(axis=1, initial=1.0))
 
 
-def _distance_rows(x: np.ndarray, body: ConvexBody) -> np.ndarray:
-    """Row-wise Euclidean distance to a body."""
-    x = _rows(x)
-    return np.linalg.norm(x - _project_rows(x, body), axis=1)
+def _stack_projector(points: np.ndarray, radii: np.ndarray, kind):
+    """`project(q, rows)`: certified projections of the queries q, one per
+    listed row, onto a stack of bodies of one kind laid out as by
+    `_body_stack`.
+
+    Balls project in closed form; polytopes through one `HullProjector`
+    over every row of the stack, so later calls warm-start from earlier
+    ones.
+    """
+    if kind is Ball:
+        return lambda q, rows: project_balls(q, points[rows, 0], radii[rows])
+    hull = HullProjector(points)
+    return lambda q, rows: hull.project(q, rows=rows)[0]
 
 
 def _body_projector(body: ConvexBody, m: int):
-    """`project(q, rows)`: certified projections onto the body of the
-    queries q, one per listed row of an m-row batch (None lists every row).
-
-    A ball projects in closed form; a polytope through one `HullProjector`
-    over m rows, so later calls warm-start from earlier ones.
-    """
-    if isinstance(body, Ball):
-        return lambda q, rows: project_balls(q, body.center, body.radius)
-    hull = HullProjector(np.broadcast_to(body.vertices,
-                                         (m,) + body.vertices.shape))
-    return lambda q, rows: hull.project(q, rows=rows)[0]
+    """`_stack_projector` for one body repeated over an m-row batch."""
+    points, radii = _body_stack([body])
+    return _stack_projector(np.broadcast_to(points, (m,) + points.shape[1:]),
+                            np.broadcast_to(radii, (m,)), type(body))
 
 
 def _project_rows(x: np.ndarray, body: ConvexBody) -> np.ndarray:
     """Rows of the 2-D array x projected onto a body."""
-    return _body_projector(body, x.shape[0])(x, None)
+    m = x.shape[0]
+    return _body_projector(body, m)(x, np.arange(m))
 
 
-def _project_cap(x: np.ndarray, ball: Ball, project_h):
-    """Rows of x projected onto B[c, r] cap H by one multiplier per row.
+def _project_cap(x: np.ndarray, centers, radii, project_h):
+    """Rows of x projected onto B[c_i, r_i] cap H_i by one multiplier per row.
 
-    Returns (points, P_H(x)). `project_h(q, rows)` returns the certified
-    projections onto H of the queries q for those rows of the batch, as
-    `_body_projector` builds it. With mu the multiplier of the
-    ball constraint and t = mu / (1 + mu), the KKT conditions give
-    y = P_H((1 - t) x + t c) for one t in [0, 1), and phi(t) = ||y(t) - c||
-    - r does not increase in t (it is the derivative of a concave dual
-    function). A row retires at t = 0 when phi(0) <= tol, and otherwise once
+    `centers` is (d,) or (m, d) and `radii` a scalar or (m,); both
+    broadcast over the m rows of x. Returns (points, P_H(x)).
+    `project_h(q, rows)` returns the certified projections onto H of the
+    queries q for those rows of the batch, as `_stack_projector` builds it.
+    With mu the multiplier of the ball constraint and t = mu / (1 + mu), the
+    KKT conditions give y = P_H((1 - t) x + t c) for one t in [0, 1), and
+    phi(t) = ||y(t) - c|| - r does not increase in t (it is the derivative
+    of a concave dual function). A row retires at t = 0 when phi(0) <= tol, and otherwise once
     a bracketed Illinois regula falsi on [0, 1] (t = 1 projects c) finds
-    |phi(t)| <= tol = PROJECTION_TOL * (1 + r). With H's own certificate
-    this certifies optimality, not only membership. When dist(c, H) >=
-    r - tol the cap is the single point P_H(c) (tangency) or empty to
-    within FEASIBILITY_TOL, and P_H(c) is returned.
+    |phi(t)| <= tol = PROJECTION_TOL * (1 + r), per row. With H's own
+    certificate this certifies optimality, not only membership. When
+    dist(c, H) >= r - tol the cap is the single point P_H(c) (tangency) or
+    empty to within FEASIBILITY_TOL, and P_H(c) is returned.
     """
-    c, r = ball.center, ball.radius
+    c = np.broadcast_to(np.asarray(centers, dtype=float), x.shape)
+    r = np.broadcast_to(np.asarray(radii, dtype=float), x.shape[:1])
     tol = PROJECTION_TOL * (1.0 + r)
     x_on_h = project_h(x, np.arange(x.shape[0]))
     y = x_on_h.copy()
@@ -356,9 +365,9 @@ def _project_cap(x: np.ndarray, ball: Ball, project_h):
     active = np.flatnonzero(phi > tol)
     if active.size == 0:
         return y, x_on_h
-    anchor = project_h(np.broadcast_to(c, (active.size, c.size)), active)
-    f_hi = np.linalg.norm(anchor - c, axis=1) - r
-    ends = f_hi >= -tol
+    anchor = project_h(c[active], active)
+    f_hi = np.linalg.norm(anchor - c[active], axis=1) - r[active]
+    ends = f_hi >= -tol[active]
     y[active[ends]] = anchor[ends]
     active, f_hi = active[~ends], f_hi[~ends]
     f_lo = phi[active]
@@ -368,9 +377,10 @@ def _project_cap(x: np.ndarray, ball: Ball, project_h):
         if active.size == 0:
             return y, x_on_h
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        q = x[active] + t[:, None] * (c - x[active])
+        ca = c[active]
+        q = x[active] + t[:, None] * (ca - x[active])
         y[active] = project_h(q, active)
-        f = np.linalg.norm(y[active] - c, axis=1) - r
+        f = np.linalg.norm(y[active] - ca, axis=1) - r[active]
         above = f > 0.0
         # Illinois: when the same end moves twice, halve the other's value.
         f_hi = np.where(above & (side > 0), 0.5 * f_hi, f_hi)
@@ -378,14 +388,14 @@ def _project_cap(x: np.ndarray, ball: Ball, project_h):
         lo, f_lo = np.where(above, t, lo), np.where(above, f, f_lo)
         hi, f_hi = np.where(above, hi, t), np.where(above, f_hi, f)
         side = np.where(above, 1.0, -1.0)
-        go_on = np.abs(f) > tol
+        go_on = np.abs(f) > tol[active]
         active, lo, hi, f_lo, f_hi, side, f = (
             a[go_on] for a in (active, lo, hi, f_lo, f_hi, side, f))
         if np.any(np.nextafter(lo, hi) >= hi):
             break  # a bracket with no float inside: rounding level
     raise ProjectionDidNotConverge(
         "ball-hull projection left rows without certificate",
-        float(np.max(np.abs(f) - tol)))
+        float(np.max(np.abs(f) - tol[active])))
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +426,6 @@ def project_polytope(x, poly: Polytope, tol: float = PROJECTION_TOL,
     return p[0]
 
 
-def distance_to(x, body: ConvexBody) -> float:
-    """Euclidean distance of x to the body."""
-    return float(_distance_rows(np.asarray(x, dtype=float)[None, :], body)[0])
-
-
 # ---------------------------------------------------------------------------
 # batched polytope utilities
 
@@ -436,6 +441,17 @@ def pad_vertex_stack(polys) -> np.ndarray:
         out[i, :k] = poly.vertices
         out[i, k:] = poly.vertices[-1]
     return out
+
+
+def _body_stack(bodies):
+    """(points, radii) of one kind of body, padded to an (m, n_max, d)
+    stack: row i is the set within radii[i] of the hull of points[i]. A
+    ball is its centre with its radius, a polytope its vertices with radius
+    0, padded as in `pad_vertex_stack`."""
+    if isinstance(bodies[0], Ball):
+        return (np.array([b.center for b in bodies])[:, None, :],
+                np.array([b.radius for b in bodies], dtype=float))
+    return pad_vertex_stack(bodies), np.zeros(len(bodies))
 
 
 def _stack_distances(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -462,29 +478,22 @@ def _pair_hausdorff(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
 # diameters
 
 
-def diameter_upper(body: ConvexBody) -> float:
-    """Diameter of a ball or a polytope, exact."""
-    if isinstance(body, Ball):
-        return 2.0 * body.radius
-    v = body.vertices
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
+def union_diameter_upper(stack_a, stack_b) -> np.ndarray:
+    """Diameter of A_i u B_i per row, exact, for two `_body_stack` stacks.
 
+    A body of the stack is the set of points within its radius of the hull
+    of its points, so the diameter of a union is the largest point-to-point
+    distance within A, within B and across, each plus the radii at its two
+    ends: 2r for a ball, the vertex diameter for a polytope.
+    """
+    def reach(p, q):
+        diff = p[:, :, None, :] - q[:, None, :, :]
+        return np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
 
-def _cross_sup(a: ConvexBody, b: ConvexBody) -> float:
-    """sup over a x b of the pair distance."""
-    if isinstance(a, Ball) and isinstance(b, Ball):
-        return float(np.linalg.norm(a.center - b.center)) + a.radius + b.radius
-    if isinstance(a, Ball):
-        return float(np.linalg.norm(b.vertices - a.center, axis=1).max()) + a.radius
-    if isinstance(b, Ball):
-        return _cross_sup(b, a)
-    diff = a.vertices[:, None, :] - b.vertices[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
-
-
-def union_diameter_upper(a: ConvexBody, b: ConvexBody) -> float:
-    return max(diameter_upper(a), diameter_upper(b), _cross_sup(a, b))
+    (pa, ra), (pb, rb) = stack_a, stack_b
+    return np.maximum(np.maximum(reach(pa, pa) + 2.0 * ra,
+                                 reach(pb, pb) + 2.0 * rb),
+                      reach(pa, pb) + ra + rb)
 
 
 # ---------------------------------------------------------------------------
@@ -554,19 +563,17 @@ def projection_difference_check(xs, bodies_c, bodies_d,
     return BoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + 1e-8)))
 
 
-def _verify_inner_ball(x0: np.ndarray, rho: float, body: ConvexBody,
-                       tol: float = 1e-8) -> bool:
-    """Exact check of B[x0, rho] subset of body, to within tol.
+def _verify_inner_ball(x0: np.ndarray, rho: float, body: Polytope,
+                       tol: float = FEASIBILITY_TOL) -> bool:
+    """Exact check of B[x0, rho] subset of the polytope, to within tol.
 
-    For a polytope in R^d, every hyperplane through d of its vertices that
-    has all vertices on one side (to within tol) supports the hull, and
-    every facet lies in such a hyperplane. The least distance from x0 to
-    these hyperplanes is therefore the depth of x0 in the hull, short by at
-    most tol. Vertices that do not span R^d leave no interior, and more
-    than FACET_SUBSETS_MAX d-subsets raise `GeometryError`.
+    In R^d, every hyperplane through d of its vertices that has all
+    vertices on one side (to within tol) supports the hull, and every facet
+    lies in such a hyperplane. The least distance from x0 to these
+    hyperplanes is therefore the depth of x0 in the hull, short by at most
+    tol. Vertices that do not span R^d leave no interior, and more than
+    FACET_SUBSETS_MAX d-subsets raise `GeometryError`.
     """
-    if isinstance(body, Ball):
-        return float(np.linalg.norm(x0 - body.center)) + rho <= body.radius + tol
     v = body.vertices
     n, d = v.shape
     subsets = math.comb(n, d)
@@ -587,39 +594,72 @@ def _verify_inner_ball(x0: np.ndarray, rho: float, body: ConvexBody,
     return bool(depth.size > 0 and rho <= depth.min() + tol)
 
 
-def slater_intersection_check(x, a_body: ConvexBody, b_body: ConvexBody,
-                              x0, rho: float, slack: float = 1e-8) -> BoundCheck:
-    """dist(x, A cap B) against (1 + diam(A u B)/rho)(dist(x,A) + dist(x,B)).
+def slater_intersection_check(xs, bodies_a, bodies_b, x0s,
+                              rhos) -> BoundCheck:
+    """dist(x, A cap B) against (1 + diam(A u B)/rho)(dist(x,A) + dist(x,B)),
+    per row.
 
-    Requires a verified interior witness: x0 in A cap B with B[x0, rho]
-    inside B, checked exactly (see `_verify_inner_ball`). Verification
-    failures raise SlaterViolation. The witness makes A cap B nonempty, so
-    the projection onto it is one `_project_cap` call: the ball of the pair
-    (A when both are balls) caps the other body, through the other body's
-    `_body_projector`. The cap's first step projects x onto the other body,
-    which gives that body's term of the bound.
+    Row i pairs the query xs[i] with bodies_a[i] and bodies_b[i] and the
+    interior witness B[x0s[i], rhos[i]]; every row has the same kind pair,
+    ball/ball, ball/polytope or polytope/ball, else `GeometryError`. The
+    witnesses are verified exactly: x0 in A cap B by one stacked projection
+    per side, and B[x0, rho] inside B in closed form for balls or, for
+    polytopes, by `_verify_inner_ball` on each row's own vertices. The
+    first failing row raises SlaterViolation. The witness makes A cap B
+    nonempty, so the projections onto it are one `_project_cap` call: the
+    balls of the pair (A when both are balls) cap the other bodies, all
+    polytopes in one `HullProjector`. The cap's first step projects x onto
+    the other body, which gives that body's term of the bound.
     """
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    kinds = {type(a_body), type(b_body)}
-    if not kinds <= {Ball, Polytope} or kinds == {Polytope}:
-        raise GeometryError("the Slater check takes a ball and a ball or a "
-                            "polytope")
-    feas_tol = 1e-8
-    if distance_to(x0, a_body) > feas_tol or distance_to(x0, b_body) > feas_tol:
-        raise SlaterViolation("witness point is not in the intersection")
-    if rho <= 0.0 or not _verify_inner_ball(x0, rho, b_body, tol=feas_tol):
-        raise SlaterViolation("B[x0, rho] is not contained in the second body")
+    xs, x0s = _rows(xs), _rows(x0s)
+    rhos = np.asarray(rhos, dtype=float)
+    m = xs.shape[0]
+    if not len(bodies_a) == len(bodies_b) == m == x0s.shape[0] == rhos.size:
+        raise GeometryError("need one pair of bodies, witness and radius "
+                            "per query")
+    kinds = {(type(a), type(b)) for a, b in zip(bodies_a, bodies_b)}
+    if len(kinds) != 1 or not kinds <= {(Ball, Ball), (Ball, Polytope),
+                                         (Polytope, Ball)}:
+        raise GeometryError("the Slater check takes rows of one kind pair: "
+                            "ball/ball, ball/polytope or polytope/ball")
+    (kind_a, kind_b), = kinds
+    if any(body.dim != xs.shape[1] for body in (*bodies_a, *bodies_b)) \
+            or x0s.shape != xs.shape:
+        raise DimensionMismatch("queries, witnesses and bodies must share "
+                                "dimension")
+    stack_a, stack_b = _body_stack(bodies_a), _body_stack(bodies_b)
 
-    ball, other = ((a_body, b_body) if isinstance(a_body, Ball)
-                   else (b_body, a_body))
-    point, x_on_other = _project_cap(x[None, :], ball,
-                                     _body_projector(other, 1))
-    lhs = float(np.linalg.norm(x - point[0]))
-    d = union_diameter_upper(a_body, b_body)
-    to_other = float(np.linalg.norm(x - x_on_other, axis=1)[0])
-    rhs = (1.0 + d / rho) * (distance_to(x, ball) + to_other)
-    return BoundCheck(lhs, rhs, lhs <= rhs + slack)
+    every = np.arange(m)
+    outside = np.zeros(m, dtype=bool)
+    for (points, radii), kind in ((stack_a, kind_a), (stack_b, kind_b)):
+        on_body = _stack_projector(points, radii, kind)(x0s, every)
+        outside |= np.linalg.norm(x0s - on_body, axis=1) > FEASIBILITY_TOL
+    if kind_b is Ball:
+        inside = (np.linalg.norm(x0s - stack_b[0][:, 0], axis=1) + rhos
+                  <= stack_b[1] + FEASIBILITY_TOL)
+    else:
+        inside = np.array([_verify_inner_ball(x0, rho, body) for x0, rho,
+                           body in zip(x0s, rhos, bodies_b)])
+    failing = np.flatnonzero(outside | ~(inside & (rhos > 0.0)))
+    if failing.size:
+        i = failing[0]
+        raise SlaterViolation(
+            f"row {i}: " + ("witness point is not in the intersection"
+                            if outside[i] else
+                            "B[x0, rho] is not contained in the second body"))
+
+    (centers, radii), other, other_kind = (
+        (stack_a, stack_b, kind_b) if kind_a is Ball
+        else (stack_b, stack_a, kind_a))
+    centers = centers[:, 0]
+    point, x_on_other = _project_cap(xs, centers, radii,
+                                     _stack_projector(*other, other_kind))
+    lhs = np.linalg.norm(xs - point, axis=1)
+    to_ball = np.linalg.norm(xs - project_balls(xs, centers, radii), axis=1)
+    to_other = np.linalg.norm(xs - x_on_other, axis=1)
+    rhs = (1.0 + union_diameter_upper(stack_a, stack_b) / rhos) \
+        * (to_ball + to_other)
+    return BoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + 1e-8)))
 
 
 @dataclass(frozen=True)
@@ -652,25 +692,26 @@ def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
     if any(body.dim != b.dim for body in balls + polys):
         raise DimensionMismatch("centres and polytopes must share dimension")
     cloud, slack = _boundary_cloud(balls[0], b.vertices, resolution)
-    gaps = _stack_distances(np.array([ball.center for ball in balls]),
-                            pad_vertex_stack(polys))
+    centres = np.array([ball.center for ball in balls])
+    gaps = _stack_distances(centres, pad_vertex_stack(polys))
     if gaps[0] > r + FEASIBILITY_TOL:
         return IntersectionContinuityResult([float("nan")] * len(c_seq), False,
                                             list(range(len(c_seq))))
     m = cloud.shape[0]
     limit = _body_projector(b, m)
-    limit_sample, _ = _project_cap(cloud, balls[0], limit)
+    limit_sample, _ = _project_cap(cloud, centres[0], r, limit)
 
     values, empty = [], []
-    for idx, (ball, bn) in enumerate(zip(balls[1:], b_seq)):
+    for idx, (centre, bn) in enumerate(zip(centres[1:], b_seq)):
         if gaps[idx + 1] > r + FEASIBILITY_TOL:
             empty.append(idx)
             values.append(float("nan"))
             continue
         member = _body_projector(bn, m)
-        sample_n, _ = _project_cap(cloud, ball, member)
-        to_limit = sample_n - _project_cap(sample_n, balls[0], limit)[0]
-        to_member = limit_sample - _project_cap(limit_sample, ball, member)[0]
+        sample_n, _ = _project_cap(cloud, centre, r, member)
+        to_limit = sample_n - _project_cap(sample_n, centres[0], r, limit)[0]
+        to_member = limit_sample - _project_cap(limit_sample, centre, r,
+                                                member)[0]
         values.append(float(max(np.linalg.norm(to_limit, axis=1).max(),
                                 np.linalg.norm(to_member, axis=1).max()))
                       + slack)

@@ -92,32 +92,26 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
     results.append(CheckResult("variational-certificate", n_pairs,
                                _min_margin(margins), _min_margin(margins) >= 0))
 
-    margins = []
     n_triples = max(n_pairs // 2, 1)
+    triples, shifts = [], []
     for i in range(n_triples):
         rng = _rng(seed, 3000 + i)
-        dim = 2
-        a = _random_polytope(rng, dim, 2.0)
-        b = _random_polytope(rng, dim, 2.0)
-        c = _random_polytope(rng, dim, 2.0)
-        shift = rng.normal(size=dim)
-        d_ab = geo.hausdorff_distance(a, b)
-        d_ba = geo.hausdorff_distance(b, a)
-        d_self = geo.hausdorff_distance(a, a)
-        d_shift = geo.hausdorff_distance(
-            geo.Polytope(a.vertices + shift), geo.Polytope(b.vertices + shift))
-        d_ac = geo.hausdorff_distance(a, c)
-        d_cb = geo.hausdorff_distance(c, b)
-        margins.append(1e-9 - abs(d_ab - d_ba))
-        margins.append(1e-9 - d_self)
-        margins.append(1e-9 - abs(d_shift - d_ab))
-        margins.append(d_ac + d_cb + 1e-9 - d_ab)
+        triples.append([_random_polytope(rng, 2, 2.0) for _ in range(3)])
+        shifts.append(rng.normal(size=2))
+    a, b, c = (geo.pad_vertex_stack(polys) for polys in zip(*triples))
+    shift = np.asarray(shifts)[:, None, :]
+    d_ab = geo._pair_hausdorff(a, b)
+    margins = np.concatenate([
+        1e-9 - np.abs(d_ab - geo._pair_hausdorff(b, a)),
+        1e-9 - geo._pair_hausdorff(a, a),
+        1e-9 - np.abs(geo._pair_hausdorff(a + shift, b + shift) - d_ab),
+        geo._pair_hausdorff(a, c) + geo._pair_hausdorff(c, b) + 1e-9 - d_ab])
     results.append(CheckResult("hausdorff-metric-properties", n_triples,
                                _min_margin(margins), _min_margin(margins) >= 0))
 
     results.append(projection_difference_battery(seed, trials or 1000))
     results.append(slater_battery(seed, trials or 500))
-    results.append(intersection_continuity_battery(seed))
+    results.append(intersection_continuity_battery(seed, trials or 10))
     return results
 
 
@@ -138,26 +132,34 @@ def projection_difference_battery(seed: int = 7, trials: int = 1000,
     return CheckResult("projection-difference-bound", trials, worst, worst >= 0)
 
 
-def slater_battery(seed: int = 7, trials: int = 500,
-                   dim: int = 3) -> CheckResult:
-    """Interior-witness intersections against the linear-regularity bound."""
-    margins = []
+def _slater_rows(seed: int = 7, trials: int = 500, dim: int = 3):
+    """Inputs of `slater_battery`: (xs, polytopes, balls, x0s, rhos), one
+    row per trial, each witness inside its ball and its polytope."""
+    xs, polys, balls, x0s, rhos = [], [], [], [], []
     for i in range(trials):
         rng = _rng(seed, 5000 + i)
         center = rng.normal(size=dim)
         radius = float(rng.uniform(0.8, 2.0))
-        ball = geo.Ball(center, radius)
+        balls.append(geo.Ball(center, radius))
         x0 = center + rng.normal(size=dim) * 0.1
         rho = float(rng.uniform(0.1, 0.3))
         x0 = geo.project_ball(x0, center, max(radius - rho - 1e-6, 1e-3))
         # polytope containing x0: a simplex around it plus random spread
         simplex = x0 + 0.5 * np.vstack([np.eye(dim), -np.ones((1, dim))])
         extra = x0 + rng.normal(size=(3, dim)) * rng.uniform(0.5, 2.0)
-        poly = geo.Polytope(np.vstack([simplex, extra]))
-        x = rng.normal(size=dim) * 4.0
-        chk = geo.slater_intersection_check(x, poly, ball, x0, rho)
-        margins.append(chk.rhs + 1e-8 - chk.lhs)
-    worst = _min_margin(margins)
+        polys.append(geo.Polytope(np.vstack([simplex, extra])))
+        xs.append(rng.normal(size=dim) * 4.0)
+        x0s.append(x0)
+        rhos.append(rho)
+    return np.asarray(xs), polys, balls, np.asarray(x0s), np.asarray(rhos)
+
+
+def slater_battery(seed: int = 7, trials: int = 500,
+                   dim: int = 3) -> CheckResult:
+    """Interior-witness intersections against the linear-regularity bound,
+    all trials in one `geometry.slater_intersection_check`."""
+    chk = geo.slater_intersection_check(*_slater_rows(seed, trials, dim))
+    worst = float((chk.rhs + 1e-8 - chk.lhs).min())
     return CheckResult("slater-intersection-bound", trials, worst, worst >= 0)
 
 

@@ -62,6 +62,11 @@ def test_verify_one_trial_runs_every_check(capsys, suite):
     assert out and "trials=0 " not in out
 
 
+def test_verify_convex_trials_set_the_continuity_family_count(capsys):
+    assert main(["verify", "convex", "--trials", "1", "--seed", "7"]) == 0
+    assert "PASS intersection-continuity trials=1 " in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 

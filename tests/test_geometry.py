@@ -254,7 +254,8 @@ def test_hull_projector_certifies_far_hulls():
 def _cap_point(x, ball, poly):
     """Projection of the point x onto ball cap poly by `_project_cap`."""
     x = np.asarray(x, dtype=float)[None, :]
-    y, _ = geo._project_cap(x, ball, geo._body_projector(poly, 1))
+    y, _ = geo._project_cap(x, ball.center, ball.radius,
+                            geo._body_projector(poly, 1))
     return y[0]
 
 
@@ -298,17 +299,8 @@ def test_project_intersection_against_grid_filter_oracle():
 
 def _slater_trial(trial):
     """(x, ball, polytope, x0, rho) of `suites.slater_battery` at seed 7."""
-    rng = suites._rng(7, 5000 + trial)
-    center = rng.normal(size=3)
-    radius = float(rng.uniform(0.8, 2.0))
-    x0 = center + rng.normal(size=3) * 0.1
-    rho = float(rng.uniform(0.1, 0.3))
-    x0 = geo.project_ball(x0, center, max(radius - rho - 1e-6, 1e-3))
-    simplex = x0 + 0.5 * np.vstack([np.eye(3), -np.ones((1, 3))])
-    extra = x0 + rng.normal(size=(3, 3)) * rng.uniform(0.5, 2.0)
-    poly = geo.Polytope(np.vstack([simplex, extra]))
-    x = rng.normal(size=3) * 4.0
-    return x, geo.Ball(center, radius), poly, x0, rho
+    xs, polys, balls, x0s, rhos = suites._slater_rows(7, trial + 1)
+    return xs[trial], balls[trial], polys[trial], x0s[trial], rhos[trial]
 
 
 def test_project_intersection_where_alternating_projections_stalled():
@@ -351,7 +343,7 @@ def _check_cap_kkt(x, ball, project_h, members):
         first.append(points.copy())
         return points
 
-    y, x_on_h = geo._project_cap(x, ball, recording)
+    y, x_on_h = geo._project_cap(x, c, r, recording)
     assert np.array_equal(x_on_h, first[0])
     t = np.einsum("md,md->m", last_q - x, c - x) / np.sum((c - x) ** 2, axis=1)
     assert np.abs(last_q - (x + t[:, None] * (c - x))).max() <= 1e-12
@@ -374,14 +366,16 @@ def test_project_cap_kkt_certificate_on_hulls(dim):
         vertices = rng.normal(size=(int(rng.integers(dim + 1, 9)), dim)) * 1.5
         poly = geo.Polytope(vertices)
         c = rng.normal(size=dim)
-        r = geo.distance_to(c, poly) + rng.uniform(0.4, 1.2)
+        r = np.linalg.norm(c - geo.project_polytope(c, poly)) \
+            + rng.uniform(0.4, 1.2)
         x = c + rng.normal(size=(m, dim)) * 3.0
         hull = geo.HullProjector(np.broadcast_to(vertices,
                                                  (m,) + vertices.shape))
         # members: hull vertices inside the ball, ball points inside the hull
         ball_points = c + r * rng.uniform(size=(1000, 1)) ** (1.0 / dim) \
             * _unit_rows(320 + dim, 1000, dim)
-        in_hull = geo._distance_rows(ball_points, poly) <= 1e-12
+        off_hull = ball_points - geo._project_rows(ball_points, poly)
+        in_hull = np.linalg.norm(off_hull, axis=1) <= 1e-12
         in_ball = np.linalg.norm(vertices - c, axis=1) <= r
         members = np.vstack([vertices[in_ball], ball_points[in_hull]])
         multipliers.append(_check_cap_kkt(
@@ -515,11 +509,19 @@ def test_projection_difference_requires_containment():
 # interior-witness intersection bound
 
 
+def _slater_one(x, a, b, x0, rho):
+    """`slater_intersection_check` on the single row (x, a, b, x0, rho),
+    with scalar lhs and rhs."""
+    chk = geo.slater_intersection_check(np.asarray(x, dtype=float)[None, :],
+                                        [a], [b], np.asarray(x0)[None, :],
+                                        [rho])
+    return geo.BoundCheck(float(chk.lhs[0]), float(chk.rhs[0]), chk.passed)
+
+
 def test_slater_check_zero_distance_inside():
     a = geo.Ball(np.array([0.0, 0.0]), 1.0)
     b = geo.Ball(np.array([0.5, 0.0]), 1.0)
-    chk = geo.slater_intersection_check(np.array([0.4, 0.1]), a, b,
-                                        np.array([0.25, 0.0]), 0.2)
+    chk = _slater_one(np.array([0.4, 0.1]), a, b, np.array([0.25, 0.0]), 0.2)
     assert chk.lhs <= 1e-8 and chk.passed
 
 
@@ -527,7 +529,7 @@ def test_slater_check_two_balls_analytic():
     a = geo.Ball(np.array([0.0, 0.0]), 1.0)
     b = geo.Ball(np.array([1.0, 0.0]), 1.0)
     x = np.array([2.0, 2.0])
-    chk = geo.slater_intersection_check(x, a, b, np.array([0.5, 0.0]), 0.4)
+    chk = _slater_one(x, a, b, np.array([0.5, 0.0]), 0.4)
     # oracle: dense sweep over the lens
     th = np.linspace(0.0, 2.0 * np.pi, 4001)
     rr = np.linspace(0.0, 1.0, 400)
@@ -546,12 +548,10 @@ def test_slater_check_rejects_bad_witness():
     b = geo.Ball(np.array([1.0, 0.0]), 1.0)
     # inner ball pokes out of the second body
     with pytest.raises(geo.SlaterViolation):
-        geo.slater_intersection_check(np.zeros(2), a, b,
-                                      np.array([0.5, 0.0]), 0.8)
+        _slater_one(np.zeros(2), a, b, np.array([0.5, 0.0]), 0.8)
     # witness not in the intersection at all
     with pytest.raises(geo.SlaterViolation):
-        geo.slater_intersection_check(np.zeros(2), a, b,
-                                      np.array([2.5, 0.0]), 0.1)
+        _slater_one(np.zeros(2), a, b, np.array([2.5, 0.0]), 0.1)
 
 
 
@@ -562,9 +562,9 @@ def test_slater_check_rejects_witness_poking_out_of_polytope():
     x, ball, poly, x0, rho = _slater_trial(68)
     assert rho == pytest.approx(0.15245, abs=1e-5)
     with pytest.raises(geo.SlaterViolation):
-        geo.slater_intersection_check(x, ball, poly, x0, rho)
-    assert geo.slater_intersection_check(x, ball, poly, x0, 0.15075).passed
-    assert geo.slater_intersection_check(x, poly, ball, x0, rho).passed
+        _slater_one(x, ball, poly, x0, rho)
+    assert _slater_one(x, ball, poly, x0, 0.15075).passed
+    assert _slater_one(x, poly, ball, x0, rho).passed
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -581,8 +581,8 @@ def test_slater_check_is_the_same_in_either_order(dim):
         ball = geo.Ball(x0 + offset, float(np.linalg.norm(offset)
                                            + rng.uniform(0.5, 1.5)))
         x = rng.normal(size=dim) * 4.0
-        first = geo.slater_intersection_check(x, poly, ball, x0, rho)
-        second = geo.slater_intersection_check(x, ball, poly, x0, rho)
+        first = _slater_one(x, poly, ball, x0, rho)
+        second = _slater_one(x, ball, poly, x0, rho)
         assert first.passed and second.passed
         assert first.lhs == pytest.approx(second.lhs, abs=1e-12)
         assert first.rhs == pytest.approx(second.rhs, abs=1e-12)
@@ -593,10 +593,9 @@ def test_slater_witness_depth_in_cube_is_exact():
                                   for b in (-0.5, 0.5) for c in (-0.5, 0.5)]))
     ball = geo.Ball(np.zeros(3), 2.0)
     x = np.array([3.0, 1.0, -2.0])
-    assert geo.slater_intersection_check(x, ball, cube, np.zeros(3),
-                                         0.5 - 1e-9).passed
+    assert _slater_one(x, ball, cube, np.zeros(3), 0.5 - 1e-9).passed
     with pytest.raises(geo.SlaterViolation):
-        geo.slater_intersection_check(x, ball, cube, np.zeros(3), 0.5 + 1e-6)
+        _slater_one(x, ball, cube, np.zeros(3), 0.5 + 1e-6)
 
 
 def test_slater_witness_in_flat_polytope_is_rejected():
@@ -605,24 +604,91 @@ def test_slater_witness_in_flat_polytope_is_rejected():
                                     [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
     x0 = np.array([0.5, 0.5, 0.0])
     with pytest.raises(geo.SlaterViolation):
-        geo.slater_intersection_check(np.ones(3), geo.Ball(x0, 1.0), square,
-                                      x0, 1e-3)
+        _slater_one(np.ones(3), geo.Ball(x0, 1.0), square, x0, 1e-3)
 
 
 def test_slater_witness_check_refuses_large_vertex_sets():
     rng = np.random.default_rng(5)
     cloud = geo.Polytope(rng.normal(size=(60, 3)))  # C(60, 3) = 34220
     with pytest.raises(geo.GeometryError, match="n = 60.*d = 3"):
-        geo.slater_intersection_check(np.ones(3), geo.Ball(np.zeros(3), 1.0),
-                                      cloud, np.zeros(3), 0.01)
+        _slater_one(np.ones(3), geo.Ball(np.zeros(3), 1.0), cloud,
+                    np.zeros(3), 0.01)
 
 
 def test_slater_check_refuses_two_polytopes():
     a = geo.Polytope(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
     b = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + 0.1)
     with pytest.raises(geo.GeometryError):
-        geo.slater_intersection_check(np.array([3.0, 3.0]), a, b,
-                                      np.array([0.4, 0.4]), 0.05)
+        _slater_one(np.array([3.0, 3.0]), a, b, np.array([0.4, 0.4]), 0.05)
+
+
+def _shifted_balls(x0s, rhos, seed):
+    """Second balls B[x0 + rho u / 2, 2 rho] with seeded unit u: each holds
+    B[x0, rho] with room 0.5 rho."""
+    u = _unit_rows(seed, len(rhos), x0s.shape[1])
+    return [geo.Ball(x0 + 0.5 * rho * e, 2.0 * rho)
+            for x0, rho, e in zip(x0s, rhos, u)]
+
+
+@pytest.mark.parametrize("pair", ["polytope/ball", "ball/polytope",
+                                  "ball/ball"])
+def test_slater_batch_matches_one_row_calls(pair):
+    xs, polys, balls, x0s, rhos = suites._slater_rows(7, 100)
+    a, b = {"polytope/ball": (polys, balls),
+            "ball/polytope": (balls, polys),
+            "ball/ball": (balls, _shifted_balls(x0s, rhos, 17))}[pair]
+    single, keep = [], []
+    for i in range(len(xs)):
+        try:
+            single.append(_slater_one(xs[i], a[i], b[i], x0s[i], rhos[i]))
+        except geo.SlaterViolation:
+            continue  # the witness pokes out of this row's polytope
+        keep.append(i)
+    assert len(keep) >= 30
+    chk = geo.slater_intersection_check(xs[keep], [a[i] for i in keep],
+                                        [b[i] for i in keep], x0s[keep],
+                                        rhos[keep])
+    assert chk.passed
+    for name in ("lhs", "rhs"):
+        np.testing.assert_allclose(
+            getattr(chk, name), [getattr(one, name) for one in single],
+            rtol=1e-15, atol=0.0)
+
+
+def test_slater_batch_names_first_failing_row():
+    xs, polys, balls, x0s, rhos = suites._slater_rows(7, 10)
+    assert geo.slater_intersection_check(xs, polys, balls, x0s, rhos).passed
+    far = x0s.copy()
+    far[6] += 10.0
+    with pytest.raises(geo.SlaterViolation,
+                       match="row 6: witness point is not in"):
+        geo.slater_intersection_check(xs, polys, balls, far, rhos)
+    wide = rhos.copy()
+    wide[3] = 10.0
+    with pytest.raises(geo.SlaterViolation,
+                       match=r"row 3: B\[x0, rho\] is not contained"):
+        geo.slater_intersection_check(xs, polys, balls, far, wide)
+
+
+def test_slater_batch_refuses_mixed_kind_pairs():
+    xs, polys, balls, x0s, rhos = suites._slater_rows(7, 2)
+    with pytest.raises(geo.GeometryError, match="one kind pair"):
+        geo.slater_intersection_check(xs, [polys[0], balls[1]],
+                                      [balls[0], polys[1]], x0s, rhos)
+
+
+def test_slater_battery_builds_two_hull_projectors(monkeypatch):
+    built = []
+    init = geo.HullProjector.__init__
+
+    def counting(self, vertices):
+        built.append(self)
+        init(self, vertices)
+
+    monkeypatch.setattr(geo.HullProjector, "__init__", counting)
+    assert suites.slater_battery(7, 500).passed
+    assert len(built) <= 2
+
 
 # ---------------------------------------------------------------------------
 # intersection continuity probe
@@ -721,16 +787,21 @@ def test_intersection_continuity_tangency_is_flagged_not_asserted():
 # diameters
 
 
+def _union_diameter(a, b):
+    return geo.union_diameter_upper(geo._body_stack([a]),
+                                    geo._body_stack([b]))[0]
+
+
 def test_union_diameter_balls():
     a = geo.Ball(np.array([0.0, 0.0]), 1.0)
     b = geo.Ball(np.array([3.0, 0.0]), 0.5)
-    assert geo.union_diameter_upper(a, b) == pytest.approx(4.5)
+    assert _union_diameter(a, b) == pytest.approx(4.5)
 
 
 def test_union_diameter_polytopes_exact(rng):
     pts_a = rng.normal(size=(6, 3))
     pts_b = rng.normal(size=(5, 3))
-    d = geo.union_diameter_upper(geo.Polytope(pts_a), geo.Polytope(pts_b))
+    d = _union_diameter(geo.Polytope(pts_a), geo.Polytope(pts_b))
     allpts = np.vstack([pts_a, pts_b])
     diff = allpts[:, None, :] - allpts[None, :, :]
     assert d == pytest.approx(np.sqrt((diff ** 2).sum(-1)).max())
