@@ -97,6 +97,20 @@ def _int_at_least(low: int):
     return parse
 
 
+def _check_out(command: str, out: Path) -> bool:
+    """Whether `out` can hold the command's files: it is a directory or
+    does not exist yet, and its nearest existing ancestor is a directory.
+    Otherwise print a usage error naming --out."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if path.is_dir():
+                return True
+            print(f"{command}: --out {out}: {path} is not a directory",
+                  file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_verify(args) -> int:
     results = suites.run_suite(args.suite, seed=args.seed, trials=args.trials)
     for result in results:
@@ -105,6 +119,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if not _check_out("counterexample", args.out):
+        return USAGE_ERROR
     if args.modes < 1 or args.points < 1:
         print("counterexample: modes and points must be positive",
               file=sys.stderr)
@@ -139,6 +155,8 @@ def cmd_counterexample(args) -> int:
 def cmd_solve(args) -> int:
     # Validate fully before creating any output file: a rejected config
     # must not leave partial artifacts behind.
+    if not _check_out("solve", args.out):
+        return USAGE_ERROR
     cfg = load_config(args.config)
     experiment = build_experiment(cfg)
     failure = None

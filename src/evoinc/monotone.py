@@ -19,6 +19,17 @@ A flow evaluates the coefficient field once per time node into a
 and hands each step its row. The potential derives its mesh constants and
 the exponent arrays p - 2, 1/p and p - 1 once, at construction, so an
 energy evaluation is a handful of array operations and dot products.
+
+Every layer takes a stack of B independent states sharing one potential:
+a state is (J,) and a stack is (B, J), and one state runs through the
+same code as a stack. The energy kernel, `energy`, `subgradient`,
+`prox_step`, `solve_monotone_ivp` and the tridiagonal solve work row by
+row along the last axis, with every reduction a per-row dot product, so
+each row of a stack gets exactly the bits of its one-state call. The coefficient may be one closed-grid row (J + 2,) for all states
+or one row per state (B, J + 2); `energy` and `subgradient` take one time
+or one time per row, so the node energies of whole flows are one call. In
+`prox_step` each row has its own residual target and Armijo step length,
+and rows retire from the Newton iteration as they certify.
 """
 
 from __future__ import annotations
@@ -163,24 +174,41 @@ def make_potential(j: int, p_spec=("constant", 3.0),
 # energy, gradient, Hessian
 
 
-class _EnergyKernel:
-    """The energy's terms at one state and one coefficient field.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> list:
+    """Dot products of matching rows of a and b, (n,) or (B, n), as a list
+    of floats.
 
-    `d` is the coefficient on the J + 1 difference edges, d[:-1] of the
-    closed-grid field. Forward differences over the closed grid (boundary
-    values zero), the powers |g|^(p-2) and |v|^(p-2) and the flux
-    d |g|^(p-2) g are formed once; the energy value, the mesh-weighted
-    gradient and the tridiagonal Hessian all derive from them, each only
-    when asked for, with every reduction taken as a dot product.
+    A batched matmul over (1, n) @ (n, 1) blocks takes each row's dot with
+    the same BLAS kernel as the 1-D `a.dot(b)` (and `a @ b`), bit for bit;
+    `einsum` and `(a * b).sum(1)` sum in another order.
+    """
+    if a.ndim == 1:
+        return [float(a.dot(b))]
+    return (a[:, None, :] @ b[:, :, None]).ravel().tolist()
+
+
+class _EnergyKernel:
+    """The energy's terms at one state (J,) or a (B, J) stack of states.
+
+    `d` is the coefficient on the J + 1 difference edges, d[..., :-1] of
+    the closed-grid field: one (J + 1,) row shared by every state or one
+    row per state. Forward differences over the closed grid (boundary
+    values zero), the powers |g|^(p-2) and |v|^(p-2) and the fluxes
+    d |g|^(p-2) g and |v|^(p-2) v are formed once; the energy values, the
+    mesh-weighted gradients and the tridiagonal Hessians all derive from
+    them, each only when asked for, with every reduction taken as a row
+    dot product. All arithmetic is along the last axis, so each row of a
+    stack gets the same bits as a one-state kernel.
     """
 
-    __slots__ = ("pot", "d", "v", "g", "g_pow", "v_pow", "flux")
+    __slots__ = ("pot", "d", "v", "g", "g_pow", "v_pow", "flux", "v_flux")
+    _ROWS = ("v", "g", "g_pow", "v_pow", "flux", "v_flux")
 
     def __init__(self, pot: VariableExponentPotential, d: np.ndarray,
                  v: np.ndarray):
-        full = np.zeros(v.size + 2)
-        full[1:-1] = v
-        g = full[1:] - full[:-1]
+        full = np.zeros(v.shape[:-1] + pot.exponents.shape)
+        full[..., 1:-1] = v
+        g = full[..., 1:] - full[..., :-1]
         g *= pot.inv_mesh
         self.pot = pot
         self.d = d
@@ -189,83 +217,152 @@ class _EnergyKernel:
         self.g_pow = np.abs(g) ** pot.edge_p_minus_2
         self.v_pow = np.abs(v) ** pot.node_p_minus_2
         self.flux = d * self.g_pow * g
+        self.v_flux = self.v_pow * v
 
-    def value(self) -> float:
+    def take(self, rows: np.ndarray) -> "_EnergyKernel":
+        """The kernel of the rows `rows` of a stack."""
+        part = object.__new__(_EnergyKernel)
+        part.pot = self.pot
+        part.d = self.d[rows] if self.d.ndim == 2 else self.d
+        for name in _EnergyKernel._ROWS:
+            setattr(part, name, getattr(self, name)[rows])
+        return part
+
+    def put(self, rows: np.ndarray, part: "_EnergyKernel") -> None:
+        """Overwrite the rows `rows` of a stack with the kernel `part`."""
+        for name in _EnergyKernel._ROWS:
+            getattr(self, name)[rows] = getattr(part, name)
+
+    def values(self) -> list:
+        """The energy of each row, as a list of floats."""
         pot = self.pot
-        grad_term = self.flux @ (pot.edge_inv_p * self.g)
-        value_term = (self.v_pow * self.v) @ (pot.node_inv_p * self.v)
-        return pot.mesh * float(grad_term + value_term)
+        grad_terms = _row_dots(self.flux, pot.edge_inv_p * self.g)
+        value_terms = _row_dots(self.v_flux, pot.node_inv_p * self.v)
+        h = pot.mesh
+        return [h * (a + b) for a, b in zip(grad_terms, value_terms)]
+
+    def value(self):
+        """The energy: a float for one state, a list of floats for a
+        stack."""
+        values = self.values()
+        return values[0] if self.v.ndim == 1 else values
 
     def gradient(self) -> np.ndarray:
         """-div of the flux plus the zeroth-order term."""
         flux = self.flux
-        return (flux[:-1] - flux[1:]) * self.pot.inv_mesh \
-            + self.v_pow * self.v
+        return (flux[..., :-1] - flux[..., 1:]) * self.pot.inv_mesh \
+            + self.v_flux
 
     def hessian(self):
         """(diag, off) of the Hessian in the mesh-weighted metric."""
         pot = self.pot
         kappa = (self.d * pot.edge_p_minus_1 * self.g_pow) * pot.inv_mesh_sq
-        diag = kappa[:-1] + kappa[1:] + pot.node_p_minus_1 * self.v_pow
-        return diag, -kappa[1:-1]
+        diag = kappa[..., :-1] + kappa[..., 1:] \
+            + pot.node_p_minus_1 * self.v_pow
+        return diag, -kappa[..., 1:-1]
 
 
-def _state(pot: VariableExponentPotential, v) -> np.ndarray:
+def _states(pot: VariableExponentPotential, v) -> np.ndarray:
+    """One state (J,) or a stack (B, J), as a float array."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (pot.interior_nodes,):
+    if v.ndim not in (1, 2) or v.shape[-1] != pot.interior_nodes:
         raise MonotoneError("state has wrong number of interior nodes")
     return v
 
 
-def energy(pot: VariableExponentPotential, t: float, v: np.ndarray) -> float:
-    d = pot.coefficient_at(t)
-    return _EnergyKernel(pot, d[:-1], _state(pot, v)).value()
+def _edge_coefficient(pot: VariableExponentPotential, t,
+                      v: np.ndarray) -> np.ndarray:
+    """Edge coefficient at one time t, or at one time per row of v."""
+    if np.ndim(t) == 0:
+        return pot.coefficient_at(t)[:-1]
+    times = np.asarray(t, dtype=float)
+    if v.ndim != 2 or times.shape != (len(v),):
+        raise MonotoneError("need one time per state")
+    return np.array([pot.coefficient_at(s) for s in times.tolist()])[:, :-1]
 
 
-def subgradient(pot: VariableExponentPotential, t: float,
+def energy(pot: VariableExponentPotential, t, v: np.ndarray):
+    """Energy of one state (J,) as a float, or of a stack (B, J) as a (B,)
+    array. `t` is one time for every state or a (B,) array of times, one
+    per row, so the node energies of a flow are one call."""
+    v = _states(pot, v)
+    values = _EnergyKernel(pot, _edge_coefficient(pot, t, v), v).value()
+    return values if v.ndim == 1 else np.array(values)
+
+
+def subgradient(pot: VariableExponentPotential, t,
                 v: np.ndarray) -> np.ndarray:
     """Exact mesh-weighted gradient of the energy: -div of the flux plus
     the zeroth-order term. Coincides with the tridiagonal -Delta_h + I in
-    the p = 2 cross-check mode."""
-    d = pot.coefficient_at(t)
-    return _EnergyKernel(pot, d[:-1], _state(pot, v)).gradient()
+    the p = 2 cross-check mode. States and times stack as in `energy`;
+    the result has the shape of `v`."""
+    v = _states(pot, v)
+    return _EnergyKernel(pot, _edge_coefficient(pot, t, v), v).gradient()
 
 
 def _thomas_solve(diag: np.ndarray, off: np.ndarray,
                   rhs: np.ndarray) -> np.ndarray:
-    """Solve the symmetric tridiagonal system (diag, off) x = rhs.
+    """Solve the symmetric tridiagonal systems (diag, off) x = rhs.
 
-    The recurrence runs on Python floats: indexing numpy arrays element by
-    element costs more than the arithmetic itself at these sizes.
+    One system (n,) with off (n - 1,), or a stack of B independent
+    systems (B, n) with off (B, n - 1): the block-diagonal system of
+    B * n unknowns whose off-diagonal is zero at each block boundary. One
+    sweep runs over the blocks in turn and restarts the recurrence at
+    each, so a block gets the same bits as when solved alone and a
+    non-finite block leaves the others untouched. The recurrence runs on
+    Python floats: indexing numpy arrays element by element costs more
+    than the arithmetic itself at these sizes.
     """
-    diag, off, rhs = diag.tolist(), off.tolist(), rhs.tolist()
-    n = len(diag)
+    if rhs.ndim == 1:
+        return np.array(_thomas_block(diag.tolist(), off.tolist(),
+                                      rhs.tolist()))
+    blocks = zip(diag.tolist(), off.tolist(), rhs.tolist())
+    return np.array([_thomas_block(*block) for block in blocks],
+                    dtype=float).reshape(rhs.shape)
+
+
+def _thomas_block(diag: list, upper: list, rhs: list) -> list:
+    """One tridiagonal block of `_thomas_solve`, on Python floats."""
+    n = len(rhs)
+    upper.append(0.0)  # no coupling past the block's last unknown
     c = [0.0] * n
-    d = [0.0] * n
-    c_prev = 0.0
-    d_prev = 0.0
-    for i in range(n):
-        lower = off[i - 1] if i > 0 else 0.0
-        denom = diag[i] - lower * c_prev
-        if i < n - 1:
-            c_prev = off[i] / denom
-            c[i] = c_prev
-        d_prev = (rhs[i] - lower * d_prev) / denom
-        d[i] = d_prev
     x = [0.0] * n
-    x[-1] = d[-1]
+    lower = c_prev = d_prev = 0.0
+    for i in range(n):
+        denom = diag[i] - lower * c_prev
+        d_prev = (rhs[i] - lower * d_prev) / denom
+        x[i] = d_prev
+        lower = upper[i]
+        c_prev = lower / denom
+        c[i] = c_prev
     for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return np.array(x)
+        x[i] -= c[i] * x[i + 1]
+    return x
+
+
+def _state_pair(pot: VariableExponentPotential, v, w):
+    """Two states, or two stacks of one shape, as (B, J) stacks, and
+    whether one pair of states was given."""
+    v = _states(pot, v)
+    w = _states(pot, w)
+    if v.shape != w.shape:
+        raise MonotoneError("state stacks differ in shape")
+    j = pot.interior_nodes
+    return v.reshape(-1, j), w.reshape(-1, j), v.ndim == 1
 
 
 def monotonicity_probe(pot: VariableExponentPotential, t: float,
-                       v: np.ndarray, w: np.ndarray) -> float:
-    """<A(t)v - A(t)w, v - w> in the mesh-weighted inner product."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    diff = subgradient(pot, t, v) - subgradient(pot, t, w)
-    return float(pot.mesh * np.dot(diff, v - w))
+                       v: np.ndarray, w: np.ndarray):
+    """<A(t)v - A(t)w, v - w> in the mesh-weighted inner product.
+
+    One pair (J,) gives a float; two (B, J) stacks give one probe per row
+    as a (B,) array, from one `subgradient` call on both stacks.
+    """
+    v, w, single = _state_pair(pot, v, w)
+    grads = subgradient(pot, t, np.concatenate([v, w]))
+    diff = grads[:len(v)] - grads[len(v):]
+    probes = [pot.mesh * s for s in _row_dots(diff, v - w)]
+    return probes[0] if single else np.array(probes)
 
 
 # ---------------------------------------------------------------------------
@@ -276,85 +373,186 @@ def prox_step(pot: VariableExponentPotential, d: np.ndarray,
               v_prev: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
     """Minimizer of energy(w) + ||w - v_prev - tau g||^2 / (2 tau).
 
+    `v_prev` and `g` are one state (J,) or a stack (B, J) of independent
+    problems sharing the potential and `tau`; the result has their shape.
     The energy takes the closed-grid coefficient field `d` of the step's
-    time, `pot.coefficient_at(t_next)` or a row of `coefficient_table`.
-    Damped Newton on the tridiagonal Hessian from w = v_prev + tau g, with
-    Armijo backtracking on the prox objective; returns with mesh-weighted
-    gradient residual below PROX_RESIDUAL_TOL * (1 + ||v_prev||) and raises
-    ProxDidNotConverge after PROX_NEWTON_ITERS steps otherwise.
+    time, `pot.coefficient_at(t_next)` or a row of `coefficient_table`,
+    either one (J + 2,) row for every state or one row per state
+    (B, J + 2). Damped Newton on each row's tridiagonal Hessian from
+    w = v_prev + tau g, with Armijo backtracking on each row's prox
+    objective with its own step length; a row retires from the iteration
+    once its mesh-weighted gradient residual is at or below
+    PROX_RESIDUAL_TOL * (1 + ||v_prev_i||). Raises ProxDidNotConverge,
+    with the worst residual among the rows still iterating, when some row
+    has not retired after PROX_NEWTON_ITERS steps. Each row gets the same
+    bits as in a one-state call.
     """
     if tau <= 0.0:
         raise MonotoneError("step size must be positive")
-    v_prev = _state(pot, v_prev)
-    g = _state(pot, g)
+    v_prev = _states(pot, v_prev)
+    g = _states(pot, g)
+    if g.shape != v_prev.shape:
+        raise MonotoneError("state and forcing stacks differ in shape")
     d = np.asarray(d, dtype=float)
-    if d.shape != pot.exponents.shape:
+    if d.shape != pot.exponents.shape \
+            and d.shape != v_prev.shape[:-1] + pot.exponents.shape:
         raise MonotoneError("coefficient field has wrong shape")
-    d = d[:-1]
+    return _prox(pot, d[..., :-1], v_prev, v_prev + tau * g, tau)
+
+
+def _prox(pot: VariableExponentPotential, d: np.ndarray, v_prev: np.ndarray,
+          z: np.ndarray, tau: float) -> np.ndarray:
+    """`prox_step` on checked input: the edge coefficient `d` (d[..., :-1]
+    of the closed-grid field) and the start point z = v_prev + tau g."""
     h = pot.mesh
     root_h = pot.root_mesh
     inv_tau = 1.0 / tau
-    z = v_prev + tau * g
-    target = PROX_RESIDUAL_TOL * (1.0 + root_h * math.sqrt(v_prev @ v_prev))
+    targets = [PROX_RESIDUAL_TOL * (1.0 + root_h * math.sqrt(s))
+               for s in _row_dots(v_prev, v_prev)]
     w = z
     kernel = _EnergyKernel(pot, d, w)
     r = kernel.gradient()  # the proximal term vanishes at z
-    res = root_h * math.sqrt(r @ r)
-    if res <= target:
-        return w
-    f_cur = kernel.value()
-    for _ in range(PROX_NEWTON_ITERS):
+    f_cur = None
+    rows = None  # stack rows still iterating, once some have retired
+    for it in range(PROX_NEWTON_ITERS + 1):
+        certified = [root_h * math.sqrt(s) <= target
+                     for s, target in zip(_row_dots(r, r), targets)]
+        if all(certified):
+            if rows is None:
+                return w
+            out[rows] = w
+            return out
+        if any(certified):  # retire the rows that certified
+            if rows is None:
+                rows = np.arange(len(certified))
+                out = np.empty_like(w)
+            out[rows[certified]] = w[certified]
+            live = [i for i, done in enumerate(certified) if not done]
+            keep = np.array(live)
+            rows, w, z, r = rows[keep], w[keep], z[keep], r[keep]
+            kernel = kernel.take(keep)
+            if d.ndim == 2:
+                d = d[keep]
+            targets = [targets[i] for i in live]
+            if f_cur is not None:
+                f_cur = [f_cur[i] for i in live]
+        if it == PROX_NEWTON_ITERS:
+            break
+        if f_cur is None:
+            f_cur = kernel.values()
         diag, off = kernel.hessian()
         delta = _thomas_solve(diag + inv_tau, off, -r)
-        slope = h * float(r @ delta)  # mesh-weighted, negative
-        alpha = 1.0
-        for _ in range(50):
-            w_new = w + alpha * delta
-            kernel = _EnergyKernel(pot, d, w_new)
-            shift = w_new - z
-            f_new = kernel.value() + h * float(shift @ shift) * 0.5 * inv_tau
+        trial = _EnergyKernel(pot, d, w + delta)
+        shift = trial.v - z
+        f_new, slopes, todo = [], [], []
+        for i, (e, ss, rd, f0) in enumerate(zip(
+                trial.values(), _row_dots(shift, shift), _row_dots(r, delta),
+                f_cur)):
+            f = e + h * ss * 0.5 * inv_tau
+            slope = h * rd  # mesh-weighted, negative
+            f_new.append(f)
+            slopes.append(slope)
             # Armijo decrease, up to the rounding of the objective
-            if f_new <= f_cur + 1e-4 * alpha * slope \
-                    + 1e-12 * (1.0 + abs(f_cur)):
+            if not f <= f0 + 1e-4 * slope + 1e-12 * (1.0 + abs(f0)):
+                todo.append(i)
+        alphas = [1.0] * len(f_new)
+        for _ in range(49):
+            if not todo:
                 break
-            alpha *= 0.5
-        w, f_cur = w_new, f_new
+            for i in todo:
+                alphas[i] *= 0.5
+            # the whole stack steps back together, or only the rows in todo
+            sub = slice(None) if len(todo) == len(f_new) else np.array(todo)
+            base = w[sub]
+            alpha = np.reshape([alphas[i] for i in todo],
+                               base.shape[:-1] + (1,))
+            part = _EnergyKernel(pot, d[sub] if d.ndim == 2 else d,
+                                 base + alpha * delta[sub])
+            part_shift = part.v - z[sub]
+            for i, e, s in zip(todo, part.values(),
+                               _row_dots(part_shift, part_shift)):
+                f_new[i] = e + h * s * 0.5 * inv_tau
+            if isinstance(sub, slice):
+                trial, shift = part, part_shift
+            else:
+                trial.put(sub, part)
+                shift[sub] = part_shift
+            todo = [i for i in todo if not f_new[i] <= f_cur[i]
+                    + 1e-4 * alphas[i] * slopes[i]
+                    + 1e-12 * (1.0 + abs(f_cur[i]))]
+        kernel, w, f_cur = trial, trial.v, f_new
         r = kernel.gradient() + shift * inv_tau
-        res = root_h * math.sqrt(r @ r)
-        if res <= target:
-            return w
-    raise ProxDidNotConverge(res)
+    raise ProxDidNotConverge(
+        float(np.max([root_h * math.sqrt(s) for s in _row_dots(r, r)])))
+
+
+def _flow(pot: VariableExponentPotential, table: np.ndarray,
+          v0: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
+    """The flow's step loop: initial state(s) `v0`, (J,) or (B, J), under
+    node forcings `g` of shape (K,) + v0.shape; step k takes coefficient
+    row `table[k + 1]`. Returns the node values, (K, J) for one state and
+    (B, K, J) for a stack."""
+    edges = table[:, :-1]
+    tau_g = tau * g
+    out = np.empty((len(g),) + v0.shape)
+    out[0] = v = v0
+    for k in range(len(g) - 1):
+        v = _prox(pot, edges[k + 1], v, v + tau_g[k], tau)
+        out[k + 1] = v
+    return out if v0.ndim == 1 else out.transpose(1, 0, 2).copy()
 
 
 def solve_monotone_ivp(pot: VariableExponentPotential, v0: np.ndarray,
-                       forcing: TimePath) -> TimePath:
+                       forcing):
     """Proximal implicit Euler flow driven by node-sampled forcing.
 
     The forcing value on [t_k, t_{k+1}) is the node value at t_k; the
     potential is evaluated at the step's right endpoint. The coefficient
     field is evaluated once per node into a table, validated for positivity
     and time-monotonicity first, and step k takes row k + 1.
+
+    One flow: `v0` (J,) and a TimePath `forcing`, returning a TimePath. A
+    stack of B independent flows: `v0` (B, J) and a sequence of B
+    forcings on one shared time grid, returning a list of B TimePaths.
+    The flows share one coefficient table and advance together, one
+    stacked `prox_step` per time step; each path is bit-identical to its
+    flow run alone.
     """
+    single = isinstance(forcing, TimePath)
+    forcings = [forcing] if single else list(forcing)
     v0 = np.asarray(v0, dtype=float)
-    if v0.size != pot.interior_nodes or forcing.dim != pot.interior_nodes:
+    j = pot.interior_nodes
+    if v0.shape != ((j,) if single else (len(forcings), j)) \
+            or any(f.dim != j for f in forcings):
         raise MonotoneError("state dimension mismatch")
-    table = pot.coefficient_table(forcing.times())
-    tau = forcing.dt
-    out = np.empty((forcing.num_nodes, pot.interior_nodes))
-    out[0] = v0
-    v = out[0]
-    for k in range(forcing.num_nodes - 1):
-        v = prox_step(pot, table[k + 1], v, forcing.values[k], tau)
-        out[k + 1] = v
-    return TimePath(forcing.t0, forcing.t1, out, pot.mesh)
+    if not forcings:
+        raise MonotoneError("need at least one flow")
+    grid = forcings[0]
+    if any((f.t0, f.t1, f.num_nodes) != (grid.t0, grid.t1, grid.num_nodes)
+           for f in forcings):
+        raise MonotoneError("forcings must share one time grid")
+    table = pot.coefficient_table(grid.times())
+    g = forcing.values if single \
+        else np.stack([f.values for f in forcings], axis=1)
+    values = _flow(pot, table, v0, g, grid.dt)
+    if single:
+        return TimePath(grid.t0, grid.t1, values, pot.mesh)
+    return [TimePath(grid.t0, grid.t1, vals, pot.mesh) for vals in values]
 
 
 def prox_nonexpansive_gap(pot: VariableExponentPotential, t: float,
-                          tau: float, x: np.ndarray, y: np.ndarray) -> float:
-    """||prox(x) - prox(y)|| - ||x - y|| in the mesh norm (<= 0 expected)."""
-    d = pot.coefficient_at(t)
-    zero = np.zeros_like(x)
-    px = prox_step(pot, d, x, zero, tau)
-    py = prox_step(pot, d, y, zero, tau)
-    return pot.root_mesh * (float(np.linalg.norm(px - py))
-                            - float(np.linalg.norm(np.asarray(x) - np.asarray(y))))
+                          tau: float, x: np.ndarray, y: np.ndarray):
+    """||prox(x) - prox(y)|| - ||x - y|| in the mesh norm (<= 0 expected).
+
+    One pair (J,) gives a float; two (B, J) stacks give one gap per row
+    as a (B,) array, from one `prox_step` on both stacks.
+    """
+    x, y, single = _state_pair(pot, x, y)
+    points = np.concatenate([x, y])
+    prox = prox_step(pot, pot.coefficient_at(t), points,
+                     np.zeros_like(points), tau)
+    dp = prox[:len(x)] - prox[len(x):]
+    dx = x - y
+    gaps = [pot.root_mesh * (math.sqrt(a) - math.sqrt(b))
+            for a, b in zip(_row_dots(dp, dp), _row_dots(dx, dx))]
+    return gaps[0] if single else np.array(gaps)

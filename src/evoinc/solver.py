@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monotone import VariableExponentPotential, solve_monotone_ivp
+from .monotone import MonotoneError, VariableExponentPotential, _flow
 from .paths import TimePath, path_distance, path_l2_norm, zero_path
 from .selection import SelectionPath, nearest_point_selection
 from .semigroup import SpectralGenerator, duhamel_solve, yosida_smooth
@@ -156,8 +156,16 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
 
     f_path = zero_path(t_start, t_end, num_nodes, gen.state_dim, 1.0)
     g_path = zero_path(t_start, t_end, num_nodes, pot.interior_nodes, h)
+    # Every v-flow of the window runs on this grid: one coefficient table.
+    table = pot.coefficient_table(g_path.times())
+
+    def v_flow(g: TimePath) -> TimePath:
+        if v0.shape != (pot.interior_nodes,) or g.dim != pot.interior_nodes:
+            raise MonotoneError("state dimension mismatch")
+        return TimePath(g.t0, g.t1, _flow(pot, table, v0, g.values, g.dt), h)
+
     u = duhamel_solve(gen, u0, f_path)
-    v = solve_monotone_ivp(pot, v0, g_path)
+    v = v_flow(g_path)
     f_sel = nearest_point_selection(f_map, u, v, f_path)
     g_sel = nearest_point_selection(g_map, u, v, g_path)
     f_path, g_path = f_sel.path, g_sel.path
@@ -172,7 +180,7 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     for it in range(max_iter):
         iterations = it + 1
         u = duhamel_solve(gen, u0, f_path)
-        v = solve_monotone_ivp(pot, v0, g_path)
+        v = v_flow(g_path)
         f_star = nearest_point_selection(f_map, u, v, f_path)
         g_star = nearest_point_selection(g_map, u, v, g_path)
         res_f = path_distance(f_path, f_star.path)

@@ -362,80 +362,74 @@ def semigroup_battery(seed: int = 7, trials: int | None = None) -> list:
 
 
 def monotone_battery(seed: int = 7, trials: int | None = None) -> list:
+    """The monotone suite. Every check but the p = 2 oracle is one stacked
+    call per trial (gradient consistency) or per check: the states of all
+    trials go through `energy`, `subgradient`, `prox_step` or
+    `solve_monotone_ivp` as one (B, J) stack."""
     results = []
     n = trials or 200
 
     pot = mono.make_potential(15, ("ramp", 2.2, 4.0), ("separable", 2.0, 0.3))
+    eps = 1e-6
+    bump = np.concatenate([np.eye(15), -np.eye(15)]) * eps
     margins = []
     for i in range(n):
         rng = _rng(seed, 11000 + i)
         v = rng.normal(size=15)
         t = float(rng.uniform(0.0, 1.0))
         grad = mono.subgradient(pot, t, v)
-        eps = 1e-6
-        fd = np.empty_like(v)
-        for j in range(v.size):
-            vp = v.copy()
-            vp[j] += eps
-            vm = v.copy()
-            vm[j] -= eps
-            fd[j] = (mono.energy(pot, t, vp) - mono.energy(pot, t, vm)) \
-                / (2.0 * eps) / pot.mesh
+        values = mono.energy(pot, t, v + bump)
+        fd = (values[:15] - values[15:]) / (2.0 * eps) / pot.mesh
         rel = float(np.abs(grad - fd).max() / (1.0 + np.abs(grad).max()))
         margins.append(1e-5 - rel)
     results.append(CheckResult("gradient-consistency", n, _min_margin(margins),
                                _min_margin(margins) >= 0))
 
-    margins = []
     n_pairs = max(n // 4, 1)
-    for i in range(n_pairs):
-        rng = _rng(seed, 12000 + i)
-        x = rng.normal(size=15)
-        y = rng.normal(size=15)
-        gap = mono.prox_nonexpansive_gap(pot, 0.3, 0.05, x, y)
-        margins.append(1e-10 - gap)
-    results.append(CheckResult("prox-nonexpansive", n_pairs,
-                               _min_margin(margins), _min_margin(margins) >= 0))
+    points = [_rng(seed, 12000 + i).normal(size=(2, 15))
+              for i in range(n_pairs)]
+    xs, ys = np.array(points).transpose(1, 0, 2)
+    gaps = mono.prox_nonexpansive_gap(pot, 0.3, 0.05, xs, ys)
+    margin = _min_margin(1e-10 - gaps)
+    results.append(CheckResult("prox-nonexpansive", n_pairs, margin,
+                               margin >= 0))
 
+    v0s = np.array([_rng(seed, 13000 + i).normal(size=15) for i in range(8)])
+    forcing = zero_path(0.0, 1.0, 129, 15, pot.mesh)
+    sols = mono.solve_monotone_ivp(pot, v0s, [forcing] * 8)
+    ts = forcing.times()
+    energies = mono.energy(pot, np.tile(ts, 8),
+                           np.concatenate([sol.values for sol in sols]))
     margins = []
-    for i in range(8):
-        rng = _rng(seed, 13000 + i)
-        v0 = rng.normal(size=15)
-        forcing = zero_path(0.0, 1.0, 129, 15, pot.mesh)
-        sol = mono.solve_monotone_ivp(pot, v0, forcing)
-        ts = sol.times()
-        energies = np.array([mono.energy(pot, float(ts[j]), sol.values[j])
-                             for j in range(sol.num_nodes)])
-        margins.append(_min_margin(1e-10 - np.diff(energies)))
+    for sol, flow_energies in zip(sols, energies.reshape(8, ts.size)):
+        margins.append(_min_margin(1e-10 - np.diff(flow_energies)))
         norms = np.linalg.norm(sol.values, axis=1)
         margins.append(_min_margin(1e-10 - np.diff(norms)))
     results.append(CheckResult("dissipation", 8, _min_margin(margins),
                                _min_margin(margins) >= 0))
 
-    margins = []
+    v0s, forcings = [], []
     for i in range(8):
         rng = _rng(seed, 14000 + i)
-        v0 = rng.normal(size=15)
-        vals = rng.normal(size=(65, 15))
-        forcing = TimePath(0.0, 1.0, vals, pot.mesh)
-        sol = mono.solve_monotone_ivp(pot, v0, forcing)
-        h = pot.mesh
-        tau = forcing.dt
-        g_norms = forcing.node_norms()
-        bound = math.sqrt(h) * np.linalg.norm(v0) \
-            + np.concatenate([[0.0], np.cumsum(tau * g_norms[:-1])])
+        v0s.append(rng.normal(size=15))
+        forcings.append(TimePath(0.0, 1.0, rng.normal(size=(65, 15)),
+                                 pot.mesh))
+    sols = mono.solve_monotone_ivp(pot, np.array(v0s), forcings)
+    margins = []
+    for v0, forcing, sol in zip(v0s, forcings, sols):
+        bound = math.sqrt(pot.mesh) * np.linalg.norm(v0) \
+            + np.concatenate([[0.0], np.cumsum(forcing.dt
+                                               * forcing.node_norms()[:-1])])
         margins.append(_min_margin(bound + 1e-8 - sol.node_norms()))
     results.append(CheckResult("discrete-apriori-bound", 8,
                                _min_margin(margins), _min_margin(margins) >= 0))
 
-    margins = []
-    for i in range(trials or 1000):
-        rng = _rng(seed, 15000 + i)
-        v = rng.normal(size=15)
-        w = rng.normal(size=15)
-        margins.append(mono.monotonicity_probe(pot, 0.4, v, w) + 1e-10)
-    results.append(CheckResult("monotonicity", trials or 1000,
-                               _min_margin(margins), _min_margin(margins) >= 0))
+    n_mono = trials or 1000
+    pairs = np.array([_rng(seed, 15000 + i).normal(size=(2, 15))
+                      for i in range(n_mono)])
+    probes = mono.monotonicity_probe(pot, 0.4, pairs[:, 0], pairs[:, 1])
+    margin = _min_margin(probes + 1e-10)
+    results.append(CheckResult("monotonicity", n_mono, margin, margin >= 0))
 
     results.append(p2_oracle_battery())
     results.append(complete_continuity_battery(seed))
@@ -473,7 +467,9 @@ def p2_oracle_battery(j: int = 63, steps: int = 2 ** 12) -> CheckResult:
 
 def complete_continuity_battery(seed: int = 7,
                                 threshold: float = 1e-3) -> CheckResult:
-    """Oscillating forcings with vanishing mean effect: flows converge."""
+    """Oscillating forcings with vanishing mean effect: flows converge.
+
+    The base flow and the five oscillating ones run as one stack of six."""
     pot = mono.make_potential(15, ("constant", 3.0), ("constant", 1.0))
     h = pot.mesh
     rng = _rng(seed, 16000)
@@ -483,15 +479,17 @@ def complete_continuity_battery(seed: int = 7,
     profile = rng.normal(size=15)
     base_vals = 0.4 * np.sin(np.pi * pot.nodes()[1:-1])[None, :] \
         * np.ones((k, 1))
-    base = TimePath(0.0, 1.0, base_vals, h)
-    v_base = mono.solve_monotone_ivp(pot, v0, base)
-    sups = []
-    for freq in (4, 16, 64, 256, 1024):
-        osc = base_vals + np.sin(2 * np.pi * freq * t)[:, None] * profile
-        v_osc = mono.solve_monotone_ivp(pot, v0, TimePath(0.0, 1.0, osc, h))
-        sups.append(math.sqrt(h)
-                    * float(np.linalg.norm(v_osc.values - v_base.values,
-                                           axis=1).max()))
+    freqs = (4, 16, 64, 256, 1024)
+    forcings = [TimePath(0.0, 1.0, base_vals, h)] + [
+        TimePath(0.0, 1.0,
+                 base_vals + np.sin(2 * np.pi * freq * t)[:, None] * profile,
+                 h)
+        for freq in freqs]
+    v_base, *v_oscs = mono.solve_monotone_ivp(
+        pot, np.tile(v0, (len(forcings), 1)), forcings)
+    sups = [math.sqrt(h) * float(np.linalg.norm(v_osc.values - v_base.values,
+                                                axis=1).max())
+            for v_osc in v_oscs]
     decreasing = all(sups[i + 1] <= sups[i] + 1e-12 for i in range(len(sups) - 1))
     margin = threshold - sups[-1]
     return CheckResult("complete-continuity", len(sups), margin,

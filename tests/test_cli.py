@@ -108,6 +108,17 @@ def test_counterexample_invalid_range_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_counterexample_out_that_is_a_file_is_usage_error(tmp_path, capsys):
+    existing = tmp_path / "taken"
+    existing.write_text("keep me\n")
+    code = main(["counterexample", "--points", "2", "--out", str(existing)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--out" in err and "not a directory" in err
+    assert existing.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -130,6 +141,18 @@ def test_solve_preset_heat(tmp_path, capsys):
     assert header == "t,u_norm,v_norm,residual_f,residual_g"
     echo = json.loads(_read(out / "config_echo.json"))
     assert echo == json.loads(_read(preset_path("heat_debye")))
+
+
+def test_solve_out_below_a_file_is_usage_error(tmp_path, capsys):
+    existing = tmp_path / "taken"
+    existing.write_text("keep me\n")
+    code = main(["solve", "--config", str(preset_path("heat_debye")),
+                 "--out", str(existing / "sub")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--out" in err and "not a directory" in err
+    assert existing.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_solve_rejects_p_two_without_oracle_flag(tmp_path, capsys):

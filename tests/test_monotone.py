@@ -1,5 +1,6 @@
 """Variable-exponent flow: energy, gradient, proximal steps, dissipation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -181,18 +182,44 @@ def test_energy_kernel_matches_naive_formulas(p_spec):
 
 @pytest.mark.parametrize("n", [1, 2, 15, 63])
 def test_thomas_solve_matches_dense_solve(n):
-    for i in range(20):
-        rng = np.random.default_rng([52, n, i])
-        off = rng.normal(size=n - 1)
+    # blocks None: one (n,) system; otherwise a (blocks, n) stack
+    for blocks, i in itertools.product((None, 1, 3), range(20)):
+        stack = 1 if blocks is None else blocks
+        rng = np.random.default_rng([52, n, i] if blocks is None
+                                    else [52, n, i, blocks])
+        off = rng.normal(size=(stack, n - 1))
         # strictly diagonally dominant, as the prox Hessian plus 1/tau is
-        bound = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
-        diag = bound + rng.uniform(0.1, 2.0, size=n)
-        rhs = rng.normal(size=n)
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        x = mono._thomas_solve(diag, off, rhs)
-        assert x.shape == (n,)
-        assert np.abs(x - np.linalg.solve(dense, rhs)).max() \
-            <= 1e-12 * (1.0 + np.abs(x).max())
+        bound = np.abs(np.pad(off, ((0, 0), (0, 1)))) \
+            + np.abs(np.pad(off, ((0, 0), (1, 0))))
+        diag = bound + rng.uniform(0.1, 2.0, size=(stack, n))
+        rhs = rng.normal(size=(stack, n))
+        if blocks is None:
+            x = mono._thomas_solve(diag[0], off[0], rhs[0])
+            assert x.shape == (n,)
+            x = x[None]
+        else:
+            x = mono._thomas_solve(diag, off, rhs)
+            assert x.shape == (blocks, n)
+        for b in range(stack):
+            dense = np.diag(diag[b]) + np.diag(off[b], 1) \
+                + np.diag(off[b], -1)
+            assert np.abs(x[b] - np.linalg.solve(dense, rhs[b])).max() \
+                <= 1e-12 * (1.0 + np.abs(x[b]).max())
+            # each block gets the bits of its one-system solve
+            assert np.array_equal(
+                x[b], mono._thomas_solve(diag[b], off[b], rhs[b]))
+
+
+def test_thomas_solve_keeps_a_singular_block_to_itself():
+    diag = np.array([[2.0, 2.0, 2.0], [0.0, 1.0, 1.0], [3.0, 3.0, 3.0]])
+    off = np.full((3, 2), -1.0)
+    rhs = np.ones((3, 3))
+    with pytest.raises(ZeroDivisionError):
+        mono._thomas_solve(diag, off, rhs)
+    diag[1, 0] = np.nan
+    x = mono._thomas_solve(diag, off, rhs)
+    assert np.isnan(x[1]).all() and np.isfinite(x[[0, 2]]).all()
+    assert np.array_equal(x[2], mono._thomas_solve(diag[2], off[2], rhs[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +305,141 @@ def test_prox_step_reports_exhausted_newton_budget(monkeypatch):
         mono.prox_step(pot, pot.coefficient_at(0.1), v_prev, np.zeros(9),
                        0.05)
     assert math.isfinite(err.value.residual) and err.value.residual > 0.0
+
+
+# ---------------------------------------------------------------------------
+# stacks of independent states
+
+
+def _counting(monkeypatch, owner, name):
+    """Count calls of owner.name; returns the list the calls append to."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def _prox_rows():
+    # row 0 returns at the initial check (zero state, zero forcing); the
+    # others take from 3 to 16 Newton steps, and rows 4 and 5 backtrack
+    rng = np.random.default_rng(5)
+    scales = (0.0, 1e-3, 0.1, 1.0, 3.0, 30.0)
+    v_prev = np.array([rng.normal(size=9) * s for s in scales])
+    g = np.array([rng.normal(size=9) * min(s, 1.0) for s in scales])
+    return v_prev, g
+
+
+def test_prox_step_stack_matches_single_calls(monkeypatch):
+    pot = mono.make_potential(9, ("ramp", 2.2, 4.0), ("separable", 2.0, 0.3))
+    d = pot.coefficient_at(0.4)
+    v_prev, g = _prox_rows()
+    newton = _counting(monkeypatch, mono, "_thomas_solve")
+    trials = _counting(monkeypatch, mono._EnergyKernel, "values")
+    singles, steps, backtracked = [], [], []
+    for row in range(len(v_prev)):
+        newton.clear()
+        trials.clear()
+        singles.append(mono.prox_step(pot, d, v_prev[row], g[row], 0.2))
+        steps.append(len(newton))
+        backtracked.append(len(trials) - bool(newton) > len(newton))
+    assert steps[0] == 0 and len(set(steps)) == len(steps)
+    assert any(backtracked) and not all(backtracked)
+    stacked = mono.prox_step(pot, d, v_prev, g, 0.2)
+    assert stacked.shape == v_prev.shape
+    assert np.array_equal(stacked, np.array(singles))
+
+
+def test_prox_step_stack_with_a_coefficient_per_row():
+    pot = mono.make_potential(9, ("ramp", 2.2, 4.0), ("separable", 2.0, 0.3))
+    v_prev, g = _prox_rows()
+    d = pot.coefficient_table(np.linspace(0.0, 1.0, len(v_prev)))
+    stacked = mono.prox_step(pot, d, v_prev, g, 0.2)
+    for row in range(len(v_prev)):
+        assert np.array_equal(
+            stacked[row], mono.prox_step(pot, d[row], v_prev[row], g[row],
+                                         0.2))
+    with pytest.raises(mono.MonotoneError):
+        mono.prox_step(pot, d[:2], v_prev, g, 0.2)
+
+
+def test_energy_and_subgradient_stack_with_a_time_per_row():
+    pot = mono.make_potential(15, ("ramp", 2.2, 4.0), ("separable", 2.0, 0.3))
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=(12, 15))
+    times = rng.uniform(0.0, 1.0, size=12)
+    energies = mono.energy(pot, times, v)
+    grads = mono.subgradient(pot, times, v)
+    assert energies.shape == (12,) and grads.shape == (12, 15)
+    for row in range(12):
+        assert energies[row] == mono.energy(pot, float(times[row]), v[row])
+        assert np.array_equal(grads[row],
+                              mono.subgradient(pot, float(times[row]), v[row]))
+    # one shared time
+    assert np.array_equal(mono.energy(pot, 0.3, v),
+                          [mono.energy(pot, 0.3, row) for row in v])
+    with pytest.raises(mono.MonotoneError):
+        mono.energy(pot, times[:3], v)
+
+
+def test_probes_stack_match_single_pairs():
+    pot = mono.make_potential(15, ("ramp", 2.2, 4.0))
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=(2, 10, 15))
+    gaps = mono.prox_nonexpansive_gap(pot, 0.2, 0.05, x, y)
+    probes = mono.monotonicity_probe(pot, 0.3, x, y)
+    for row in range(10):
+        assert gaps[row] == mono.prox_nonexpansive_gap(pot, 0.2, 0.05, x[row],
+                                                       y[row])
+        assert probes[row] == mono.monotonicity_probe(pot, 0.3, x[row],
+                                                      y[row])
+
+
+def test_prox_step_stack_raises_for_one_stuck_row(monkeypatch):
+    pot = mono.make_potential(9, ("constant", 3.0))
+    d = pot.coefficient_at(0.1)
+    v_prev = np.zeros((3, 9))
+    v_prev[1] = np.linspace(-1.0, 1.0, 9)
+    g = np.zeros((3, 9))
+    monkeypatch.setattr(mono, "PROX_NEWTON_ITERS", 1)
+    with pytest.raises(mono.ProxDidNotConverge) as single:
+        mono.prox_step(pot, d, v_prev[1], g[1], 0.05)
+    with pytest.raises(mono.ProxDidNotConverge) as stacked:
+        mono.prox_step(pot, d, v_prev, g, 0.05)
+    # the worst residual is the stuck row's, as in its one-state call
+    assert stacked.value.residual == single.value.residual > 0.0
+
+
+def test_flow_stack_matches_single_flows():
+    pot = mono.make_potential(15, ("ramp", 2.5, 3.5), ("linear_decay", 2.0))
+    rng = np.random.default_rng(10)
+    v0 = rng.normal(size=(4, 15)) * np.array([[0.0], [0.1], [1.0], [3.0]])
+    forcings = [TimePath(0.0, 1.0, rng.normal(size=(33, 15)) * s, pot.mesh)
+                for s in (0.0, 0.5, 1.0, 2.0)]
+    paths = mono.solve_monotone_ivp(pot, v0, forcings)
+    assert len(paths) == 4
+    for row, path in enumerate(paths):
+        single = mono.solve_monotone_ivp(pot, v0[row], forcings[row])
+        assert (path.t0, path.t1, path.weight) \
+            == (single.t0, single.t1, single.weight)
+        assert np.array_equal(path.values, single.values)
+
+
+def test_flow_stack_needs_one_grid_and_one_forcing_per_state():
+    pot = mono.make_potential(7, ("constant", 3.0))
+    v0 = np.zeros((2, 7))
+    grid = zero_path(0.0, 1.0, 17, 7, pot.mesh)
+    with pytest.raises(mono.MonotoneError, match="one time grid"):
+        mono.solve_monotone_ivp(pot, v0,
+                                [grid, zero_path(0.0, 1.0, 9, 7, pot.mesh)])
+    with pytest.raises(mono.MonotoneError):
+        mono.solve_monotone_ivp(pot, v0, [grid])
+    with pytest.raises(mono.MonotoneError):
+        mono.solve_monotone_ivp(pot, v0, grid)
 
 
 def test_subgradient_rejects_wrong_state_size():
