@@ -8,7 +8,7 @@ Subpackage map:
 * ``selection``: node-wise selections of image hulls along state paths and
   the eps-close regeneration bound.
 * ``semigroup``: spectral propagators, exact-step inhomogeneous solves,
-  resolvent smoothing, and the rough-data regularity demonstrations.
+  resolvent smoothing, and the rough-data deviation profile.
 * ``monotone``: the variable-exponent gradient flow under proximal
   implicit Euler.
 * ``solver``: window constants, the relaxed projection iteration for the

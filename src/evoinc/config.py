@@ -44,14 +44,28 @@ def _number(obj, path: str, lo: float | None = None, hi: float | None = None,
         raise ConfigError(f"{path}: expected a number")
     if isinstance(obj, float) and not math.isfinite(obj):
         raise ConfigError(f"{path}: must be finite")
-    if integer and int(obj) != obj:
-        raise ConfigError(f"{path}: expected an integer")
-    val = int(obj) if integer else float(obj)
+    try:
+        val = float(obj)
+    except OverflowError:
+        # integers too: a mode or a count enters float arithmetic
+        raise ConfigError(f"{path}: must be finite (too large for a float)") \
+            from None
+    if integer:
+        if int(obj) != obj:
+            raise ConfigError(f"{path}: expected an integer")
+        val = int(obj)
     if lo is not None and val < lo:
         raise ConfigError(f"{path}: must be >= {lo}")
     if hi is not None and val > hi:
         raise ConfigError(f"{path}: must be <= {hi}")
     return val
+
+
+def _numbers(vals, path: str, size: int) -> np.ndarray:
+    """The list `vals` of `size` finite numbers, each checked by `_number`."""
+    if not isinstance(vals, list) or len(vals) != size:
+        raise ConfigError(f"{path}: expected {size} numbers")
+    return np.asarray([_number(x, f"{path}[{i}]") for i, x in enumerate(vals)])
 
 
 @dataclass(frozen=True)
@@ -260,10 +274,7 @@ class _SpaceInfo:
                 raise ConfigError(f"{path}: sine directions live on the grid")
             return math.sqrt(2.0) * np.sin(math.pi * mode * self.x_interior)
         if kind == "values":
-            vals = spec.get("values")
-            if not isinstance(vals, list) or len(vals) != dim:
-                raise ConfigError(f"{path}.values: expected {dim} numbers")
-            return np.asarray([float(x) for x in vals])
+            return _numbers(spec.get("values"), f"{path}.values", dim)
         raise ConfigError(f"{path}.kind: must be unit, sine or values")
 
     def sine_basis(self, count: int) -> np.ndarray:
@@ -385,11 +396,8 @@ def _build_initial_u(obj: dict, gen: SpectralGenerator) -> np.ndarray:
         state[::gen.block] = coeff
         return state
     if kind == "values":
-        vals = obj.get("values")
-        if not isinstance(vals, list) or len(vals) != gen.state_dim:
-            raise ConfigError(
-                f"config.initial.u.values: expected {gen.state_dim} numbers")
-        return np.asarray([float(x) for x in vals])
+        return _numbers(obj.get("values"), "config.initial.u.values",
+                        gen.state_dim)
     raise ConfigError("config.initial.u.kind: must be zero, mode, decay, "
                       "rough or values")
 
@@ -409,12 +417,8 @@ def _build_initial_v(obj: dict, pot: VariableExponentPotential) -> np.ndarray:
                        integer=True)
         return amp * np.sin(math.pi * mode * x)
     if kind == "values":
-        vals = obj.get("values")
-        if not isinstance(vals, list) or len(vals) != pot.interior_nodes:
-            raise ConfigError(
-                f"config.initial.v.values: expected {pot.interior_nodes} "
-                "numbers")
-        return np.asarray([float(x) for x in vals])
+        return _numbers(obj.get("values"), "config.initial.v.values",
+                        pot.interior_nodes)
     raise ConfigError("config.initial.v.kind: must be zero, bump, mode or "
                       "values")
 

@@ -7,15 +7,16 @@ H is P_H of the query moved towards the ball's center by one Lagrange
 multiplier per row, found by a bracketed root search (`_project_cap`); its
 KKT certificate is the certificate of P_H at the moved query plus the ball
 constraint holding with equality whenever the multiplier is positive.
-Hausdorff distances are exact and taken only between polytopes; the one
-sampled bracket, with a slack proven only for d <= 2, lives inside the
-intersection-continuity probe, which refuses d >= 3. The interior witness
-of the Slater check is verified exactly: against a ball in closed form,
-against a polytope by the depth of the witness over the hyperplanes of the
-hull's facets.
+Hausdorff distances are exact and taken only between vertex stacks
+(`_pair_hausdorff`); the one sampled bracket, with a slack proven only for
+d <= 2, lives inside the intersection-continuity probe, which refuses
+d >= 3. The interior witness of the Slater check is verified exactly:
+against a ball in closed form, against a polytope by the depth of the
+witness over the hyperplanes of the hull's facets.
 
-Everything is vectorized over batches of query points; the public
-single-point entry points are thin wrappers around the batch kernels. The
+Everything is vectorized over batches of query points. The one public
+projection, `project(x, body)`, takes a point or rows of points and a ball
+or a polytope, and runs the batch kernel of `_body_projector`. The
 projection-difference and Slater checks are batched over rows: one call
 checks every trial, with the polytopes of each side in one vertex stack
 and one `HullProjector`, and the ball∩hull multiplier search runs over all
@@ -235,16 +236,15 @@ class HullProjector:
         self.m, self.n, self.d = v.shape
         self.lam = None  # weights of the last call, (m, n)
 
-    def project(self, x: np.ndarray, tol: float = PROJECTION_TOL,
-                max_iter: int = PROJECTION_BUDGET, rows=None):
+    def project(self, x: np.ndarray, rows=None):
         """Returns (points, gaps). gaps[i] = max_v <x-p, v-p> at return.
 
         `rows` limits the call to those rows of the vertex stack, one query
         each; the other rows keep their warm start. Raises
         ProjectionDidNotConverge when the certificate
-        gap <= tol * (1 + ||x||) * max(1, max_v ||v - x||) does not hold on
-        every row after `max_iter` major cycles, or when a row stops
-        improving short of it.
+        gap <= tol * (1 + ||x||) * max(1, max_v ||v - x||), tol =
+        PROJECTION_TOL, does not hold on every row after PROJECTION_BUDGET
+        major cycles, or when a row stops improving short of it.
         """
         x = _rows(x)
         every = rows is None
@@ -262,7 +262,7 @@ class HullProjector:
         nearest, reach = _nearest_and_reach(stack, x)
         # <x - p, v - p> is rounded at about eps ||x - p|| ||v - p||, so the
         # bound grows with the farthest vertex once it is beyond unit reach
-        scale = tol * (1.0 + np.linalg.norm(x, axis=1)) * reach
+        scale = PROJECTION_TOL * (1.0 + np.linalg.norm(x, axis=1)) * reach
         cold = ~lam.any(axis=1)
         if cold.any():
             lam[cold, nearest[cold]] = 1.0
@@ -271,7 +271,7 @@ class HullProjector:
         gaps = np.full(rows.size, np.inf)
         active = np.arange(rows.size)
         entered = None
-        for _ in range(max_iter):
+        for _ in range(PROJECTION_BUDGET):
             v, xa = stack[active], x[active]
             kept, lam_a = corral[active], lam[active]
             _minor_cycles(v, xa, kept, lam_a)
@@ -331,12 +331,6 @@ def _body_projector(body: ConvexBody, m: int):
     points, radii = _body_stack([body])
     return _stack_projector(np.broadcast_to(points, (m,) + points.shape[1:]),
                             np.broadcast_to(radii, (m,)), type(body))
-
-
-def _project_rows(x: np.ndarray, body: ConvexBody) -> np.ndarray:
-    """Rows of the 2-D array x projected onto a body."""
-    m = x.shape[0]
-    return _body_projector(body, m)(x, np.arange(m))
 
 
 def _project_cap(x: np.ndarray, centers, radii, project_h):
@@ -399,31 +393,22 @@ def _project_cap(x: np.ndarray, centers, radii, project_h):
 
 
 # ---------------------------------------------------------------------------
-# projections (single-point API)
+# projection of points
 
 
-def project_ball(x, c, r: float) -> np.ndarray:
-    """Nearest point of B[c, r] to x."""
+def project(x, body: ConvexBody) -> np.ndarray:
+    """Nearest point of the body to x, or to each row of a 2-D x.
+
+    Balls project in closed form, polytopes with the certificate of
+    `HullProjector` over their vertices.
+    """
     x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if x.shape != c.shape:
-        raise DimensionMismatch("point and center dimensions differ")
-    if r < 0.0:
-        raise GeometryError("radius must be nonnegative")
-    return project_balls(x[None, :], c[None, :], r)[0]
-
-
-def project_polytope(x, poly: Polytope, tol: float = PROJECTION_TOL,
-                     max_iter: int = PROJECTION_BUDGET) -> np.ndarray:
-    """Nearest point of the vertex hull to x, certified over the vertices."""
-    x = np.asarray(x, dtype=float)
-    if x.size != poly.dim:
-        raise DimensionMismatch("point and polytope dimensions differ")
-    if tol <= 0.0:
-        raise GeometryError("tol must be positive")
-    proj = HullProjector(poly.vertices[None, :, :])
-    p, _ = proj.project(x[None, :], tol=tol, max_iter=max_iter)
-    return p[0]
+    if x.ndim not in (1, 2) or x.shape[-1] != body.dim:
+        raise DimensionMismatch("point and body dimensions differ")
+    rows = _rows(x)
+    m = rows.shape[0]
+    points = _body_projector(body, m)(rows, np.arange(m))
+    return points if x.ndim == 2 else points[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +448,8 @@ def _pair_hausdorff(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
     """Exact Hausdorff distances between paired vertex stacks, batched.
 
     Each directed value is the max over the source's vertices of the
-    distance to the target hull.
+    distance to the target hull: that distance is convex, so its sup over
+    the source hull is attained at a vertex.
     """
     def directed(src, tgt):
         m, n_src, d = src.shape
@@ -497,20 +483,7 @@ def union_diameter_upper(stack_a, stack_b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff distances
-
-
-def hausdorff_distance(a: Polytope, b: Polytope) -> float:
-    """Exact Hausdorff distance between two vertex hulls.
-
-    The sup of the convex distance function over a hull is attained at a
-    vertex (see `_pair_hausdorff`). Any other body raises `GeometryError`.
-    """
-    if not (isinstance(a, Polytope) and isinstance(b, Polytope)):
-        raise GeometryError("Hausdorff distances are taken between polytopes")
-    if a.dim != b.dim:
-        raise DimensionMismatch("bodies must share dimension")
-    return float(_pair_hausdorff(a.vertices[None], b.vertices[None])[0])
+# sampled brackets
 
 
 def _boundary_cloud(ball: Ball, vertices: np.ndarray, resolution: int):
@@ -563,9 +536,9 @@ def projection_difference_check(xs, bodies_c, bodies_d,
     return BoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + 1e-8)))
 
 
-def _verify_inner_ball(x0: np.ndarray, rho: float, body: Polytope,
-                       tol: float = FEASIBILITY_TOL) -> bool:
-    """Exact check of B[x0, rho] subset of the polytope, to within tol.
+def _verify_inner_ball(x0: np.ndarray, rho: float, body: Polytope) -> bool:
+    """Exact check of B[x0, rho] subset of the polytope, to within
+    tol = FEASIBILITY_TOL.
 
     In R^d, every hyperplane through d of its vertices that has all
     vertices on one side (to within tol) supports the hull, and every facet
@@ -589,6 +562,7 @@ def _verify_inner_ball(x0: np.ndarray, rho: float, body: Polytope,
     offsets = np.einsum("kd,kd->k", normals, pts[:, 0])
     side = normals @ v.T - offsets[:, None]
     height = normals @ x0 - offsets
+    tol = FEASIBILITY_TOL
     depth = np.concatenate([-height[side.max(axis=1) <= tol],
                             height[side.min(axis=1) >= -tol]])
     return bool(depth.size > 0 and rho <= depth.min() + tol)

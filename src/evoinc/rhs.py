@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polytope, hausdorff_distance
-
 ORTHONORMALITY_TOL = 1e-12
 
 
@@ -215,14 +213,6 @@ class GrowthEnvelope:
 
 
 @dataclass(frozen=True)
-class GrowthCheck:
-    max_vertex_norm: float
-    envelope_value: float
-    passed: bool
-    envelope: GrowthEnvelope
-
-
-@dataclass(frozen=True)
 class BasisFamilyMap:
     """Hull of coefficient-scaled orthonormal directions in the target space."""
 
@@ -257,10 +247,6 @@ class BasisFamilyMap:
     def target_dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def num_vertices(self) -> int:
-        return self.truncation + (1 if self.include_origin else 0)
-
     # -- evaluation ---------------------------------------------------------
 
     def coefficient_values(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -286,18 +272,14 @@ class BasisFamilyMap:
         return out
 
     def vertex_array(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Stacked hull vertices per node: (K, num_vertices, target_dim)."""
+        """Stacked hull vertices per node: (K, N, target_dim), or
+        (K, N + 1, target_dim) with the origin appended."""
         phi = self.coefficient_values(u, v)
         verts = phi[:, :, None] * self.basis[None, :, :]
         if self.include_origin:
             zeros = np.zeros((verts.shape[0], 1, self.target_dim))
             verts = np.concatenate([verts, zeros], axis=1)
         return verts
-
-    def evaluate(self, u: np.ndarray, v: np.ndarray) -> Polytope:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return Polytope(self.vertex_array(u[None, :], v[None, :])[0])
 
     # -- envelopes ----------------------------------------------------------
 
@@ -316,51 +298,6 @@ class BasisFamilyMap:
             b = math.sqrt(2.0) * float(np.linalg.norm(nus)) if nus else 0.0
             c = float(np.linalg.norm(sups)) if sups else 0.0
         return GrowthEnvelope(a, b, c)
-
-    def growth_check(self, u: np.ndarray, v: np.ndarray) -> GrowthCheck:
-        """Per-vertex check of the quadratic growth estimate.
-
-        Growth-form vertices are tested against
-        ||x||^2 <= 2 ||(c_k)||^2 ||u||^2 + 2 ||(nu_k)||^2 ||v||^2;
-        general-form vertices fall back to their declared sup bounds.
-        Convexity extends a per-vertex pass to the whole hull.
-        """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        phi = self.coefficient_values(u[None, :], v[None, :])[0]
-        u_norm = math.sqrt(self.u_weight) * float(np.linalg.norm(u))
-        v_norm = math.sqrt(self.v_weight) * float(np.linalg.norm(v))
-        env = self.growth_envelope()
-        quad = 0.5 * env.a ** 2 * u_norm ** 2 + 0.5 * env.b ** 2 * v_norm ** 2
-        ok = True
-        max_vertex = 0.0
-        for n, coeff in enumerate(self.coefficients):
-            vertex_norm = abs(phi[n])  # basis rows are unit in the target norm
-            max_vertex = max(max_vertex, vertex_norm)
-            if isinstance(coeff, GrowthCoefficient):
-                ok = ok and vertex_norm ** 2 <= 2.0 * quad + 1e-12
-            else:
-                ok = ok and vertex_norm <= coeff.sup_bound + 1e-12
-        return GrowthCheck(max_vertex, env.value(u_norm, v_norm), ok, env)
-
-    # -- probes -------------------------------------------------------------
-
-    def hausdorff_modulus_probe(self, pairs):
-        """[(input distance, Hausdorff distance of the two hulls)] per pair.
-
-        Input distance is ||u - u'|| + ||v - v'|| in the weighted state
-        norms; hull distances are exact and reported in the target norm.
-        """
-        out = []
-        sw_u = math.sqrt(self.u_weight)
-        sw_v = math.sqrt(self.v_weight)
-        sw_t = math.sqrt(self.target_weight)
-        for (u, v), (u2, v2) in pairs:
-            du = sw_u * float(np.linalg.norm(np.asarray(u) - np.asarray(u2)))
-            dv = sw_v * float(np.linalg.norm(np.asarray(v) - np.asarray(v2)))
-            hd = hausdorff_distance(self.evaluate(u, v), self.evaluate(u2, v2))
-            out.append((du + dv, sw_t * hd))
-        return out
 
 
 @dataclass(frozen=True)
@@ -398,18 +335,11 @@ class SingletonAffineMap:
     def target_dim(self) -> int:
         return self.offset.size
 
-    @property
-    def num_vertices(self) -> int:
-        return 1
-
     def vertex_array(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.atleast_2d(np.asarray(u, dtype=float))
         v = np.atleast_2d(np.asarray(v, dtype=float))
         pts = u @ self.mat_u.T + v @ self.mat_v.T + self.offset
         return pts[:, None, :]
-
-    def evaluate(self, u: np.ndarray, v: np.ndarray) -> Polytope:
-        return Polytope(self.vertex_array(u[None, :], v[None, :])[0])
 
     def growth_envelope(self) -> GrowthEnvelope:
         sw_t = math.sqrt(self.target_weight)

@@ -41,8 +41,8 @@ class SelectionPath:
     def values(self) -> np.ndarray:
         return self.path.values
 
-    def is_valid(self, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(np.all(self.residuals <= tol))
+    def is_valid(self) -> bool:
+        return bool(np.all(self.residuals <= MEMBERSHIP_TOL))
 
 
 def _project_onto_images(family, u: TimePath, v: TimePath,
@@ -86,22 +86,21 @@ def node_distances(family, u: TimePath, v: TimePath,
 
 
 def approximate_selection(family, u_new: TimePath, v: TimePath,
-                          f: SelectionPath, eps: float,
-                          tol: float = MEMBERSHIP_TOL) -> SelectionPath:
+                          f: SelectionPath, eps: float) -> SelectionPath:
     """Selection of the images along (u_new, v) within eps of f node-wise.
 
     Feasibility demands dist(f(t_i), image_i) <= eps at every node; the
     node-wise target is the nearest point to f(t_i) of the closed eps-ball
     around f(t_i) intersected with the image hull. That ball is centred at
     the query itself, so the nearest point is the hull projection, and the
-    residuals are its excess over eps.
+    residuals are its excess over eps, which may reach MEMBERSHIP_TOL.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     hull_points = _project_onto_images(family, u_new, v, f.path)
     w = math.sqrt(family.target_weight)
     gaps = w * np.linalg.norm(f.values - hull_points, axis=1)
-    if np.any(gaps > eps + tol):
+    if np.any(gaps > eps + MEMBERSHIP_TOL):
         node = int(np.argmax(gaps))
         raise SelectionError(
             f"updated images left the eps-tube at node {node}: "

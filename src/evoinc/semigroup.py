@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import TimePath, trapezoid_l2
+from .paths import TimePath
 
 _KINDS = ("heat", "schroedinger", "wave")
 
@@ -93,31 +93,14 @@ def _real(values: np.ndarray) -> np.ndarray:
     return values.view(float)
 
 
-def _propagate_batch(gen: SpectralGenerator, states: np.ndarray,
-                     times: np.ndarray) -> np.ndarray:
-    """Propagate each row of states by the matching entry of times."""
-    states = np.atleast_2d(states)
-    times = np.broadcast_to(np.asarray(times, dtype=float), (states.shape[0],))
-    if np.any(times < 0.0):
-        raise SemigroupError("propagation time must be nonnegative")
-    return _real(np.exp(times[:, None] * gen.symbol()) * _modal(gen, states))
-
-
 def propagate(gen: SpectralGenerator, state: np.ndarray, t: float) -> np.ndarray:
     """T(t) applied to the state; isometric for the rotation kinds."""
     state = np.asarray(state, dtype=float)
     if state.size != gen.state_dim:
         raise SemigroupError("state dimension mismatch")
-    return _propagate_batch(gen, state[None, :], np.array([t]))[0]
-
-
-def orbit(gen: SpectralGenerator, state: np.ndarray,
-          times: np.ndarray) -> np.ndarray:
-    """T(t_k) state for every entry of times, stacked row-wise."""
-    state = np.asarray(state, dtype=float)
-    times = np.asarray(times, dtype=float)
-    reps = np.tile(state, (times.size, 1))
-    return _propagate_batch(gen, reps, times)
+    if t < 0.0:
+        raise SemigroupError("propagation time must be nonnegative")
+    return _real(np.exp(float(t) * gen.symbol()) * _modal(gen, state))
 
 
 def duhamel_solve(gen: SpectralGenerator, u0: np.ndarray,
@@ -218,72 +201,6 @@ def counterexample_profile(modes: int, t_list) -> DeviationProfile:
         slope = float(np.polyfit(np.log(t), np.log(norms), 1)[0])
     return DeviationProfile(t, norms, ratios, slope, modes,
                             coefficient_tail_bound(modes))
-
-
-# ---------------------------------------------------------------------------
-# path regularity probes
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    levels: tuple
-    lipschitz: tuple          # per-level sup ||u(t)-u(s)|| / |t-s|
-    hoelder: tuple            # per-level sup ||u(t)-u(s)|| / sqrt(|t-s|)
-    lipschitz_reference: float | None
-    hoelder_reference: float | None
-
-
-def regularity_probe(gen: SpectralGenerator, data_in_domain: bool,
-                     u0: np.ndarray | None = None,
-                     forcing: TimePath | None = None,
-                     t_max: float = 1.0,
-                     levels: tuple = (4, 6, 8, 10)) -> RegularityReport:
-    """Empirical difference-quotient moduli over dyadic meshes.
-
-    Orbit mode (u0 given): reference constant ||E u0|| bounds the Lipschitz
-    modulus when the data has finite graph norm. Forcing mode: the
-    convolution path is Hoelder-1/2 with reference M + M sqrt(t_max), M the
-    graph-norm L2 size of the forcing.
-    """
-    if (u0 is None) == (forcing is None):
-        raise SemigroupError("give exactly one of u0 or forcing")
-    lip, hoe = [], []
-    for level in levels:
-        k = 2 ** level + 1
-        times = np.linspace(0.0, t_max, k)
-        if u0 is not None:
-            values = orbit(gen, u0, times)
-        else:
-            f = _resample(forcing, times)
-            values = duhamel_solve(gen, np.zeros(gen.state_dim), f).values
-        tau = times[1] - times[0]
-        jumps = np.linalg.norm(np.diff(values, axis=0), axis=1)
-        lip.append(float(jumps.max() / tau))
-        hoe.append(float(jumps.max() / math.sqrt(tau)))
-    lip_ref = None
-    hoe_ref = None
-    if data_in_domain:
-        if u0 is not None:
-            lip_ref = float(np.linalg.norm(gen.apply_generator(u0)))
-        else:
-            m = _graph_l2(gen, forcing)
-            hoe_ref = m + m * math.sqrt(t_max)
-    return RegularityReport(tuple(levels), tuple(lip), tuple(hoe),
-                            lip_ref, hoe_ref)
-
-
-def _resample(path: TimePath, times: np.ndarray) -> TimePath:
-    idx = np.clip(np.searchsorted(path.times(), times, side="right") - 1,
-                  0, path.num_nodes - 1)
-    return TimePath(float(times[0]), float(times[-1]), path.values[idx],
-                    path.weight)
-
-
-def _graph_l2(gen: SpectralGenerator, path: TimePath) -> float:
-    """L2 in time of the node graph norms sqrt(||f||^2 + ||E f||^2)."""
-    norms = np.hypot(np.linalg.norm(path.values, axis=1),
-                     np.linalg.norm(gen.apply_generator(path.values), axis=1))
-    return trapezoid_l2(norms, path.dt)
 
 
 def rk4_oracle(gen: SpectralGenerator, u0: np.ndarray, forcing: TimePath,

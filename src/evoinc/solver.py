@@ -124,13 +124,13 @@ class AprioriReport:
 
 
 def apriori_bound_check(u: TimePath, v: TimePath, f: TimePath, g: TimePath,
-                        window: WindowParams,
-                        slack: float = 1e-6) -> AprioriReport:
-    """sup-node state norms against m - 1 + sqrt(T0) max forcing L2 norm."""
+                        window: WindowParams) -> AprioriReport:
+    """sup-node state norms against m - 1 + sqrt(T0) max forcing L2 norm,
+    up to a slack of 1e-6."""
     lhs = max(float(u.node_norms().max()), float(v.node_norms().max()))
     forcing = max(path_l2_norm(f), path_l2_norm(g))
     rhs = window.m - 1.0 + math.sqrt(window.t_window) * forcing
-    return AprioriReport(lhs, rhs, lhs <= rhs + slack)
+    return AprioriReport(lhs, rhs, lhs <= rhs + 1e-6)
 
 
 def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
@@ -153,15 +153,17 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     if max(np.linalg.norm(u0), math.sqrt(h) * np.linalg.norm(v0)) \
             > window.beta + 1e-9:
         raise SolverError("initial data exceeds the window's data bound")
+    if v0.shape != (pot.interior_nodes,):
+        raise MonotoneError("state dimension mismatch")
 
     f_path = zero_path(t_start, t_end, num_nodes, gen.state_dim, 1.0)
     g_path = zero_path(t_start, t_end, num_nodes, pot.interior_nodes, h)
     # Every v-flow of the window runs on this grid: one coefficient table.
+    # The forcing keeps the grid's dimension: the g-selections project onto
+    # hulls of that dimension.
     table = pot.coefficient_table(g_path.times())
 
     def v_flow(g: TimePath) -> TimePath:
-        if v0.shape != (pot.interior_nodes,) or g.dim != pot.interior_nodes:
-            raise MonotoneError("state dimension mismatch")
         return TimePath(g.t0, g.t1, _flow(pot, table, v0, g.values, g.dt), h)
 
     u = duhamel_solve(gen, u0, f_path)
@@ -330,9 +332,9 @@ def gronwall_constants(a: float, b: float, c: float, u0_norm: float,
 
 def gronwall_check_windows(windows, a: float, b: float, c: float,
                            u0: np.ndarray, v0: np.ndarray, t_end: float,
-                           rho_override: float | None = None,
-                           slack: float = 1e-6) -> GronwallReport:
-    """Envelope check across a chain of window solutions."""
+                           rho_override: float | None = None) -> GronwallReport:
+    """Envelope check across a chain of window solutions, up to a slack of
+    1e-6 (1 + K)."""
     u0_norm = float(np.linalg.norm(np.asarray(u0, dtype=float)))
     h_w = windows[0].v.weight
     v0_norm = math.sqrt(h_w) * float(np.linalg.norm(np.asarray(v0, dtype=float)))
@@ -343,7 +345,7 @@ def gronwall_check_windows(windows, a: float, b: float, c: float,
     for w in windows:
         total = w.u.node_norms() + w.v.node_norms()
         envelope = k_const * np.exp(rho * w.u.times())
-        worst = min(worst, float((envelope + slack * (1.0 + k_const)
+        worst = min(worst, float((envelope + 1e-6 * (1.0 + k_const)
                                   - total).min()))
     return GronwallReport(k_const, rho, worst >= 0.0, worst)
 
@@ -355,9 +357,7 @@ class ElementaryBoundReport:
     passed: bool
 
 
-def elementary_bound_probe(c: float, h_path: TimePath, refine: int = 512,
-                           subsolution_scales=(0.25, 0.5, 0.9),
-                           slack: float = 1e-8) -> ElementaryBoundReport:
+def elementary_bound_probe(c: float, h_path: TimePath) -> ElementaryBoundReport:
     """Quadratic integral inequality: maximal solution against c + half the
     integral of the rate.
 
@@ -366,9 +366,11 @@ def elementary_bound_probe(c: float, h_path: TimePath, refine: int = 512,
     operator u -> sqrt(c^2 + int h u) downward from a constant
     supersolution on a refined grid; the monotone limit is the maximal
     fixed point even in the degenerate c = 0 case, where one-step
-    integrators would lock onto the trivial branch. Scaled sub-solutions
-    are checked against the same bound.
+    integrators would lock onto the trivial branch. The grid is refined
+    512-fold, and the sub-solutions 0.25, 0.5 and 0.9 times the recursion
+    are checked against the same bound, all up to a slack of 1e-8.
     """
+    refine, slack = 512, 1e-8
     if c < 0.0:
         raise SolverError("offset must be nonnegative")
     h_vals = h_path.values[:, 0]
@@ -398,7 +400,7 @@ def elementary_bound_probe(c: float, h_path: TimePath, refine: int = 512,
     gap = float(np.abs(recursion - closed).max())
     margin = float((closed + slack - recursion).min())
     ok = gap <= 1e-8 and margin >= 0.0
-    for scale in subsolution_scales:
+    for scale in (0.25, 0.5, 0.9):
         sub = scale * recursion
         ok = ok and bool(np.all(sub <= closed + slack))
     return ElementaryBoundReport(gap, margin, ok)
@@ -413,14 +415,14 @@ class YosidaStabilityReport:
 
 
 def yosida_stability_check(gen: SpectralGenerator, u0: np.ndarray,
-                           forcing: TimePath, lambda_ladder,
-                           rel_slack: float = 1e-9) -> YosidaStabilityReport:
+                           forcing: TimePath,
+                           lambda_ladder) -> YosidaStabilityReport:
     """Resolvent-smoothed solves against the quadratic forcing estimate.
 
     For each ladder value, the squared path distance of the smoothed solve
     must stay below (T0^2 / 2) times the squared forcing distance (the
     propagator is a contraction, see `WindowParams`), and both sides must
-    vanish up the ladder.
+    vanish up the ladder, both up to a relative slack of 1e-9.
     """
     t0_span = forcing.t1 - forcing.t0
     u = duhamel_solve(gen, u0, forcing)
@@ -432,7 +434,7 @@ def yosida_stability_check(gen: SpectralGenerator, u0: np.ndarray,
         rhs.append(0.5 * t0_span ** 2 * path_distance(f_lam, forcing) ** 2)
     lhs_arr = np.array(lhs)
     rhs_arr = np.array(rhs)
-    scale = rel_slack * (1.0 + rhs_arr)
+    scale = 1e-9 * (1.0 + rhs_arr)
     ok = bool(np.all(lhs_arr <= rhs_arr + scale))
     ok = ok and bool(np.all(np.diff(lhs_arr) <= scale[1:])) \
         and bool(np.all(np.diff(rhs_arr) <= scale[1:]))

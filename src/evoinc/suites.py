@@ -42,8 +42,8 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _random_polytope(rng, dim: int, radius: float, max_vertices: int = 8):
-    count = int(rng.integers(dim + 1, max_vertices + 1))
+def _random_polytope(rng, dim: int, radius: float):
+    count = int(rng.integers(dim + 1, 9))
     center = rng.normal(size=dim)
     center *= rng.uniform(0.0, 0.5 * radius) / max(np.linalg.norm(center), 1e-9)
     verts = center + rng.normal(size=(count, dim)) * rng.uniform(0.1, 0.45) * radius
@@ -73,8 +73,8 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
             else geo.Ball(rng.normal(size=dim), float(rng.uniform(0.2, 2.0)))
         x = rng.normal(size=dim) * 3.0
         y = rng.normal(size=dim) * 3.0
-        px = geo._project_rows(x[None, :], body)[0]
-        py = geo._project_rows(y[None, :], body)[0]
+        px = geo.project(x, body)
+        py = geo.project(y, body)
         margins.append(np.linalg.norm(x - y) + 1e-8
                        - np.linalg.norm(px - py))
     results.append(CheckResult("projection-nonexpansive", n_pairs,
@@ -86,7 +86,7 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
         dim = int(rng.integers(2, 4))
         poly = _random_polytope(rng, dim, 3.0)
         x = rng.normal(size=dim) * 3.0
-        p = geo.project_polytope(x, poly)
+        p = geo.project(x, poly)
         gap = float(np.einsum("nd,d->n", poly.vertices - p, x - p).max())
         margins.append(1e-9 * (1.0 + np.linalg.norm(x)) - gap)
     results.append(CheckResult("variational-certificate", n_pairs,
@@ -115,11 +115,12 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
     return results
 
 
-def projection_difference_battery(seed: int = 7, trials: int = 1000,
-                                  dim: int = 3,
-                                  radius: float = 5.0) -> CheckResult:
-    """Seeded random polytope pairs against the projection-difference
-    estimate, all trials in one `geometry.projection_difference_check`."""
+def projection_difference_battery(seed: int = 7,
+                                  trials: int = 1000) -> CheckResult:
+    """Seeded random polytope pairs in R^3 inside B[0, 5] against the
+    projection-difference estimate, all trials in one
+    `geometry.projection_difference_check`."""
+    dim, radius = 3, 5.0
     bodies_c, bodies_d, queries = [], [], []
     for i in range(trials):
         rng = _rng(seed, 4000 + i)
@@ -132,9 +133,10 @@ def projection_difference_battery(seed: int = 7, trials: int = 1000,
     return CheckResult("projection-difference-bound", trials, worst, worst >= 0)
 
 
-def _slater_rows(seed: int = 7, trials: int = 500, dim: int = 3):
+def _slater_rows(seed: int = 7, trials: int = 500):
     """Inputs of `slater_battery`: (xs, polytopes, balls, x0s, rhos), one
-    row per trial, each witness inside its ball and its polytope."""
+    row per trial in R^3, each witness inside its ball and its polytope."""
+    dim = 3
     xs, polys, balls, x0s, rhos = [], [], [], [], []
     for i in range(trials):
         rng = _rng(seed, 5000 + i)
@@ -143,7 +145,8 @@ def _slater_rows(seed: int = 7, trials: int = 500, dim: int = 3):
         balls.append(geo.Ball(center, radius))
         x0 = center + rng.normal(size=dim) * 0.1
         rho = float(rng.uniform(0.1, 0.3))
-        x0 = geo.project_ball(x0, center, max(radius - rho - 1e-6, 1e-3))
+        x0 = geo.project_balls(x0, center,
+                               max(radius - rho - 1e-6, 1e-3))[0]
         # polytope containing x0: a simplex around it plus random spread
         simplex = x0 + 0.5 * np.vstack([np.eye(dim), -np.ones((1, dim))])
         extra = x0 + rng.normal(size=(3, dim)) * rng.uniform(0.5, 2.0)
@@ -154,36 +157,33 @@ def _slater_rows(seed: int = 7, trials: int = 500, dim: int = 3):
     return np.asarray(xs), polys, balls, np.asarray(x0s), np.asarray(rhos)
 
 
-def slater_battery(seed: int = 7, trials: int = 500,
-                   dim: int = 3) -> CheckResult:
+def slater_battery(seed: int = 7, trials: int = 500) -> CheckResult:
     """Interior-witness intersections against the linear-regularity bound,
     all trials in one `geometry.slater_intersection_check`."""
-    chk = geo.slater_intersection_check(*_slater_rows(seed, trials, dim))
+    chk = geo.slater_intersection_check(*_slater_rows(seed, trials))
     worst = float((chk.rhs + 1e-8 - chk.lhs).min())
     return CheckResult("slater-intersection-bound", trials, worst, worst >= 0)
 
 
-def intersection_continuity_battery(seed: int = 7, families: int = 10,
-                                    resolution: int = 2048,
-                                    threshold: float = 1e-2) -> CheckResult:
-    """Convergent ball/polytope families: gaps must drop below threshold."""
+def intersection_continuity_battery(seed: int = 7,
+                                    families: int = 10) -> CheckResult:
+    """Convergent ball/polytope families: gaps must drop below 1e-2."""
     margins = []
     ns = [2, 4, 8, 16, 32, 64, 128, 256, 512]
     for i in range(families):
         rng = _rng(seed, 6000 + i)
         base = _random_polytope(rng, 2, 1.5)
-        c = np.asarray(geo._project_rows(rng.normal(size=2)[None, :], base)[0])
+        c = geo.project(rng.normal(size=2), base)
         r = float(rng.uniform(0.6, 1.4))
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
         c_seq = [c + direction / n * 0.5 for n in ns]
         b_seq = [geo.Polytope(base.vertices + direction / n * 0.5) for n in ns]
-        probe = geo.intersection_continuity_probe(
-            c_seq, b_seq, r, c, base, resolution=resolution)
+        probe = geo.intersection_continuity_probe(c_seq, b_seq, r, c, base)
         if probe.empty_indices:
             margins.append(-1.0)
             continue
-        margins.append(threshold - probe.values[-1])
+        margins.append(1e-2 - probe.values[-1])
     worst = _min_margin(margins)
     return CheckResult("intersection-continuity", families, worst, worst >= 0)
 
@@ -192,16 +192,17 @@ def intersection_continuity_battery(seed: int = 7, families: int = 10,
 # selection battery
 
 
-def _random_growth_map(rng, dim_u: int, dim_v: int, weight_v: float,
-                       directions: int = 4, scale: float = 0.5):
+def _random_growth_map(rng, dim_u: int, dim_v: int, weight_v: float):
+    """Four growth-form directions with v-feedback, scale 0.5."""
+    scale = 0.5
     coeffs = []
-    for k in range(directions):
+    for k in range(4):
         direction = rng.normal(size=dim_v)
         nu = rhsmod.Affine(scale * 0.5 * float(rng.uniform(0.2, 1.0)), 0.0,
                            rhsmod.Tanh(rhsmod.Inner("v", direction, weight_v)))
         coeffs.append(rhsmod.GrowthCoefficient(
             scale * float(rng.uniform(0.2, 1.0)), nu))
-    basis = np.eye(dim_u)[:directions]
+    basis = np.eye(dim_u)[:4]
     return rhsmod.BasisFamilyMap(basis, tuple(coeffs), target_weight=1.0,
                                  u_weight=1.0, v_weight=weight_v)
 
@@ -436,8 +437,10 @@ def monotone_battery(seed: int = 7, trials: int | None = None) -> list:
     return results
 
 
-def p2_oracle_battery(j: int = 63, steps: int = 2 ** 12) -> CheckResult:
-    """Quadratic-mode flow against the diagonalized implicit-Euler recursion."""
+def p2_oracle_battery() -> CheckResult:
+    """Quadratic-mode flow against the diagonalized implicit-Euler recursion,
+    63 grid nodes and 2^12 steps."""
+    j, steps = 63, 2 ** 12
     pot = mono.make_potential(j, ("constant", 2.0), ("constant", 1.0),
                               oracle_p2=True)
     h = pot.mesh
@@ -465,9 +468,9 @@ def p2_oracle_battery(j: int = 63, steps: int = 2 ** 12) -> CheckResult:
     return CheckResult("p2-spectral-oracle", 1, 1e-6 - err, err <= 1e-6)
 
 
-def complete_continuity_battery(seed: int = 7,
-                                threshold: float = 1e-3) -> CheckResult:
-    """Oscillating forcings with vanishing mean effect: flows converge.
+def complete_continuity_battery(seed: int = 7) -> CheckResult:
+    """Oscillating forcings with vanishing mean effect: flows converge to
+    within 1e-3.
 
     The base flow and the five oscillating ones run as one stack of six."""
     pot = mono.make_potential(15, ("constant", 3.0), ("constant", 1.0))
@@ -491,7 +494,7 @@ def complete_continuity_battery(seed: int = 7,
                                                 axis=1).max())
             for v_osc in v_oscs]
     decreasing = all(sups[i + 1] <= sups[i] + 1e-12 for i in range(len(sups) - 1))
-    margin = threshold - sups[-1]
+    margin = 1e-3 - sups[-1]
     return CheckResult("complete-continuity", len(sups), margin,
                        decreasing and margin >= 0)
 
@@ -500,9 +503,14 @@ def complete_continuity_battery(seed: int = 7,
 # solver battery
 
 
-def _preset_experiment(name: str):
+def _preset_run(name: str):
+    """(global solve, experiment) of a bundled preset."""
     from .config import build_experiment, load_config, preset_path
-    return build_experiment(load_config(preset_path(name)))
+    exp = build_experiment(load_config(preset_path(name)))
+    run = sv.solve_global(exp.generator, exp.potential, exp.u0, exp.v0,
+                          exp.rhs_f, exp.rhs_g, exp.config.horizon,
+                          exp.settings)
+    return run, exp
 
 
 def solver_battery(seed: int = 7, trials: int | None = None) -> list:
@@ -534,10 +542,7 @@ def solver_battery(seed: int = 7, trials: int | None = None) -> list:
 
     # bundled presets end to end
     for name in ("heat_debye", "schrodinger_debye"):
-        exp = _preset_experiment(name)
-        run = sv.solve_global(exp.generator, exp.potential, exp.u0, exp.v0,
-                              exp.rhs_f, exp.rhs_g, exp.config.horizon,
-                              exp.settings)
+        run, exp = _preset_run(name)
         checks = [run.converged]
         worst = math.inf
         for w in run.windows:
@@ -556,9 +561,9 @@ def solver_battery(seed: int = 7, trials: int | None = None) -> list:
     return results
 
 
-def linear_block_oracle_battery(seed: int = 7,
-                                tolerance: float = 1e-5) -> CheckResult:
-    """Affine single-valued maps against the direct forward recursion.
+def linear_block_oracle_battery(seed: int = 7) -> CheckResult:
+    """Affine single-valued maps against the direct forward recursion, to
+    within 1e-5.
 
     With node-sampled selections the converged fixed point satisfies an
     explicit recursion: exponential step in u, resolvent step in v, both
@@ -613,8 +618,8 @@ def linear_block_oracle_battery(seed: int = 7,
     err_u = path_distance(sol.u, sol.u.with_values(u_vals))
     err_v = path_distance(sol.v, sol.v.with_values(v_vals))
     err = max(err_u, err_v)
-    return CheckResult("linear-block-oracle", 1, tolerance - err,
-                       sol.report.converged and err <= tolerance)
+    return CheckResult("linear-block-oracle", 1, 1e-5 - err,
+                       sol.report.converged and err <= 1e-5)
 
 
 def window_params_battery(seed: int = 7) -> CheckResult:
@@ -636,8 +641,10 @@ def window_params_battery(seed: int = 7) -> CheckResult:
 
 
 def gronwall_negative_control() -> CheckResult:
-    """A converged growing run must violate a deliberately undersized rate."""
-    run, exp = feedback_growth_run()
+    """A converged growing run must violate a deliberately undersized rate:
+    the feedback_growth preset, a rotation-kind run with pure state
+    feedback, grows in norm."""
+    run, exp = _preset_run("feedback_growth")
     assert run.converged
     envs = [exp.rhs_f.growth_envelope(), exp.rhs_g.growth_envelope()]
     a = max(env.a for env in envs)
@@ -650,16 +657,6 @@ def gronwall_negative_control() -> CheckResult:
     ok = genuine.passed and not broken.passed
     return CheckResult("gronwall-negative-control", 1,
                        -broken.worst_margin if ok else -1.0, ok)
-
-
-def feedback_growth_run():
-    """Rotation-kind run with pure state feedback: guaranteed norm growth."""
-    from .config import build_experiment, load_config, preset_path
-    exp = build_experiment(load_config(preset_path("feedback_growth")))
-    run = sv.solve_global(exp.generator, exp.potential, exp.u0, exp.v0,
-                          exp.rhs_f, exp.rhs_g, exp.config.horizon,
-                          exp.settings)
-    return run, exp
 
 
 def elementary_bound_battery(seed: int = 7, trials: int = 100) -> CheckResult:

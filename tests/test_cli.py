@@ -191,6 +191,14 @@ def test_solve_rejects_unknown_key_naming_it(tmp_path, capsys):
     # finite, but its growth envelope overflows
     ("config.rhs_f",
      lambda cfg: cfg["rhs_f"]["coefficients"][0].update(c=1e300)),
+    # an integer too large for a float
+    pytest.param("config.time.horizon",
+                 lambda cfg: cfg["time"].update(horizon=10 ** 400),
+                 id="config.time.horizon-huge-integer"),
+    pytest.param("config.initial.v.mode",
+                 lambda cfg: cfg["initial"].update(
+                     v={"kind": "mode", "mode": 10 ** 400}),
+                 id="config.initial.v.mode-huge-integer"),
 ])
 def test_solve_rejects_non_finite_numbers(tmp_path, capsys, name, mutate):
     cfg = json.loads(_read(preset_path("heat_debye")))
@@ -203,6 +211,59 @@ def test_solve_rejects_non_finite_numbers(tmp_path, capsys, name, mutate):
     assert code == 2
     assert name in err and "finite" in err
     assert not out.exists()
+
+
+def _values_at(cfg, where, values):
+    """Sets a `values` list at one of the three places a config takes one:
+    the initial u, the initial v, or the direction of rhs_g's first inner
+    product; returns that list's config path."""
+    if where == "direction":
+        spec = cfg["rhs_g"]["coefficients"][0]["expr"]["child"]["child"]
+        spec["direction"] = {"kind": "values", "values": values}
+        return ("config.rhs_g.coefficients[0].expr.child.child.direction"
+                ".values")
+    cfg["initial"][where] = {"kind": "values", "values": values}
+    return f"config.initial.{where}.values"
+
+
+@pytest.mark.parametrize("where, size", [
+    ("u", 8), ("v", 15), ("direction", 8)])
+@pytest.mark.parametrize("entry, message", [
+    ("a", "expected a number"),
+    ("1.5", "expected a number"),
+    (True, "expected a number"),
+    (float("nan"), "must be finite"),
+])
+def test_solve_rejects_bad_value_list_entries(tmp_path, capsys, where, size,
+                                              entry, message):
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    values = [0.1] * size
+    values[2] = entry
+    path = _values_at(cfg, where, values)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}[2]: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, size", [
+    ("u", 8), ("v", 15), ("direction", 8)])
+def test_config_value_lists_are_read_exactly(where, size):
+    from evoinc.config import build_experiment
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    values = [0.25 * i - 1.0 for i in range(size)]
+    values[1] = 3  # an integer entry is a number too
+    _values_at(cfg, where, values)
+    exp = build_experiment(parse_config(cfg))
+    if where == "direction":
+        got = exp.rhs_g.coefficients[0].expr.child.child.direction
+    else:
+        got = exp.u0 if where == "u" else exp.v0
+    assert got.tolist() == [float(x) for x in values]
 
 
 def test_solve_rejects_zero_tolerance(tmp_path, capsys):

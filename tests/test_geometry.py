@@ -18,25 +18,49 @@ from conftest import monotone_chain, polygon_boundary_sample, polygon_distances
 # ball projection
 
 
+def _ball(c, r):
+    return geo.Ball(np.asarray(c, dtype=float), r)
+
+
 def test_project_ball_radial():
-    p = geo.project_ball(np.array([2.0, 0.0]), np.array([0.0, 0.0]), 1.0)
+    p = geo.project(np.array([2.0, 0.0]), _ball([0.0, 0.0], 1.0))
     assert np.allclose(p, [1.0, 0.0])
 
 
 def test_project_ball_inside_is_identity():
     x = np.array([0.3, 0.1])
-    p = geo.project_ball(x, np.array([0.0, 0.0]), 1.0)
+    p = geo.project(x, _ball([0.0, 0.0], 1.0))
     assert np.array_equal(p, x)
 
 
 def test_project_ball_scales_direction():
-    p = geo.project_ball(np.array([3.0, 4.0]), np.array([0.0, 0.0]), 1.0)
+    p = geo.project(np.array([3.0, 4.0]), _ball([0.0, 0.0], 1.0))
     assert np.allclose(p, [0.6, 0.8])
 
 
 def test_project_ball_dimension_mismatch():
     with pytest.raises(geo.DimensionMismatch):
-        geo.project_ball(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.0]), 1.0)
+        geo.project(np.array([1.0, 2.0, 3.0]), _ball([0.0, 0.0], 1.0))
+    with pytest.raises(geo.DimensionMismatch):
+        geo.project(np.zeros((2, 3)), geo.Polytope(np.eye(2)))
+
+
+def test_project_ball_rejects_negative_radius():
+    with pytest.raises(geo.GeometryError):
+        geo.project(np.zeros(2), _ball([0.0, 0.0], -1.0))
+
+
+def test_project_takes_a_point_or_rows():
+    square = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                    [0.0, 1.0]]))
+    x = np.array([[2.0, 0.5], [0.5, 0.5], [-1.0, -1.0]])
+    for body in (square, _ball([0.5, 0.5], 0.5)):
+        rows = geo.project(x, body)
+        assert rows.shape == x.shape
+        for point, row in zip(x, rows):
+            assert np.allclose(geo.project(point, body), row, atol=1e-12)
+    assert np.allclose(geo.project(x, square), np.clip(x, 0.0, 1.0),
+                       atol=1e-12)
 
 
 @given(st.integers(0, 10_000))
@@ -47,7 +71,7 @@ def test_ball_projection_variational_inequality(trial):
     c = rng.normal(size=dim)
     r = float(rng.uniform(0.1, 3.0))
     x = rng.normal(size=dim) * 4.0
-    p = geo.project_ball(x, c, r)
+    p = geo.project(x, geo.Ball(c, r))
     probes = c + r * np.random.default_rng(trial + 1).normal(size=(32, dim))
     norms = np.linalg.norm(probes - c, axis=1, keepdims=True)
     members = c + (probes - c) / np.maximum(norms / r, 1.0)
@@ -62,8 +86,8 @@ def test_projection_nonexpansive(trial):
     body = geo.Ball(rng.normal(size=dim), float(rng.uniform(0.1, 2.0)))
     x = rng.normal(size=dim) * 3.0
     y = rng.normal(size=dim) * 3.0
-    px = geo.project_ball(x, body.center, body.radius)
-    py = geo.project_ball(y, body.center, body.radius)
+    px = geo.project(x, body)
+    py = geo.project(y, body)
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-8
 
 
@@ -73,13 +97,13 @@ def test_projection_nonexpansive(trial):
 
 def test_project_segment_foot_of_perpendicular():
     seg = geo.Polytope(np.array([[-1.0, 0.0], [1.0, 0.0]]))
-    p = geo.project_polytope(np.array([0.0, 2.0]), seg)
+    p = geo.project(np.array([0.0, 2.0]), seg)
     assert np.allclose(p, [0.0, 0.0], atol=1e-12)
 
 
 def test_project_polytope_vertex_identity():
     poly = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    p = geo.project_polytope(np.array([1.0, 0.0]), poly)
+    p = geo.project(np.array([1.0, 0.0]), poly)
     assert np.allclose(p, [1.0, 0.0], atol=1e-12)
 
 
@@ -106,7 +130,7 @@ def _simplex_grid_search(vertices, x, step):
 def test_project_triangle_against_grid_oracle():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     x = np.array([0.7, 0.9])
-    p = geo.project_polytope(x, geo.Polytope(vertices))
+    p = geo.project(x, geo.Polytope(vertices))
     oracle = _simplex_grid_search(vertices, x, 1e-4)
     assert np.linalg.norm(p - oracle) <= 2e-4
     # frozen value: foot of the perpendicular onto the hypotenuse
@@ -118,7 +142,7 @@ def test_project_polytope_certificate_over_vertices(rng):
         dim = int(rng.integers(2, 4))
         vertices = rng.normal(size=(int(rng.integers(2, 9)), dim))
         x = rng.normal(size=dim) * 3.0
-        p = geo.project_polytope(x, geo.Polytope(vertices), tol=1e-12)
+        p = geo.project(x, geo.Polytope(vertices))
         gaps = (vertices - p) @ (x - p)
         assert gaps.max() <= 1e-12 * (1.0 + np.linalg.norm(x)) + 1e-15
 
@@ -129,7 +153,7 @@ def test_project_polytope_on_cube_faces_matches_clip():
     cube = geo.Polytope(np.array([[a, b, c] for a in (-0.5, 0.5)
                                   for b in (-0.5, 0.5) for c in (-0.5, 0.5)]))
     on_face = np.array([0.5, 0.2, 0.1])
-    assert np.abs(geo.project_polytope(on_face, cube) - on_face).max() <= 1e-12
+    assert np.abs(geo.project(on_face, cube) - on_face).max() <= 1e-12
     rng = np.random.default_rng(41)
     x = rng.uniform(-0.5, 0.5, size=(400, 3))
     x[np.arange(400), rng.integers(0, 3, size=400)] = rng.choice([-0.5, 0.5],
@@ -140,16 +164,18 @@ def test_project_polytope_on_cube_faces_matches_clip():
     assert np.abs(p - np.clip(x, -0.5, 0.5)).max() <= 1e-12
 
 
-def test_project_polytope_budget_exhaustion_reports():
+def test_project_polytope_budget_exhaustion_reports(monkeypatch):
     triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     # the projection (0.4, 0.6) lies inside the hypotenuse: the cold start
     # at the nearest vertex (0, 1) fails the certificate, so one major cycle
     # cannot certify it and a second one does
     x = np.array([[0.7, 0.9]])
+    monkeypatch.setattr(geo, "PROJECTION_BUDGET", 1)
     with pytest.raises(geo.ProjectionDidNotConverge) as err:
-        geo.HullProjector(triangle).project(x, max_iter=1)
+        geo.HullProjector(triangle).project(x)
     assert np.isfinite(err.value.residual) and err.value.residual > 0.0
-    p, gaps = geo.HullProjector(triangle).project(x, max_iter=2)
+    monkeypatch.setattr(geo, "PROJECTION_BUDGET", 2)
+    p, gaps = geo.HullProjector(triangle).project(x)
     assert np.allclose(p, [[0.4, 0.6]], atol=1e-12)
     assert gaps[0] <= 1e-12 * (1.0 + np.linalg.norm(x))
 
@@ -182,7 +208,7 @@ def test_project_polytope_repeated_vertex_is_certified():
     check, bound = _certificate(REPEATED_VERTEX_HULL[None], x[None], p)
     assert gaps[0] <= bound[0] and check[0] <= bound[0]
     # the padding copies change nothing: same point as the distinct vertices
-    alone = geo.project_polytope(x, geo.Polytope(REPEATED_VERTEX_HULL[:6]))
+    alone = geo.project(x, geo.Polytope(REPEATED_VERTEX_HULL[:6]))
     assert np.linalg.norm(p[0] - alone) <= 1e-10
 
 
@@ -309,7 +335,7 @@ def test_project_intersection_where_alternating_projections_stalled():
     # after one cycle without movement returned a point 7.16567 from x
     x, ball, poly, _, _ = _slater_trial(128)
     y = _cap_point(x, ball, poly)
-    hull_point = geo.project_polytope(x, poly)
+    hull_point = geo.project(x, poly)
     assert np.linalg.norm(y - hull_point) <= 1e-10
     assert np.linalg.norm(y - x) == pytest.approx(7.11867, abs=1e-5)
 
@@ -366,7 +392,7 @@ def test_project_cap_kkt_certificate_on_hulls(dim):
         vertices = rng.normal(size=(int(rng.integers(dim + 1, 9)), dim)) * 1.5
         poly = geo.Polytope(vertices)
         c = rng.normal(size=dim)
-        r = np.linalg.norm(c - geo.project_polytope(c, poly)) \
+        r = np.linalg.norm(c - geo.project(c, poly)) \
             + rng.uniform(0.4, 1.2)
         x = c + rng.normal(size=(m, dim)) * 3.0
         hull = geo.HullProjector(np.broadcast_to(vertices,
@@ -374,7 +400,7 @@ def test_project_cap_kkt_certificate_on_hulls(dim):
         # members: hull vertices inside the ball, ball points inside the hull
         ball_points = c + r * rng.uniform(size=(1000, 1)) ** (1.0 / dim) \
             * _unit_rows(320 + dim, 1000, dim)
-        off_hull = ball_points - geo._project_rows(ball_points, poly)
+        off_hull = ball_points - geo.project(ball_points, poly)
         in_hull = np.linalg.norm(off_hull, axis=1) <= 1e-12
         in_ball = np.linalg.norm(vertices - c, axis=1) <= r
         members = np.vstack([vertices[in_ball], ball_points[in_hull]])
@@ -445,28 +471,23 @@ def test_project_intersection_near_empty_pair_reports_ball_residual():
 # Hausdorff distances
 
 
-def test_hausdorff_refuses_balls_and_caps():
-    square = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
-                                    [0.0, 1.0]]))
-    ball = geo.Ball(np.array([0.5, 0.5]), 1.0)
-    with pytest.raises(geo.GeometryError):
-        geo.hausdorff_distance(square, ball)
-    with pytest.raises(geo.GeometryError):
-        geo.hausdorff_distance(ball, square)
+def _hausdorff(a, b):
+    """Exact Hausdorff distance of two vertex hulls, as one-row stacks."""
+    return float(geo._pair_hausdorff(np.asarray(a, dtype=float)[None],
+                                     np.asarray(b, dtype=float)[None])[0])
 
 
 def test_hausdorff_shifted_squares():
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    a = geo.Polytope(square)
-    b = geo.Polytope(square + np.array([1.0, 0.0]))
-    assert geo.hausdorff_distance(a, b) == pytest.approx(1.0, abs=1e-10)
+    shifted = square + np.array([1.0, 0.0])
+    assert _hausdorff(square, shifted) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_hausdorff_random_polytopes_against_boundary_sampling(rng):
     for _ in range(5):
         pts_a = rng.normal(size=(5, 2))
         pts_b = rng.normal(size=(5, 2)) + rng.normal(size=2) * 0.5
-        got = geo.hausdorff_distance(geo.Polytope(pts_a), geo.Polytope(pts_b))
+        got = _hausdorff(pts_a, pts_b)
         hull_a = monotone_chain(pts_a)
         hull_b = monotone_chain(pts_b)
         samples_a = polygon_boundary_sample(hull_a, 1e-3)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from evoinc import rhs
+from evoinc import geometry as geo, rhs
 
 
 def _growth_map(c_values, nu_scales=None, dim_u=None, dim_v=3):
@@ -21,26 +21,36 @@ def _growth_map(c_values, nu_scales=None, dim_u=None, dim_v=3):
     return rhs.BasisFamilyMap(np.eye(dim_u)[:n], tuple(coeffs))
 
 
+def _vertices(family, u, v):
+    """Hull vertices of the image at one state pair."""
+    return family.vertex_array(np.asarray(u, dtype=float),
+                               np.asarray(v, dtype=float))[0]
+
+
+def _vertex_norms(family, u, v):
+    return np.linalg.norm(_vertices(family, u, v), axis=1)
+
+
 def test_evaluate_zero_map_gives_origin():
     family = rhs.BasisFamilyMap(
         np.eye(2), (rhs.GeneralCoefficient(rhs.Const(0.0)),
                     rhs.GeneralCoefficient(rhs.Const(0.0))))
-    poly = family.evaluate(np.zeros(2), np.zeros(3))
-    assert np.allclose(poly.vertices, 0.0)
+    verts = _vertices(family, np.zeros(2), np.zeros(3))
+    assert np.allclose(verts, 0.0)
 
 
 def test_evaluate_constant_coefficients():
     family = rhs.BasisFamilyMap(
         np.eye(2), (rhs.GeneralCoefficient(rhs.Const(1.0)),
                     rhs.GeneralCoefficient(rhs.Const(2.0))))
-    poly = family.evaluate(np.array([9.0, 9.0]), np.zeros(3))
-    assert np.allclose(poly.vertices, [[1.0, 0.0], [0.0, 2.0]])
+    verts = _vertices(family, np.array([9.0, 9.0]), np.zeros(3))
+    assert np.allclose(verts, [[1.0, 0.0], [0.0, 2.0]])
 
 
 def test_evaluate_growth_form_reads_inner_products():
     family = _growth_map([1.0, 0.5])
-    poly = family.evaluate(np.array([1.0, 1.0]), np.zeros(3))
-    assert np.allclose(poly.vertices, [[1.0, 0.0], [0.0, 0.5]])
+    verts = _vertices(family, np.array([1.0, 1.0]), np.zeros(3))
+    assert np.allclose(verts, [[1.0, 0.0], [0.0, 0.5]])
 
 
 def test_include_origin_appends_vertex():
@@ -48,9 +58,9 @@ def test_include_origin_appends_vertex():
         np.eye(2), (rhs.GeneralCoefficient(rhs.Const(1.0)),
                     rhs.GeneralCoefficient(rhs.Const(2.0))),
         include_origin=True)
-    poly = family.evaluate(np.zeros(2), np.zeros(3))
-    assert poly.vertices.shape == (3, 2)
-    assert np.allclose(poly.vertices[-1], 0.0)
+    verts = _vertices(family, np.zeros(2), np.zeros(3))
+    assert verts.shape == (3, 2)
+    assert np.allclose(verts[-1], 0.0)
 
 
 def test_non_orthonormal_basis_rejected():
@@ -67,7 +77,7 @@ def test_unbounded_general_coefficient_rejected():
 def test_nonfinite_coefficient_value_rejected():
     family = _growth_map([1.0], dim_u=1, dim_v=1)
     with pytest.raises(rhs.RhsError):
-        family.evaluate(np.array([np.inf]), np.zeros(1))
+        family.vertex_array(np.array([np.inf]), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -76,21 +86,25 @@ def test_nonfinite_coefficient_value_rejected():
 
 def test_growth_check_zero_state():
     family = _growth_map([1.0, 0.5], [0.2, 0.1])
-    report = family.growth_check(np.zeros(2), np.zeros(3))
-    assert report.passed and report.max_vertex_norm == 0.0
+    norms = _vertex_norms(family, np.zeros(2), np.zeros(3))
+    assert norms.max() == 0.0
+    assert family.growth_envelope().value(0.0, 0.0) == 0.0
 
 
 def test_growth_check_single_mode_arithmetic():
     family = _growth_map([1.0, 0.0])
-    report = family.growth_check(np.array([1.0, 0.0]), np.zeros(3))
-    # vertex norm 1, quadratic side 2 ||c||^2 ||u||^2 = 2
-    assert report.max_vertex_norm == pytest.approx(1.0)
-    assert report.passed
-    assert report.envelope.a == pytest.approx(math.sqrt(2.0))
-    assert report.envelope.b == 0.0 and report.envelope.c == 0.0
+    norms = _vertex_norms(family, np.array([1.0, 0.0]), np.zeros(3))
+    env = family.growth_envelope()
+    # vertex norm 1, quadratic side 2 ||c||^2 ||u||^2 = a^2 ||u||^2 = 2
+    assert norms.max() == pytest.approx(1.0)
+    assert env.a == pytest.approx(math.sqrt(2.0))
+    assert env.b == 0.0 and env.c == 0.0
+    assert norms.max() <= env.value(1.0, 0.0)
 
 
 def test_growth_check_seeded_trials():
+    # per vertex: ||x||^2 <= 2 ||(c_k)||^2 ||u||^2 + 2 ||(nu_k)||^2 ||v||^2
+    # = a^2 ||u||^2 + b^2 ||v||^2, hence ||x|| <= a ||u|| + b ||v||
     for i in range(200):
         rng = np.random.default_rng([31, i])
         n = int(rng.integers(1, 5))
@@ -98,9 +112,12 @@ def test_growth_check_seeded_trials():
                              list(rng.normal(size=n) * 0.5), dim_u=6)
         u = rng.normal(size=6) * 3.0
         v = rng.normal(size=3) * 3.0
-        report = family.growth_check(u, v)
-        assert report.passed
-        assert report.max_vertex_norm <= report.envelope_value + 1e-12
+        norms = _vertex_norms(family, u, v)
+        env = family.growth_envelope()
+        u_norm, v_norm = np.linalg.norm(u), np.linalg.norm(v)
+        assert np.all(norms ** 2 <= env.a ** 2 * u_norm ** 2
+                      + env.b ** 2 * v_norm ** 2 + 1e-12)
+        assert norms.max() <= env.value(u_norm, v_norm) + 1e-12
 
 
 def test_general_bounded_envelope_falls_back_to_constant():
@@ -117,11 +134,23 @@ def test_general_bounded_envelope_falls_back_to_constant():
 # continuity probes
 
 
+def _modulus(family, pairs):
+    """[(input distance, exact Hausdorff distance of the two hulls)] per
+    pair; every weight of these maps is 1."""
+    out = []
+    for (u, v), (u2, v2) in pairs:
+        dist = np.linalg.norm(u - u2) + np.linalg.norm(v - v2)
+        hd = geo._pair_hausdorff(family.vertex_array(u, v),
+                                 family.vertex_array(u2, v2))[0]
+        out.append((float(dist), float(hd)))
+    return out
+
+
 def test_modulus_probe_identical_pairs_vanish():
     family = _growth_map([0.7, 0.3], [0.2, 0.4])
     u = np.array([0.5, -0.2])
     v = np.array([0.1, 0.3, -0.5])
-    out = family.hausdorff_modulus_probe([(((u, v)), ((u, v)))])
+    out = _modulus(family, [((u, v), (u, v))])
     dist, hd = out[0]
     assert dist == 0.0 and hd <= 1e-10
 
@@ -142,7 +171,7 @@ def test_modulus_probe_lipschitz_envelope():
         u, v = rng.normal(size=3), rng.normal(size=3)
         du, dv = rng.normal(size=3) * 0.3, rng.normal(size=3) * 0.3
         pairs.append(((u, v), (u + du, v + dv)))
-    for dist, hd in family.hausdorff_modulus_probe(pairs):
+    for dist, hd in _modulus(family, pairs):
         assert hd <= lip * dist + 1e-9
 
 
@@ -157,7 +186,7 @@ def test_modulus_probe_shrinking_sequence():
     dv /= np.linalg.norm(dv)
     pairs = [((u, v), (u + du * 2.0 ** -k, v + dv * 2.0 ** -k))
              for k in range(1, 13)]
-    values = [hd for _, hd in family.hausdorff_modulus_probe(pairs)]
+    values = [hd for _, hd in _modulus(family, pairs)]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     # recorded from this run: the gap is below 1e-3 from k = 11 on
     assert values[10] <= 1e-3
@@ -172,11 +201,11 @@ def test_growth_form_ignores_orthogonal_perturbations():
     rng = np.random.default_rng(35)
     u = rng.normal(size=5)
     v = rng.normal(size=3)
-    base = family.evaluate(u, v).vertices
+    base = _vertices(family, u, v)
     # directions orthogonal to the spanned basis: canonical slots 2..4
     w = np.zeros(5)
     w[2:] = rng.normal(size=3) * 10.0
-    perturbed = family.evaluate(u + w, v).vertices
+    perturbed = _vertices(family, u + w, v)
     assert np.array_equal(base, perturbed)
 
 
@@ -188,11 +217,11 @@ def test_evaluate_always_bounded_nonempty():
                              list(rng.normal(size=n)), dim_u=5)
         u = rng.normal(size=5) * 5.0
         v = rng.normal(size=3) * 5.0
-        poly = family.evaluate(u, v)
+        verts = _vertices(family, u, v)
         env = family.growth_envelope()
-        assert poly.vertices.shape[0] >= 1
+        assert verts.shape[0] >= 1
         bound = env.value(np.linalg.norm(u), np.linalg.norm(v))
-        assert np.linalg.norm(poly.vertices, axis=1).max() <= bound + 1e-9
+        assert np.linalg.norm(verts, axis=1).max() <= bound + 1e-9
 
 
 def test_singleton_affine_map_envelope_and_eval():
@@ -200,8 +229,8 @@ def test_singleton_affine_map_envelope_and_eval():
     b = np.zeros((2, 3))
     c = np.array([1.0, -2.0])
     single = rhs.SingletonAffineMap(a, b, c)
-    poly = single.evaluate(np.array([2.0, 4.0]), np.zeros(3))
-    assert np.allclose(poly.vertices, [[2.0, -1.0]])
+    verts = _vertices(single, np.array([2.0, 4.0]), np.zeros(3))
+    assert np.allclose(verts, [[2.0, -1.0]])
     env = single.growth_envelope()
     assert env.a == pytest.approx(0.5)
     assert env.b == 0.0

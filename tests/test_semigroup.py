@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from evoinc import semigroup as sg
-from evoinc.paths import TimePath, path_distance
+from evoinc.paths import TimePath, path_distance, trapezoid_l2
 
 KINDS = ("heat", "schroedinger", "wave")
+
+
+def _orbit(gen, u0, times):
+    """T(t) u0 for every entry of times, stacked row-wise."""
+    return np.array([sg.propagate(gen, u0, t) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +154,7 @@ def test_duhamel_unforced_matches_orbit(kind):
     u0 = rng.normal(size=gen.state_dim)
     f = TimePath(0.0, 1.0, np.zeros((257, gen.state_dim)))
     mild = sg.duhamel_solve(gen, u0, f)
-    assert np.abs(mild.values - sg.orbit(gen, u0, f.times())).max() <= 1e-12
+    assert np.abs(mild.values - _orbit(gen, u0, f.times())).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -307,47 +312,69 @@ def test_slope_stabilizes_once_tail_resolved():
 
 
 # ---------------------------------------------------------------------------
-# regularity probes
+# path regularity
+
+
+def _moduli(values_at, t_max):
+    """Per dyadic mesh of [0, t_max] (2^4, 2^6, 2^8 and 2^10 steps), the sup
+    difference quotients of the path values_at(times): Lipschitz,
+    ||u(t) - u(s)|| / |t - s|, and Hoelder-1/2, ... / sqrt(|t - s|)."""
+    lip, hoe = [], []
+    for level in (4, 6, 8, 10):
+        times = np.linspace(0.0, t_max, 2 ** level + 1)
+        tau = times[1] - times[0]
+        jump = np.linalg.norm(np.diff(values_at(times), axis=0), axis=1).max()
+        lip.append(jump / tau)
+        hoe.append(jump / math.sqrt(tau))
+    return lip, hoe
 
 
 def test_orbit_regularity_domain_data():
+    # data in the generator domain: ||E u0|| bounds the Lipschitz modulus
     gen = sg.SpectralGenerator("schroedinger", 64)
     n = np.arange(1, 65, dtype=float)
     u0 = np.zeros(gen.state_dim)
     u0[::2] = n ** -4.0
-    report = sg.regularity_probe(gen, True, u0=u0, t_max=0.5)
-    assert report.lipschitz_reference is not None
-    assert max(report.lipschitz) <= report.lipschitz_reference + 1e-6
+    lip, _ = _moduli(lambda times: _orbit(gen, u0, times), 0.5)
+    assert max(lip) <= np.linalg.norm(gen.apply_generator(u0)) + 1e-6
 
 
 def test_orbit_regularity_rough_data_diverges():
     gen = sg.SpectralGenerator("schroedinger", 2000)
     u0 = np.zeros(gen.state_dim)
     u0[::2] = sg.deviation_coefficients(2000)
-    report = sg.regularity_probe(gen, False, u0=u0, t_max=1e-2,
-                                 levels=(4, 6, 8, 10))
-    lip = report.lipschitz
+    lip, hoe = _moduli(lambda times: _orbit(gen, u0, times), 1e-2)
     # empirical modulus roughly doubles per 4x mesh refinement
     for a, b in zip(lip, lip[1:]):
         assert b >= 1.6 * a
     # the Hoelder-1/2 modulus stays bounded on the same meshes
-    hoe = report.hoelder
     assert max(hoe) <= 2.0 * min(hoe)
 
 
 def test_orbit_regularity_zero_data():
     gen = sg.SpectralGenerator("wave", 8)
-    report = sg.regularity_probe(gen, True, u0=gen.zero_state(), t_max=1.0)
-    assert max(report.lipschitz) == 0.0
+    lip, _ = _moduli(lambda times: _orbit(gen, gen.zero_state(), times), 1.0)
+    assert max(lip) == 0.0
 
 
 def test_forcing_regularity_hoelder_bound(rng):
+    # the convolution path is Hoelder-1/2 with constant M + M sqrt(t_max),
+    # M the time-L2 norm of the forcing's graph norms sqrt(|f|^2 + |E f|^2)
     gen = sg.SpectralGenerator("schroedinger", 16)
     k = 1025
     vals = rng.normal(size=(k, gen.state_dim))
     n = np.repeat(np.arange(1, 17, dtype=float), 2)
     vals /= n ** 2.5  # graph-norm finite forcing
     forcing = TimePath(0.0, 1.0, vals)
-    report = sg.regularity_probe(gen, True, forcing=forcing, t_max=1.0)
-    assert report.hoelder_reference is not None
-    assert max(report.hoelder) <= report.hoelder_reference + 1e-6
+
+    def mild(times):
+        held = np.clip(np.searchsorted(forcing.times(), times, side="right")
+                       - 1, 0, k - 1)
+        f = TimePath(float(times[0]), float(times[-1]), vals[held])
+        return sg.duhamel_solve(gen, gen.zero_state(), f).values
+
+    _, hoe = _moduli(mild, 1.0)
+    graph = np.hypot(np.linalg.norm(vals, axis=1),
+                     np.linalg.norm(gen.apply_generator(vals), axis=1))
+    m = trapezoid_l2(graph, forcing.dt)
+    assert max(hoe) <= m + m * math.sqrt(1.0) + 1e-6

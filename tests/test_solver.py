@@ -10,9 +10,9 @@ from evoinc import rhs
 from evoinc import selection as sel
 from evoinc import semigroup as sg
 from evoinc import solver as sv
-from evoinc.config import build_experiment, load_config, preset_path
 from evoinc.paths import (TimePath, constant_path, path_distance,
                           trapezoid_l2, zero_path)
+from evoinc.suites import _preset_run
 
 
 @pytest.fixture(scope="module")
@@ -281,10 +281,7 @@ def test_global_zero_maps_reproduce_decoupled_flows(heat_setup):
     ("feedback_growth", [20, 22, 22, 22, 23, 24, 23, 21]),
 ])
 def test_bundled_presets_relaxed_iterations(name, iterations):
-    exp = build_experiment(load_config(preset_path(name)))
-    run = sv.solve_global(exp.generator, exp.potential, exp.u0, exp.v0,
-                          exp.rhs_f, exp.rhs_g, exp.config.horizon,
-                          exp.settings)
+    run, _ = _preset_run(name)
     assert run.converged
     assert [w.report.iterations for w in run.windows] == iterations
 
@@ -349,8 +346,7 @@ def test_gronwall_zero_maps_static_bound(heat_setup):
 
 
 def test_gronwall_negative_control_fails_as_designed():
-    from evoinc.suites import feedback_growth_run
-    run, exp = feedback_growth_run()
+    run, exp = _preset_run("feedback_growth")
     assert run.converged
     envs = [exp.rhs_f.growth_envelope(), exp.rhs_g.growth_envelope()]
     a = max(env.a for env in envs)

@@ -1,0 +1,43 @@
+"""Every public name of the package is used by the package itself."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "evoinc")
+                 .glob("*.py"))
+# Tests compare the spectral operators against this reference form of E.
+REFERENCE_ONLY = {"apply_generator"}
+
+
+def _definitions(tree):
+    """Public top-level functions and classes, and the public methods of
+    top-level classes, as (name, node)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item
+
+
+def _uses(tree) -> Counter:
+    """How often each name or attribute is read within the tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_name_is_referenced_in_the_package():
+    assert SOURCES
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES]
+    uses = sum((_uses(tree) for tree in trees), Counter())
+    unused = [f"{path.name}: {name}"
+              for path, tree in zip(SOURCES, trees)
+              for name, node in _definitions(tree)
+              if not name.startswith("_") and name not in REFERENCE_ONLY
+              and uses[name] == _uses(node)[name]]
+    assert not unused, f"public names no package code references: {unused}"
