@@ -30,6 +30,13 @@ or one row per state (B, J + 2); `energy` and `subgradient` take one time
 or one time per row, so the node energies of whole flows are one call. In
 `prox_step` each row has its own residual target and Armijo step length,
 and rows retire from the Newton iteration as they certify.
+
+A flow also stacks time steps. A step whose start point v + tau g already
+meets the residual certificate takes no Newton iteration; after such a
+step the flow speculates over the next 1, 2, 4, ... steps, certifying all
+their start points with one kernel call and accepting the leading steps
+that certify. The first step that fails goes through the proximal solve
+as before, so every node value keeps its bits.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ from .paths import TimePath
 
 PROX_RESIDUAL_TOL = 1e-10
 PROX_NEWTON_ITERS = 60
+# Bound on the rows (steps times stacked states) of one speculated chain
+# of flow steps, which keeps a chain's kernel small.
+_CHAIN_ROWS = 1024
 
 
 class MonotoneError(ValueError):
@@ -397,31 +407,49 @@ def prox_step(pot: VariableExponentPotential, d: np.ndarray,
     if d.shape != pot.exponents.shape \
             and d.shape != v_prev.shape[:-1] + pot.exponents.shape:
         raise MonotoneError("coefficient field has wrong shape")
-    return _prox(pot, d[..., :-1], v_prev, v_prev + tau * g, tau)
+    return _prox(pot, d[..., :-1], v_prev, v_prev + tau * g, tau)[0]
+
+
+def _residual_targets(pot: VariableExponentPotential,
+                      v_prev: np.ndarray) -> list:
+    """The certificate's bound PROX_RESIDUAL_TOL * (1 + ||v_prev_i||) of
+    each row, as a list of floats."""
+    root_h = pot.root_mesh
+    return [PROX_RESIDUAL_TOL * (1.0 + root_h * math.sqrt(s))
+            for s in _row_dots(v_prev, v_prev)]
+
+
+def _certified(pot: VariableExponentPotential, r: np.ndarray,
+               targets: list) -> list:
+    """Whether each row's mesh-weighted residual is at or below its
+    target."""
+    root_h = pot.root_mesh
+    return [root_h * math.sqrt(s) <= target
+            for s, target in zip(_row_dots(r, r), targets)]
 
 
 def _prox(pot: VariableExponentPotential, d: np.ndarray, v_prev: np.ndarray,
-          z: np.ndarray, tau: float) -> np.ndarray:
+          z: np.ndarray, tau: float):
     """`prox_step` on checked input: the edge coefficient `d` (d[..., :-1]
-    of the closed-grid field) and the start point z = v_prev + tau g."""
+    of the closed-grid field) and the start point z = v_prev + tau g.
+    Returns the minimizer and the number of Newton iterations taken, 0
+    when z itself certifies."""
     h = pot.mesh
     root_h = pot.root_mesh
     inv_tau = 1.0 / tau
-    targets = [PROX_RESIDUAL_TOL * (1.0 + root_h * math.sqrt(s))
-               for s in _row_dots(v_prev, v_prev)]
+    targets = _residual_targets(pot, v_prev)
     w = z
     kernel = _EnergyKernel(pot, d, w)
     r = kernel.gradient()  # the proximal term vanishes at z
     f_cur = None
     rows = None  # stack rows still iterating, once some have retired
     for it in range(PROX_NEWTON_ITERS + 1):
-        certified = [root_h * math.sqrt(s) <= target
-                     for s, target in zip(_row_dots(r, r), targets)]
+        certified = _certified(pot, r, targets)
         if all(certified):
             if rows is None:
-                return w
+                return w, it
             out[rows] = w
-            return out
+            return out, it
         if any(certified):  # retire the rows that certified
             if rows is None:
                 rows = np.arange(len(certified))
@@ -486,19 +514,82 @@ def _prox(pot: VariableExponentPotential, d: np.ndarray, v_prev: np.ndarray,
         float(np.max([root_h * math.sqrt(s) for s in _row_dots(r, r)])))
 
 
+def _certified_run(pot: VariableExponentPotential, edges: np.ndarray,
+                   v: np.ndarray, tau_g: np.ndarray) -> np.ndarray:
+    """The leading steps of a run from `v` that certify at their start
+    points, as their states: (n,) + v.shape for the first n steps.
+
+    Step i of the m-step run takes the forcing increment tau_g[i] and the
+    edge coefficient row edges[i]. The start points are the chain
+    chain[i + 1] = chain[i] + tau_g[i] from chain[0] = v, the sequential
+    additions of the step-by-step loop. One kernel over all m * B start
+    points gives every gradient and `_residual_targets` of the rows
+    chain[:m] every target, with the bits of each step's own first
+    certificate test in `_prox`. Floating-point errors raise inside the
+    run: a chain that overflows, underflows or turns invalid anywhere
+    certifies no step, and `_prox` takes the steps one by one under the
+    caller's error settings, so no warning differs from the step-by-step
+    loop's.
+    """
+    steps = np.concatenate((v[None], tau_g))
+    j = v.shape[-1]
+    try:
+        with np.errstate(all="raise"):
+            chain = np.add.accumulate(steps, axis=0)
+            starts = chain[1:].reshape(-1, j)
+            stack = len(starts) // len(tau_g)
+            r = _EnergyKernel(pot, np.repeat(edges, stack, axis=0),
+                              starts).gradient()
+            ok = _certified(pot, r, _residual_targets(
+                pot, chain[:-1].reshape(-1, j)))
+    except FloatingPointError:
+        return steps[:0]
+    done = ok.index(False) // stack if False in ok else len(tau_g)
+    return chain[1:done + 1]
+
+
 def _flow(pot: VariableExponentPotential, table: np.ndarray,
           v0: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
     """The flow's step loop: initial state(s) `v0`, (J,) or (B, J), under
     node forcings `g` of shape (K,) + v0.shape; step k takes coefficient
     row `table[k + 1]`. Returns the node values, (K, J) for one state and
-    (B, K, J) for a stack."""
+    (B, K, J) for a stack.
+
+    A step whose start point v + tau g already certifies takes no Newton
+    iteration and returns that point. After such a step the loop
+    speculates over the next `span` steps: it forms their start points by
+    the same sequential additions, `np.add.accumulate`, certifies them
+    all in one `_certified_run`, accepts the leading steps that certify
+    and hands the first one that does not to `_prox`. The span doubles
+    (1, 2, 4, ...) after a fully certified chain, up to _CHAIN_ROWS rows
+    of steps times states, and drops to 0 after a failure, so a flow
+    whose every step needs Newton never speculates. An accepted step
+    makes the floating-point operations of a `_prox` call that returns
+    its start point, so the values are bit-identical to one `_prox` call
+    per step.
+    """
     edges = table[:, :-1]
     tau_g = tau * g
+    steps = len(g) - 1
+    longest = max(1, _CHAIN_ROWS // (len(v0) if v0.ndim == 2 else 1))
     out = np.empty((len(g),) + v0.shape)
     out[0] = v = v0
-    for k in range(len(g) - 1):
-        v = _prox(pot, edges[k + 1], v, v + tau_g[k], tau)
+    k = span = 0
+    while k < steps:
+        if span:
+            m = min(span, steps - k)
+            run = _certified_run(pot, edges[k + 1:k + 1 + m], v,
+                                 tau_g[k:k + m])
+            out[k + 1:k + 1 + len(run)] = run
+            k += len(run)
+            v = out[k]
+            if len(run) == m:
+                span = min(2 * span, longest)
+                continue
+        v, iterations = _prox(pot, edges[k + 1], v, v + tau_g[k], tau)
         out[k + 1] = v
+        k += 1
+        span = 0 if iterations else 1
     return out if v0.ndim == 1 else out.transpose(1, 0, 2).copy()
 
 

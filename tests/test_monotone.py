@@ -528,6 +528,165 @@ def test_flow_checks_coefficient_window():
                                 zero_path(0.0, 3.0, 65, 7, pot.mesh))
 
 
+def _mixed_flow(rows, nodes, spikes):
+    """Flows whose states and forcing stay near 1e-7, where a step
+    certifies at its start point, and whose forcing jumps by 1 at node
+    spikes[b] of row b and back at the next node, a step that needs
+    Newton. `rows` None is one flow (J,), else a (rows, J) stack."""
+    pot = mono.make_potential(15, ("ramp", 3.5, 4.5), ("linear_decay", 2.0))
+    rng = np.random.default_rng(14)
+    v0 = rng.normal(size=(rows or 1, 15)) * 1e-7
+    g = rng.normal(size=(nodes, rows or 1, 15)) * 1e-7
+    for row, node in enumerate(spikes):
+        g[node, row] += 1.0
+        g[node + 1, row] -= 1.0
+    if rows is None:
+        return pot, v0[0], g[:, 0]
+    return pot, v0, g
+
+
+def _solve(pot, v0, g):
+    """`solve_monotone_ivp` on [0, 1] with node forcing g, (K,) + v0.shape;
+    returns the node values in g's layout."""
+    if v0.ndim == 1:
+        return mono.solve_monotone_ivp(
+            pot, v0, TimePath(0.0, 1.0, g, pot.mesh)).values
+    paths = mono.solve_monotone_ivp(
+        pot, v0, [TimePath(0.0, 1.0, g[:, b], pot.mesh)
+                  for b in range(len(v0))])
+    return np.stack([path.values for path in paths], axis=1)
+
+
+def _step_by_step(pot, v0, g):
+    """The flow of `_solve` as one public `prox_step` per time step."""
+    times = np.linspace(0.0, 1.0, len(g))
+    table = pot.coefficient_table(times)
+    tau = 1.0 / (len(g) - 1)
+    values = [v0]
+    for k in range(len(g) - 1):
+        values.append(mono.prox_step(pot, table[k + 1], values[-1], g[k],
+                                     tau))
+    return np.array(values)
+
+
+def _count_steps(monkeypatch):
+    """Counts `_prox` calls, those that took Newton iterations, and the
+    rows (steps times states) of each speculated run."""
+    seen = {"prox": 0, "newton": 0, "rows": []}
+    prox, run = mono._prox, mono._certified_run
+
+    def counted_prox(*args):
+        seen["prox"] += 1
+        w, iterations = prox(*args)
+        seen["newton"] += iterations > 0
+        return w, iterations
+
+    def counted_run(pot, edges, v, tau_g):
+        seen["rows"].append(tau_g[..., 0].size)
+        return run(pot, edges, v, tau_g)
+
+    monkeypatch.setattr(mono, "_prox", counted_prox)
+    monkeypatch.setattr(mono, "_certified_run", counted_run)
+    return seen
+
+
+@pytest.mark.parametrize("rows,spikes", [(None, (40,)),
+                                         (3, (40, 200, 450))])
+def test_flow_speculation_matches_prox_step_loop(rows, spikes, monkeypatch):
+    nodes = 2200  # long enough for a run at the row cap after the spikes
+    pot, v0, g = _mixed_flow(rows, nodes, spikes)
+    expected = _step_by_step(pot, v0, g)
+    seen = _count_steps(monkeypatch)
+    values = _solve(pot, v0, g)
+    for k in range(nodes):
+        assert np.array_equal(values[k], expected[k]), k
+    # each spike needs Newton; nearly every other step is speculated
+    assert seen["newton"] == len(spikes)
+    assert seen["prox"] < (nodes - 1) // 100
+    stack = rows or 1
+    assert max(seen["rows"]) == mono._CHAIN_ROWS // stack * stack
+
+
+@pytest.mark.parametrize("fault", ["nan", "spike"])
+def test_flow_speculation_fails_like_prox_step_loop(fault, monkeypatch):
+    pot, v0, g = _mixed_flow(3, 401, ())
+    # node 300 lies inside the speculated run of steps 256-399; a TimePath
+    # refuses NaN, so the flow loop runs on the raw node values
+    if fault == "nan":
+        g[300, 1, 4] = math.nan
+    else:
+        g[300, 1] += 1.0
+        monkeypatch.setattr(mono, "PROX_NEWTON_ITERS", 1)
+    with pytest.raises(mono.ProxDidNotConverge) as stepwise:
+        _step_by_step(pot, v0, g)
+    seen = _count_steps(monkeypatch)
+    table = pot.coefficient_table(np.linspace(0.0, 1.0, 401))
+    with pytest.raises(mono.ProxDidNotConverge) as flow:
+        mono._flow(pot, table, v0, g, 1.0 / 400)
+    assert np.array_equal(flow.value.residual, stepwise.value.residual,
+                          equal_nan=True)
+    assert (fault == "nan") == math.isnan(flow.value.residual)
+    # the first step went to `_prox`, every later one through a speculated
+    # run, and the failing one to `_prox` again
+    assert seen["prox"] == 2 and sum(seen["rows"]) == 399 * 3
+
+
+@pytest.mark.parametrize("ratio", [0.975, 1.025])
+def test_flow_speculation_certifies_like_prox_at_the_threshold(
+        ratio, monkeypatch):
+    # At p = 20 a state of mesh norm 0.066 can meet the certificate. From
+    # rest, the forcing of step 1 lands on such a state whose residual is
+    # `ratio` times that step's target PROX_RESIDUAL_TOL (its start is at
+    # rest), below the target of its own norm. The coefficient drops
+    # 1e3-fold before step 1's time, and under step 0's value the residual
+    # is 1e3 times larger.
+    pot = mono.VariableExponentPotential(
+        np.full(7, 20.0), lambda t: np.full(7, 1e3 if t < 0.2 else 1.0))
+    shape = np.sin(np.pi * pot.nodes()[1:-1])
+    residual = pot.root_mesh * np.linalg.norm(
+        mono.subgradient(pot, 0.25, shape))
+    g = np.zeros((9, 5))
+    g[1] = (ratio * mono.PROX_RESIDUAL_TOL / residual) ** (1 / 19) \
+        * shape * 8  # tau = 1/8
+    expected = _step_by_step(pot, np.zeros(5), g)
+    seen = _count_steps(monkeypatch)
+    assert np.array_equal(_solve(pot, np.zeros(5), g), expected)
+    # below the threshold every step after the first is speculated; above
+    # it step 1 takes Newton and step 2 goes to `_prox` again
+    assert (seen["prox"], seen["newton"]) \
+        == ((1, 0) if ratio < 1 else (3, 1))
+
+
+def test_flow_needing_newton_at_every_step_never_speculates(monkeypatch):
+    pot = mono.make_potential(15, ("ramp", 2.5, 3.5), ("linear_decay", 2.0))
+    rng = np.random.default_rng(15)
+    seen = _count_steps(monkeypatch)
+    _solve(pot, rng.normal(size=15), rng.normal(size=(33, 15)))
+    assert seen == {"prox": 32, "newton": 32, "rows": []}
+
+
+def test_flow_speculation_keeps_the_callers_error_settings():
+    # node 6 moves one exactly-zero component to 1e-200, whose
+    # |v|^(p - 2) v underflows; that step lies in a speculated run
+    pot, v0, g = _mixed_flow(None, 17, ())
+    v0[7] = 0.0
+    g[:, 7] = 0.0
+    g[6, 7] = 1e-200 * 16  # tau = 1/16
+    for run in (_step_by_step, _solve):
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError):
+                run(pot, v0, g)
+
+
+def test_flow_refuses_bad_coefficient_before_any_step(monkeypatch):
+    pot = mono.VariableExponentPotential(np.full(17, 3.0),
+                                         lambda t: np.full(17, 1.0 + t))
+    seen = _count_steps(monkeypatch)
+    with pytest.raises(mono.MonotoneError, match="nonincreasing"):
+        _solve(pot, np.zeros((2, 15)), np.zeros((65, 2, 15)))
+    assert seen == {"prox": 0, "newton": 0, "rows": []}
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 

@@ -286,6 +286,25 @@ def test_bundled_presets_relaxed_iterations(name, iterations):
     assert [w.report.iterations for w in run.windows] == iterations
 
 
+def test_feedback_growth_flows_speculate_start_point_steps(monkeypatch):
+    # feedback_growth's v-flows start at rest under a zero g-selection, so
+    # every step certifies at its start point: each of its 185 flows of 64
+    # steps makes one `_prox` call and speculates the other 63 in runs of
+    # 1, 2, 4, ..., 32 steps (11,840 `_prox` calls without speculation)
+    calls = 0
+    prox = mono._prox
+
+    def counted_prox(*args):
+        nonlocal calls
+        calls += 1
+        return prox(*args)
+
+    monkeypatch.setattr(mono, "_prox", counted_prox)
+    run, _ = _preset_run("feedback_growth")
+    assert run.converged
+    assert calls == 185
+
+
 def test_global_growth_run_window_count(heat_setup):
     gen, pot, u0, v0 = heat_setup
     f_map, g_map = _growth_maps(gen, pot)
