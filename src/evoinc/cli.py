@@ -28,6 +28,11 @@ USAGE_ERROR = 2
 # and its report names the exception instead of ending in a traceback.
 SOLVE_FAILURES = (MonotoneError, RhsError, ProxDidNotConverge,
                   ProjectionDidNotConverge, SelectionError, SolverError)
+LEMMAS = {
+    "projection-difference": suites.projection_difference_battery,
+    "slater": suites.slater_battery,
+    "intersection-continuity": suites.intersection_continuity_battery,
+}
 
 
 def main(argv=None) -> int:
@@ -73,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lemma = sub.add_parser(
         "lemma", help="run one geometry lemma probe directly")
-    p_lemma.add_argument("name",
-                         choices=["projection-difference", "slater",
-                                  "intersection-continuity"])
+    p_lemma.add_argument("name", choices=list(LEMMAS))
     p_lemma.add_argument("--trials", type=_int_at_least(1), default=None)
     p_lemma.add_argument("--seed", type=_int_at_least(0), default=7)
     p_lemma.set_defaults(func=cmd_lemma)
@@ -157,18 +160,18 @@ def cmd_solve(args) -> int:
     # must not leave partial artifacts behind.
     if not _check_out("solve", args.out):
         return USAGE_ERROR
-    cfg = load_config(args.config)
-    experiment = build_experiment(cfg)
+    experiment = build_experiment(load_config(args.config))
     failure = None
     try:
         run = solve_global(experiment.generator, experiment.potential,
                            experiment.u0, experiment.v0, experiment.rhs_f,
-                           experiment.rhs_g, cfg.horizon, experiment.settings)
+                           experiment.rhs_g, experiment.horizon,
+                           experiment.settings)
     except SOLVE_FAILURES as exc:
         failure = f"{type(exc).__name__}: {exc}"
         run = GlobalSolution((), False, False, None, None)
     args.out.mkdir(parents=True, exist_ok=True)
-    dump_json(cfg.raw, args.out / "config_echo.json")
+    dump_json(experiment.raw, args.out / "config_echo.json")
     table = run.node_table()
     with open(args.out / "trajectory.csv", "w", encoding="utf-8",
               newline="\n") as fh:
@@ -177,7 +180,7 @@ def cmd_solve(args) -> int:
             fh.write(",".join(format_number(x) for x in row) + "\n")
     report = {
         "format_version": "evoinc-report-1",
-        "seed": cfg.seed,
+        "seed": experiment.seed,
         "converged": run.converged,
         "blowup": run.blowup,
         "failure_index": run.failure_index,
@@ -220,14 +223,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    if args.name == "projection-difference":
-        result = suites.projection_difference_battery(args.seed,
-                                                      args.trials or 1000)
-    elif args.name == "slater":
-        result = suites.slater_battery(args.seed, args.trials or 500)
-    else:
-        result = suites.intersection_continuity_battery(
-            args.seed, args.trials or 10)
+    result = LEMMAS[args.name](args.seed, args.trials)
     print(result.line())
     return 0 if result.passed else 1
 

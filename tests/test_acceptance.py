@@ -52,7 +52,7 @@ def test_criterion_3_interior_witness_bound():
 
 def test_criterion_4_intersection_continuity():
     start = time.time()
-    result = suites.intersection_continuity_battery(seed=7, families=10)
+    result = suites.intersection_continuity_battery(seed=7, trials=10)
     elapsed = time.time() - start
     _verdict("criterion-4 intersection continuity", result.passed, elapsed,
              60.0, f"families=10 worst_margin={result.worst_margin:.3e}")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from evoinc.cli import main
-from evoinc.config import ConfigError, parse_config, preset_path
+from evoinc.config import ConfigError, build_experiment, preset_path
 
 
 def _read(path):
@@ -253,12 +253,11 @@ def test_solve_rejects_bad_value_list_entries(tmp_path, capsys, where, size,
 @pytest.mark.parametrize("where, size", [
     ("u", 8), ("v", 15), ("direction", 8)])
 def test_config_value_lists_are_read_exactly(where, size):
-    from evoinc.config import build_experiment
     cfg = json.loads(_read(preset_path("heat_debye")))
     values = [0.25 * i - 1.0 for i in range(size)]
     values[1] = 3  # an integer entry is a number too
     _values_at(cfg, where, values)
-    exp = build_experiment(parse_config(cfg))
+    exp = build_experiment(cfg)
     if where == "direction":
         got = exp.rhs_g.coefficients[0].expr.child.child.direction
     else:
@@ -315,9 +314,16 @@ def _set_steep_exponent(cfg):
     cfg["spatial"]["p_profile"] = {"kind": "constant", "value": 200}
 
 
+def _set_overflowing_exponent(cfg):
+    # the energy's powers overflow: a named failure, and no numpy warning
+    # (tier-1 turns RuntimeWarning into an error)
+    cfg["spatial"]["p_profile"] = {"kind": "constant", "value": 1e300}
+
+
 @pytest.mark.parametrize("mutate, failure", [
     (_set_steep_exponent, "ProxDidNotConverge: "),
-], ids=["steep-exponent"])
+    (_set_overflowing_exponent, "ProxDidNotConverge: "),
+], ids=["steep-exponent", "overflowing-exponent"])
 def test_solve_time_failure_writes_report(tmp_path, capsys, mutate, failure):
     cfg = json.loads(_read(preset_path("heat_debye")))
     mutate(cfg)
@@ -380,7 +386,7 @@ def test_config_rejects_nested_unknown_key():
     raw = json.loads(_read(preset_path("heat_debye")))
     raw["generator"]["extra"] = 1
     with pytest.raises(ConfigError) as err:
-        parse_config(raw)
+        build_experiment(raw)
     assert "generator.extra" in str(err.value)
 
 
@@ -388,8 +394,8 @@ def test_config_accepts_oracle_p2_flag(tmp_path):
     raw = json.loads(_read(preset_path("heat_debye")))
     raw["spatial"]["oracle_p2"] = True
     raw["spatial"]["p_profile"] = {"kind": "constant", "value": 2.0}
-    cfg = parse_config(raw)
-    assert cfg.oracle_p2 and cfg.p_profile == ("constant", 2.0)
+    pot = build_experiment(raw).potential
+    assert pot.oracle_p2 and (pot.exponents == 2.0).all()
 
 
 def test_config_validates_rhs_direction_dimensions():
@@ -397,5 +403,4 @@ def test_config_validates_rhs_direction_dimensions():
     raw["rhs_g"]["coefficients"][0]["expr"]["child"]["child"]["direction"] = {
         "kind": "values", "values": [1.0, 2.0]}
     with pytest.raises(ConfigError):
-        from evoinc.config import build_experiment
-        build_experiment(parse_config(raw))
+        build_experiment(raw)

@@ -61,9 +61,9 @@ def test_selection_of_member_anchor_is_identity(rng):
     family = _map_with([0.8, 0.5], [0.3, 0.2])
     u, v = _random_paths(rng, 2, 3)
     f = sel.nearest_point_selection(family, u, v, zero_path(0.0, 1.0, 17, 2))
-    again = sel.nearest_point_selection(family, u, v, f.path)
-    assert path_distance(f.path, again.path) <= 1e-10
-    assert again.is_valid()
+    again = sel.nearest_point_selection(family, u, v, f)
+    assert path_distance(f, again) <= 1e-10
+    assert sel.selection_residual(family, u, v, again) <= 1e-10
 
 
 def test_selection_of_constant_singleton():
@@ -94,7 +94,7 @@ def test_selection_residual_of_valid_selection(rng):
     family = _map_with([0.8, 0.5], [0.3, 0.2])
     u, v = _random_paths(rng, 2, 3)
     f = sel.nearest_point_selection(family, u, v, zero_path(0.0, 1.0, 17, 2))
-    assert sel.selection_residual(family, u, v, f.path) <= 1e-10
+    assert sel.selection_residual(family, u, v, f) <= 1e-10
 
 
 def test_selection_residual_constant_distance():
@@ -173,8 +173,8 @@ def test_approximate_selection_identity_when_states_unchanged(rng):
     u, v = _random_paths(rng, 2, 3)
     f = sel.nearest_point_selection(family, u, v, zero_path(0.0, 1.0, 17, 2))
     f_new = sel.approximate_selection(family, u, v, f, eps=0.25)
-    assert path_distance(f_new.path, f.path) <= 1e-8
-    assert f_new.is_valid()
+    assert path_distance(f_new, f) <= 1e-8
+    assert sel.selection_residual(family, u, v, f_new) <= 1e-10
 
 
 def test_approximate_selection_constant_in_u(rng):
@@ -184,7 +184,7 @@ def test_approximate_selection_constant_in_u(rng):
     f = sel.nearest_point_selection(family, u, v, zero_path(0.0, 1.0, 17, 2))
     u_new = u.with_values(u.values + rng.normal(size=u.values.shape))
     f_new = sel.approximate_selection(family, u_new, v, f, eps=0.25)
-    assert path_distance(f_new.path, f.path) <= 1e-8
+    assert path_distance(f_new, f) <= 1e-8
 
 
 def test_approximate_selection_l2_bound_and_node_oracle(rng):
@@ -200,8 +200,8 @@ def test_approximate_selection_l2_bound_and_node_oracle(rng):
 
     assert np.all(np.linalg.norm(f_new.values - f.values, axis=1)
                   <= eps + 1e-8)
-    assert path_distance(f_new.path, f.path) <= eps * math.sqrt(t1) + 1e-6
-    assert f_new.is_valid()
+    assert path_distance(f_new, f) <= eps * math.sqrt(t1) + 1e-6
+    assert sel.selection_residual(family, u_new, v, f_new) <= 1e-10
 
     # node-wise cross-check: intersection projection of the old value
     verts = family.vertex_array(u_new.values, v.values)
@@ -234,5 +234,5 @@ def test_convex_combination_of_selections_is_selection(rng):
     f2 = sel.nearest_point_selection(
         family, u, v, TimePath(0.0, 1.0, rng.normal(size=(17, 2))))
     for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        mix = sel.convex_combination(f1, f2, theta)
+        mix = f1.with_values((1.0 - theta) * f1.values + theta * f2.values)
         assert sel.selection_residual(family, u, v, mix) <= 1e-8

@@ -118,7 +118,7 @@ def test_singleton_maps_converge_in_one_iteration(heat_setup):
     window = sv.compute_window(beta, [f_map.growth_envelope(),
                                       g_map.growth_envelope()], 1.0)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
-                          num_nodes=65)
+                          settings=sv.GlobalSettings(nodes_per_window=65))
     assert sol.report.converged and sol.report.iterations == 1
     assert sol.report.residual_f == 0.0 and sol.report.residual_g == 0.0
 
@@ -142,7 +142,7 @@ def test_singleton_apriori_margin_hand_computed(heat_setup):
     window = sv.compute_window(beta, [f_map.growth_envelope(),
                                       g_map.growth_envelope()], 1.0)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
-                          num_nodes=65)
+                          settings=sv.GlobalSettings(nodes_per_window=65))
     rep = sol.report.apriori
     span = math.sqrt(window.t_window)
     assert rep.rhs == pytest.approx(window.m - 1.0 + span * 0.4 * span)
@@ -156,13 +156,14 @@ def test_growth_maps_converge_below_tolerance(heat_setup):
     window = sv.compute_window(beta, [f_map.growth_envelope(),
                                       g_map.growth_envelope()], 0.5)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
-                          num_nodes=65)
+                          settings=sv.GlobalSettings(nodes_per_window=65))
     assert sol.report.converged
     # recorded from this configuration: twelve iterations reach 1e-8 (the
     # residual halves per step, matching the relaxation factor)
     assert sol.report.iterations <= 15
     assert max(sol.report.residual_f, sol.report.residual_g) <= 1e-8
-    assert sol.f.is_valid() and sol.g.is_valid()
+    assert sel.selection_residual(f_map, sol.u, sol.v, sol.f) <= 1e-8
+    assert sel.selection_residual(g_map, sol.u, sol.v, sol.g) <= 1e-8
     assert sol.report.apriori.passed and sol.report.membership_ok
 
 
@@ -173,7 +174,8 @@ def test_relaxed_update_contracts_residual(heat_setup):
     window = sv.compute_window(beta, [f_map.growth_envelope(),
                                       g_map.growth_envelope()], 0.5)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
-                          num_nodes=65, theta=0.5)
+                          settings=sv.GlobalSettings(theta=0.5,
+                                                     nodes_per_window=65))
     history = sol.report.residual_history
     assert len(history) >= 2
     # Replay the iteration. Convexity of the node distance: the relaxed pair
@@ -182,13 +184,13 @@ def test_relaxed_update_contracts_residual(heat_setup):
     g_path = zero_path(0.0, window.t_window, 65, 15, pot.mesh)
     u = sg.duhamel_solve(gen, u0, f_path)
     v = mono.solve_monotone_ivp(pot, v0, g_path)
-    f_path = sel.nearest_point_selection(f_map, u, v, f_path).path
-    g_path = sel.nearest_point_selection(g_map, u, v, g_path).path
+    f_path = sel.nearest_point_selection(f_map, u, v, f_path)
+    g_path = sel.nearest_point_selection(g_map, u, v, g_path)
     for res_f, res_g in history:
         u = sg.duhamel_solve(gen, u0, f_path)
         v = mono.solve_monotone_ivp(pot, v0, g_path)
-        f_star = sel.nearest_point_selection(f_map, u, v, f_path).path
-        g_star = sel.nearest_point_selection(g_map, u, v, g_path).path
+        f_star = sel.nearest_point_selection(f_map, u, v, f_path)
+        g_star = sel.nearest_point_selection(g_map, u, v, g_path)
         assert path_distance(f_path, f_star) == pytest.approx(res_f, abs=1e-12)
         assert path_distance(g_path, g_star) == pytest.approx(res_g, abs=1e-12)
         f_path = f_path.with_values(0.5 * f_path.values + 0.5 * f_star.values)
@@ -216,7 +218,8 @@ def test_nonconvergence_is_reported_not_raised(heat_setup):
     window = sv.compute_window(beta, [f_map.growth_envelope(),
                                       g_map.growth_envelope()], 0.5)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
-                          num_nodes=65, max_iter=2)
+                          settings=sv.GlobalSettings(max_iter=2,
+                                                     nodes_per_window=65))
     assert not sol.report.converged
     assert sol.report.iterations == 2
     assert np.isfinite(sol.report.residual_f)
@@ -322,6 +325,16 @@ def test_global_growth_run_window_count(heat_setup):
     assert run.gronwall is not None and run.gronwall.passed
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tol", math.inf), ("tol", math.nan), ("tol", 0.0), ("tol", -1e-8),
+    ("theta", 0.0), ("theta", 1.5), ("theta", math.nan),
+    ("max_iter", 0), ("nodes_per_window", 1)])
+def test_global_settings_reject_invalid_values(field, value):
+    # tol = inf would certify any window after one iteration
+    with pytest.raises(sv.SolverError):
+        sv.GlobalSettings(**{field: value})
+
+
 def test_global_failure_reports_partial_result(heat_setup):
     gen, pot, u0, v0 = heat_setup
     f_map, g_map = _growth_maps(gen, pot, scale=0.4)
@@ -335,8 +348,8 @@ def test_global_failure_reports_partial_result(heat_setup):
 def test_global_blowup_before_first_window_is_empty(heat_setup):
     gen, pot, u0, v0 = heat_setup
     f_map, g_map = _growth_maps(gen, pot)
-    settings = sv.GlobalSettings(blowup_norm=1e-3)
-    run = sv.solve_global(gen, pot, u0, v0, f_map, g_map, 1.0, settings)
+    u_huge = u0 * (2.0 * sv.BLOWUP_NORM / np.linalg.norm(u0))
+    run = sv.solve_global(gen, pot, u_huge, v0, f_map, g_map, 1.0)
     assert run.blowup and not run.converged and run.windows == ()
     assert run.node_table().shape == (0, 5)
 
@@ -372,9 +385,9 @@ def test_gronwall_negative_control_fails_as_designed():
     b = max(env.b for env in envs)
     c = max(env.c for env in envs)
     genuine = sv.gronwall_check_windows(run.windows, a, b, c, exp.u0, exp.v0,
-                                        exp.config.horizon)
+                                        exp.horizon)
     undersized = sv.gronwall_check_windows(run.windows, a, b, c, exp.u0,
-                                           exp.v0, exp.config.horizon,
+                                           exp.v0, exp.horizon,
                                            rho_override=0.0)
     assert genuine.passed
     assert not undersized.passed and undersized.worst_margin < 0.0
@@ -437,8 +450,9 @@ def test_window_consistency_under_refinement(heat_setup):
                                       g_map.growth_envelope()], 0.5)
 
     def solve(nodes, tol):
+        settings = sv.GlobalSettings(tol=tol, nodes_per_window=nodes)
         return sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
-                               num_nodes=nodes, tol=tol)
+                               settings=settings)
 
     sol_a = solve(33, 1e-8)
     sol_b = solve(65, 5e-9)

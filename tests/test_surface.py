@@ -11,9 +11,16 @@ REFERENCE_ONLY = {"apply_generator"}
 
 
 def _definitions(tree):
-    """Public top-level functions and classes, and the public methods of
+    """Top-level functions, classes and assigned names, and the methods of
     top-level classes, as (name, node)."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         yield node.name, node
