@@ -24,6 +24,11 @@ from .semigroup import counterexample_profile
 from .solver import GlobalSolution, SolverError, solve_global
 
 USAGE_ERROR = 2
+# Largest --modes and --points of `counterexample`. The profile holds
+# arrays of `modes` and of `points` floats and takes modes * points sines,
+# so far larger values only fail to allocate or run for hours.
+MAX_MODES = 1_000_000
+MAX_POINTS = 10_000
 # Raised inside a solve the config validation let through: the run stops,
 # and its report names the exception instead of ending in a traceback.
 SOLVE_FAILURES = (MonotoneError, RhsError, ProxDidNotConverge,
@@ -56,17 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite",
                           choices=sorted(suites.SUITES) + ["all"],
                           help="which battery to run")
-    p_verify.add_argument("--seed", type=_int_at_least(0), default=7)
-    p_verify.add_argument("--trials", type=_int_at_least(1), default=None)
+    p_verify.add_argument("--seed", type=_int_in(0), default=7)
+    p_verify.add_argument("--trials", type=_int_in(1), default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_ce = sub.add_parser(
         "counterexample",
         help="rough-data deviation profile: CSV plus JSON summary")
-    p_ce.add_argument("--modes", type=int, default=2000)
+    p_ce.add_argument("--modes", type=_int_in(1, MAX_MODES), default=2000)
     p_ce.add_argument("--t-min", type=float, default=1e-4)
     p_ce.add_argument("--t-max", type=float, default=1e-2)
-    p_ce.add_argument("--points", type=int, default=25)
+    p_ce.add_argument("--points", type=_int_in(1, MAX_POINTS), default=25)
     p_ce.add_argument("--out", type=Path, default=Path("."))
     p_ce.set_defaults(func=cmd_counterexample)
 
@@ -79,23 +84,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma = sub.add_parser(
         "lemma", help="run one geometry lemma probe directly")
     p_lemma.add_argument("name", choices=list(LEMMAS))
-    p_lemma.add_argument("--trials", type=_int_at_least(1), default=None)
-    p_lemma.add_argument("--seed", type=_int_at_least(0), default=7)
+    p_lemma.add_argument("--trials", type=_int_in(1), default=None)
+    p_lemma.add_argument("--seed", type=_int_in(0), default=7)
     p_lemma.set_defaults(func=cmd_lemma)
     return parser
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low; anything else exits 2 with the
-    flag named."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high] (no upper end when high is
+    None); anything else exits 2 with the flag named."""
+    wanted = f">= {low}" if high is None else f"in [{low}, {high}]"
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < low:
+        if value is None or value < low or (high is not None and value > high):
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}")
+                f"expected an integer {wanted}, got {text!r}")
         return value
     return parse
 
@@ -123,10 +130,6 @@ def cmd_verify(args) -> int:
 
 def cmd_counterexample(args) -> int:
     if not _check_out("counterexample", args.out):
-        return USAGE_ERROR
-    if args.modes < 1 or args.points < 1:
-        print("counterexample: modes and points must be positive",
-              file=sys.stderr)
         return USAGE_ERROR
     if not (0.0 < args.t_min <= args.t_max <= 1.0):
         print("counterexample: need 0 < t-min <= t-max <= 1", file=sys.stderr)

@@ -161,7 +161,6 @@ def _parse_p_profile(obj: dict, oracle_p2: bool) -> tuple:
     _require_keys(obj, "config.spatial.p_profile", ("kind",),
                   ("value", "low", "high", "base", "amplitude"))
     kind = obj["kind"]
-    floor = 2.0 if oracle_p2 else 2.0 + 1e-12
     if kind == "constant":
         value = _number(obj.get("value"), "config.spatial.p_profile.value")
         _check_exponent_floor(value, oracle_p2)
@@ -398,12 +397,17 @@ def _build_initial_v(obj: dict, pot: VariableExponentPotential) -> np.ndarray:
 
 
 def load_config(path: str | Path) -> dict:
-    """The decoded JSON of the config file at `path`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The decoded JSON of the config file at `path`. A file that cannot be
+    opened, decoded as UTF-8 or parsed raises `ConfigError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
 
 
 def format_number(x) -> str:

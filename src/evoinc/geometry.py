@@ -2,21 +2,21 @@
 
 Bodies are balls and polytopes (vertex hulls). All projections come with
 certificates. Polytope projections certify the variational inequality over
-the vertex set. A projection onto a ball intersected with a ball or a hull
-H is P_H of the query moved towards the ball's center by one Lagrange
-multiplier per row, found by a bracketed root search (`_project_cap`); its
-KKT certificate is the certificate of P_H at the moved query plus the ball
+the vertex set. A projection onto a ball intersected with a hull H is P_H
+of the query moved towards the ball's center by one Lagrange multiplier
+per row, found by a bracketed root search (`_project_cap`); its KKT
+certificate is the certificate of P_H at the moved query plus the ball
 constraint holding with equality whenever the multiplier is positive.
 Hausdorff distances are exact and taken only between vertex stacks
 (`_pair_hausdorff`); the one sampled bracket, with a slack proven only for
 d <= 2, lives inside the intersection-continuity probe, which refuses
-d >= 3. The interior witness of the Slater check is verified exactly:
-against a ball in closed form, against a polytope by the depth of the
-witness over the hyperplanes of the hull's facets.
+d >= 3. The Slater check pairs a polytope with a ball on every row; its
+interior witness is verified against the ball in closed form and on the
+polytope by a certified projection.
 
 Everything is vectorized over batches of query points. The one public
 projection, `project(x, body)`, takes a point or rows of points and a ball
-or a polytope, and runs the batch kernel of `_body_projector`. The
+(closed form) or a polytope (one `HullProjector`). The
 projection-difference and Slater checks are batched over rows: one call
 checks every trial, with the polytopes of each side in one vertex stack
 and one `HullProjector`, and the ball∩hull multiplier search runs over all
@@ -25,8 +25,6 @@ rows at once, one ball per row.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +32,6 @@ import numpy as np
 PROJECTION_TOL = 1e-12
 PROJECTION_BUDGET = 100_000
 FEASIBILITY_TOL = 1e-8
-# Most d-subsets of a polytope's vertices the exact Slater witness check
-# enumerates; larger vertex sets are refused.
-FACET_SUBSETS_MAX = 20_000
 
 
 class GeometryError(ValueError):
@@ -311,55 +306,40 @@ def _nearest_and_reach(stack: np.ndarray, x: np.ndarray):
     return dist2.argmin(axis=1), np.sqrt(dist2.max(axis=1, initial=1.0))
 
 
-def _stack_projector(points: np.ndarray, radii: np.ndarray, kind):
-    """`project(q, rows)`: certified projections of the queries q, one per
-    listed row, onto a stack of bodies of one kind laid out as by
-    `_body_stack`.
-
-    Balls project in closed form; polytopes through one `HullProjector`
-    over every row of the stack, so later calls warm-start from earlier
-    ones.
-    """
-    if kind is Ball:
-        return lambda q, rows: project_balls(q, points[rows, 0], radii[rows])
-    hull = HullProjector(points)
-    return lambda q, rows: hull.project(q, rows=rows)[0]
+def _repeated_hull(poly: Polytope, m: int) -> HullProjector:
+    """A `HullProjector` with the polytope's vertices on each of m rows."""
+    return HullProjector(np.broadcast_to(poly.vertices,
+                                         (m,) + poly.vertices.shape))
 
 
-def _body_projector(body: ConvexBody, m: int):
-    """`_stack_projector` for one body repeated over an m-row batch."""
-    points, radii = _body_stack([body])
-    return _stack_projector(np.broadcast_to(points, (m,) + points.shape[1:]),
-                            np.broadcast_to(radii, (m,)), type(body))
-
-
-def _project_cap(x: np.ndarray, centers, radii, project_h):
+def _project_cap(x: np.ndarray, centers, radii, hull: HullProjector):
     """Rows of x projected onto B[c_i, r_i] cap H_i by one multiplier per row.
 
     `centers` is (d,) or (m, d) and `radii` a scalar or (m,); both
-    broadcast over the m rows of x. Returns (points, P_H(x)).
-    `project_h(q, rows)` returns the certified projections onto H of the
-    queries q for those rows of the batch, as `_stack_projector` builds it.
-    With mu the multiplier of the ball constraint and t = mu / (1 + mu), the
-    KKT conditions give y = P_H((1 - t) x + t c) for one t in [0, 1), and
+    broadcast over the m rows of x. Returns (points, P_H(x)). `hull` holds
+    H_i on its row i; every call projects only the rows still searching,
+    which warm-start from their previous projections. With mu the
+    multiplier of the ball constraint and t = mu / (1 + mu), the KKT
+    conditions give y = P_H((1 - t) x + t c) for one t in [0, 1), and
     phi(t) = ||y(t) - c|| - r does not increase in t (it is the derivative
-    of a concave dual function). A row retires at t = 0 when phi(0) <= tol, and otherwise once
-    a bracketed Illinois regula falsi on [0, 1] (t = 1 projects c) finds
-    |phi(t)| <= tol = PROJECTION_TOL * (1 + r), per row. With H's own
-    certificate this certifies optimality, not only membership. When
-    dist(c, H) >= r - tol the cap is the single point P_H(c) (tangency) or
-    empty to within FEASIBILITY_TOL, and P_H(c) is returned.
+    of a concave dual function). A row retires at t = 0 when phi(0) <= tol,
+    and otherwise once a bracketed Illinois regula falsi on [0, 1] (t = 1
+    projects c) finds |phi(t)| <= tol = PROJECTION_TOL * (1 + r), per row.
+    With H's own certificate this certifies optimality, not only
+    membership. When dist(c, H) >= r - tol the cap is the single point
+    P_H(c) (tangency) or empty to within FEASIBILITY_TOL, and P_H(c) is
+    returned.
     """
     c = np.broadcast_to(np.asarray(centers, dtype=float), x.shape)
     r = np.broadcast_to(np.asarray(radii, dtype=float), x.shape[:1])
     tol = PROJECTION_TOL * (1.0 + r)
-    x_on_h = project_h(x, np.arange(x.shape[0]))
+    x_on_h = hull.project(x, rows=np.arange(x.shape[0]))[0]
     y = x_on_h.copy()
     phi = np.linalg.norm(y - c, axis=1) - r
     active = np.flatnonzero(phi > tol)
     if active.size == 0:
         return y, x_on_h
-    anchor = project_h(c[active], active)
+    anchor = hull.project(c[active], rows=active)[0]
     f_hi = np.linalg.norm(anchor - c[active], axis=1) - r[active]
     ends = f_hi >= -tol[active]
     y[active[ends]] = anchor[ends]
@@ -373,7 +353,7 @@ def _project_cap(x: np.ndarray, centers, radii, project_h):
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         ca = c[active]
         q = x[active] + t[:, None] * (ca - x[active])
-        y[active] = project_h(q, active)
+        y[active] = hull.project(q, rows=active)[0]
         f = np.linalg.norm(y[active] - ca, axis=1) - r[active]
         above = f > 0.0
         # Illinois: when the same end moves twice, halve the other's value.
@@ -406,8 +386,10 @@ def project(x, body: ConvexBody) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[-1] != body.dim:
         raise DimensionMismatch("point and body dimensions differ")
     rows = _rows(x)
-    m = rows.shape[0]
-    points = _body_projector(body, m)(rows, np.arange(m))
+    if isinstance(body, Ball):
+        points = project_balls(rows, body.center, body.radius)
+    else:
+        points = _repeated_hull(body, rows.shape[0]).project(rows)[0]
     return points if x.ndim == 2 else points[0]
 
 
@@ -426,17 +408,6 @@ def pad_vertex_stack(polys) -> np.ndarray:
         out[i, :k] = poly.vertices
         out[i, k:] = poly.vertices[-1]
     return out
-
-
-def _body_stack(bodies):
-    """(points, radii) of one kind of body, padded to an (m, n_max, d)
-    stack: row i is the set within radii[i] of the hull of points[i]. A
-    ball is its centre with its radius, a polytope its vertices with radius
-    0, padded as in `pad_vertex_stack`."""
-    if isinstance(bodies[0], Ball):
-        return (np.array([b.center for b in bodies])[:, None, :],
-                np.array([b.radius for b in bodies], dtype=float))
-    return pad_vertex_stack(bodies), np.zeros(len(bodies))
 
 
 def _stack_distances(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -464,22 +435,18 @@ def _pair_hausdorff(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
 # diameters
 
 
-def union_diameter_upper(stack_a, stack_b) -> np.ndarray:
-    """Diameter of A_i u B_i per row, exact, for two `_body_stack` stacks.
-
-    A body of the stack is the set of points within its radius of the hull
-    of its points, so the diameter of a union is the largest point-to-point
-    distance within A, within B and across, each plus the radii at its two
-    ends: 2r for a ball, the vertex diameter for a polytope.
-    """
+def union_diameter_upper(vertices: np.ndarray, centers: np.ndarray,
+                         radii: np.ndarray) -> np.ndarray:
+    """Diameter of conv(vertices[i]) u B[centers[i], radii[i]] per row,
+    exact: the largest of the vertex diameter, the ball's 2r, and the
+    farthest vertex from the centre plus r (the distance to a point of the
+    hull is convex, so its sup is attained at a vertex)."""
     def reach(p, q):
         diff = p[:, :, None, :] - q[:, None, :, :]
         return np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
 
-    (pa, ra), (pb, rb) = stack_a, stack_b
-    return np.maximum(np.maximum(reach(pa, pa) + 2.0 * ra,
-                                 reach(pb, pb) + 2.0 * rb),
-                      reach(pa, pb) + ra + rb)
+    return np.maximum(np.maximum(reach(vertices, vertices), 2.0 * radii),
+                      reach(vertices, centers[:, None, :]) + radii)
 
 
 # ---------------------------------------------------------------------------
@@ -536,103 +503,56 @@ def projection_difference_check(xs, bodies_c, bodies_d,
     return BoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + 1e-8)))
 
 
-def _verify_inner_ball(x0: np.ndarray, rho: float, body: Polytope) -> bool:
-    """Exact check of B[x0, rho] subset of the polytope, to within
-    tol = FEASIBILITY_TOL.
-
-    In R^d, every hyperplane through d of its vertices that has all
-    vertices on one side (to within tol) supports the hull, and every facet
-    lies in such a hyperplane. The least distance from x0 to these
-    hyperplanes is therefore the depth of x0 in the hull, short by at most
-    tol. Vertices that do not span R^d leave no interior, and more than
-    FACET_SUBSETS_MAX d-subsets raise `GeometryError`.
-    """
-    v = body.vertices
-    n, d = v.shape
-    subsets = math.comb(n, d)
-    if subsets > FACET_SUBSETS_MAX:
-        raise GeometryError(
-            f"exact inner-ball check of a polytope with n = {n} vertices in "
-            f"d = {d} dimensions needs C(n, d) = {subsets} vertex subsets, "
-            f"more than {FACET_SUBSETS_MAX}")
-    if np.linalg.matrix_rank(v[1:] - v[0]) < d:
-        return False
-    pts = v[np.array(list(itertools.combinations(range(n), d)))]
-    normals = np.linalg.svd(pts[:, 1:] - pts[:, :1])[2][:, -1]
-    offsets = np.einsum("kd,kd->k", normals, pts[:, 0])
-    side = normals @ v.T - offsets[:, None]
-    height = normals @ x0 - offsets
-    tol = FEASIBILITY_TOL
-    depth = np.concatenate([-height[side.max(axis=1) <= tol],
-                            height[side.min(axis=1) >= -tol]])
-    return bool(depth.size > 0 and rho <= depth.min() + tol)
-
-
-def slater_intersection_check(xs, bodies_a, bodies_b, x0s,
-                              rhos) -> BoundCheck:
+def slater_intersection_check(xs, polytopes, balls, x0s, rhos) -> BoundCheck:
     """dist(x, A cap B) against (1 + diam(A u B)/rho)(dist(x,A) + dist(x,B)),
     per row.
 
-    Row i pairs the query xs[i] with bodies_a[i] and bodies_b[i] and the
-    interior witness B[x0s[i], rhos[i]]; every row has the same kind pair,
-    ball/ball, ball/polytope or polytope/ball, else `GeometryError`. The
-    witnesses are verified exactly: x0 in A cap B by one stacked projection
-    per side, and B[x0, rho] inside B in closed form for balls or, for
-    polytopes, by `_verify_inner_ball` on each row's own vertices. The
+    Row i pairs the query xs[i] with the polytope A = polytopes[i], the
+    ball B = balls[i] and the interior witness B[x0s[i], rhos[i]]; any other
+    pairing raises `GeometryError`. The witnesses are verified exactly: x0
+    in A by one stacked projection, B[x0, rho] inside B in closed form. The
     first failing row raises SlaterViolation. The witness makes A cap B
-    nonempty, so the projections onto it are one `_project_cap` call: the
-    balls of the pair (A when both are balls) cap the other bodies, all
-    polytopes in one `HullProjector`. The cap's first step projects x onto
-    the other body, which gives that body's term of the bound.
+    nonempty, so the projections onto it are one `_project_cap` call, every
+    polytope in one `HullProjector`; its first step projects x onto A,
+    which gives A's term of the bound.
     """
     xs, x0s = _rows(xs), _rows(x0s)
     rhos = np.asarray(rhos, dtype=float)
     m = xs.shape[0]
-    if not len(bodies_a) == len(bodies_b) == m == x0s.shape[0] == rhos.size:
-        raise GeometryError("need one pair of bodies, witness and radius "
+    if not len(polytopes) == len(balls) == m == x0s.shape[0] == rhos.size:
+        raise GeometryError("need one polytope, ball, witness and radius "
                             "per query")
-    kinds = {(type(a), type(b)) for a, b in zip(bodies_a, bodies_b)}
-    if len(kinds) != 1 or not kinds <= {(Ball, Ball), (Ball, Polytope),
-                                         (Polytope, Ball)}:
-        raise GeometryError("the Slater check takes rows of one kind pair: "
-                            "ball/ball, ball/polytope or polytope/ball")
-    (kind_a, kind_b), = kinds
-    if any(body.dim != xs.shape[1] for body in (*bodies_a, *bodies_b)) \
+    if not (all(isinstance(a, Polytope) for a in polytopes)
+            and all(isinstance(b, Ball) for b in balls)):
+        raise GeometryError("the Slater check takes a polytope and a ball "
+                            "on every row (polytope/ball)")
+    if any(body.dim != xs.shape[1] for body in (*polytopes, *balls)) \
             or x0s.shape != xs.shape:
         raise DimensionMismatch("queries, witnesses and bodies must share "
                                 "dimension")
-    stack_a, stack_b = _body_stack(bodies_a), _body_stack(bodies_b)
+    vertices = pad_vertex_stack(polytopes)
+    centers = np.array([b.center for b in balls])
+    radii = np.array([b.radius for b in balls], dtype=float)
 
-    every = np.arange(m)
-    outside = np.zeros(m, dtype=bool)
-    for (points, radii), kind in ((stack_a, kind_a), (stack_b, kind_b)):
-        on_body = _stack_projector(points, radii, kind)(x0s, every)
-        outside |= np.linalg.norm(x0s - on_body, axis=1) > FEASIBILITY_TOL
-    if kind_b is Ball:
-        inside = (np.linalg.norm(x0s - stack_b[0][:, 0], axis=1) + rhos
-                  <= stack_b[1] + FEASIBILITY_TOL)
-    else:
-        inside = np.array([_verify_inner_ball(x0, rho, body) for x0, rho,
-                           body in zip(x0s, rhos, bodies_b)])
+    outside = np.linalg.norm(x0s - HullProjector(vertices).project(x0s)[0],
+                             axis=1) > FEASIBILITY_TOL
+    inside = (np.linalg.norm(x0s - centers, axis=1) + rhos
+              <= radii + FEASIBILITY_TOL)
     failing = np.flatnonzero(outside | ~(inside & (rhos > 0.0)))
     if failing.size:
         i = failing[0]
         raise SlaterViolation(
-            f"row {i}: " + ("witness point is not in the intersection"
+            f"row {i}: " + ("witness point is not in the polytope"
                             if outside[i] else
-                            "B[x0, rho] is not contained in the second body"))
+                            "B[x0, rho] is not contained in the ball"))
 
-    (centers, radii), other, other_kind = (
-        (stack_a, stack_b, kind_b) if kind_a is Ball
-        else (stack_b, stack_a, kind_a))
-    centers = centers[:, 0]
-    point, x_on_other = _project_cap(xs, centers, radii,
-                                     _stack_projector(*other, other_kind))
+    point, x_on_hull = _project_cap(xs, centers, radii,
+                                    HullProjector(vertices))
     lhs = np.linalg.norm(xs - point, axis=1)
     to_ball = np.linalg.norm(xs - project_balls(xs, centers, radii), axis=1)
-    to_other = np.linalg.norm(xs - x_on_other, axis=1)
-    rhs = (1.0 + union_diameter_upper(stack_a, stack_b) / rhos) \
-        * (to_ball + to_other)
+    to_hull = np.linalg.norm(xs - x_on_hull, axis=1)
+    rhs = (1.0 + union_diameter_upper(vertices, centers, radii) / rhos) \
+        * (to_ball + to_hull)
     return BoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + 1e-8)))
 
 
@@ -657,7 +577,7 @@ def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
     genuinely meets B, which hypothesis_ok records. Members with empty
     intersection are flagged, their value set to NaN, and the probe
     continues; an empty limit makes every value NaN. Each polytope has one
-    `_body_projector`, shared by every cap projection onto it.
+    `HullProjector`, shared by every cap projection onto it.
     """
     if len(c_seq) != len(b_seq):
         raise GeometryError(f"{len(c_seq)} centres for {len(b_seq)} polytopes")
@@ -672,7 +592,7 @@ def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
         return IntersectionContinuityResult([float("nan")] * len(c_seq), False,
                                             list(range(len(c_seq))))
     m = cloud.shape[0]
-    limit = _body_projector(b, m)
+    limit = _repeated_hull(b, m)
     limit_sample, _ = _project_cap(cloud, centres[0], r, limit)
 
     values, empty = [], []
@@ -681,7 +601,7 @@ def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
             empty.append(idx)
             values.append(float("nan"))
             continue
-        member = _body_projector(bn, m)
+        member = _repeated_hull(bn, m)
         sample_n, _ = _project_cap(cloud, centre, r, member)
         to_limit = sample_n - _project_cap(sample_n, centres[0], r, limit)[0]
         to_member = limit_sample - _project_cap(limit_sample, centre, r,

@@ -119,7 +119,6 @@ class SolveReport:
     residual_g: float
     residual_history: tuple
     converged: bool
-    theta_final: float
     apriori: "AprioriReport | None"
     membership_ok: bool
 
@@ -219,7 +218,7 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     membership = (path_l2_norm(f_star) <= window.m + 1e-6
                   and path_l2_norm(g_star) <= window.m + 1e-6)
     report = SolveReport(iterations, res_f, res_g, tuple(history),
-                         converged, theta, apriori, membership)
+                         converged, apriori, membership)
     defect_f = np.linalg.norm(f_path.values - f_star.values, axis=1)
     defect_g = math.sqrt(h) * np.linalg.norm(g_path.values - g_star.values,
                                              axis=1)

@@ -45,6 +45,10 @@ def test_verify_is_deterministic(capsys):
     "verify convex --trials -3",
     "lemma slater --seed -1",
     "verify selection --seed -1",
+    "counterexample --modes 10000000000000",
+    "counterexample --points 10000000000000",
+    "counterexample --modes 0",
+    "counterexample --points 0",
 ])
 def test_invalid_trials_and_seed_are_usage_errors(capsys, command):
     argv = command.split()
@@ -179,6 +183,24 @@ def test_solve_rejects_unknown_key_naming_it(tmp_path, capsys):
     assert code == 2
     assert "extra_setting" in err
     assert not (tmp_path / "nope").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "utf-16-bom",
+                                  "nested-100000-deep"])
+def test_solve_rejects_unreadable_config(tmp_path, capsys, kind):
+    config = tmp_path / "config.json"
+    if kind == "directory":
+        config.mkdir()
+    elif kind == "utf-16-bom":
+        config.write_bytes(b"\xff\xfe{}")
+    elif kind == "nested-100000-deep":
+        config.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(config) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, mutate", [

@@ -1,6 +1,5 @@
 """Convex bodies: projections, Hausdorff distances, and the lemma checks."""
 
-import itertools
 import math
 
 import numpy as np
@@ -281,7 +280,7 @@ def _cap_point(x, ball, poly):
     """Projection of the point x onto ball cap poly by `_project_cap`."""
     x = np.asarray(x, dtype=float)[None, :]
     y, _ = geo._project_cap(x, ball.center, ball.radius,
-                            geo._body_projector(poly, 1))
+                            geo.HullProjector(poly.vertices))
     return y[0]
 
 
@@ -346,30 +345,31 @@ def _unit_rows(seed, count, dim):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _check_cap_kkt(x, ball, project_h, members):
-    """Runs `_project_cap` and checks its KKT certificate row by row.
+def _check_cap_kkt(x, ball, hull, members):
+    """Runs `_project_cap` on the `HullProjector` hull and checks its KKT
+    certificate row by row.
 
-    `project_h(q, rows)` returns (points, hull gaps or None); every row's
-    last query q must be (1 - t) x + t c, the returned point its certified
-    projection, and the point must satisfy the ball constraint (with
-    equality when t > 0) and the variational inequality over `members`.
-    The second return value must be the first call's projections of x.
-    Returns the multipliers t.
+    Every row's last query q must be (1 - t) x + t c, the returned point
+    its certified projection, and the point must satisfy the ball
+    constraint (with equality when t > 0) and the variational inequality
+    over `members`. The second return value must be the first call's
+    projections of x. Returns the multipliers t.
     """
     c, r = ball.center, ball.radius
     tol = 1e-12 * (1.0 + r)
     last_q = np.full_like(x, np.nan)
     first = []
+    project = hull.project
 
     def recording(q, rows):
-        points, gaps = project_h(q, rows)
+        points, gaps = project(q, rows=rows)
         last_q[rows] = q
-        if gaps is not None:
-            assert np.all(gaps <= 1e-12 * (1.0 + np.linalg.norm(q, axis=1)))
+        assert np.all(gaps <= 1e-12 * (1.0 + np.linalg.norm(q, axis=1)))
         first.append(points.copy())
-        return points
+        return points, gaps
 
-    y, x_on_h = geo._project_cap(x, c, r, recording)
+    hull.project = recording
+    y, x_on_h = geo._project_cap(x, c, r, hull)
     assert np.array_equal(x_on_h, first[0])
     t = np.einsum("md,md->m", last_q - x, c - x) / np.sum((c - x) ** 2, axis=1)
     assert np.abs(last_q - (x + t[:, None] * (c - x))).max() <= 1e-12
@@ -404,31 +404,7 @@ def test_project_cap_kkt_certificate_on_hulls(dim):
         in_hull = np.linalg.norm(off_hull, axis=1) <= 1e-12
         in_ball = np.linalg.norm(vertices - c, axis=1) <= r
         members = np.vstack([vertices[in_ball], ball_points[in_hull]])
-        multipliers.append(_check_cap_kkt(
-            x, geo.Ball(c, r), lambda q, rows: hull.project(q, rows=rows),
-            members))
-    t = np.concatenate(multipliers)
-    assert np.any(t == 0.0) and np.any(t > 0.0)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_project_cap_kkt_certificate_on_ball_lens(dim):
-    rng = np.random.default_rng(310 + dim)
-    multipliers = []
-    for _ in range(6):
-        a = geo.Ball(rng.normal(size=dim), float(rng.uniform(0.5, 1.5)))
-        rb = float(rng.uniform(0.5, 1.5))
-        direction = rng.normal(size=dim)
-        direction /= np.linalg.norm(direction)
-        b_center = a.center + direction * rng.uniform(0.2, 0.95) \
-            * (a.radius + rb)
-        x = a.center + rng.normal(size=(40, dim)) * 3.0
-        points = a.center + a.radius * rng.uniform(size=(400, 1)) \
-            ** (1.0 / dim) * _unit_rows(330 + dim, 400, dim)
-        members = points[np.linalg.norm(points - b_center, axis=1) <= rb]
-        multipliers.append(_check_cap_kkt(
-            x, a, lambda q, rows: (geo.project_balls(q, b_center, rb), None),
-            members))
+        multipliers.append(_check_cap_kkt(x, geo.Ball(c, r), hull, members))
     t = np.concatenate(multipliers)
     assert np.any(t == 0.0) and np.any(t > 0.0)
 
@@ -443,9 +419,7 @@ def test_project_intersection_tangent_pair_returns_touching_point():
         assert np.allclose(y, [1.0, 0.0], atol=1e-12)
         assert _ball_excess(y, ball) <= 1e-12
     hull = geo.HullProjector(np.broadcast_to(square, (3, 4, 2)))
-    t = _check_cap_kkt(x, ball,
-                       lambda q, rows: hull.project(q, rows=rows),
-                       np.array([[1.0, 0.0]]))
+    t = _check_cap_kkt(x, ball, hull, np.array([[1.0, 0.0]]))
     assert np.array_equal(t, [1.0, 0.0, 1.0])
 
 
@@ -539,136 +513,33 @@ def _slater_one(x, a, b, x0, rho):
     return geo.BoundCheck(float(chk.lhs[0]), float(chk.rhs[0]), chk.passed)
 
 
+def _square():
+    return geo.Polytope(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
+                                  [-1.0, 1.0]]))
+
+
 def test_slater_check_zero_distance_inside():
-    a = geo.Ball(np.array([0.0, 0.0]), 1.0)
-    b = geo.Ball(np.array([0.5, 0.0]), 1.0)
-    chk = _slater_one(np.array([0.4, 0.1]), a, b, np.array([0.25, 0.0]), 0.2)
+    ball = geo.Ball(np.array([0.5, 0.0]), 1.0)
+    chk = _slater_one(np.array([0.4, 0.1]), _square(), ball,
+                      np.array([0.25, 0.0]), 0.2)
     assert chk.lhs <= 1e-8 and chk.passed
 
 
-def test_slater_check_two_balls_analytic():
-    a = geo.Ball(np.array([0.0, 0.0]), 1.0)
-    b = geo.Ball(np.array([1.0, 0.0]), 1.0)
-    x = np.array([2.0, 2.0])
-    chk = _slater_one(x, a, b, np.array([0.5, 0.0]), 0.4)
-    # oracle: dense sweep over the lens
-    th = np.linspace(0.0, 2.0 * np.pi, 4001)
-    rr = np.linspace(0.0, 1.0, 400)
-    pts = np.stack([(rr[:, None] * np.cos(th)[None, :]).ravel(),
-                    (rr[:, None] * np.sin(th)[None, :]).ravel()], axis=1)
-    inside = (np.linalg.norm(pts, axis=1) <= 1.0) \
-        & (np.linalg.norm(pts - np.array([1.0, 0.0]), axis=1) <= 1.0)
-    lens = pts[inside]
-    oracle = np.linalg.norm(lens - x, axis=1).min()
-    assert chk.lhs == pytest.approx(oracle, abs=5e-3)
-    assert chk.passed
-
-
 def test_slater_check_rejects_bad_witness():
-    a = geo.Ball(np.array([0.0, 0.0]), 1.0)
-    b = geo.Ball(np.array([1.0, 0.0]), 1.0)
-    # inner ball pokes out of the second body
-    with pytest.raises(geo.SlaterViolation):
-        _slater_one(np.zeros(2), a, b, np.array([0.5, 0.0]), 0.8)
-    # witness not in the intersection at all
-    with pytest.raises(geo.SlaterViolation):
-        _slater_one(np.zeros(2), a, b, np.array([2.5, 0.0]), 0.1)
+    ball = geo.Ball(np.array([1.0, 0.0]), 1.0)
+    # inner ball pokes out of the ball
+    with pytest.raises(geo.SlaterViolation, match="not contained"):
+        _slater_one(np.zeros(2), _square(), ball, np.array([0.5, 0.0]), 0.8)
+    # witness in the ball but not in the polytope
+    with pytest.raises(geo.SlaterViolation, match="not in the polytope"):
+        _slater_one(np.zeros(2), _square(), ball, np.array([1.5, 0.0]), 0.1)
 
 
-
-def test_slater_check_rejects_witness_poking_out_of_polytope():
-    # slater battery seed 7, trial 68, with the polytope as the second body:
-    # the exact depth of x0 is 0.15076 < rho = 0.15245, which a sample of 128
-    # directions on the witness sphere did not detect
-    x, ball, poly, x0, rho = _slater_trial(68)
-    assert rho == pytest.approx(0.15245, abs=1e-5)
-    with pytest.raises(geo.SlaterViolation):
-        _slater_one(x, ball, poly, x0, rho)
-    assert _slater_one(x, ball, poly, x0, 0.15075).passed
-    assert _slater_one(x, poly, ball, x0, rho).passed
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_slater_check_is_the_same_in_either_order(dim):
-    rng = np.random.default_rng(900 + dim)
-    cube = np.array(list(itertools.product((-0.5, 0.5), repeat=dim)))
-    for _ in range(20):
-        # x0 lies at depth 0.5 in the polytope and at least 0.5 in the ball
-        x0 = rng.normal(size=dim)
-        rho = float(rng.uniform(0.1, 0.3))
-        poly = geo.Polytope(np.vstack([x0 + cube,
-                                       x0 + rng.normal(size=(3, dim))]))
-        offset = 0.3 * rng.uniform(-1.0, 1.0, size=dim) / math.sqrt(dim)
-        ball = geo.Ball(x0 + offset, float(np.linalg.norm(offset)
-                                           + rng.uniform(0.5, 1.5)))
-        x = rng.normal(size=dim) * 4.0
-        first = _slater_one(x, poly, ball, x0, rho)
-        second = _slater_one(x, ball, poly, x0, rho)
-        assert first.passed and second.passed
-        assert first.lhs == pytest.approx(second.lhs, abs=1e-12)
-        assert first.rhs == pytest.approx(second.rhs, abs=1e-12)
-
-
-def test_slater_witness_depth_in_cube_is_exact():
-    cube = geo.Polytope(np.array([[a, b, c] for a in (-0.5, 0.5)
-                                  for b in (-0.5, 0.5) for c in (-0.5, 0.5)]))
-    ball = geo.Ball(np.zeros(3), 2.0)
-    x = np.array([3.0, 1.0, -2.0])
-    assert _slater_one(x, ball, cube, np.zeros(3), 0.5 - 1e-9).passed
-    with pytest.raises(geo.SlaterViolation):
-        _slater_one(x, ball, cube, np.zeros(3), 0.5 + 1e-6)
-
-
-def test_slater_witness_in_flat_polytope_is_rejected():
-    # a square in the plane z = 0 of R^3 has no interior
-    square = geo.Polytope(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                                    [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
-    x0 = np.array([0.5, 0.5, 0.0])
-    with pytest.raises(geo.SlaterViolation):
-        _slater_one(np.ones(3), geo.Ball(x0, 1.0), square, x0, 1e-3)
-
-
-def test_slater_witness_check_refuses_large_vertex_sets():
-    rng = np.random.default_rng(5)
-    cloud = geo.Polytope(rng.normal(size=(60, 3)))  # C(60, 3) = 34220
-    with pytest.raises(geo.GeometryError, match="n = 60.*d = 3"):
-        _slater_one(np.ones(3), geo.Ball(np.zeros(3), 1.0), cloud,
-                    np.zeros(3), 0.01)
-
-
-def test_slater_check_refuses_two_polytopes():
-    a = geo.Polytope(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    b = geo.Polytope(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) + 0.1)
-    with pytest.raises(geo.GeometryError):
-        _slater_one(np.array([3.0, 3.0]), a, b, np.array([0.4, 0.4]), 0.05)
-
-
-def _shifted_balls(x0s, rhos, seed):
-    """Second balls B[x0 + rho u / 2, 2 rho] with seeded unit u: each holds
-    B[x0, rho] with room 0.5 rho."""
-    u = _unit_rows(seed, len(rhos), x0s.shape[1])
-    return [geo.Ball(x0 + 0.5 * rho * e, 2.0 * rho)
-            for x0, rho, e in zip(x0s, rhos, u)]
-
-
-@pytest.mark.parametrize("pair", ["polytope/ball", "ball/polytope",
-                                  "ball/ball"])
+@pytest.mark.parametrize("pair", ["polytope/ball"])
 def test_slater_batch_matches_one_row_calls(pair):
-    xs, polys, balls, x0s, rhos = suites._slater_rows(7, 100)
-    a, b = {"polytope/ball": (polys, balls),
-            "ball/polytope": (balls, polys),
-            "ball/ball": (balls, _shifted_balls(x0s, rhos, 17))}[pair]
-    single, keep = [], []
-    for i in range(len(xs)):
-        try:
-            single.append(_slater_one(xs[i], a[i], b[i], x0s[i], rhos[i]))
-        except geo.SlaterViolation:
-            continue  # the witness pokes out of this row's polytope
-        keep.append(i)
-    assert len(keep) >= 30
-    chk = geo.slater_intersection_check(xs[keep], [a[i] for i in keep],
-                                        [b[i] for i in keep], x0s[keep],
-                                        rhos[keep])
+    rows = suites._slater_rows(7, 100)
+    single = [_slater_one(*row) for row in zip(*rows)]
+    chk = geo.slater_intersection_check(*rows)
     assert chk.passed
     for name in ("lhs", "rhs"):
         np.testing.assert_allclose(
@@ -691,11 +562,16 @@ def test_slater_batch_names_first_failing_row():
         geo.slater_intersection_check(xs, polys, balls, far, wide)
 
 
-def test_slater_batch_refuses_mixed_kind_pairs():
+@pytest.mark.parametrize("pair", ["polytope/polytope", "ball/ball",
+                                  "ball/polytope", "mixed"])
+def test_slater_check_refuses_other_pairings(pair):
     xs, polys, balls, x0s, rhos = suites._slater_rows(7, 2)
-    with pytest.raises(geo.GeometryError, match="one kind pair"):
-        geo.slater_intersection_check(xs, [polys[0], balls[1]],
-                                      [balls[0], polys[1]], x0s, rhos)
+    a, b = {"polytope/polytope": (polys, polys),
+            "ball/ball": (balls, balls),
+            "ball/polytope": (balls, polys),
+            "mixed": ([polys[0], balls[1]], [balls[0], polys[1]])}[pair]
+    with pytest.raises(geo.GeometryError, match="polytope/ball"):
+        geo.slater_intersection_check(xs, a, b, x0s, rhos)
 
 
 def test_slater_battery_builds_two_hull_projectors(monkeypatch):
@@ -808,21 +684,26 @@ def test_intersection_continuity_tangency_is_flagged_not_asserted():
 # diameters
 
 
-def _union_diameter(a, b):
-    return geo.union_diameter_upper(geo._body_stack([a]),
-                                    geo._body_stack([b]))[0]
+def _union_diameter(vertices, center, radius):
+    """`union_diameter_upper` of one polytope and one ball."""
+    return geo.union_diameter_upper(np.asarray(vertices, dtype=float)[None],
+                                    np.asarray(center, dtype=float)[None],
+                                    np.array([radius]))[0]
 
 
-def test_union_diameter_balls():
-    a = geo.Ball(np.array([0.0, 0.0]), 1.0)
-    b = geo.Ball(np.array([3.0, 0.0]), 0.5)
-    assert _union_diameter(a, b) == pytest.approx(4.5)
+def test_union_diameter_polytope_and_ball():
+    segment = [[0.0, 0.0], [1.0, 0.0]]
+    # farthest vertex plus r, 2r, and the vertex diameter in turn
+    assert _union_diameter(segment, [3.0, 0.0], 0.5) == 3.5
+    assert _union_diameter(segment, [0.5, 0.0], 5.0) == 10.0
+    assert _union_diameter(segment, [0.5, 0.0], 0.0) == 1.0
 
 
 def test_union_diameter_polytopes_exact(rng):
+    # the hull of both vertex sets, with a radius-0 ball at one vertex
     pts_a = rng.normal(size=(6, 3))
     pts_b = rng.normal(size=(5, 3))
-    d = _union_diameter(geo.Polytope(pts_a), geo.Polytope(pts_b))
     allpts = np.vstack([pts_a, pts_b])
+    d = _union_diameter(allpts, pts_b[0], 0.0)
     diff = allpts[:, None, :] - allpts[None, :, :]
     assert d == pytest.approx(np.sqrt((diff ** 2).sum(-1)).max())

@@ -208,7 +208,7 @@ def test_approximate_selection_l2_bound_and_node_oracle(rng):
     for i in range(0, 33, 8):
         oracle, _ = geo._project_cap(
             f.values[i][None, :], f.values[i], eps,
-            geo._body_projector(geo.Polytope(verts[i]), 1))
+            geo.HullProjector(verts[i]))
         assert np.linalg.norm(f_new.values[i] - oracle[0]) <= 1e-6
 
 
