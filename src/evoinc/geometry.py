@@ -216,11 +216,13 @@ class HullProjector:
     fails it. Rows retire as soon as their certificate holds; the result is
     exact on its support.
 
-    A row's first call starts it at its nearest vertex; later calls resume
-    from the previous weights and their support, since the multiplier
-    search of `_project_cap` calls it with slowly moving inputs. The
-    warm-start state makes instances single-threaded; the module-level
-    entry points construct a fresh projector per call and stay pure.
+    A row's first call starts it at its nearest vertex, a one-vertex corral
+    that is already its own affine minimizer, so a call whose rows all start
+    cold skips the first minor cycle; later calls resume from the previous
+    weights and their support, since the multiplier search of `_project_cap`
+    calls it with slowly moving inputs. The warm-start state makes
+    instances single-threaded; the module-level entry points construct a
+    fresh projector per call and stay pure.
     """
 
     def __init__(self, vertices: np.ndarray):
@@ -239,7 +241,8 @@ class HullProjector:
         ProjectionDidNotConverge when the certificate
         gap <= tol * (1 + ||x||) * max(1, max_v ||v - x||), tol =
         PROJECTION_TOL, does not hold on every row after PROJECTION_BUDGET
-        major cycles, or when a row stops improving short of it.
+        major cycles, or when a row stops improving short of it; a NaN gap
+        (a non-finite query) fails it too.
         """
         x = _rows(x)
         every = rows is None
@@ -266,11 +269,17 @@ class HullProjector:
         gaps = np.full(rows.size, np.inf)
         active = np.arange(rows.size)
         entered = None
+        # A cold row is one vertex at weight 1.0, already its corral's
+        # affine minimizer: when every row is cold, the first minor cycle
+        # would change nothing.
+        settled = cold.all()
         for _ in range(PROJECTION_BUDGET):
             v, xa = stack[active], x[active]
             kept, lam_a = corral[active], lam[active]
-            _minor_cycles(v, xa, kept, lam_a)
-            lam[active] = lam_a
+            if not settled:
+                _minor_cycles(v, xa, kept, lam_a)
+                lam[active] = lam_a
+            settled = False
             p = (lam_a[:, None, :] @ v)[:, 0, :]
             inner = ((v - p[:, None, :]) @ (xa - p)[:, :, None])[:, :, 0]
             points[active] = p
@@ -291,7 +300,7 @@ class HullProjector:
             corral[active] = kept[go_on]
         if not every:
             self.lam[rows] = lam
-        if np.any(gaps > scale):
+        if not np.all(gaps <= scale):   # a NaN gap fails too
             raise ProjectionDidNotConverge(
                 "hull projection left rows without certificate",
                 float(np.max(gaps - scale)))

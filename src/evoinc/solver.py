@@ -159,8 +159,10 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     """Relaxed projection iteration on one window, with the grid, starting
     relaxation factor, tolerance and budget of `settings`.
 
-    Non-convergence within the budget is an allowed outcome and is reported
-    with the best residuals reached, never raised.
+    The v-flow is re-run only when the g-forcing differs, bit for bit, from
+    the one that produced the current v (a NaN never compares equal); u is
+    solved every iteration. Non-convergence within the budget is an allowed
+    outcome and is reported with the best residuals reached, never raised.
     """
     num_nodes, theta = settings.nodes_per_window, settings.theta
     u0 = np.asarray(u0, dtype=float)
@@ -185,6 +187,7 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
 
     u = duhamel_solve(gen, u0, f_path)
     v = v_flow(g_path)
+    v_forcing = g_path.values   # the g-forcing that produced v
     f_path = nearest_point_selection(f_map, u, v, f_path)
     g_path = nearest_point_selection(g_map, u, v, g_path)
 
@@ -194,7 +197,9 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     for it in range(settings.max_iter):     # at least once: max_iter >= 1
         iterations = it + 1
         u = duhamel_solve(gen, u0, f_path)
-        v = v_flow(g_path)
+        if not np.array_equal(g_path.values, v_forcing):
+            v = v_flow(g_path)
+            v_forcing = g_path.values
         f_star = nearest_point_selection(f_map, u, v, f_path)
         g_star = nearest_point_selection(g_map, u, v, g_path)
         res_f = path_distance(f_path, f_star)

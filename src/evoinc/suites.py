@@ -61,32 +61,57 @@ def _min_margin(margins) -> float:
 # convex battery
 
 
+def _project_each(points, bodies) -> list:
+    """`geometry.project(points[i], bodies[i])` for every i, one stacked
+    projection per body kind and dimension: `project_balls` for balls, one
+    `HullProjector` over the padded vertex stack for polytopes."""
+    groups = {}
+    for i, body in enumerate(bodies):
+        groups.setdefault((type(body), body.dim), []).append(i)
+    out = [None] * len(points)
+    for (kind, _), idx in groups.items():
+        queries = np.array([points[i] for i in idx])
+        group = [bodies[i] for i in idx]
+        if kind is geo.Ball:
+            rows = geo.project_balls(queries,
+                                     np.array([b.center for b in group]),
+                                     np.array([b.radius for b in group]))
+        else:
+            rows = geo.HullProjector(geo.pad_vertex_stack(group)) \
+                .project(queries)[0]
+        for i, row in zip(idx, rows):
+            out[i] = row
+    return out
+
+
 def convex_battery(seed: int = 7, trials: int | None = None) -> list:
     results = []
     n_pairs = trials or 200
 
-    margins = []
+    bodies, xs, ys = [], [], []
     for i in range(n_pairs):
         rng = _rng(seed, 1000 + i)
         dim = int(rng.integers(2, 4))
-        body = _random_polytope(rng, dim, 3.0) if rng.random() < 0.5 \
-            else geo.Ball(rng.normal(size=dim), float(rng.uniform(0.2, 2.0)))
-        x = rng.normal(size=dim) * 3.0
-        y = rng.normal(size=dim) * 3.0
-        px = geo.project(x, body)
-        py = geo.project(y, body)
-        margins.append(np.linalg.norm(x - y) + 1e-8
-                       - np.linalg.norm(px - py))
+        bodies.append(_random_polytope(rng, dim, 3.0) if rng.random() < 0.5
+                      else geo.Ball(rng.normal(size=dim),
+                                    float(rng.uniform(0.2, 2.0))))
+        xs.append(rng.normal(size=dim) * 3.0)
+        ys.append(rng.normal(size=dim) * 3.0)
+    images = _project_each(xs + ys, bodies + bodies)
+    margins = [np.linalg.norm(x - y) + 1e-8 - np.linalg.norm(px - py)
+               for x, y, px, py in zip(xs, ys, images[:n_pairs],
+                                       images[n_pairs:])]
     results.append(CheckResult("projection-nonexpansive", n_pairs,
                                _min_margin(margins), _min_margin(margins) >= 0))
 
-    margins = []
+    polys, xs = [], []
     for i in range(n_pairs):
         rng = _rng(seed, 2000 + i)
         dim = int(rng.integers(2, 4))
-        poly = _random_polytope(rng, dim, 3.0)
-        x = rng.normal(size=dim) * 3.0
-        p = geo.project(x, poly)
+        polys.append(_random_polytope(rng, dim, 3.0))
+        xs.append(rng.normal(size=dim) * 3.0)
+    margins = []
+    for poly, x, p in zip(polys, xs, _project_each(xs, polys)):
         gap = float(np.einsum("nd,d->n", poly.vertices - p, x - p).max())
         margins.append(1e-9 * (1.0 + np.linalg.norm(x)) - gap)
     results.append(CheckResult("variational-certificate", n_pairs,

@@ -272,6 +272,51 @@ def test_hull_projector_certifies_far_hulls():
         assert np.all(gaps <= bound) and np.all(check <= bound)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_minor_cycles_leave_one_vertex_corrals_unchanged(dim):
+    # the cold start of `HullProjector.project` skips its first minor cycle
+    # on this invariant: one vertex at weight 1.0 is its own affine minimizer
+    rng = np.random.default_rng(200 + dim)
+    m, n = 50, 7
+    v = rng.normal(size=(m, n, dim)) * rng.uniform(0.1, 100.0, size=(m, 1, 1))
+    x = rng.normal(size=(m, dim)) * rng.uniform(0.1, 100.0, size=(m, 1))
+    lam = np.zeros((m, n))
+    lam[np.arange(m), rng.integers(0, n, size=m)] = 1.0
+    corral = lam > 0.0
+    lam_before, corral_before = lam.copy(), corral.copy()
+    geo._minor_cycles(v, x, corral, lam)
+    assert np.array_equal(lam, lam_before)
+    assert np.array_equal(corral, corral_before)
+
+
+def test_cold_segment_projection_runs_one_minor_cycle(monkeypatch):
+    calls = []
+    minor = geo._minor_cycles
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        minor(*args)
+
+    monkeypatch.setattr(geo, "_minor_cycles", counted)
+    segment = np.array([[0.0, 0.0], [2.0, 0.0]])
+    p, _ = geo.HullProjector(segment).project(np.array([0.5, 1.0]))
+    # the cold start at (0, 0) fails the certificate, (2, 0) enters, and
+    # the one minor cycle moves to the foot of the perpendicular
+    assert np.allclose(p, [[0.5, 0.0]], atol=1e-15)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("query", [[math.nan, 0.0], [math.inf, 0.0],
+                                   [0.0, -math.inf]])
+def test_hull_projection_of_non_finite_query_raises(query):
+    # it used to return NaN points with NaN gaps, which no `gaps > bound`
+    # test catches; an inf query meets inf * 0 in the certificate
+    segment = np.array([[0.0, 0.0], [2.0, 0.0]])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(geo.ProjectionDidNotConverge):
+        geo.HullProjector(segment).project(np.array(query))
+
+
 # ---------------------------------------------------------------------------
 # intersection projection
 

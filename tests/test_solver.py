@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from evoinc import geometry as geo
 from evoinc import monotone as mono
 from evoinc import rhs
 from evoinc import selection as sel
@@ -289,23 +290,58 @@ def test_bundled_presets_relaxed_iterations(name, iterations):
     assert [w.report.iterations for w in run.windows] == iterations
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Wraps owner.name to count its calls; returns the live count list."""
+    count = [0]
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return count
+
+
 def test_feedback_growth_flows_speculate_start_point_steps(monkeypatch):
     # feedback_growth's v-flows start at rest under a zero g-selection, so
-    # every step certifies at its start point: each of its 185 flows of 64
-    # steps makes one `_prox` call and speculates the other 63 in runs of
-    # 1, 2, 4, ..., 32 steps (11,840 `_prox` calls without speculation)
-    calls = 0
-    prox = mono._prox
-
-    def counted_prox(*args):
-        nonlocal calls
-        calls += 1
-        return prox(*args)
-
-    monkeypatch.setattr(mono, "_prox", counted_prox)
+    # every step certifies at its start point: each flow of 64 steps makes
+    # one `_prox` call and speculates the other 63 in runs of 1, 2, 4, ...,
+    # 32 steps. The g-forcing never moves, so each window runs one flow for
+    # all of its relaxed iterations (185 flows without that reuse).
+    flows = _count_calls(monkeypatch, sv, "_flow")
+    prox = _count_calls(monkeypatch, mono, "_prox")
     run, _ = _preset_run("feedback_growth")
     assert run.converged
-    assert calls == 185
+    assert flows[0] == len(run.windows) == 8
+    assert prox[0] == flows[0]
+
+
+def test_moving_g_forcing_reruns_the_v_flow(monkeypatch):
+    # schrodinger_debye's g-selection moves every relaxed iteration: one
+    # flow before the loop and one per iteration, in each window
+    flows = _count_calls(monkeypatch, sv, "_flow")
+    run, _ = _preset_run("schrodinger_debye")
+    iterations = [w.report.iterations for w in run.windows]
+    assert iterations == [9, 9]
+    assert flows[0] == sum(iterations) + len(iterations) == 20
+
+
+@pytest.mark.parametrize("name, flows, prox, projections, minor_cycles", [
+    ("heat_debye", 5, 320, 10, 30),
+    ("schrodinger_debye", 20, 1280, 40, 200),
+    ("feedback_growth", 8, 8, 370, 185),
+])
+def test_preset_work_counts(monkeypatch, name, flows, prox, projections,
+                            minor_cycles):
+    # the work of each bundled solve, pinned without a wall-clock assert:
+    # v-flows, prox steps, hull projections and Wolfe minor-cycle calls
+    counts = [_count_calls(monkeypatch, *target) for target in (
+        (sv, "_flow"), (mono, "_prox"), (geo.HullProjector, "project"),
+        (geo, "_minor_cycles"))]
+    run, _ = _preset_run(name)
+    assert run.converged
+    assert [c[0] for c in counts] == [flows, prox, projections, minor_cycles]
 
 
 def test_global_growth_run_window_count(heat_setup):
