@@ -116,9 +116,18 @@ def _rows(x) -> np.ndarray:
     return x[None, :] if x.ndim == 1 else x
 
 
+def _require_finite(x: np.ndarray) -> None:
+    """A non-finite query has no certified projection."""
+    if not np.isfinite(x).all():
+        raise ProjectionDidNotConverge("projection of a non-finite query",
+                                       float("nan"))
+
+
 def project_balls(x: np.ndarray, centers: np.ndarray, radii) -> np.ndarray:
-    """Row-wise projection onto balls B[centers[i], radii[i]]."""
+    """Row-wise projection onto balls B[centers[i], radii[i]]; a
+    non-finite query raises ProjectionDidNotConverge."""
     x = _rows(x)
+    _require_finite(x)
     centers = _rows(centers)
     radii = np.broadcast_to(np.asarray(radii, dtype=float), (x.shape[0],))
     delta = x - centers
@@ -220,9 +229,11 @@ class HullProjector:
     that is already its own affine minimizer, so a call whose rows all start
     cold skips the first minor cycle; later calls resume from the previous
     weights and their support, since the multiplier search of `_project_cap`
-    calls it with slowly moving inputs. The warm-start state makes
-    instances single-threaded; the module-level entry points construct a
-    fresh projector per call and stay pure.
+    calls it with slowly moving inputs. A caller whose hulls move little
+    between projectors may seed `lam` with another projector's final
+    weights of the same shape; the relaxed iteration's selections do. The
+    warm-start state makes instances single-threaded; the module-level
+    entry points construct a fresh projector per call and stay pure.
     """
 
     def __init__(self, vertices: np.ndarray):
@@ -241,8 +252,8 @@ class HullProjector:
         ProjectionDidNotConverge when the certificate
         gap <= tol * (1 + ||x||) * max(1, max_v ||v - x||), tol =
         PROJECTION_TOL, does not hold on every row after PROJECTION_BUDGET
-        major cycles, or when a row stops improving short of it; a NaN gap
-        (a non-finite query) fails it too.
+        major cycles, or when a row stops improving short of it, and before
+        any work for a non-finite query, whatever the number of vertices.
         """
         x = _rows(x)
         every = rows is None
@@ -250,6 +261,7 @@ class HullProjector:
         if x.shape != (rows.size, self.d):
             raise DimensionMismatch(
                 f"expected query shape {(rows.size, self.d)}, got {x.shape}")
+        _require_finite(x)
         if self.n == 1:
             return self.v[rows, 0, :].copy(), np.zeros(rows.size)
         if self.lam is None:

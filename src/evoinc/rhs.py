@@ -291,13 +291,26 @@ class BasisFamilyMap:
                 nus.append(coeff.nu_bound)
             else:
                 sups.append(coeff.sup_bound)
-        # a constant too large to square is an infinite envelope, which
-        # config validation then rejects, not an overflow warning
-        with np.errstate(over="ignore"):
-            a = math.sqrt(2.0) * float(np.linalg.norm(cs)) if cs else 0.0
-            b = math.sqrt(2.0) * float(np.linalg.norm(nus)) if nus else 0.0
-            c = float(np.linalg.norm(sups)) if sups else 0.0
-        return GrowthEnvelope(a, b, c)
+        return GrowthEnvelope(math.sqrt(2.0) * _norm(cs),
+                              math.sqrt(2.0) * _norm(nus), _norm(sups))
+
+
+def _norm(values: list) -> float:
+    """Euclidean norm of the constants, 0 for none.
+
+    `np.linalg.norm` squares them, which overflows above about 1.3e154;
+    only there is the norm taken of the constants divided by the largest,
+    so every norm that was finite keeps its bits. An envelope too large
+    for a float is still infinite, which config validation rejects.
+    """
+    if not values:
+        return 0.0
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+    big = float(np.max(np.abs(values)))
+    if math.isinf(norm) and math.isfinite(big):
+        norm = big * float(np.linalg.norm(np.asarray(values) / big))
+    return norm
 
 
 @dataclass(frozen=True)

@@ -30,15 +30,34 @@ def nearest_point_selection(family, u: TimePath, v: TimePath,
     along (u, v); all three paths must share one time grid.
 
     The returned values are exact convex combinations of the image
-    vertices, so they are members of the images by construction.
+    vertices, so they are members of the images by construction. Every
+    node's projection starts cold, at its nearest vertex; see
+    `_resumed_selection` for the warm start of a relaxed iteration.
+    """
+    return _resumed_selection(family, u, v, anchor, None)[0]
+
+
+def _resumed_selection(family, u: TimePath, v: TimePath, anchor: TimePath,
+                       weights: np.ndarray | None):
+    """`nearest_point_selection` resumed from barycentric weights.
+
+    `weights` are the final weights of an earlier selection of the same
+    family on the same grid, (nodes, vertices), or None for a cold start.
+    Wolfe's method resumes from their support on the new hulls, so a node
+    whose optimal face did not move needs no vertex to enter; a node that
+    fails its certificate still enters vertices until it holds, and every
+    returned point passes the same gap test as a cold projection. Returns
+    (selection, final weights); the weights are None for one-vertex images,
+    which need no iteration.
     """
     if not u.same_grid(v):
         raise ValueError("state paths must share the time grid")
     if not anchor.same_grid(u):
         raise ValueError("anchor must share the state grid")
-    verts = family.vertex_array(u.values, v.values)
-    points, _ = HullProjector(verts).project(anchor.values)
-    return TimePath(u.t0, u.t1, points, family.target_weight)
+    hull = HullProjector(family.vertex_array(u.values, v.values))
+    hull.lam = weights
+    points, _ = hull.project(anchor.values)
+    return TimePath(u.t0, u.t1, points, family.target_weight), hull.lam
 
 
 def selection_residual(family, u: TimePath, v: TimePath,

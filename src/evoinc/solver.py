@@ -19,7 +19,7 @@ import numpy as np
 
 from .monotone import MonotoneError, VariableExponentPotential, _flow
 from .paths import TimePath, path_distance, path_l2_norm, zero_path
-from .selection import nearest_point_selection
+from .selection import _resumed_selection
 from .semigroup import SpectralGenerator, duhamel_solve, yosida_smooth
 
 THETA_FLOOR = 2.0 ** -10
@@ -161,7 +161,11 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
 
     The v-flow is re-run only when the g-forcing differs, bit for bit, from
     the one that produced the current v (a NaN never compares equal); u is
-    solved every iteration. Non-convergence within the budget is an allowed
+    solved every iteration. The first f- and g-selections start cold; each
+    later one resumes Wolfe's method from the final hull weights of the
+    previous selection of its family, since the images move little between
+    iterations, and is certified by the same gap test. These weights live
+    only for this call. Non-convergence within the budget is an allowed
     outcome and is reported with the best residuals reached, never raised.
     """
     num_nodes, theta = settings.nodes_per_window, settings.theta
@@ -188,8 +192,10 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     u = duhamel_solve(gen, u0, f_path)
     v = v_flow(g_path)
     v_forcing = g_path.values   # the g-forcing that produced v
-    f_path = nearest_point_selection(f_map, u, v, f_path)
-    g_path = nearest_point_selection(g_map, u, v, g_path)
+    # Final hull weights of the last f- and g-selection: the next selection
+    # of the same family resumes Wolfe's method from them.
+    f_path, f_weights = _resumed_selection(f_map, u, v, f_path, None)
+    g_path, g_weights = _resumed_selection(g_map, u, v, g_path, None)
 
     history = []
     prev_res = math.inf
@@ -200,8 +206,10 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
         if not np.array_equal(g_path.values, v_forcing):
             v = v_flow(g_path)
             v_forcing = g_path.values
-        f_star = nearest_point_selection(f_map, u, v, f_path)
-        g_star = nearest_point_selection(g_map, u, v, g_path)
+        f_star, f_weights = _resumed_selection(f_map, u, v, f_path,
+                                               f_weights)
+        g_star, g_weights = _resumed_selection(g_map, u, v, g_path,
+                                               g_weights)
         res_f = path_distance(f_path, f_star)
         res_g = path_distance(g_path, g_star)
         history.append((res_f, res_g))

@@ -210,9 +210,9 @@ def test_solve_rejects_unreadable_config(tmp_path, capsys, kind):
      lambda cfg: cfg["solver"].update(tol=float("inf"))),
     ("config.rhs_f.coefficients[0].c",
      lambda cfg: cfg["rhs_f"]["coefficients"][0].update(c=float("nan"))),
-    # finite, but its growth envelope overflows
+    # finite, but its growth envelope sqrt(2) c overflows
     ("config.rhs_f",
-     lambda cfg: cfg["rhs_f"]["coefficients"][0].update(c=1e300)),
+     lambda cfg: cfg["rhs_f"]["coefficients"][0].update(c=1.7e308)),
     # an integer too large for a float
     pytest.param("config.time.horizon",
                  lambda cfg: cfg["time"].update(horizon=10 ** 400),
@@ -233,6 +233,25 @@ def test_solve_rejects_non_finite_numbers(tmp_path, capsys, name, mutate):
     assert code == 2
     assert name in err and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("c", [1e200, 1e300])
+def test_solve_with_huge_finite_envelope_fails_by_name(tmp_path, capsys, c):
+    # the envelope is finite, so validation accepts the config; the window
+    # it admits, (m / r)^2, underflows to 0, which the solve reports
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    cfg["rhs_f"]["coefficients"][0]["c"] = c
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "failed: SolverError: window length" in err
+    assert "Traceback" not in err
+    report = json.loads(_read(out / "report.json"))
+    assert report["converged"] is False
+    assert report["failure"].startswith("SolverError: window length")
 
 
 def _values_at(cfg, where, values):

@@ -309,12 +309,20 @@ def test_cold_segment_projection_runs_one_minor_cycle(monkeypatch):
 @pytest.mark.parametrize("query", [[math.nan, 0.0], [math.inf, 0.0],
                                    [0.0, -math.inf]])
 def test_hull_projection_of_non_finite_query_raises(query):
-    # it used to return NaN points with NaN gaps, which no `gaps > bound`
-    # test catches; an inf query meets inf * 0 in the certificate
+    # one rule on every route: a hull of two vertices used to return NaN
+    # points with NaN gaps, a one-vertex hull the vertex with gap 0, and a
+    # ball NaN rows, none of which a `gaps > bound` test catches
+    x = np.array(query)
     segment = np.array([[0.0, 0.0], [2.0, 0.0]])
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(geo.ProjectionDidNotConverge):
-        geo.HullProjector(segment).project(np.array(query))
+    routes = (lambda: geo.HullProjector(segment).project(x),
+              lambda: geo.HullProjector(segment[:1]).project(x),
+              lambda: geo.project(x, geo.Polytope(segment[:1])),
+              lambda: geo.project_balls(x, np.zeros(2), 1.0),
+              lambda: geo.project(x, _ball([0.0, 0.0], 1.0)))
+    for route in routes:
+        with pytest.raises(geo.ProjectionDidNotConverge) as exc:
+            route()
+        assert math.isnan(exc.value.residual)
 
 
 # ---------------------------------------------------------------------------

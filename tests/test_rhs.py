@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evoinc import geometry as geo, rhs
+from evoinc.config import build_experiment, load_config, preset_path
 
 
 def _growth_map(c_values, nu_scales=None, dim_u=None, dim_v=3):
@@ -128,6 +129,45 @@ def test_general_bounded_envelope_falls_back_to_constant():
     env = family.growth_envelope()
     assert env.a == 0.0 and env.b == 0.0
     assert env.c == pytest.approx(math.sqrt(1.0 + 0.25))
+
+
+def _plain_envelope(family):
+    """The envelope from the plain `np.linalg.norm` of the constants: the
+    bits `growth_envelope` keeps wherever this is finite."""
+    growth = [k for k in family.coefficients
+              if isinstance(k, rhs.GrowthCoefficient)]
+    sups = [k.sup_bound for k in family.coefficients
+            if isinstance(k, rhs.GeneralCoefficient)]
+
+    def norm(values):
+        return float(np.linalg.norm(values)) if values else 0.0
+
+    return rhs.GrowthEnvelope(math.sqrt(2.0) * norm([k.c for k in growth]),
+                              math.sqrt(2.0) * norm([k.nu_bound
+                                                     for k in growth]),
+                              norm(sups))
+
+
+@pytest.mark.parametrize("name", ["heat_debye", "schrodinger_debye",
+                                  "feedback_growth"])
+def test_preset_envelopes_keep_the_plain_norm_bits(name):
+    exp = build_experiment(load_config(preset_path(name)))
+    for family in (exp.rhs_f, exp.rhs_g):
+        assert family.growth_envelope() == _plain_envelope(family)
+
+
+def test_growth_envelope_of_huge_constants_is_finite():
+    # squaring 1e200 overflows; the norm of the constants scaled by the
+    # largest does not
+    family = _growth_map([1e200, -3e199], [1e200, 0.0])
+    with np.errstate(over="ignore"):
+        plain = _plain_envelope(family)
+    assert math.isinf(plain.a) and math.isinf(plain.b)
+    env = family.growth_envelope()
+    assert env.a == pytest.approx(math.sqrt(2.0) * math.hypot(1e200, 3e199),
+                                  rel=1e-15)
+    assert env.b == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert env.c == 0.0
 
 
 # ---------------------------------------------------------------------------

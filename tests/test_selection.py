@@ -87,6 +87,99 @@ def test_selection_nearest_point_of_segment():
 
 
 # ---------------------------------------------------------------------------
+# selections resumed from earlier weights
+
+
+def _origin_family(n=5):
+    """Hulls of n axis points (growth form) and the origin in R^n."""
+    base = _map_with(list(np.linspace(0.6, 1.4, n)),
+                     list(np.linspace(0.1, 0.3, n)), dim_u=n)
+    return rhs.BasisFamilyMap(base.basis, base.coefficients,
+                              include_origin=True)
+
+
+def _certified(family, u, v, anchor, f):
+    """Whether every node of f passes `HullProjector`'s gap test."""
+    verts = family.vertex_array(u.values, v.values)
+    x, p = anchor.values, f.values
+    gaps = np.einsum("knd,kd->kn", verts - p[:, None, :], x - p).max(axis=1)
+    reach = np.linalg.norm(verts - x[:, None, :], axis=2).max(axis=1)
+    bound = geo.PROJECTION_TOL * (1.0 + np.linalg.norm(x, axis=1)) \
+        * np.maximum(reach, 1.0)
+    return bool(np.all(gaps <= bound))
+
+
+def _count_minor_cycles(monkeypatch):
+    calls = []
+    minor = geo._minor_cycles
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        minor(*args)
+
+    monkeypatch.setattr(geo, "_minor_cycles", counted)
+    return calls
+
+
+def test_resumed_selection_on_moved_hulls_matches_cold(rng):
+    # the relaxed iteration's pattern: states and anchors move a little,
+    # and each selection resumes from the previous one's weights
+    family = _origin_family()
+    u, v = _random_paths(rng, 5, 3, k=65)
+    anchor = TimePath(0.0, 1.0, rng.normal(size=(65, 5)))
+    _, weights = sel._resumed_selection(family, u, v, anchor, None)
+    for _ in range(6):
+        u, v, anchor = (p.with_values(p.values + 1e-2 * rng.normal(
+            size=p.values.shape)) for p in (u, v, anchor))
+        warm, weights = sel._resumed_selection(family, u, v, anchor, weights)
+        cold = sel.nearest_point_selection(family, u, v, anchor)
+        assert _certified(family, u, v, anchor, warm)
+        assert np.abs(warm.values - cold.values).max() <= 1e-12
+        verts = family.vertex_array(u.values, v.values)
+        assert np.array_equal(
+            warm.values, (weights[:, None, :] @ verts)[:, 0, :])
+
+
+def test_resumed_selection_on_unchanged_hulls_enters_no_vertex(
+        monkeypatch, rng):
+    family = _origin_family()
+    u, v = _random_paths(rng, 5, 3, k=65)
+    anchor = TimePath(0.0, 1.0, rng.normal(size=(65, 5)))
+    first, weights = sel._resumed_selection(family, u, v, anchor, None)
+    support = weights > 0.0
+    assert support.sum(axis=1).max() > 1   # faces, not only vertices
+    calls = _count_minor_cycles(monkeypatch)
+    again, weights = sel._resumed_selection(family, u, v, anchor, weights)
+    # one minor cycle re-solves each face; no row fails its certificate,
+    # so no vertex enters and no second major cycle runs
+    assert calls == [65]
+    assert np.array_equal(weights > 0.0, support)
+    assert np.abs(again.values - first.values).max() <= 1e-15
+
+
+def test_resumed_selection_onto_repeated_vertices_is_certified(monkeypatch):
+    # the weights sit on three axis points; at the new states two of them
+    # collapse onto the origin, which makes the resumed corral's system
+    # singular, and the least-norm solve must still certify
+    family = rhs.BasisFamilyMap(np.eye(3), (rhs.GrowthCoefficient(1.0),) * 3,
+                                include_origin=True)
+    v = zero_path(0.0, 1.0, 2, 3)
+    anchor = constant_path(0.0, 1.0, 2, np.array([0.5, 0.5, 0.5]))
+    u = constant_path(0.0, 1.0, 2, np.ones(3))
+    _, weights = sel._resumed_selection(family, u, v, anchor, None)
+    assert np.array_equal(weights > 0.0, [[True, True, True, False]] * 2)
+    pinv_calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv",
+                        lambda a: pinv_calls.append(a.shape) or pinv(a))
+    u = constant_path(0.0, 1.0, 2, np.array([1.0, 0.0, 0.0]))
+    warm, _ = sel._resumed_selection(family, u, v, anchor, weights)
+    assert pinv_calls
+    assert _certified(family, u, v, anchor, warm)
+    assert np.allclose(warm.values, [0.5, 0.0, 0.0], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # selection residual
 
 
