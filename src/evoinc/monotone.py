@@ -25,18 +25,22 @@ a state is (J,) and a stack is (B, J), and one state runs through the
 same code as a stack. The energy kernel, `energy`, `subgradient`,
 `prox_step`, `solve_monotone_ivp` and the tridiagonal solve work row by
 row along the last axis, with every reduction a per-row dot product, so
-each row of a stack gets exactly the bits of its one-state call. The coefficient may be one closed-grid row (J + 2,) for all states
-or one row per state (B, J + 2); `energy` and `subgradient` take one time
-or one time per row, so the node energies of whole flows are one call. In
-`prox_step` each row has its own residual target and Armijo step length,
-and rows retire from the Newton iteration as they certify.
+each row of a stack gets exactly the bits of its one-state call. The
+coefficient may be one closed-grid row (J + 2,) for all states or one row
+per state (B, J + 2); `energy` and `subgradient` take one time or one time
+per row, so the node energies of whole flows are one call. In `prox_step`
+each row has its own residual target and Armijo step length, and rows
+retire from the Newton iteration as they certify.
 
 A flow also stacks time steps. A step whose start point v + tau g already
 meets the residual certificate takes no Newton iteration; after such a
 step the flow speculates over the next 1, 2, 4, ... steps, certifying all
 their start points with one kernel call and accepting the leading steps
 that certify. The first step that fails goes through the proximal solve
-as before, so every node value keeps its bits.
+as before, so every node value keeps its bits. A flow may instead be
+given a guess of its node values, such as an earlier flow on the same
+grid: each step then starts Newton from the guess of its node, under the
+same certificate, and does not speculate.
 """
 
 from __future__ import annotations
@@ -429,18 +433,22 @@ def _certified(pot: VariableExponentPotential, r: np.ndarray,
 
 
 def _prox(pot: VariableExponentPotential, d: np.ndarray, v_prev: np.ndarray,
-          z: np.ndarray, tau: float):
+          z: np.ndarray, tau: float, w0: np.ndarray | None = None):
     """`prox_step` on checked input: the edge coefficient `d` (d[..., :-1]
-    of the closed-grid field) and the start point z = v_prev + tau g.
-    Returns the minimizer and the number of Newton iterations taken, 0
-    when z itself certifies."""
+    of the closed-grid field) and the proximal centre z = v_prev + tau g.
+    Newton starts from `w0` when given, of the shape of z, and from z
+    otherwise; the certificate, the Armijo safeguard and the iteration
+    budget are the same for both starts. Returns the minimizer and the
+    number of Newton iterations taken, 0 when the start certifies."""
     h = pot.mesh
     root_h = pot.root_mesh
     inv_tau = 1.0 / tau
     targets = _residual_targets(pot, v_prev)
-    w = z
+    w = z if w0 is None else w0
     kernel = _EnergyKernel(pot, d, w)
-    r = kernel.gradient()  # the proximal term vanishes at z
+    r = kernel.gradient()
+    if w0 is not None:  # the proximal term, which vanishes at z
+        r += (w0 - z) * inv_tau
     f_cur = None
     rows = None  # stack rows still iterating, once some have retired
     for it in range(PROX_NEWTON_ITERS + 1):
@@ -468,6 +476,10 @@ def _prox(pot: VariableExponentPotential, d: np.ndarray, v_prev: np.ndarray,
             break
         if f_cur is None:
             f_cur = kernel.values()
+            if w0 is not None:
+                start = w - z
+                f_cur = [f + h * s * 0.5 * inv_tau
+                         for f, s in zip(f_cur, _row_dots(start, start))]
         diag, off = kernel.hessian()
         delta = _thomas_solve(diag + inv_tau, off, -r)
         trial = _EnergyKernel(pot, d, w + delta)
@@ -549,24 +561,31 @@ def _certified_run(pot: VariableExponentPotential, edges: np.ndarray,
 
 
 def _flow(pot: VariableExponentPotential, table: np.ndarray,
-          v0: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
+          v0: np.ndarray, g: np.ndarray, tau: float,
+          guess: np.ndarray | None = None) -> np.ndarray:
     """The flow's step loop: initial state(s) `v0`, (J,) or (B, J), under
     node forcings `g` of shape (K,) + v0.shape; step k takes coefficient
     row `table[k + 1]`. Returns the node values, (K, J) for one state and
     (B, K, J) for a stack.
 
-    A step whose start point v + tau g already certifies takes no Newton
-    iteration and returns that point. After such a step the loop
-    speculates over the next `span` steps: it forms their start points by
-    the same sequential additions, `np.add.accumulate`, certifies them
-    all in one `_certified_run`, accepts the leading steps that certify
-    and hands the first one that does not to `_prox`. The span doubles
-    (1, 2, 4, ...) after a fully certified chain, up to _CHAIN_ROWS rows
-    of steps times states, and drops to 0 after a failure, so a flow
-    whose every step needs Newton never speculates. An accepted step
-    makes the floating-point operations of a `_prox` call that returns
-    its start point, so the values are bit-identical to one `_prox` call
-    per step.
+    With a `guess` of shape (K,) + v0.shape, such as the node values of an
+    earlier flow on the same grid, step k starts its Newton solve from
+    `guess[k + 1]` instead of v + tau g, and is certified against its own
+    v as before. Such a flow does not speculate: a step that takes no
+    Newton iteration returns its guess.
+
+    Without a guess, a step whose start point v + tau g already certifies
+    takes no Newton iteration and returns that point. After such a step
+    the loop speculates over the next `span` steps: it forms their start
+    points by the same sequential additions, `np.add.accumulate`,
+    certifies them all in one `_certified_run`, accepts the leading steps
+    that certify and hands the first one that does not to `_prox`. The
+    span doubles (1, 2, 4, ...) after a fully certified chain, up to
+    _CHAIN_ROWS rows of steps times states, and drops to 0 after a
+    failure, so a flow whose every step needs Newton never speculates. An
+    accepted step makes the floating-point operations of a `_prox` call
+    that returns its start point, so the values are bit-identical to one
+    `_prox` call per step.
     """
     edges = table[:, :-1]
     tau_g = tau * g
@@ -586,10 +605,12 @@ def _flow(pot: VariableExponentPotential, table: np.ndarray,
             if len(run) == m:
                 span = min(2 * span, longest)
                 continue
-        v, iterations = _prox(pot, edges[k + 1], v, v + tau_g[k], tau)
+        start = None if guess is None else guess[k + 1]
+        v, iterations = _prox(pot, edges[k + 1], v, v + tau_g[k], tau,
+                              start)
         out[k + 1] = v
         k += 1
-        span = 0 if iterations else 1
+        span = 0 if iterations or start is not None else 1
     return out if v0.ndim == 1 else out.transpose(1, 0, 2).copy()
 
 

@@ -99,6 +99,10 @@ def compute_window(b_bound: float, envelopes, t_max: float) -> WindowParams:
     r = image_bound(t0)
     for _ in range(200):
         cap = t_max if r == 0.0 else min(t_max, (m / r) ** 2)
+        if cap == 0.0:
+            raise SolverError(
+                f"window length (m / r)^2 underflows to 0: image bound "
+                f"r = {r:.3e} against m = {m:.3e}")
         t_new = min(t0, cap)
         r = image_bound(t_new)
         if abs(t_new - t0) <= 1e-12 * max(1.0, t0):
@@ -161,12 +165,16 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
 
     The v-flow is re-run only when the g-forcing differs, bit for bit, from
     the one that produced the current v (a NaN never compares equal); u is
-    solved every iteration. The first f- and g-selections start cold; each
+    solved every iteration. The first v-flow starts each step's Newton
+    solve from v + tau g; every later one starts it from the previous
+    flow's node value at the same time, and each step is certified by the
+    same residual test. The first f- and g-selections start cold; each
     later one resumes Wolfe's method from the final hull weights of the
     previous selection of its family, since the images move little between
-    iterations, and is certified by the same gap test. These weights live
-    only for this call. Non-convergence within the budget is an allowed
-    outcome and is reported with the best residuals reached, never raised.
+    iterations, and is certified by the same gap test. The previous flow
+    and these weights live only for this call. Non-convergence within the
+    budget is an allowed outcome and is reported with the best residuals
+    reached, never raised.
     """
     num_nodes, theta = settings.nodes_per_window, settings.theta
     u0 = np.asarray(u0, dtype=float)
@@ -186,8 +194,9 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     # hulls of that dimension.
     table = pot.coefficient_table(g_path.times())
 
-    def v_flow(g: TimePath) -> TimePath:
-        return TimePath(g.t0, g.t1, _flow(pot, table, v0, g.values, g.dt), h)
+    def v_flow(g: TimePath, guess=None) -> TimePath:
+        return TimePath(g.t0, g.t1,
+                        _flow(pot, table, v0, g.values, g.dt, guess), h)
 
     u = duhamel_solve(gen, u0, f_path)
     v = v_flow(g_path)
@@ -204,7 +213,7 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
         iterations = it + 1
         u = duhamel_solve(gen, u0, f_path)
         if not np.array_equal(g_path.values, v_forcing):
-            v = v_flow(g_path)
+            v = v_flow(g_path, v.values)
             v_forcing = g_path.values
         f_star, f_weights = _resumed_selection(f_map, u, v, f_path,
                                                f_weights)

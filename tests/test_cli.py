@@ -238,7 +238,7 @@ def test_solve_rejects_non_finite_numbers(tmp_path, capsys, name, mutate):
 @pytest.mark.parametrize("c", [1e200, 1e300])
 def test_solve_with_huge_finite_envelope_fails_by_name(tmp_path, capsys, c):
     # the envelope is finite, so validation accepts the config; the window
-    # it admits, (m / r)^2, underflows to 0, which the solve reports
+    # it admits, (m / r)^2, underflows to 0, which the solve names
     cfg = json.loads(_read(preset_path("heat_debye")))
     cfg["rhs_f"]["coefficients"][0]["c"] = c
     config = tmp_path / "huge.json"
@@ -247,11 +247,12 @@ def test_solve_with_huge_finite_envelope_fails_by_name(tmp_path, capsys, c):
     code = main(["solve", "--config", str(config), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
-    assert "failed: SolverError: window length" in err
+    reason = "SolverError: window length (m / r)^2 underflows to 0"
+    assert f"failed: {reason}" in err
     assert "Traceback" not in err
     report = json.loads(_read(out / "report.json"))
     assert report["converged"] is False
-    assert report["failure"].startswith("SolverError: window length")
+    assert report["failure"].startswith(reason)
 
 
 def _values_at(cfg, where, values):

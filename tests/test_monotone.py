@@ -657,12 +657,71 @@ def test_flow_speculation_certifies_like_prox_at_the_threshold(
         == ((1, 0) if ratio < 1 else (3, 1))
 
 
-def test_flow_needing_newton_at_every_step_never_speculates(monkeypatch):
+def _newton_flow(rows):
+    """A flow whose every step needs Newton, its coefficient table and
+    step: one state for `rows` None, else a (rows, J) stack."""
     pot = mono.make_potential(15, ("ramp", 2.5, 3.5), ("linear_decay", 2.0))
     rng = np.random.default_rng(15)
+    v0 = rng.normal(size=(rows or 1, 15))
+    g = rng.normal(size=(33, rows or 1, 15))
+    table = pot.coefficient_table(np.linspace(0.0, 1.0, 33))
+    if rows is None:
+        return pot, table, v0[0], g[:, 0], 1.0 / 32
+    return pot, table, v0, g, 1.0 / 32
+
+
+def test_flow_needing_newton_at_every_step_never_speculates(monkeypatch):
+    pot, _, v0, g, _ = _newton_flow(None)
     seen = _count_steps(monkeypatch)
-    _solve(pot, rng.normal(size=15), rng.normal(size=(33, 15)))
+    _solve(pot, v0, g)
     assert seen == {"prox": 32, "newton": 32, "rows": []}
+
+
+def _node_major(values, v0):
+    """`_flow`'s output in the (K,) + v0.shape layout of a guess."""
+    return values if v0.ndim == 1 else values.transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_flow_resumed_from_its_own_output_takes_no_newton_step(
+        rows, monkeypatch):
+    pot, table, v0, g, tau = _newton_flow(rows)
+    cold = mono._flow(pot, table, v0, g, tau)
+    seen = _count_steps(monkeypatch)
+    resumed = mono._flow(pot, table, v0, g, tau, _node_major(cold, v0))
+    assert np.array_equal(resumed, cold)
+    # every step's guess certifies, and a resumed flow never speculates
+    assert seen == {"prox": 32, "newton": 0, "rows": []}
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_flow_resumed_from_a_perturbed_guess_certifies_every_step(
+        rows, monkeypatch):
+    pot, table, v0, g, tau = _newton_flow(rows)
+    cold = _node_major(mono._flow(pot, table, v0, g, tau), v0)
+    rng = np.random.default_rng(16)
+    guess = cold.copy()
+    # in a stack only row 1 is perturbed: rows 0 and 2 retire at their
+    # guesses, while row 1 iterates on
+    moved = guess if rows is None else guess[:, 1]
+    moved += 0.1 * rng.normal(size=moved.shape)
+    seen = _count_steps(monkeypatch)
+    w = _node_major(mono._flow(pot, table, v0, g, tau, guess), v0)
+    assert seen["prox"] == 32 and seen["newton"] == 32
+    if rows is not None:
+        assert np.array_equal(w[:, 0::2], cold[:, 0::2])
+    # recomputed from the node values alone: subgradient at t_{k+1} plus
+    # the proximal term, in the mesh norm, against the step's own target
+    times = np.linspace(0.0, 1.0, 33)
+    assert np.array_equal(w[0], v0)
+    for k in range(32):
+        for b in np.ndindex(w.shape[1:-1]):
+            r = mono.subgradient(pot, times[k + 1], w[k + 1][b]) \
+                + (w[k + 1][b] - w[k][b] - tau * g[k][b]) / tau
+            target = mono.PROX_RESIDUAL_TOL \
+                * (1.0 + pot.root_mesh * np.linalg.norm(w[k][b]))
+            assert pot.root_mesh * np.linalg.norm(r) <= target, (k, b)
+    assert np.abs(w - cold).max() <= 1e-9
 
 
 def test_flow_speculation_keeps_the_callers_error_settings():

@@ -35,6 +35,10 @@ def _singleton_maps(gen, pot, f0, g0):
     return f_map, g_map
 
 
+def _mesh_norm(pot, v):
+    return pot.root_mesh * float(np.linalg.norm(v))
+
+
 def _growth_maps(gen, pot, scale=0.3):
     h = pot.mesh
     n = 4
@@ -83,6 +87,15 @@ def test_window_zero_envelopes_leave_cap():
     assert w.r == 0.0
 
 
+def test_window_underflowing_to_zero_is_named():
+    # (m / r)^2 = (3 / 1e200)^2 underflows to 0: no admissible window
+    with pytest.raises(sv.SolverError, match="underflows to 0"):
+        sv.compute_window(2.0, [rhs.GrowthEnvelope(0.0, 0.0, 1e200)], 1.0)
+    # at 1e150 the window is tiny but positive
+    tiny = sv.compute_window(2.0, [rhs.GrowthEnvelope(0.0, 0.0, 1e150)], 1.0)
+    assert tiny.t_window == pytest.approx((3.0 / 1e150) ** 2)
+
+
 def test_window_matches_refined_scalar_iteration():
     # oracle: plain fixed-point sweep at 10x tighter settling threshold
     for i in range(25):
@@ -127,9 +140,21 @@ def test_singleton_maps_converge_in_one_iteration(heat_setup):
     f_path = constant_path(0.0, window.t_window, 65, f0)
     assert np.array_equal(sol.u.values,
                           sg.duhamel_solve(gen, u0, f_path).values)
+    # the v-flow under g0 resumes from the flow under the zero forcing, so
+    # it certifies every step on its own rather than copying the bits of a
+    # cold flow: w_{k+1} = prox(w_k + tau g0) to the prox certificate, and
+    # within tau times that target of the cold flow at every node
     g_path = constant_path(0.0, window.t_window, 65, g0, pot.mesh)
-    assert np.array_equal(sol.v.values,
-                          mono.solve_monotone_ivp(pot, v0, g_path).values)
+    cold = mono.solve_monotone_ivp(pot, v0, g_path).values
+    w, tau, times = sol.v.values, g_path.dt, g_path.times()
+    assert np.array_equal(w[0], v0)
+    for k in range(64):
+        r = mono.subgradient(pot, times[k + 1], w[k + 1]) \
+            + (w[k + 1] - w[k] - tau * g_path.values[k]) / tau
+        target = mono.PROX_RESIDUAL_TOL * (1.0 + _mesh_norm(pot, w[k]))
+        assert _mesh_norm(pot, r) <= target, k
+        cold_target = mono.PROX_RESIDUAL_TOL * (1.0 + _mesh_norm(pot, cold[k]))
+        assert np.abs(w[k + 1] - cold[k + 1]).max() <= tau * cold_target, k
     assert sol.report.apriori.passed and sol.report.membership_ok
 
 
@@ -327,6 +352,14 @@ def test_moving_g_forcing_reruns_the_v_flow(monkeypatch):
     assert flows[0] == sum(iterations) + len(iterations) == 20
 
 
+# Newton iterations of each bundled solve, summed over its prox steps.
+# Every v-flow of a window after the first resumes from the previous one;
+# with every flow started cold, heat_debye takes 862 and schrodinger_debye
+# 2,948. feedback_growth's steps all certify at their start points.
+PRESET_NEWTON_ITERATIONS = {"heat_debye": 460, "schrodinger_debye": 1388,
+                            "feedback_growth": 0}
+
+
 @pytest.mark.parametrize("name, flows, prox, projections, minor_cycles", [
     ("heat_debye", 5, 320, 10, 16),
     ("schrodinger_debye", 20, 1280, 40, 56),
@@ -335,16 +368,26 @@ def test_moving_g_forcing_reruns_the_v_flow(monkeypatch):
 def test_preset_work_counts(monkeypatch, name, flows, prox, projections,
                             minor_cycles):
     # the work of each bundled solve, pinned without a wall-clock assert:
-    # v-flows, prox steps, hull projections and Wolfe minor-cycle calls.
-    # Each selection after a window's first resumes from the previous one's
-    # weights; feedback_growth's hulls are segments, on which that saves no
-    # minor cycle.
+    # v-flows, prox steps, hull projections, Wolfe minor-cycle calls and
+    # Newton iterations. Each selection after a window's first resumes from
+    # the previous one's weights; feedback_growth's hulls are segments, on
+    # which that saves no minor cycle.
     counts = [_count_calls(monkeypatch, *target) for target in (
         (sv, "_flow"), (mono, "_prox"), (geo.HullProjector, "project"),
         (geo, "_minor_cycles"))]
+    newton = [0]
+    prox_call = mono._prox
+
+    def summed(*args):
+        w, iterations = prox_call(*args)
+        newton[0] += iterations
+        return w, iterations
+
+    monkeypatch.setattr(mono, "_prox", summed)
     run, _ = _preset_run(name)
     assert run.converged
     assert [c[0] for c in counts] == [flows, prox, projections, minor_cycles]
+    assert newton[0] == PRESET_NEWTON_ITERATIONS[name]
 
 
 def test_back_to_back_solves_are_bit_identical():
