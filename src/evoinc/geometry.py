@@ -9,10 +9,10 @@ certificate is the certificate of P_H at the moved query plus the ball
 constraint holding with equality whenever the multiplier is positive.
 Hausdorff distances are exact and taken only between vertex stacks
 (`_pair_hausdorff`); the one sampled bracket, with a slack proven only for
-d <= 2, lives inside the intersection-continuity probe, which refuses
-d >= 3. The Slater check pairs a polytope with a ball on every row; its
-interior witness is verified against the ball in closed form and on the
-polytope by a certified projection.
+d = 2, lives inside the intersection-continuity probe, which refuses
+every other dimension. The Slater check pairs a polytope with a ball on
+every row; its interior witness is verified against the ball in closed
+form and on the polytope by a certified projection.
 
 Everything is vectorized over batches of query points. The one public
 projection, `project(x, body)`, takes a point or rows of points and a ball
@@ -32,6 +32,8 @@ import numpy as np
 PROJECTION_TOL = 1e-12
 PROJECTION_BUDGET = 100_000
 FEASIBILITY_TOL = 1e-8
+# angles on the limit disc's boundary in the intersection-continuity probe
+_CONTINUITY_GRID = 2048
 
 
 class GeometryError(ValueError):
@@ -474,27 +476,20 @@ def union_diameter_upper(vertices: np.ndarray, centers: np.ndarray,
 # sampled brackets
 
 
-def _boundary_cloud(ball: Ball, vertices: np.ndarray, resolution: int):
+def _boundary_cloud(ball: Ball, vertices: np.ndarray):
     """(ball boundary sample plus `vertices`, Lipschitz slack of the sup).
 
-    The boundary sample is the two endpoints, alternating, in 1-D and an
-    exact uniform angle grid in 2-D. The slack 2 pi r / resolution is the
-    covering arc of that grid, so it certifies a sampled sup only for
-    d <= 2; d >= 3 raises `GeometryError`.
+    The boundary sample is the exact uniform grid of `_CONTINUITY_GRID`
+    angles. The slack 2 pi r / _CONTINUITY_GRID is the covering arc of
+    that grid, so the ball must be a disc: any other dimension raises
+    `GeometryError`.
     """
-    if ball.dim >= 3:
-        raise GeometryError("sampled brackets are certified only for d <= 2")
-    if resolution < 1:
-        raise GeometryError("resolution must be >= 1")
-    if ball.dim == 1:
-        dirs = np.empty((resolution, 1))
-        dirs[::2, 0] = 1.0
-        dirs[1::2, 0] = -1.0
-    else:
-        theta = 2.0 * np.pi * np.arange(resolution) / resolution
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    if ball.dim != 2:
+        raise GeometryError("sampled brackets are certified only for d = 2")
+    theta = 2.0 * np.pi * np.arange(_CONTINUITY_GRID) / _CONTINUITY_GRID
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     cloud = np.vstack([ball.center + ball.radius * dirs, vertices])
-    return cloud, 2.0 * np.pi * ball.radius / resolution
+    return cloud, 2.0 * np.pi * ball.radius / _CONTINUITY_GRID
 
 
 # ---------------------------------------------------------------------------
@@ -577,58 +572,39 @@ def slater_intersection_check(xs, polytopes, balls, x0s, rhos) -> BoundCheck:
     return BoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + 1e-8)))
 
 
-@dataclass(frozen=True)
-class IntersectionContinuityResult:
-    values: list
-    hypothesis_ok: bool
-    empty_indices: list
+def intersection_continuity_probe(c_n, b_n: Polytope, r: float, c,
+                                  b: Polytope) -> tuple[float, bool]:
+    """(sampled gap between B[c_n, r] cap b_n and B[c, r] cap b, hypothesis).
 
-
-def intersection_continuity_probe(c_seq, b_seq, r: float, c, b: Polytope,
-                                  resolution: int = 2048) -> IntersectionContinuityResult:
-    """Sampled Hausdorff gaps d(B[c_n, r] cap B_n, B[c, r] cap B) per n.
-
-    A fixed deterministic cloud (limit-ball boundary plus limit vertices,
-    see `_boundary_cloud`; d >= 3 raises `GeometryError`) is projected onto
-    each intersection; the reported value per n is the larger
-    of the two directed sampled sups plus the boundary-sampling slack.
-    One batched projection of the centres [c, c_1, ...] onto their
-    polytopes decides which intersections are empty (the hull misses the
-    ball by more than FEASIBILITY_TOL) and whether the open ball B(c, r)
-    genuinely meets B, which hypothesis_ok records. Members with empty
-    intersection are flagged, their value set to NaN, and the probe
-    continues; an empty limit makes every value NaN. Each polytope has one
-    `HullProjector`, shared by every cap projection onto it.
+    A fixed deterministic cloud, the limit disc's boundary grid plus the
+    limit vertices (`_boundary_cloud`; only d = 2 is accepted), is
+    projected onto both caps. The value is the larger of the two directed
+    sampled sups plus the grid's covering slack. The images of the cloud
+    cover the boundary of the limit cap, but not the part of the member
+    cap outside the limit ball. So the value bounds the Hausdorff distance
+    for translate pairs (c_n = c + s, b_n = b + s, gap |s|, attained at a
+    covered support point of the limit cap), and for other pairs it can
+    fall below it. One batched projection of the centres decides whether
+    a cap is empty (its hull misses its ball by more than FEASIBILITY_TOL),
+    which makes the value NaN, and whether the open ball B(c, r) meets b,
+    which is the returned hypothesis flag.
     """
-    if len(c_seq) != len(b_seq):
-        raise GeometryError(f"{len(c_seq)} centres for {len(b_seq)} polytopes")
-    balls = [Ball(q, r) for q in (c, *c_seq)]
-    polys = [b, *b_seq]
-    if any(body.dim != b.dim for body in balls + polys):
+    balls = [Ball(c, r), Ball(c_n, r)]
+    if any(body.dim != b.dim for body in (*balls, b_n)):
         raise DimensionMismatch("centres and polytopes must share dimension")
-    cloud, slack = _boundary_cloud(balls[0], b.vertices, resolution)
+    cloud, slack = _boundary_cloud(balls[0], b.vertices)
     centres = np.array([ball.center for ball in balls])
-    gaps = _stack_distances(centres, pad_vertex_stack(polys))
-    if gaps[0] > r + FEASIBILITY_TOL:
-        return IntersectionContinuityResult([float("nan")] * len(c_seq), False,
-                                            list(range(len(c_seq))))
+    c, c_n = centres
+    gaps = _stack_distances(centres, pad_vertex_stack([b, b_n]))
+    hypothesis_ok = bool(gaps[0] < r - 1e-12)
+    if np.any(gaps > r + FEASIBILITY_TOL):
+        return float("nan"), hypothesis_ok
     m = cloud.shape[0]
-    limit = _repeated_hull(b, m)
-    limit_sample, _ = _project_cap(cloud, centres[0], r, limit)
-
-    values, empty = [], []
-    for idx, (centre, bn) in enumerate(zip(centres[1:], b_seq)):
-        if gaps[idx + 1] > r + FEASIBILITY_TOL:
-            empty.append(idx)
-            values.append(float("nan"))
-            continue
-        member = _repeated_hull(bn, m)
-        sample_n, _ = _project_cap(cloud, centre, r, member)
-        to_limit = sample_n - _project_cap(sample_n, centres[0], r, limit)[0]
-        to_member = limit_sample - _project_cap(limit_sample, centre, r,
-                                                member)[0]
-        values.append(float(max(np.linalg.norm(to_limit, axis=1).max(),
-                                np.linalg.norm(to_member, axis=1).max()))
-                      + slack)
-    return IntersectionContinuityResult(values, bool(gaps[0] < r - 1e-12),
-                                        empty)
+    limit, member = _repeated_hull(b, m), _repeated_hull(b_n, m)
+    limit_sample, _ = _project_cap(cloud, c, r, limit)
+    sample_n, _ = _project_cap(cloud, c_n, r, member)
+    to_limit = sample_n - _project_cap(sample_n, c, r, limit)[0]
+    to_member = limit_sample - _project_cap(limit_sample, c_n, r, member)[0]
+    return (float(max(np.linalg.norm(to_limit, axis=1).max(),
+                      np.linalg.norm(to_member, axis=1).max())) + slack,
+            hypothesis_ok)

@@ -432,7 +432,6 @@ def elementary_bound_probe(c: float, h_path: TimePath) -> ElementaryBoundReport:
 
 @dataclass(frozen=True)
 class YosidaStabilityReport:
-    lambdas: tuple
     lhs: tuple           # squared path distances of the smoothed solves
     rhs: tuple           # (T0^2 / 2) * squared forcing distances
     passed: bool
@@ -462,4 +461,4 @@ def yosida_stability_check(gen: SpectralGenerator, u0: np.ndarray,
     ok = bool(np.all(lhs_arr <= rhs_arr + scale))
     ok = ok and bool(np.all(np.diff(lhs_arr) <= scale[1:])) \
         and bool(np.all(np.diff(rhs_arr) <= scale[1:]))
-    return YosidaStabilityReport(tuple(lambda_ladder), tuple(lhs), tuple(rhs), ok)
+    return YosidaStabilityReport(tuple(lhs), tuple(rhs), ok)

@@ -513,12 +513,12 @@ def test_yosida_stability_constant_path_closed_form():
     k = 65
     vals = np.tile(np.array([1.0, 0.5, 0.0, 0.25]), (k, 1))
     forcing = TimePath(0.0, 1.0, vals)
-    rep = sv.yosida_stability_check(gen, np.zeros(4), forcing,
-                                    [1.0, 10.0, 100.0])
+    ladder = [1.0, 10.0, 100.0]
+    rep = sv.yosida_stability_check(gen, np.zeros(4), forcing, ladder)
     assert rep.passed
     # closed form of the forcing side: factors lam/(lam + n^2) per mode
     mu = np.arange(1, 5, dtype=float) ** 2
-    for lam, rhs_val in zip(rep.lambdas, rep.rhs):
+    for lam, rhs_val in zip(ladder, rep.rhs, strict=True):
         gap = (1.0 - lam / (lam + mu)) * vals[0]
         expected = 0.5 * float(np.sum(gap ** 2))  # T0 = 1, unit span
         assert rhs_val == pytest.approx(expected, rel=1e-10)

@@ -1,4 +1,5 @@
-"""Every public name of the package is used by the package itself."""
+"""Every public name of the package, and every field of its dataclasses,
+is used by the package itself."""
 
 import ast
 from collections import Counter
@@ -8,6 +9,10 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "evoinc")
                  .glob("*.py"))
 # Tests compare the spectral operators against this reference form of E.
 REFERENCE_ONLY = {"apply_generator"}
+# Fields only tests read: a solve's residual history, which a structured
+# trace is planned to export, and the f-selection of a window's solution,
+# which tests check against its selection map.
+UNREAD_FIELDS = {"SolveReport.residual_history", "WindowSolution.f"}
 
 
 def _definitions(tree):
@@ -48,3 +53,28 @@ def test_every_public_name_is_referenced_in_the_package():
               if not name.startswith("_") and name not in REFERENCE_ONLY
               and uses[name] == _uses(node)[name]]
     assert not unused, f"public names no package code references: {unused}"
+
+
+def _dataclass_fields(tree):
+    """Fields of the top-level dataclasses, as "Class.field"."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) \
+                        and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}"
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES]
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    fields = [field for tree in trees for field in _dataclass_fields(tree)]
+    assert fields
+    unread = [field for field in fields
+              if field.split(".")[1] not in reads
+              and field not in UNREAD_FIELDS]
+    assert not unread, f"dataclass fields no package code reads: {unread}"
