@@ -198,6 +198,7 @@ def cmd_solve(args) -> int:
                 "residual_f": w.report.residual_f,
                 "residual_g": w.report.residual_g,
                 "converged": w.report.converged,
+                "stop_reason": w.report.stop_reason,
                 "apriori": {
                     "lhs": w.report.apriori.lhs,
                     "rhs": w.report.apriori.rhs,

@@ -19,7 +19,19 @@ from .monotone import VariableExponentPotential, make_potential
 from .rhs import (Affine, BasisFamilyMap, Clamp, Const, GeneralCoefficient,
                   GrowthCoefficient, Inner, Norm, Sin, Tanh)
 from .semigroup import SpectralGenerator, deviation_coefficients
-from .solver import GlobalSettings
+from .solver import BLOWUP_NORM, GlobalSettings, SolverError, compute_window
+
+# Largest exponent an exponent profile may reach. From p = 1026 on, a
+# difference quotient of 2 overflows |g|^(p - 2). Raising the top of each
+# preset's profile: heat_debye solves up to p = 128 and stops by name
+# (exit 1) from 160, schrodinger_debye solves up to 1,100 and stops by
+# name with a NaN residual from 1,200; feedback_growth, whose v stays 0,
+# solves at any exponent.
+MAX_EXPONENT = 1024
+# Most windows a solve may need, estimated as the horizon over the first
+# window's length. The bundled presets need 2, 2 and 7.3; every window
+# keeps its paths, about 30 kB each for the presets, and takes 10-50 ms.
+MAX_WINDOWS = 1000
 
 
 class ConfigError(ValueError):
@@ -153,26 +165,58 @@ def build_experiment(raw: dict) -> Experiment:
     settings = GlobalSettings(theta=theta, tol=tol, max_iter=max_iter,
                               nodes_per_window=steps + 1,
                               max_window=max_window)
+    _check_window_count(horizon, min(max_window, horizon), [
+        rhs_f.growth_envelope(), rhs_g.growth_envelope()],
+        u0, math.sqrt(pot.mesh) * v0)
     return Experiment(seed, horizon, generator, pot, rhs_f, rhs_g, u0, v0,
                       settings, raw)
+
+
+def _check_window_count(horizon: float, cap: float, envelopes,
+                        u0: np.ndarray, weighted_v0: np.ndarray):
+    """Refuse a horizon that the first window, as the solve computes it,
+    would cover only in more than MAX_WINDOWS windows. Data past the
+    blow-up norm, and a window that underflows, are left to the solve,
+    which reports each by name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = max(float(np.linalg.norm(u0)),
+                   float(np.linalg.norm(weighted_v0)))
+    if not beta <= BLOWUP_NORM:
+        return
+    try:
+        first = compute_window(beta, envelopes, cap).t_window
+    except SolverError:
+        return
+    if horizon / first > MAX_WINDOWS:
+        raise ConfigError(
+            f"config.time.horizon: {horizon:.3e} needs about "
+            f"{horizon / first:.3e} windows of the first window's length "
+            f"{first:.3e}, more than {MAX_WINDOWS}")
 
 
 def _parse_p_profile(obj: dict, oracle_p2: bool) -> tuple:
     _require_keys(obj, "config.spatial.p_profile", ("kind",),
                   ("value", "low", "high", "base", "amplitude"))
     kind = obj["kind"]
+
+    def exponent(key: str) -> float:
+        return _number(obj.get(key), f"config.spatial.p_profile.{key}",
+                       hi=MAX_EXPONENT)
+
     if kind == "constant":
-        value = _number(obj.get("value"), "config.spatial.p_profile.value")
+        value = exponent("value")
         _check_exponent_floor(value, oracle_p2)
         return ("constant", value)
     if kind == "ramp":
-        lo = _number(obj.get("low"), "config.spatial.p_profile.low")
-        hi = _number(obj.get("high"), "config.spatial.p_profile.high")
+        lo, hi = exponent("low"), exponent("high")
         _check_exponent_floor(min(lo, hi), oracle_p2)
         return ("ramp", lo, hi)
     if kind == "bump":
-        base = _number(obj.get("base"), "config.spatial.p_profile.base")
+        base = exponent("base")
         amp = _number(obj.get("amplitude"), "config.spatial.p_profile.amplitude")
+        if base + amp > MAX_EXPONENT:
+            raise ConfigError("config.spatial.p_profile.amplitude: base + "
+                              f"amplitude must be <= {MAX_EXPONENT}")
         _check_exponent_floor(min(base, base + amp), oracle_p2)
         return ("bump", base, amp)
     raise ConfigError("config.spatial.p_profile.kind: must be constant, ramp "

@@ -41,6 +41,17 @@ as before, so every node value keeps its bits. A flow may instead be
 given a guess of its node values, such as an earlier flow on the same
 grid: each step then starts Newton from the guess of its node, under the
 same certificate, and does not speculate.
+
+A sweep (`_sweep`) stacks all the time steps of one flow at once. Over a
+guess of the node values it solves every step from the guessed
+predecessor, starting Newton at the guessed successor, in one stacked
+prox call: one Jacobi-in-time iteration of waveform relaxation, whose
+fixed point is the flow. A sweep's steps are certified only against
+their guessed predecessors, so its node values approximate the flow and
+do not replace it where a certificate is claimed. A zero pivot in a
+Newton system, like a NaN one, makes that row's Newton step NaN without
+touching the other rows; the row then never certifies, and the prox step
+ends in ProxDidNotConverge.
 """
 
 from __future__ import annotations
@@ -323,9 +334,11 @@ def _thomas_solve(diag: np.ndarray, off: np.ndarray,
     B * n unknowns whose off-diagonal is zero at each block boundary. One
     sweep runs over the blocks in turn and restarts the recurrence at
     each, so a block gets the same bits as when solved alone and a
-    non-finite block leaves the others untouched. The recurrence runs on
-    Python floats: indexing numpy arrays element by element costs more
-    than the arithmetic itself at these sizes.
+    non-finite block leaves the others untouched. A block with a zero
+    pivot has no solution by this recurrence and comes out NaN, like a
+    block with a NaN pivot. The recurrence runs on Python floats: indexing
+    numpy arrays element by element costs more than the arithmetic itself
+    at these sizes.
     """
     if rhs.ndim == 1:
         return np.array(_thomas_block(diag.tolist(), off.tolist(),
@@ -342,13 +355,16 @@ def _thomas_block(diag: list, upper: list, rhs: list) -> list:
     c = [0.0] * n
     x = [0.0] * n
     lower = c_prev = d_prev = 0.0
-    for i in range(n):
-        denom = diag[i] - lower * c_prev
-        d_prev = (rhs[i] - lower * d_prev) / denom
-        x[i] = d_prev
-        lower = upper[i]
-        c_prev = lower / denom
-        c[i] = c_prev
+    try:
+        for i in range(n):
+            denom = diag[i] - lower * c_prev
+            d_prev = (rhs[i] - lower * d_prev) / denom
+            x[i] = d_prev
+            lower = upper[i]
+            c_prev = lower / denom
+            c[i] = c_prev
+    except ZeroDivisionError:  # a zero pivot: no solution, as for a NaN one
+        return [math.nan] * n
     for i in range(n - 2, -1, -1):
         x[i] -= c[i] * x[i + 1]
     return x
@@ -569,10 +585,11 @@ def _flow(pot: VariableExponentPotential, table: np.ndarray,
     (B, K, J) for a stack.
 
     With a `guess` of shape (K,) + v0.shape, such as the node values of an
-    earlier flow on the same grid, step k starts its Newton solve from
-    `guess[k + 1]` instead of v + tau g, and is certified against its own
-    v as before. Such a flow does not speculate: a step that takes no
-    Newton iteration returns its guess.
+    earlier flow or of a `_sweep` on the same grid, step k starts its
+    Newton solve from `guess[k + 1]` instead of v + tau g, and is
+    certified against its actual predecessor v as before. Such a flow does
+    not speculate: a step that takes no Newton iteration returns its
+    guess.
 
     Without a guess, a step whose start point v + tau g already certifies
     takes no Newton iteration and returns that point. After such a step
@@ -612,6 +629,27 @@ def _flow(pot: VariableExponentPotential, table: np.ndarray,
         k += 1
         span = 0 if iterations or start is not None else 1
     return out if v0.ndim == 1 else out.transpose(1, 0, 2).copy()
+
+
+def _sweep(pot: VariableExponentPotential, table: np.ndarray,
+           v0: np.ndarray, g: np.ndarray, tau: float,
+           guess: np.ndarray) -> np.ndarray:
+    """One Jacobi-in-time sweep of the flow of one state `v0` (J,) under
+    node forcings `g` (K, J), over a `guess` (K, J) of its node values:
+    the (K, J) node values with row 0 = v0.
+
+    Step k is solved from the guessed predecessor `guess[k]` (v0 for
+    k = 0), starting Newton at `guess[k + 1]`, with coefficient row
+    `table[k + 1]`. All K - 1 steps go through one stacked `_prox` call,
+    each row certified against its guessed predecessor. So only step 0 is
+    a step of the flow; iterated, the sweep converges to the flow's node
+    values, its fixed point (waveform relaxation). Over the flow's own
+    node values a sweep takes no Newton iteration and returns them.
+    """
+    prev = np.concatenate((v0[None], guess[1:-1]))
+    w, _ = _prox(pot, table[1:, :-1], prev, prev + tau * g[:-1], tau,
+                 guess[1:])
+    return np.concatenate((v0[None], w))
 
 
 def solve_monotone_ivp(pot: VariableExponentPotential, v0: np.ndarray,

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monotone import MonotoneError, VariableExponentPotential, _flow
+from .monotone import (MonotoneError, VariableExponentPotential, _flow,
+                       _sweep)
 from .paths import TimePath, path_distance, path_l2_norm, zero_path
 from .selection import _resumed_selection
 from .semigroup import SpectralGenerator, duhamel_solve, yosida_smooth
@@ -123,6 +124,7 @@ class SolveReport:
     residual_g: float
     residual_history: tuple
     converged: bool
+    stop_reason: str     # "tolerance", "theta_floor" or "budget"
     apriori: "AprioriReport | None"
     membership_ok: bool
 
@@ -163,18 +165,26 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     """Relaxed projection iteration on one window, with the grid, starting
     relaxation factor, tolerance and budget of `settings`.
 
-    The v-flow is re-run only when the g-forcing differs, bit for bit, from
-    the one that produced the current v (a NaN never compares equal); u is
-    solved every iteration. The first v-flow starts each step's Newton
-    solve from v + tau g; every later one starts it from the previous
-    flow's node value at the same time, and each step is certified by the
-    same residual test. The first f- and g-selections start cold; each
-    later one resumes Wolfe's method from the final hull weights of the
-    previous selection of its family, since the images move little between
-    iterations, and is certified by the same gap test. The previous flow
-    and these weights live only for this call. Non-convergence within the
-    budget is an allowed outcome and is reported with the best residuals
-    reached, never raised.
+    The v-flow before the loop is the exact implicit-Euler flow, each step
+    started from v + tau g. Inside the loop, u is solved every iteration,
+    and v moves only when the g-forcing differs, bit for bit, from the one
+    that produced the current v (a NaN never compares equal): one
+    Jacobi-in-time sweep over the current v (`monotone._sweep`, one
+    stacked prox call) stands in for the flow, since it only feeds the
+    next selections. When both residuals first pass the tolerance along a
+    swept v, the exact flow runs once, each step resumed from the sweep's
+    node value and certified against its actual predecessor, and both
+    selections are redone along it; the window converges only if the
+    residuals still pass. A loop that stops on the theta floor or the
+    budget with a swept v finishes the same way, so every reported v, f*,
+    g* and residual comes from the exact flow. The first f- and
+    g-selections start cold; each later one resumes Wolfe's method from the
+    final hull weights of the previous selection of its family, since the
+    images move little between iterations, and is certified by the same
+    gap test. The current v and these weights live only for this call.
+    The report says why the loop stopped (`tolerance`, `theta_floor` or
+    `budget`). Non-convergence is an allowed outcome and is reported with
+    the residuals reached, never raised.
     """
     num_nodes, theta = settings.nodes_per_window, settings.theta
     u0 = np.asarray(u0, dtype=float)
@@ -189,58 +199,81 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
 
     f_path = zero_path(t_start, t_end, num_nodes, gen.state_dim, 1.0)
     g_path = zero_path(t_start, t_end, num_nodes, pot.interior_nodes, h)
-    # Every v-flow of the window runs on this grid: one coefficient table.
-    # The forcing keeps the grid's dimension: the g-selections project onto
-    # hulls of that dimension.
+    # Every v-flow and sweep of the window runs on this grid: one
+    # coefficient table. The forcing keeps the grid's dimension: the
+    # g-selections project onto hulls of that dimension.
     table = pot.coefficient_table(g_path.times())
 
-    def v_flow(g: TimePath, guess=None) -> TimePath:
-        return TimePath(g.t0, g.t1,
-                        _flow(pot, table, v0, g.values, g.dt, guess), h)
+    def v_flow(step, guess=None) -> TimePath:
+        """The node values of `step`, `_flow` or `_sweep`, under the
+        g-forcing g_path, resumed from `guess` when given."""
+        return TimePath(t_start, t_end, step(pot, table, v0, g_path.values,
+                                             g_path.dt, guess), h)
 
-    u = duhamel_solve(gen, u0, f_path)
-    v = v_flow(g_path)
-    v_forcing = g_path.values   # the g-forcing that produced v
-    # Final hull weights of the last f- and g-selection: the next selection
-    # of the same family resumes Wolfe's method from them.
-    f_path, f_weights = _resumed_selection(f_map, u, v, f_path, None)
-    g_path, g_weights = _resumed_selection(g_map, u, v, g_path, None)
-
-    history = []
-    prev_res = math.inf
-    converged = False
-    for it in range(settings.max_iter):     # at least once: max_iter >= 1
-        iterations = it + 1
-        u = duhamel_solve(gen, u0, f_path)
-        if not np.array_equal(g_path.values, v_forcing):
-            v = v_flow(g_path, v.values)
-            v_forcing = g_path.values
+    def selections(u: TimePath, v: TimePath):
+        """f*, g* and their residuals against f_path, g_path; each
+        selection resumes from the final hull weights of the previous one
+        of its family."""
+        nonlocal f_weights, g_weights
         f_star, f_weights = _resumed_selection(f_map, u, v, f_path,
                                                f_weights)
         g_star, g_weights = _resumed_selection(g_map, u, v, g_path,
                                                g_weights)
-        res_f = path_distance(f_path, f_star)
-        res_g = path_distance(g_path, g_star)
+        return (f_star, g_star, path_distance(f_path, f_star),
+                path_distance(g_path, g_star))
+
+    def within_tol(res_f: float, res_g: float) -> bool:
+        return res_f <= settings.tol and res_g <= settings.tol
+
+    u = duhamel_solve(gen, u0, f_path)
+    v = v_flow(_flow)
+    v_forcing = g_path.values   # the g-forcing that produced v
+    swept = False               # whether v is a sweep rather than the flow
+    f_weights = g_weights = None
+    f_path, g_path, _, _ = selections(u, v)
+
+    history = []
+    prev_res = math.inf
+    stop = "budget"
+    for it in range(settings.max_iter):     # at least once: max_iter >= 1
+        iterations = it + 1
+        u = duhamel_solve(gen, u0, f_path)
+        if not np.array_equal(g_path.values, v_forcing):
+            v = v_flow(_sweep, v.values)
+            v_forcing, swept = g_path.values, True
+        f_star, g_star, res_f, res_g = selections(u, v)
+        if swept and within_tol(res_f, res_g):
+            # certify: the exact flow, resumed from the sweep, and fresh
+            # selections along it
+            v, swept = v_flow(_flow, v.values), False
+            f_star, g_star, res_f, res_g = selections(u, v)
         history.append((res_f, res_g))
-        if res_f <= settings.tol and res_g <= settings.tol:
-            converged = True
+        if within_tol(res_f, res_g):
+            stop = "tolerance"
             break
         res = max(res_f, res_g)
         if res > prev_res * (1.0 + 1e-12):
             theta *= 0.5
             if theta < THETA_FLOOR:
+                stop = "theta_floor"
                 break
+        if iterations == settings.max_iter:
+            break   # keep the forcing pair that produced u and v
         prev_res = res
         f_path = f_path.with_values(
             (1.0 - theta) * f_path.values + theta * f_star.values)
         g_path = g_path.with_values(
             (1.0 - theta) * g_path.values + theta * g_star.values)
+    if swept:   # the theta floor or the budget stopped on a swept v
+        v = v_flow(_flow, v.values)
+        f_star, g_star, res_f, res_g = selections(u, v)
+        history[-1] = (res_f, res_g)
 
     apriori = apriori_bound_check(u, v, f_star, g_star, window)
     membership = (path_l2_norm(f_star) <= window.m + 1e-6
                   and path_l2_norm(g_star) <= window.m + 1e-6)
     report = SolveReport(iterations, res_f, res_g, tuple(history),
-                         converged, apriori, membership)
+                         stop == "tolerance", stop, apriori, membership)
     defect_f = np.linalg.norm(f_path.values - f_star.values, axis=1)
     defect_g = math.sqrt(h) * np.linalg.norm(g_path.values - g_star.values,
                                              axis=1)

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from evoinc.cli import main
-from evoinc.config import ConfigError, build_experiment, preset_path
+from evoinc.config import (MAX_EXPONENT, MAX_WINDOWS, ConfigError,
+                           build_experiment, preset_path)
 
 
 def _read(path):
@@ -357,9 +358,11 @@ def _set_steep_exponent(cfg):
 
 
 def _set_overflowing_exponent(cfg):
-    # the energy's powers overflow: a named failure, and no numpy warning
-    # (tier-1 turns RuntimeWarning into an error)
-    cfg["spatial"]["p_profile"] = {"kind": "constant", "value": 1e300}
+    # the energy's powers overflow at the largest exponent validation
+    # admits: a named failure, and no numpy warning (tier-1 turns
+    # RuntimeWarning into an error)
+    cfg["spatial"]["p_profile"] = {"kind": "constant",
+                                   "value": MAX_EXPONENT}
 
 
 @pytest.mark.parametrize("mutate, failure", [
@@ -382,6 +385,68 @@ def test_solve_time_failure_writes_report(tmp_path, capsys, mutate, failure):
     assert report["windows"] == []
     assert _read(out / "trajectory.csv") \
         == b"t,u_norm,v_norm,residual_f,residual_g\n"
+
+
+@pytest.mark.parametrize("key, profile", [
+    ("value", {"kind": "constant", "value": 1e300}),
+    ("high", {"kind": "ramp", "low": 2.4, "high": MAX_EXPONENT + 1}),
+    ("low", {"kind": "ramp", "low": 1e9, "high": 3.0}),
+    ("base", {"kind": "bump", "base": 2000.0, "amplitude": -1000.0}),
+    ("amplitude", {"kind": "bump", "base": 2.6, "amplitude": MAX_EXPONENT}),
+])
+def test_solve_rejects_exponents_above_the_ceiling(tmp_path, capsys, key,
+                                                   profile):
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    cfg["spatial"]["p_profile"] = profile
+    bad = tmp_path / "steep.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert f"config.spatial.p_profile.{key}" in err and str(MAX_EXPONENT) in err
+    assert not out.exists()
+
+
+def test_solve_rejects_a_horizon_of_too_many_windows(tmp_path, capsys):
+    # a growth constant of 1e9 makes the first window 3.4e-19 long, so the
+    # horizon 2 would take 5.8e18 windows
+    cfg = json.loads(_read(preset_path("feedback_growth")))
+    cfg["rhs_f"]["coefficients"][1]["c"] = 1e9
+    bad = tmp_path / "endless.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert "config.time.horizon" in err and "3.431e-19" in err
+    assert str(MAX_WINDOWS) in err
+    assert not out.exists()
+
+
+def test_preset_window_counts_lie_within_the_budget():
+    # the bundled presets need 2, 2 and 7.3 windows; the same config with
+    # a window cap of horizon / (MAX_WINDOWS + 1) is refused
+    for name in ("heat_debye", "schrodinger_debye", "feedback_growth"):
+        cfg = json.loads(_read(preset_path(name)))
+        build_experiment(cfg)
+        cfg["time"]["max_window"] = cfg["time"]["horizon"] / (MAX_WINDOWS + 1)
+        with pytest.raises(ConfigError, match="config.time.horizon"):
+            build_experiment(cfg)
+
+
+def test_solve_reports_why_each_window_stopped(tmp_path, capsys):
+    for name, budget in (("heat_debye", 200), ("heat_debye", 1)):
+        cfg = json.loads(_read(preset_path(name)))
+        cfg["solver"]["max_iter"] = budget
+        config = tmp_path / f"{budget}.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / f"out{budget}"
+        main(["solve", "--config", str(config), "--out", str(out)])
+        report = json.loads(_read(out / "report.json"))
+        reasons = [w["stop_reason"] for w in report["windows"]]
+        assert reasons == (["tolerance"] * 2 if budget > 1 else ["budget"])
+    capsys.readouterr()
 
 
 def test_solve_nonconvergence_exits_one_with_partial_output(tmp_path, capsys):

@@ -211,15 +211,42 @@ def test_thomas_solve_matches_dense_solve(n):
 
 
 def test_thomas_solve_keeps_a_singular_block_to_itself():
+    # a zero pivot gives a NaN block, as a NaN pivot does; the other
+    # blocks keep the bits of their one-system solves
     diag = np.array([[2.0, 2.0, 2.0], [0.0, 1.0, 1.0], [3.0, 3.0, 3.0]])
     off = np.full((3, 2), -1.0)
     rhs = np.ones((3, 3))
-    with pytest.raises(ZeroDivisionError):
-        mono._thomas_solve(diag, off, rhs)
-    diag[1, 0] = np.nan
-    x = mono._thomas_solve(diag, off, rhs)
-    assert np.isnan(x[1]).all() and np.isfinite(x[[0, 2]]).all()
-    assert np.array_equal(x[2], mono._thomas_solve(diag[2], off[2], rhs[2]))
+    assert np.isnan(mono._thomas_solve(diag[1], off[1], rhs[1])).all()
+    for pivot in (0.0, np.nan):
+        diag[1, 0] = pivot
+        x = mono._thomas_solve(diag, off, rhs)
+        assert np.isnan(x[1]).all() and np.isfinite(x[[0, 2]]).all()
+        for b in (0, 2):
+            assert np.array_equal(
+                x[b], mono._thomas_solve(diag[b], off[b], rhs[b]))
+
+
+def test_prox_with_a_zero_newton_pivot_raises_by_name(monkeypatch):
+    # heat_debye's first step with its exponent ramp raised to 512: the
+    # Hessian's entries span 1e9 to 1e30, and the Thomas recurrence of a
+    # Newton system with finite entries cancels a pivot to exactly 0
+    pot = mono.make_potential(15, ("ramp", 2.4, 512.0), ("linear_decay", 2.0))
+    v = 0.5 * np.sin(np.pi * pot.nodes()[1:-1])
+    tau = 1.0 / 128
+    singular = []
+    block = mono._thomas_block
+
+    def spied(diag, upper, rhs):
+        finite = all(map(math.isfinite, diag + upper + rhs))
+        x = block(diag, upper, rhs)
+        singular.append(finite and math.isnan(x[0]))
+        return x
+
+    monkeypatch.setattr(mono, "_thomas_block", spied)
+    with pytest.raises(mono.ProxDidNotConverge) as err:
+        mono.prox_step(pot, pot.coefficient_at(tau), v, np.zeros(15), tau)
+    assert math.isnan(err.value.residual)
+    assert any(singular)
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +749,41 @@ def test_flow_resumed_from_a_perturbed_guess_certifies_every_step(
                 * (1.0 + pot.root_mesh * np.linalg.norm(w[k][b]))
             assert pot.root_mesh * np.linalg.norm(r) <= target, (k, b)
     assert np.abs(w - cold).max() <= 1e-9
+
+
+@pytest.mark.parametrize("flow", ["newton", "speculated"])
+def test_sweep_over_a_flows_own_output_returns_it(flow, monkeypatch):
+    # each row of the sweep is certified at its guess, the flow's node
+    # value, against the flow's own predecessor: one stacked `_prox` call
+    # with no Newton iteration returns the node values bit for bit
+    if flow == "newton":
+        pot, table, v0, g, tau = _newton_flow(None)
+    else:
+        pot, v0, g = _mixed_flow(None, 65, (20,))
+        table = pot.coefficient_table(np.linspace(0.0, 1.0, 65))
+        tau = 1.0 / 64
+    exact = mono._flow(pot, table, v0, g, tau)
+    seen = _count_steps(monkeypatch)
+    swept = mono._sweep(pot, table, v0, g, tau, exact)
+    assert np.array_equal(swept, exact)
+    assert seen == {"prox": 1, "newton": 0, "rows": []}
+
+
+def test_sweeps_converge_to_the_flow(monkeypatch):
+    # waveform relaxation: sweep k solves step k - 1 from a predecessor
+    # that earlier sweeps have already settled, so K - 1 sweeps from the
+    # constant guess reach the flow up to the prox certificate
+    pot, table, v0, g, tau = _newton_flow(None)
+    exact = mono._flow(pot, table, v0, g, tau)
+    seen = _count_steps(monkeypatch)
+    w = np.tile(v0, (len(g), 1))
+    gaps = []
+    for _ in range(len(g) - 1):
+        w = mono._sweep(pot, table, v0, g, tau, w)
+        assert np.array_equal(w[0], v0)
+        gaps.append(np.abs(w - exact).max())
+    assert seen["prox"] == len(g) - 1
+    assert gaps[0] > 1e-2 and gaps[-1] <= 1e-9
 
 
 def test_flow_speculation_keeps_the_callers_error_settings():

@@ -39,6 +39,40 @@ def _mesh_norm(pot, v):
     return pot.root_mesh * float(np.linalg.norm(v))
 
 
+def _record_flows(monkeypatch):
+    """Wraps `solver._flow` to record each call's node forcings and node
+    values; returns the live list of (g, values) pairs."""
+    calls = []
+    inner = sv._flow
+
+    def recorded(pot, table, v0, g, tau, guess=None):
+        values = inner(pot, table, v0, g, tau, guess)
+        calls.append((g, values))
+        return values
+
+    monkeypatch.setattr(sv, "_flow", recorded)
+    return calls
+
+
+def _assert_reports_a_certified_flow(pot, sol, flows):
+    """The window's v is the node values of a recorded exact flow, driven
+    by the window's final g-forcing, and each of its steps passes the prox
+    certificate against its actual predecessor, recomputed from the node
+    values: |subgradient(t_{k+1}, v_{k+1}) + (v_{k+1} - v_k - tau g_k) /
+    tau| <= PROX_RESIDUAL_TOL (1 + |v_k|) in the mesh norm."""
+    w = sol.v.values
+    g = next(g for g, values in reversed(flows) if np.array_equal(values, w))
+    # g is the forcing whose selection defects the window reports
+    defect = pot.root_mesh * np.linalg.norm(g - sol.g.values, axis=1)
+    assert np.array_equal(defect, sol.node_defect_g)
+    tau, times = sol.v.dt, sol.v.times()
+    for k in range(len(w) - 1):
+        r = mono.subgradient(pot, times[k + 1], w[k + 1]) \
+            + (w[k + 1] - w[k] - tau * g[k]) / tau
+        target = mono.PROX_RESIDUAL_TOL * (1.0 + _mesh_norm(pot, w[k]))
+        assert _mesh_norm(pot, r) <= target, k
+
+
 def _growth_maps(gen, pot, scale=0.3):
     h = pot.mesh
     n = 4
@@ -199,32 +233,75 @@ def test_relaxed_update_contracts_residual(heat_setup):
     beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
     window = sv.compute_window(beta, [f_map.growth_envelope(),
                                       g_map.growth_envelope()], 0.5)
+    settings = sv.GlobalSettings(theta=0.5, nodes_per_window=65)
     sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
-                          settings=sv.GlobalSettings(theta=0.5,
-                                                     nodes_per_window=65))
+                          settings=settings)
     history = sol.report.residual_history
     assert len(history) >= 2
-    # Replay the iteration. Convexity of the node distance: the relaxed pair
-    # must sit within (1 - theta) of the residual against the same images.
+    # Replay the iteration: a cold flow before the loop; in the loop one
+    # sweep over the previous v whenever the g-forcing moved, and, once
+    # both residuals pass with a swept v, the exact flow resumed from it
+    # and fresh selections along it. Convexity of the node distance: the
+    # relaxed pair must sit within (1 - theta) of the residual against the
+    # same images.
     f_path = zero_path(0.0, window.t_window, 65, gen.state_dim, 1.0)
     g_path = zero_path(0.0, window.t_window, 65, 15, pot.mesh)
+    table = pot.coefficient_table(g_path.times())
     u = sg.duhamel_solve(gen, u0, f_path)
     v = mono.solve_monotone_ivp(pot, v0, g_path)
     f_path = sel.nearest_point_selection(f_map, u, v, f_path)
     g_path = sel.nearest_point_selection(g_map, u, v, g_path)
-    for res_f, res_g in history:
-        u = sg.duhamel_solve(gen, u0, f_path)
-        v = mono.solve_monotone_ivp(pot, v0, g_path)
+
+    def selections():
         f_star = sel.nearest_point_selection(f_map, u, v, f_path)
         g_star = sel.nearest_point_selection(g_map, u, v, g_path)
-        assert path_distance(f_path, f_star) == pytest.approx(res_f, abs=1e-12)
-        assert path_distance(g_path, g_star) == pytest.approx(res_g, abs=1e-12)
+        return (f_star, g_star, path_distance(f_path, f_star),
+                path_distance(g_path, g_star))
+
+    exact_flows = 0
+    for res_f, res_g in history:
+        u = sg.duhamel_solve(gen, u0, f_path)
+        v = v.with_values(mono._sweep(pot, table, v0, g_path.values,
+                                      g_path.dt, v.values))
+        f_star, g_star, dist_f, dist_g = selections()
+        if max(dist_f, dist_g) <= settings.tol:
+            v = v.with_values(mono._flow(pot, table, v0, g_path.values,
+                                         g_path.dt, v.values))
+            exact_flows += 1
+            f_star, g_star, dist_f, dist_g = selections()
+        assert dist_f == pytest.approx(res_f, abs=1e-12)
+        assert dist_g == pytest.approx(res_g, abs=1e-12)
         f_path = f_path.with_values(0.5 * f_path.values + 0.5 * f_star.values)
         g_path = g_path.with_values(0.5 * g_path.values + 0.5 * g_star.values)
         rel_f = trapezoid_l2(sel.node_distances(f_map, u, v, f_path), f_path.dt)
         rel_g = trapezoid_l2(sel.node_distances(g_map, u, v, g_path), g_path.dt)
         assert rel_f <= 0.5 * res_f + 1e-10
         assert rel_g <= 0.5 * res_g + 1e-10
+    # the swept residuals passed once, on the last iteration, and the
+    # reported v is the exact flow of the replay
+    assert exact_flows == 1 and sol.report.stop_reason == "tolerance"
+    assert np.abs(sol.v.values - v.values).max() <= 1e-12
+
+
+def test_convergence_is_decided_on_the_exact_flow(heat_setup, monkeypatch):
+    # a "sweep" that leaves v as it was: the residuals along it first pass
+    # against a stale v, and the exact flow then fails them, so the
+    # iteration goes on; the window converges only on residuals along the
+    # exact flow
+    gen, pot, u0, v0 = heat_setup
+    f_map, g_map = _growth_maps(gen, pot, scale=0.5)
+    beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 0.5)
+    monkeypatch.setattr(sv, "_sweep", lambda pot, table, v0, g, tau, guess:
+                        guess)
+    flows = _record_flows(monkeypatch)
+    sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
+                          settings=sv.GlobalSettings(nodes_per_window=65))
+    assert len(flows) > 2
+    assert sol.report.converged and sol.report.stop_reason == "tolerance"
+    assert max(sol.report.residual_f, sol.report.residual_g) <= 1e-8
+    _assert_reports_a_certified_flow(pot, sol, flows)
 
 
 def test_initial_data_bound_enforced(heat_setup):
@@ -237,8 +314,9 @@ def test_initial_data_bound_enforced(heat_setup):
         sv.solve_window(gen, pot, u0 * 100.0, v0, f_map, g_map, window)
 
 
-def test_nonconvergence_is_reported_not_raised(heat_setup):
+def test_nonconvergence_is_reported_not_raised(heat_setup, monkeypatch):
     gen, pot, u0, v0 = heat_setup
+    flows = _record_flows(monkeypatch)
     f_map, g_map = _growth_maps(gen, pot, scale=0.4)
     beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
     window = sv.compute_window(beta, [f_map.growth_envelope(),
@@ -247,8 +325,11 @@ def test_nonconvergence_is_reported_not_raised(heat_setup):
                           settings=sv.GlobalSettings(max_iter=2,
                                                      nodes_per_window=65))
     assert not sol.report.converged
-    assert sol.report.iterations == 2
+    assert sol.report.iterations == 2 and sol.report.stop_reason == "budget"
     assert np.isfinite(sol.report.residual_f)
+    # the budget ran out on a swept v: the window still reports the exact
+    # flow, certified step by step, and selections along it
+    _assert_reports_a_certified_flow(pot, sol, flows)
 
 
 # ---------------------------------------------------------------------------
@@ -344,37 +425,60 @@ def test_feedback_growth_flows_speculate_start_point_steps(monkeypatch):
 
 def test_moving_g_forcing_reruns_the_v_flow(monkeypatch):
     # schrodinger_debye's g-selection moves every relaxed iteration: one
-    # flow before the loop and one per iteration, in each window
+    # sweep over the current v per iteration, and in each window one exact
+    # flow before the loop and one when the swept residuals first pass
     flows = _count_calls(monkeypatch, sv, "_flow")
+    sweeps = _count_calls(monkeypatch, sv, "_sweep")
     run, _ = _preset_run("schrodinger_debye")
     iterations = [w.report.iterations for w in run.windows]
     assert iterations == [9, 9]
-    assert flows[0] == sum(iterations) + len(iterations) == 20
+    assert sweeps[0] == sum(iterations) == 18
+    assert flows[0] == 2 * len(iterations) == 4
 
 
-# Newton iterations of each bundled solve, summed over its prox steps.
-# Every v-flow of a window after the first resumes from the previous one;
-# with every flow started cold, heat_debye takes 862 and schrodinger_debye
-# 2,948. feedback_growth's steps all certify at their start points.
-PRESET_NEWTON_ITERATIONS = {"heat_debye": 460, "schrodinger_debye": 1388,
+@pytest.mark.parametrize("name", ["heat_debye", "schrodinger_debye",
+                                  "feedback_growth"])
+def test_preset_windows_report_certified_flows(monkeypatch, name):
+    # sweeps drive the relaxed iteration, but every window reports an
+    # exact flow whose steps certify against their actual predecessors,
+    # and stops on the tolerance
+    flows = _record_flows(monkeypatch)
+    run, exp = _preset_run(name)
+    assert run.converged
+    for sol in run.windows:
+        assert sol.report.stop_reason == "tolerance"
+        _assert_reports_a_certified_flow(exp.potential, sol, flows)
+
+
+# Newton iterations and sweeps of each bundled solve, the iterations summed
+# over its prox steps. Every exact v-flow of a window after the first, and
+# every sweep, resumes from the current v; with every flow started cold
+# and no sweeps, heat_debye takes 862 and schrodinger_debye 2,948.
+# feedback_growth's steps all certify at their start points, and its
+# g-forcing never moves, so it makes no sweep.
+PRESET_NEWTON_ITERATIONS = {"heat_debye": 399, "schrodinger_debye": 530,
                             "feedback_growth": 0}
+PRESET_SWEEPS = {"heat_debye": 3, "schrodinger_debye": 18,
+                 "feedback_growth": 0}
 
 
 @pytest.mark.parametrize("name, flows, prox, projections, minor_cycles", [
-    ("heat_debye", 5, 320, 10, 16),
-    ("schrodinger_debye", 20, 1280, 40, 56),
+    ("heat_debye", 4, 259, 14, 20),
+    ("schrodinger_debye", 4, 274, 44, 60),
     ("feedback_growth", 8, 8, 370, 185),
 ])
 def test_preset_work_counts(monkeypatch, name, flows, prox, projections,
                             minor_cycles):
     # the work of each bundled solve, pinned without a wall-clock assert:
-    # v-flows, prox steps, hull projections, Wolfe minor-cycle calls and
-    # Newton iterations. Each selection after a window's first resumes from
-    # the previous one's weights; feedback_growth's hulls are segments, on
-    # which that saves no minor cycle.
+    # exact v-flows, sweeps, prox calls (one per sweep), hull projections,
+    # Wolfe minor-cycle calls and Newton iterations. Each selection after a
+    # window's first resumes from the previous one's weights;
+    # feedback_growth's hulls are segments, on which that saves no minor
+    # cycle.
     counts = [_count_calls(monkeypatch, *target) for target in (
         (sv, "_flow"), (mono, "_prox"), (geo.HullProjector, "project"),
         (geo, "_minor_cycles"))]
+    sweeps = _count_calls(monkeypatch, sv, "_sweep")
     newton = [0]
     prox_call = mono._prox
 
@@ -387,6 +491,7 @@ def test_preset_work_counts(monkeypatch, name, flows, prox, projections,
     run, _ = _preset_run(name)
     assert run.converged
     assert [c[0] for c in counts] == [flows, prox, projections, minor_cycles]
+    assert sweeps[0] == PRESET_SWEEPS[name]
     assert newton[0] == PRESET_NEWTON_ITERATIONS[name]
 
 
