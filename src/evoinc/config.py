@@ -17,7 +17,7 @@ import numpy as np
 
 from .monotone import VariableExponentPotential, make_potential
 from .rhs import (Affine, BasisFamilyMap, Clamp, Const, GeneralCoefficient,
-                  GrowthCoefficient, Inner, Norm, Sin, Tanh)
+                  GrowthCoefficient, Inner, Norm, RhsError, Sin, Tanh)
 from .semigroup import SpectralGenerator, deviation_coefficients
 from .solver import BLOWUP_NORM, GlobalSettings, SolverError, compute_window
 
@@ -324,9 +324,19 @@ def _build_expr(obj: dict, path: str, spaces: _SpaceInfo):
     if op == "tanh":
         return Tanh(inner)
     if op == "clamp":
-        return Clamp(_number(obj.get("lo"), f"{path}.lo"),
-                     _number(obj.get("hi"), f"{path}.hi"), inner)
+        return _rhs_part(Clamp, path, _number(obj.get("lo"), f"{path}.lo"),
+                         _number(obj.get("hi"), f"{path}.hi"), inner)
     raise ConfigError(f"{path}.op: unknown primitive {op!r}")
+
+
+def _rhs_part(make, path: str, *args, **kwargs):
+    """make(*args, **kwargs) for a constructor of `rhs`, with the RhsError
+    it raises on a config's values re-raised as a ConfigError naming
+    `path`."""
+    try:
+        return make(*args, **kwargs)
+    except RhsError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _build_rhs(obj: dict, path: str, target: str, spaces: _SpaceInfo):
@@ -359,23 +369,22 @@ def _build_rhs(obj: dict, path: str, target: str, spaces: _SpaceInfo):
             c = _number(spec.get("c", 0.0), f"{cpath}.c")
             nu = spec.get("nu")
             nu_expr = _build_expr(nu, f"{cpath}.nu", spaces) if nu else None
-            coeffs.append(GrowthCoefficient(c, nu_expr))
+            coeffs.append(_rhs_part(GrowthCoefficient, f"{cpath}.nu", c,
+                                    nu_expr))
         elif form == "general":
             expr_spec = spec.get("expr")
             if expr_spec is None:
                 raise ConfigError(f"{cpath}.expr: missing")
-            coeffs.append(GeneralCoefficient(
-                _build_expr(expr_spec, f"{cpath}.expr", spaces)))
+            expr_path = f"{cpath}.expr"
+            coeffs.append(_rhs_part(
+                GeneralCoefficient, expr_path,
+                _build_expr(expr_spec, expr_path, spaces)))
         else:
             raise ConfigError(f"{cpath}.form: must be growth or general")
-    try:
-        family = BasisFamilyMap(basis, tuple(coeffs),
-                                include_origin=include_origin,
-                                target_weight=spaces.weight(target),
-                                u_weight=spaces.weight_u,
-                                v_weight=spaces.weight_v)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    family = _rhs_part(BasisFamilyMap, path, basis, tuple(coeffs),
+                       include_origin=include_origin,
+                       target_weight=spaces.weight(target),
+                       u_weight=spaces.weight_u, v_weight=spaces.weight_v)
     env = family.growth_envelope()
     if not np.isfinite([env.a, env.b, env.c]).all():
         raise ConfigError(f"{path}: growth envelope is not finite "

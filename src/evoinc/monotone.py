@@ -33,14 +33,15 @@ each row has its own residual target and Armijo step length, and rows
 retire from the Newton iteration as they certify.
 
 A flow also stacks time steps. A step whose start point v + tau g already
-meets the residual certificate takes no Newton iteration; after such a
-step the flow speculates over the next 1, 2, 4, ... steps, certifying all
-their start points with one kernel call and accepting the leading steps
-that certify. The first step that fails goes through the proximal solve
-as before, so every node value keeps its bits. A flow may instead be
-given a guess of its node values, such as an earlier flow on the same
-grid: each step then starts Newton from the guess of its node, under the
-same certificate, and does not speculate.
+meets the residual certificate takes no Newton iteration. When a flow's
+first step is such a step, as for a flow at rest, the flow certifies the
+start points of all its remaining steps with one kernel call and accepts
+the leading steps that certify. Every other step, from the first one
+that fails on, goes through the proximal solve, so every node value
+keeps its bits. A flow may instead be given a guess of its node values,
+such as an earlier flow on the same grid: each step then starts Newton
+from the guess of its node, under the same certificate, and does not
+speculate.
 
 A sweep (`_sweep`) stacks all the time steps of one flow at once. Over a
 guess of the node values it solves every step from the guessed
@@ -50,8 +51,9 @@ fixed point is the flow. A sweep's steps are certified only against
 their guessed predecessors, so its node values approximate the flow and
 do not replace it where a certificate is claimed. A zero pivot in a
 Newton system, like a NaN one, makes that row's Newton step NaN without
-touching the other rows; the row then never certifies, and the prox step
-ends in ProxDidNotConverge.
+touching the other rows. A row whose Newton step is not finite could
+never certify, so the prox step ends at once in ProxDidNotConverge with
+residual NaN.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ from .paths import TimePath
 
 PROX_RESIDUAL_TOL = 1e-10
 PROX_NEWTON_ITERS = 60
-# Bound on the rows (steps times stacked states) of one speculated chain
-# of flow steps, which keeps a chain's kernel small.
-_CHAIN_ROWS = 1024
 
 
 class MonotoneError(ValueError):
@@ -414,8 +413,9 @@ def prox_step(pot: VariableExponentPotential, d: np.ndarray,
     once its mesh-weighted gradient residual is at or below
     PROX_RESIDUAL_TOL * (1 + ||v_prev_i||). Raises ProxDidNotConverge,
     with the worst residual among the rows still iterating, when some row
-    has not retired after PROX_NEWTON_ITERS steps. Each row gets the same
-    bits as in a one-state call.
+    has not retired after PROX_NEWTON_ITERS steps, and with residual NaN
+    as soon as some row's Newton step is not finite. Each row gets the
+    same bits as in a one-state call.
     """
     if tau <= 0.0:
         raise MonotoneError("step size must be positive")
@@ -498,16 +498,17 @@ def _prox(pot: VariableExponentPotential, d: np.ndarray, v_prev: np.ndarray,
                          for f, s in zip(f_cur, _row_dots(start, start))]
         diag, off = kernel.hessian()
         delta = _thomas_solve(diag + inv_tau, off, -r)
+        slopes = [h * rd for rd in _row_dots(r, delta)]  # mesh-weighted
+        if not math.isfinite(sum(slopes)):
+            # a Newton step that is not finite: its row could never certify
+            raise ProxDidNotConverge(math.nan)
         trial = _EnergyKernel(pot, d, w + delta)
         shift = trial.v - z
-        f_new, slopes, todo = [], [], []
-        for i, (e, ss, rd, f0) in enumerate(zip(
-                trial.values(), _row_dots(shift, shift), _row_dots(r, delta),
-                f_cur)):
+        f_new, todo = [], []
+        for i, (e, ss, slope, f0) in enumerate(zip(
+                trial.values(), _row_dots(shift, shift), slopes, f_cur)):
             f = e + h * ss * 0.5 * inv_tau
-            slope = h * rd  # mesh-weighted, negative
             f_new.append(f)
-            slopes.append(slope)
             # Armijo decrease, up to the rounding of the objective
             if not f <= f0 + 1e-4 * slope + 1e-12 * (1.0 + abs(f0)):
                 todo.append(i)
@@ -592,42 +593,32 @@ def _flow(pot: VariableExponentPotential, table: np.ndarray,
     guess.
 
     Without a guess, a step whose start point v + tau g already certifies
-    takes no Newton iteration and returns that point. After such a step
-    the loop speculates over the next `span` steps: it forms their start
-    points by the same sequential additions, `np.add.accumulate`,
+    takes no Newton iteration and returns that point. When step 0 is such
+    a step, the loop speculates once: it forms the start points of steps
+    1 to K - 2 by the same sequential additions, `np.add.accumulate`,
     certifies them all in one `_certified_run`, accepts the leading steps
-    that certify and hands the first one that does not to `_prox`. The
-    span doubles (1, 2, 4, ...) after a fully certified chain, up to
-    _CHAIN_ROWS rows of steps times states, and drops to 0 after a
-    failure, so a flow whose every step needs Newton never speculates. An
-    accepted step makes the floating-point operations of a `_prox` call
-    that returns its start point, so the values are bit-identical to one
-    `_prox` call per step.
+    that certify and hands the rest, from the first one that does not, to
+    `_prox` one by one. A flow whose first step needs Newton never
+    speculates. An accepted step makes the floating-point operations of a
+    `_prox` call that returns its start point, so the values are
+    bit-identical to one `_prox` call per step.
     """
     edges = table[:, :-1]
     tau_g = tau * g
-    steps = len(g) - 1
-    longest = max(1, _CHAIN_ROWS // (len(v0) if v0.ndim == 2 else 1))
     out = np.empty((len(g),) + v0.shape)
     out[0] = v = v0
-    k = span = 0
-    while k < steps:
-        if span:
-            m = min(span, steps - k)
-            run = _certified_run(pot, edges[k + 1:k + 1 + m], v,
-                                 tau_g[k:k + m])
-            out[k + 1:k + 1 + len(run)] = run
-            k += len(run)
-            v = out[k]
-            if len(run) == m:
-                span = min(2 * span, longest)
-                continue
+    k = 0
+    while k < len(g) - 1:
         start = None if guess is None else guess[k + 1]
         v, iterations = _prox(pot, edges[k + 1], v, v + tau_g[k], tau,
                               start)
-        out[k + 1] = v
         k += 1
-        span = 0 if iterations or start is not None else 1
+        out[k] = v
+        if k == 1 and len(g) > 2 and not iterations and start is None:
+            run = _certified_run(pot, edges[2:], v, tau_g[1:-1])
+            out[2:2 + len(run)] = run
+            k += len(run)
+            v = out[k]
     return out if v0.ndim == 1 else out.transpose(1, 0, 2).copy()
 
 

@@ -344,10 +344,6 @@ class SingletonAffineMap:
         return cls(np.zeros((value.size, dim_u)), np.zeros((value.size, dim_v)),
                    value, target_weight, u_weight, v_weight)
 
-    @property
-    def target_dim(self) -> int:
-        return self.offset.size
-
     def vertex_array(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.atleast_2d(np.asarray(u, dtype=float))
         v = np.atleast_2d(np.asarray(v, dtype=float))

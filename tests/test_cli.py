@@ -365,10 +365,18 @@ def _set_overflowing_exponent(cfg):
                                    "value": MAX_EXPONENT}
 
 
+def _set_zero_pivot_exponent(cfg):
+    # a Newton system of the first step cancels a pivot to exactly 0: the
+    # step ends at once, and the report names the NaN residual
+    cfg["spatial"]["p_profile"]["high"] = 512
+
+
 @pytest.mark.parametrize("mutate, failure", [
     (_set_steep_exponent, "ProxDidNotConverge: "),
     (_set_overflowing_exponent, "ProxDidNotConverge: "),
-], ids=["steep-exponent", "overflowing-exponent"])
+    (_set_zero_pivot_exponent,
+     "ProxDidNotConverge: inner solver left gradient residual nan"),
+], ids=["steep-exponent", "overflowing-exponent", "zero-pivot"])
 def test_solve_time_failure_writes_report(tmp_path, capsys, mutate, failure):
     cfg = json.loads(_read(preset_path("heat_debye")))
     mutate(cfg)
@@ -511,3 +519,74 @@ def test_config_validates_rhs_direction_dimensions():
         "kind": "values", "values": [1.0, 2.0]}
     with pytest.raises(ConfigError):
         build_experiment(raw)
+
+
+def _inner(arg):
+    return {"op": "inner", "arg": arg,
+            "direction": {"kind": "unit", "index": 0}}
+
+
+@pytest.mark.parametrize("path, coefficient, message", [
+    ("config.rhs_g.coefficients[0].expr",
+     {"form": "general", "expr": {"op": "clamp", "lo": 1.0, "hi": -1.0,
+                                  "child": _inner("u")}},
+     "clamp needs lo <= hi"),
+    ("config.rhs_g.coefficients[0].expr",
+     {"form": "general", "expr": _inner("u")},
+     "structurally finite sup bound"),
+    ("config.rhs_g.coefficients[0].nu",
+     {"form": "growth", "c": 0.1,
+      "nu": {"op": "tanh", "child": _inner("u")}},
+     "must not depend on u"),
+    ("config.rhs_g.coefficients[0].nu",
+     {"form": "growth", "c": 0.1, "nu": _inner("v")},
+     "needs a finite bound"),
+], ids=["clamp-lo-above-hi", "general-bare-inner", "growth-nu-reads-u",
+        "growth-nu-unbounded"])
+def test_solve_rejects_bad_coefficients_naming_them(tmp_path, capsys, path,
+                                                    coefficient, message):
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    cfg["rhs_g"]["coefficients"][0] = coefficient
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["solve", "--config", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}: " in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _leaves(obj, path=()):
+    """(path, value) of every scalar in a decoded config."""
+    items = obj.items() if isinstance(obj, dict) \
+        else enumerate(obj) if isinstance(obj, list) else None
+    if items is None:
+        yield path, obj
+        return
+    for key, value in items:
+        yield from _leaves(value, path + (key,))
+
+
+def test_config_coefficient_edits_fail_only_by_name():
+    # every single-leaf edit of the first coefficient of each right-hand
+    # side of each preset either builds or raises ConfigError
+    vocabulary = ["const", "inner", "norm", "affine", "sin", "tanh", "clamp",
+                  "growth", "general", "u", "v", -1.0, 0.0, 1e300]
+    edits = 0
+    for name in ("heat_debye", "schrodinger_debye", "feedback_growth"):
+        raw = json.loads(_read(preset_path(name)))
+        for side in ("rhs_f", "rhs_g"):
+            for path, _ in _leaves(raw[side]["coefficients"][0]):
+                for value in vocabulary:
+                    cfg = json.loads(json.dumps(raw))
+                    node = cfg[side]["coefficients"][0]
+                    for key in path[:-1]:
+                        node = node[key]
+                    node[path[-1]] = value
+                    edits += 1
+                    try:
+                        build_experiment(cfg)
+                    except ConfigError:
+                        pass
+    assert edits > 500

@@ -246,7 +246,10 @@ def test_prox_with_a_zero_newton_pivot_raises_by_name(monkeypatch):
     with pytest.raises(mono.ProxDidNotConverge) as err:
         mono.prox_step(pot, pot.coefficient_at(tau), v, np.zeros(15), tau)
     assert math.isnan(err.value.residual)
-    assert any(singular)
+    # the step ends at its first singular Newton system, one Thomas solve
+    # per Newton iteration, instead of spending the iteration budget
+    assert singular.index(True) == len(singular) - 1
+    assert len(singular) < mono.PROX_NEWTON_ITERS
 
 
 # ---------------------------------------------------------------------------
@@ -618,27 +621,51 @@ def _count_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("rows,spikes", [(None, (40,)),
-                                         (3, (40, 200, 450))])
+                                         (3, (40, 60, 100))])
 def test_flow_speculation_matches_prox_step_loop(rows, spikes, monkeypatch):
-    nodes = 2200  # long enough for a run at the row cap after the spikes
+    nodes = 129
     pot, v0, g = _mixed_flow(rows, nodes, spikes)
     expected = _step_by_step(pot, v0, g)
     seen = _count_steps(monkeypatch)
     values = _solve(pot, v0, g)
     for k in range(nodes):
         assert np.array_equal(values[k], expected[k]), k
-    # each spike needs Newton; nearly every other step is speculated
-    assert seen["newton"] == len(spikes)
-    assert seen["prox"] < (nodes - 1) // 100
-    stack = rows or 1
-    assert max(seen["rows"]) == mono._CHAIN_ROWS // stack * stack
+    # step 0 certifies at its start point, so one run certifies the start
+    # points of steps 1 to 127 and accepts those before the first spike;
+    # every step from there on goes to `_prox` and, the state after a
+    # spike being too large to certify at its start point, takes Newton
+    assert seen["rows"] == [(nodes - 2) * (rows or 1)]
+    assert seen["prox"] == 1 + (nodes - 1 - spikes[0])
+    assert seen["newton"] == nodes - 1 - spikes[0]
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_flow_from_rest_switched_on_mid_flow(rows, monkeypatch):
+    # at rest under zero forcing until node 20, then driven: the first
+    # step certifies, one run certifies the start points of all later
+    # steps and accepts steps 1 to 19, and steps 20 to 31 go to `_prox`
+    # one by one
+    pot = mono.make_potential(15, ("ramp", 2.5, 3.5), ("linear_decay", 2.0))
+    shape = np.sin(np.pi * pot.nodes()[1:-1])
+    v0 = np.zeros((rows or 1, 15))
+    g = np.zeros((33, rows or 1, 15))
+    g[20:] = shape * np.arange(1, (rows or 1) + 1)[:, None]
+    if rows is None:
+        v0, g = v0[0], g[:, 0]
+    expected = _step_by_step(pot, v0, g)
+    seen = _count_steps(monkeypatch)
+    values = _solve(pot, v0, g)
+    assert np.array_equal(values, expected)
+    assert not values[:21].any()
+    assert seen["rows"] == [31 * (rows or 1)]
+    assert seen["prox"] == 1 + 12 and seen["newton"] == 12
 
 
 @pytest.mark.parametrize("fault", ["nan", "spike"])
 def test_flow_speculation_fails_like_prox_step_loop(fault, monkeypatch):
     pot, v0, g = _mixed_flow(3, 401, ())
-    # node 300 lies inside the speculated run of steps 256-399; a TimePath
-    # refuses NaN, so the flow loop runs on the raw node values
+    # node 300 lies inside the one speculated run, of steps 1-399; a
+    # TimePath refuses NaN, so the flow loop runs on the raw node values
     if fault == "nan":
         g[300, 1, 4] = math.nan
     else:
@@ -679,9 +706,9 @@ def test_flow_speculation_certifies_like_prox_at_the_threshold(
     seen = _count_steps(monkeypatch)
     assert np.array_equal(_solve(pot, np.zeros(5), g), expected)
     # below the threshold every step after the first is speculated; above
-    # it step 1 takes Newton and step 2 goes to `_prox` again
+    # it step 1 takes Newton, and it and every later step go to `_prox`
     assert (seen["prox"], seen["newton"]) \
-        == ((1, 0) if ratio < 1 else (3, 1))
+        == ((1, 0) if ratio < 1 else (8, 1))
 
 
 def _newton_flow(rows):

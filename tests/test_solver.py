@@ -412,15 +412,27 @@ def _count_calls(monkeypatch, owner, name):
 def test_feedback_growth_flows_speculate_start_point_steps(monkeypatch):
     # feedback_growth's v-flows start at rest under a zero g-selection, so
     # every step certifies at its start point: each flow of 64 steps makes
-    # one `_prox` call and speculates the other 63 in runs of 1, 2, 4, ...,
-    # 32 steps. The g-forcing never moves, so each window runs one flow for
-    # all of its relaxed iterations (185 flows without that reuse).
+    # one `_prox` call for its first step and certifies the start points
+    # of the other 63 in one run. The g-forcing never moves, so each
+    # window runs one flow for all of its relaxed iterations (185 flows
+    # without that reuse).
     flows = _count_calls(monkeypatch, sv, "_flow")
     prox = _count_calls(monkeypatch, mono, "_prox")
+    runs = _count_calls(monkeypatch, mono, "_certified_run")
     run, _ = _preset_run("feedback_growth")
     assert run.converged
     assert flows[0] == len(run.windows) == 8
-    assert prox[0] == flows[0]
+    assert prox[0] == runs[0] == flows[0]
+
+
+@pytest.mark.parametrize("name", ["heat_debye", "schrodinger_debye"])
+def test_flows_off_rest_never_speculate(monkeypatch, name):
+    # each window's first exact v-flow starts cold off rest, and its first
+    # step takes Newton; later flows resume from a guess: no flow
+    # certifies a run of start points
+    runs = _count_calls(monkeypatch, mono, "_certified_run")
+    run, _ = _preset_run(name)
+    assert run.converged and runs[0] == 0
 
 
 def test_moving_g_forcing_reruns_the_v_flow(monkeypatch):
