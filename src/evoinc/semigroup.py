@@ -108,9 +108,11 @@ def duhamel_solve(gen: SpectralGenerator, u0: np.ndarray,
     """Mild solution path for piecewise-constant forcing, exact per step.
 
     The forcing value on [t_k, t_{k+1}) is the node value at t_k. Each mode
-    advances by one multiply-add, z_{k+1} = exp(tau s) z_k + gain f_k, with
-    the exact forcing integral gain = expm1(tau s) / s (s is never zero,
-    and expm1 keeps the gain accurate to rounding however small tau s is).
+    obeys z_{k+1} = exp(tau s) z_k + gain f_k, with the exact forcing
+    integral gain = expm1(tau s) / s (s is never zero, and expm1 keeps the
+    gain accurate to rounding however small tau s is). The recurrence runs
+    as the log-depth scan of `_advance`, whose summation order differs from
+    a node-by-node loop, so results match that loop to rounding only.
     """
     s = gen.symbol()
     ts = forcing.dt * s
@@ -120,15 +122,39 @@ def duhamel_solve(gen: SpectralGenerator, u0: np.ndarray,
 
 def _advance(gen: SpectralGenerator, u0: np.ndarray, forcing: TimePath,
              factor: np.ndarray, gain: np.ndarray) -> TimePath:
-    """Path of z_{k+1} = factor z_k + gain f_k from z_0 = u0, per mode."""
+    """Path of z_{k+1} = factor z_k + gain f_k from z_0 = u0, per mode.
+
+    A log-depth prefix scan (Hillis and Steele, 1986) over the nodes: with
+    out = (u0, gain f_0, gain f_1, ...), the pass at shift 1, 2, 4, ...
+    adds factor^shift times the node `shift` places back, after which node
+    k holds sum_j factor^(k - j) out_j. The powers come from repeated
+    squaring and the sum is taken in a different order than the
+    node-by-node recurrence, so the path agrees with it to rounding, not
+    bit for bit; each squaring doubles a power's relative error, so that
+    rounding grows about linearly with the number of nodes. One scratch
+    buffer serves every pass.
+    """
     u0 = np.asarray(u0, dtype=float)
     if u0.size != gen.state_dim or forcing.dim != gen.state_dim:
         raise SemigroupError("state dimension mismatch")
-    drive = gain * _modal(gen, forcing.values[:-1])
-    out = np.empty((forcing.num_nodes, gen.modes), dtype=drive.dtype)
+    values = _modal(gen, forcing.values[:-1])
+    nodes = forcing.num_nodes
+    out = np.empty((nodes, gen.modes),
+                   dtype=np.result_type(factor, gain, values))
     out[0] = _modal(gen, u0)
-    for i in range(forcing.num_nodes - 1):
-        out[i + 1] = factor * out[i] + drive[i]
+    np.multiply(gain, values, out=out[1:])
+    power = np.array(factor, dtype=out.dtype)
+    scratch = np.empty_like(out)
+    shift = 1
+    while shift < nodes:
+        step = scratch[:nodes - shift]
+        np.multiply(power, out[:-shift], out=step)
+        out[shift:] += step
+        shift *= 2
+        if shift < nodes:
+            # squared only for a pass that uses it: a power beyond
+            # factor^(nodes - 1) may overflow where the path does not
+            power *= power
     return TimePath(forcing.t0, forcing.t1, _real(out), forcing.weight)
 
 

@@ -1,9 +1,14 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import evoinc
 from evoinc.cli import main
 from evoinc.config import (MAX_EXPONENT, MAX_WINDOWS, ConfigError,
                            build_experiment, preset_path)
@@ -29,6 +34,17 @@ def test_verify_selection_suite_passes(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out and all(line.startswith("PASS") for line in out)
     assert all("trials=" in line and "worst_margin=" in line for line in out)
+
+
+def test_python_m_evoinc_runs_the_command_line():
+    src = str(pathlib.Path(evoinc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "evoinc", "verify", "semigroup", "--trials",
+         "1"], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out = done.stdout.strip().splitlines()
+    assert out and all(line.startswith("PASS") for line in out)
 
 
 def test_verify_is_deterministic(capsys):

@@ -11,7 +11,8 @@ from evoinc import cli
 from evoinc import geometry as geo
 from evoinc import suites
 
-from conftest import monotone_chain, polygon_boundary_sample, polygon_distances
+from conftest import (monotone_chain, point_segment_distance,
+                      polygon_boundary_sample, polygon_distances)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_minor_cycles_leave_one_vertex_corrals_unchanged(dim):
     assert np.array_equal(corral, corral_before)
 
 
-def test_cold_segment_projection_runs_one_minor_cycle(monkeypatch):
+def test_cold_segment_projection_runs_no_minor_cycle(monkeypatch):
     calls = []
     minor = geo._minor_cycles
 
@@ -301,10 +302,74 @@ def test_cold_segment_projection_runs_one_minor_cycle(monkeypatch):
     monkeypatch.setattr(geo, "_minor_cycles", counted)
     segment = np.array([[0.0, 0.0], [2.0, 0.0]])
     p, _ = geo.HullProjector(segment).project(np.array([0.5, 1.0]))
-    # the cold start at (0, 0) fails the certificate, (2, 0) enters, and
-    # the one minor cycle moves to the foot of the perpendicular
+    # a two-vertex hull is projected in closed form, at the foot of the
+    # perpendicular, without Wolfe's cycles
     assert np.allclose(p, [[0.5, 0.0]], atol=1e-15)
-    assert calls == [1]
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_segment_projection_matches_closed_distance_and_wolfe(d):
+    rng = np.random.default_rng(90 + d)
+    m = 300
+    stack = rng.normal(size=(m, 2, d))
+    x = 2.0 * rng.normal(size=(m, d))
+    hull = geo.HullProjector(stack)
+    p, _ = hull.project(x)
+    expected = [point_segment_distance(x[i], stack[i, 0], stack[i, 1])
+                for i in range(m)]
+    assert np.allclose(np.linalg.norm(x - p, axis=1), expected,
+                       rtol=0.0, atol=1e-14)
+    assert np.all(hull.lam >= 0.0)
+    assert np.allclose(hull.lam.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.allclose((hull.lam[:, :, None] * stack).sum(axis=1), p,
+                       rtol=0.0, atol=1e-15)
+    # the same segments padded to three vertices take Wolfe's path
+    padded = np.concatenate([stack, stack[:, 1:]], axis=1)
+    wolfe, _ = geo.HullProjector(padded).project(x)
+    assert np.abs(p - wolfe).max() <= 1e-14
+
+
+def test_segment_projection_degenerate_and_on_segment():
+    a = np.array([1.0, -2.0, 0.5])
+    b = np.array([3.0, 1.0, -0.5])
+    stack = np.stack([np.stack([a, a]), np.stack([a, b])])
+    on_segment = a + 0.3 * (b - a)
+    x = np.stack([np.array([4.0, 0.0, 1.0]), on_segment])
+    hull = geo.HullProjector(stack)
+    p, gaps = hull.project(x)
+    # a == b has no direction: t = 0 and the point is the vertex
+    assert np.array_equal(p[0], a)
+    assert np.array_equal(hull.lam[0], [1.0, 0.0])
+    assert gaps[0] == 0.0
+    # a query on the segment is its own projection
+    assert np.abs(p[1] - on_segment).max() <= 1e-15
+    assert hull.lam[1] == pytest.approx([0.7, 0.3], abs=1e-15)
+    assert abs(gaps[1]) <= 1e-14
+
+
+def test_segment_projection_row_subset_with_warm_weights():
+    rng = np.random.default_rng(95)
+    stack = rng.normal(size=(5, 2, 3))
+    x = rng.normal(size=(5, 3))
+    cold, _ = geo.HullProjector(stack).project(x)
+    hull = geo.HullProjector(stack)
+    hull.lam = np.full((5, 2), 0.5)
+    rows = np.array([1, 3])
+    p, _ = hull.project(x[rows], rows=rows)
+    assert np.array_equal(p, cold[rows])
+    # the other rows keep their warm start
+    assert np.array_equal(hull.lam[[0, 2, 4]], np.full((3, 2), 0.5))
+    assert np.all(hull.lam[rows] >= 0.0)
+    assert np.allclose(hull.lam[rows].sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_segment_projection_raises_without_certificate(monkeypatch):
+    # a bound no gap can meet: the closed form raises like Wolfe's path
+    monkeypatch.setattr(geo, "PROJECTION_TOL", -1.0)
+    segment = np.array([[0.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(geo.ProjectionDidNotConverge):
+        geo.HullProjector(segment).project(np.array([0.5, 1.0]))
 
 
 @pytest.mark.parametrize("query", [[math.nan, 0.0], [math.inf, 0.0],

@@ -205,6 +205,38 @@ def test_duhamel_linearity(rng):
         combined, first.with_values(first.values + second.values)) <= 1e-10
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [2, 3, 64, 65, 1025])
+def test_duhamel_scan_matches_sequential_recurrence(kind, k):
+    # the log-depth scan sums in another order than the node-by-node
+    # recurrence z_{k+1} = exp(tau s) z_k + gain f_k; both agree to rounding
+    gen = sg.SpectralGenerator(kind, 8)
+    rng = np.random.default_rng(46)
+    f = TimePath(0.0, 1.0, rng.normal(size=(k, gen.state_dim)))
+    u0 = rng.normal(size=gen.state_dim)
+    s = gen.symbol()
+    factor, gain = np.exp(f.dt * s), np.expm1(f.dt * s) / s
+    z = sg._modal(gen, u0).copy()
+    drive = gain * sg._modal(gen, f.values)
+    sequential = [z]
+    for i in range(k - 1):
+        z = factor * z + drive[i]
+        sequential.append(z)
+    expected = sg._real(np.array(sequential))
+    scan = sg.duhamel_solve(gen, u0, f).values
+    err = np.abs(scan - expected).max() / np.abs(expected).max()
+    assert err <= 64.0 * math.log2(k) * np.finfo(float).eps
+
+
+def test_scan_forms_no_power_beyond_the_last_node():
+    # factor 2 over 1,000 nodes: the path 2^k ends at 2^999, finite and
+    # exact; the scan's next power, 2^1024, would overflow
+    gen = sg.SpectralGenerator("heat", 1)
+    f = TimePath(0.0, 1.0, np.zeros((1000, 1)))
+    out = sg._advance(gen, np.ones(1), f, np.array([2.0]), np.ones(1))
+    assert np.array_equal(out.values[:, 0], 2.0 ** np.arange(1000))
+
+
 def test_duhamel_grid_mismatch():
     gen = sg.SpectralGenerator("heat", 2)
     with pytest.raises(sg.SemigroupError):

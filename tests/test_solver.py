@@ -477,7 +477,7 @@ PRESET_SWEEPS = {"heat_debye": 3, "schrodinger_debye": 18,
 @pytest.mark.parametrize("name, flows, prox, projections, minor_cycles", [
     ("heat_debye", 4, 259, 14, 20),
     ("schrodinger_debye", 4, 274, 44, 60),
-    ("feedback_growth", 8, 8, 370, 185),
+    ("feedback_growth", 8, 8, 370, 0),
 ])
 def test_preset_work_counts(monkeypatch, name, flows, prox, projections,
                             minor_cycles):
@@ -485,8 +485,8 @@ def test_preset_work_counts(monkeypatch, name, flows, prox, projections,
     # exact v-flows, sweeps, prox calls (one per sweep), hull projections,
     # Wolfe minor-cycle calls and Newton iterations. Each selection after a
     # window's first resumes from the previous one's weights;
-    # feedback_growth's hulls are segments, on which that saves no minor
-    # cycle.
+    # feedback_growth's hulls are segments, which are projected in closed
+    # form without any minor cycle.
     counts = [_count_calls(monkeypatch, *target) for target in (
         (sv, "_flow"), (mono, "_prox"), (geo.HullProjector, "project"),
         (geo, "_minor_cycles"))]
