@@ -29,7 +29,8 @@ each row of a stack gets exactly the bits of its one-state call. The
 coefficient may be one closed-grid row (J + 2,) for all states or one row
 per state (B, J + 2); `energy` and `subgradient` take one time or one time
 per row, so the node energies of whole flows are one call. In `prox_step`
-each row has its own residual target and Armijo step length, and rows
+each row has its own residual target and Armijo step length, the line
+search evaluates the whole live stack at those step lengths, and rows
 retire from the Newton iteration as they certify.
 
 A flow also stacks time steps. A step whose start point v + tau g already
@@ -252,11 +253,6 @@ class _EnergyKernel:
             setattr(part, name, getattr(self, name)[rows])
         return part
 
-    def put(self, rows: np.ndarray, part: "_EnergyKernel") -> None:
-        """Overwrite the rows `rows` of a stack with the kernel `part`."""
-        for name in _EnergyKernel._ROWS:
-            getattr(self, name)[rows] = getattr(part, name)
-
     def values(self) -> list:
         """The energy of each row, as a list of floats."""
         pot = self.pot
@@ -448,6 +444,16 @@ def _certified(pot: VariableExponentPotential, r: np.ndarray,
             for s, target in zip(_row_dots(r, r), targets)]
 
 
+def _prox_objective(kernel: _EnergyKernel, z: np.ndarray,
+                    inv_tau: float):
+    """The prox objective energy(w) + ||w - z||^2 / (2 tau) of each row of
+    the kernel's states w, as a list of floats, and w - z."""
+    shift = kernel.v - z
+    h = kernel.pot.mesh
+    return [e + h * s * 0.5 * inv_tau
+            for e, s in zip(kernel.values(), _row_dots(shift, shift))], shift
+
+
 def _prox(pot: VariableExponentPotential, d: np.ndarray, v_prev: np.ndarray,
           z: np.ndarray, tau: float, w0: np.ndarray | None = None):
     """`prox_step` on checked input: the edge coefficient `d` (d[..., :-1]
@@ -455,7 +461,12 @@ def _prox(pot: VariableExponentPotential, d: np.ndarray, v_prev: np.ndarray,
     Newton starts from `w0` when given, of the shape of z, and from z
     otherwise; the certificate, the Armijo safeguard and the iteration
     budget are the same for both starts. Returns the minimizer and the
-    number of Newton iterations taken, 0 when the start certifies."""
+    number of Newton iterations taken, 0 when the start certifies.
+
+    The line search evaluates the whole live stack at per-row step
+    lengths, 1 at first, and halves the step of each row still failing
+    its Armijo test; the 50th evaluation (step 2^-49) is accepted as it
+    is. Rows that passed are re-evaluated with the same bits."""
     h = pot.mesh
     root_h = pot.root_mesh
     inv_tau = 1.0 / tau
@@ -490,54 +501,30 @@ def _prox(pot: VariableExponentPotential, d: np.ndarray, v_prev: np.ndarray,
                 f_cur = [f_cur[i] for i in live]
         if it == PROX_NEWTON_ITERS:
             break
-        if f_cur is None:
-            f_cur = kernel.values()
-            if w0 is not None:
-                start = w - z
-                f_cur = [f + h * s * 0.5 * inv_tau
-                         for f, s in zip(f_cur, _row_dots(start, start))]
+        if f_cur is None:  # the proximal term vanishes at z
+            f_cur = kernel.values() if w0 is None \
+                else _prox_objective(kernel, z, inv_tau)[0]
         diag, off = kernel.hessian()
         delta = _thomas_solve(diag + inv_tau, off, -r)
         slopes = [h * rd for rd in _row_dots(r, delta)]  # mesh-weighted
         if not math.isfinite(sum(slopes)):
             # a Newton step that is not finite: its row could never certify
             raise ProxDidNotConverge(math.nan)
-        trial = _EnergyKernel(pot, d, w + delta)
-        shift = trial.v - z
-        f_new, todo = [], []
-        for i, (e, ss, slope, f0) in enumerate(zip(
-                trial.values(), _row_dots(shift, shift), slopes, f_cur)):
-            f = e + h * ss * 0.5 * inv_tau
-            f_new.append(f)
+        alphas = [1.0] * len(slopes)
+        step, todo = delta, range(len(slopes))
+        for _ in range(50):
+            kernel = _EnergyKernel(pot, d, w + step)
+            f_new, shift = _prox_objective(kernel, z, inv_tau)
             # Armijo decrease, up to the rounding of the objective
-            if not f <= f0 + 1e-4 * slope + 1e-12 * (1.0 + abs(f0)):
-                todo.append(i)
-        alphas = [1.0] * len(f_new)
-        for _ in range(49):
+            todo = [i for i in todo if not f_new[i] <= f_cur[i]
+                    + 1e-4 * alphas[i] * slopes[i]
+                    + 1e-12 * (1.0 + abs(f_cur[i]))]
             if not todo:
                 break
             for i in todo:
                 alphas[i] *= 0.5
-            # the whole stack steps back together, or only the rows in todo
-            sub = slice(None) if len(todo) == len(f_new) else np.array(todo)
-            base = w[sub]
-            alpha = np.reshape([alphas[i] for i in todo],
-                               base.shape[:-1] + (1,))
-            part = _EnergyKernel(pot, d[sub] if d.ndim == 2 else d,
-                                 base + alpha * delta[sub])
-            part_shift = part.v - z[sub]
-            for i, e, s in zip(todo, part.values(),
-                               _row_dots(part_shift, part_shift)):
-                f_new[i] = e + h * s * 0.5 * inv_tau
-            if isinstance(sub, slice):
-                trial, shift = part, part_shift
-            else:
-                trial.put(sub, part)
-                shift[sub] = part_shift
-            todo = [i for i in todo if not f_new[i] <= f_cur[i]
-                    + 1e-4 * alphas[i] * slopes[i]
-                    + 1e-12 * (1.0 + abs(f_cur[i]))]
-        kernel, w, f_cur = trial, trial.v, f_new
+            step = np.reshape(alphas, w.shape[:-1] + (1,)) * delta
+        w, f_cur = kernel.v, f_new
         r = kernel.gradient() + shift * inv_tau
     raise ProxDidNotConverge(
         float(np.max([root_h * math.sqrt(s) for s in _row_dots(r, r)])))

@@ -37,9 +37,6 @@ class Expr:
     def bound(self) -> float:
         raise NotImplementedError
 
-    def depends_on_u(self) -> bool:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -50,9 +47,6 @@ class Const(Expr):
 
     def bound(self):
         return abs(self.value)
-
-    def depends_on_u(self):
-        return False
 
 
 @dataclass(frozen=True)
@@ -77,9 +71,6 @@ class Inner(Expr):
     def bound(self):
         return math.inf
 
-    def depends_on_u(self):
-        return self.arg == "u"
-
 
 @dataclass(frozen=True)
 class Norm(Expr):
@@ -92,9 +83,6 @@ class Norm(Expr):
 
     def bound(self):
         return math.inf
-
-    def depends_on_u(self):
-        return self.arg == "u"
 
 
 @dataclass(frozen=True)
@@ -109,9 +97,6 @@ class Affine(Expr):
     def bound(self):
         return abs(self.scale) * self.child.bound() + abs(self.shift)
 
-    def depends_on_u(self):
-        return self.child.depends_on_u()
-
 
 @dataclass(frozen=True)
 class Sin(Expr):
@@ -123,9 +108,6 @@ class Sin(Expr):
     def bound(self):
         return min(1.0, self.child.bound())
 
-    def depends_on_u(self):
-        return self.child.depends_on_u()
-
 
 @dataclass(frozen=True)
 class Tanh(Expr):
@@ -136,9 +118,6 @@ class Tanh(Expr):
 
     def bound(self):
         return min(1.0, self.child.bound())
-
-    def depends_on_u(self):
-        return self.child.depends_on_u()
 
 
 @dataclass(frozen=True)
@@ -157,8 +136,13 @@ class Clamp(Expr):
     def bound(self):
         return min(max(abs(self.lo), abs(self.hi)), self.child.bound())
 
-    def depends_on_u(self):
-        return self.child.depends_on_u()
+
+def _reads_u(expr: Expr) -> bool:
+    """Whether the `Inner` or `Norm` leaf under the wrappers of `expr`
+    reads u; a `Const` leaf reads nothing."""
+    while hasattr(expr, "child"):
+        expr = expr.child
+    return getattr(expr, "arg", None) == "u"
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +157,7 @@ class GrowthCoefficient:
 
     def __post_init__(self):
         if self.nu is not None:
-            if self.nu.depends_on_u():
+            if _reads_u(self.nu):
                 raise RhsError("v-feedback term must not depend on u")
             if not math.isfinite(self.nu.bound()):
                 raise RhsError("v-feedback term needs a finite bound")

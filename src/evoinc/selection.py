@@ -47,8 +47,9 @@ def _resumed_selection(family, u: TimePath, v: TimePath, anchor: TimePath,
     whose optimal face did not move needs no vertex to enter; a node that
     fails its certificate still enters vertices until it holds, and every
     returned point passes the same gap test as a cold projection. Returns
-    (selection, final weights); the weights are None for one-vertex images,
-    which need no iteration.
+    (selection, node distances of the anchor to it in the target norm,
+    final weights); the weights are None for one-vertex images, which need
+    no iteration.
     """
     if not u.same_grid(v):
         raise ValueError("state paths must share the time grid")
@@ -57,7 +58,10 @@ def _resumed_selection(family, u: TimePath, v: TimePath, anchor: TimePath,
     hull = HullProjector(family.vertex_array(u.values, v.values))
     hull.lam = weights
     points, _ = hull.project(anchor.values)
-    return TimePath(u.t0, u.t1, points, family.target_weight), hull.lam
+    distances = math.sqrt(family.target_weight) * np.linalg.norm(
+        anchor.values - points, axis=1)
+    return (TimePath(u.t0, u.t1, points, family.target_weight), distances,
+            hull.lam)
 
 
 def selection_residual(family, u: TimePath, v: TimePath,
@@ -70,13 +74,7 @@ def selection_residual(family, u: TimePath, v: TimePath,
 def node_distances(family, u: TimePath, v: TimePath,
                    f: TimePath) -> np.ndarray:
     """Node-wise distance of f to the image hulls, in the target norm."""
-    return _gaps(family, f, nearest_point_selection(family, u, v, f))
-
-
-def _gaps(family, f: TimePath, g: TimePath) -> np.ndarray:
-    """Node-wise distance of f to g, in the target norm."""
-    return math.sqrt(family.target_weight) * np.linalg.norm(
-        f.values - g.values, axis=1)
+    return _resumed_selection(family, u, v, f, None)[1]
 
 
 def approximate_selection(family, u_new: TimePath, v: TimePath,
@@ -91,8 +89,7 @@ def approximate_selection(family, u_new: TimePath, v: TimePath,
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    new = nearest_point_selection(family, u_new, v, f)
-    gaps = _gaps(family, f, new)
+    new, gaps, _ = _resumed_selection(family, u_new, v, f, None)
     if np.any(gaps > eps + MEMBERSHIP_TOL):
         node = int(np.argmax(gaps))
         raise SelectionError(

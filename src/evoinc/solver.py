@@ -19,7 +19,7 @@ import numpy as np
 
 from .monotone import (MonotoneError, VariableExponentPotential, _flow,
                        _sweep)
-from .paths import TimePath, path_distance, path_l2_norm, zero_path
+from .paths import TimePath, path_distance, path_l2_norm, trapezoid_l2, zero_path
 from .selection import _resumed_selection
 from .semigroup import SpectralGenerator, duhamel_solve, yosida_smooth
 
@@ -211,16 +211,18 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
                                              g_path.dt, guess), h)
 
     def selections(u: TimePath, v: TimePath):
-        """f*, g* and their residuals against f_path, g_path; each
-        selection resumes from the final hull weights of the previous one
-        of its family."""
-        nonlocal f_weights, g_weights
-        f_star, f_weights = _resumed_selection(f_map, u, v, f_path,
-                                               f_weights)
-        g_star, g_weights = _resumed_selection(g_map, u, v, g_path,
-                                               g_weights)
-        return (f_star, g_star, path_distance(f_path, f_star),
-                path_distance(g_path, g_star))
+        """f*, g* and their residuals against f_path, g_path, the trapezoid
+        L2 norms of the node distances, which become the window's node
+        defects; each selection resumes from the final hull weights of the
+        previous one of its family."""
+        nonlocal f_weights, g_weights, defects
+        f_star, defect_f, f_weights = _resumed_selection(f_map, u, v, f_path,
+                                                         f_weights)
+        g_star, defect_g, g_weights = _resumed_selection(g_map, u, v, g_path,
+                                                         g_weights)
+        defects = defect_f, defect_g
+        return (f_star, g_star, trapezoid_l2(defect_f, f_path.dt),
+                trapezoid_l2(defect_g, g_path.dt))
 
     def within_tol(res_f: float, res_g: float) -> bool:
         return res_f <= settings.tol and res_g <= settings.tol
@@ -229,7 +231,7 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     v = v_flow(_flow)
     v_forcing = g_path.values   # the g-forcing that produced v
     swept = False               # whether v is a sweep rather than the flow
-    f_weights = g_weights = None
+    f_weights = g_weights = defects = None
     f_path, g_path, _, _ = selections(u, v)
 
     history = []
@@ -274,11 +276,7 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
                   and path_l2_norm(g_star) <= window.m + 1e-6)
     report = SolveReport(iterations, res_f, res_g, tuple(history),
                          stop == "tolerance", stop, apriori, membership)
-    defect_f = np.linalg.norm(f_path.values - f_star.values, axis=1)
-    defect_g = math.sqrt(h) * np.linalg.norm(g_path.values - g_star.values,
-                                             axis=1)
-    return WindowSolution(window, u, v, f_star, g_star, report,
-                          defect_f, defect_g)
+    return WindowSolution(window, u, v, f_star, g_star, report, *defects)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ class CheckResult:
     worst_margin: float
     passed: bool
 
+    @classmethod
+    def from_margins(cls, name: str, trials: int, margins) -> "CheckResult":
+        """The check graded by its worst margin, which fails when negative
+        or NaN."""
+        worst = _min_margin(margins)
+        return cls(name, trials, worst, worst >= 0)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (f"{status} {self.name} trials={self.trials} "
@@ -54,7 +61,9 @@ def _random_polytope(rng, dim: int, radius: float):
 
 
 def _min_margin(margins) -> float:
-    return float(min(margins)) if len(margins) else math.inf
+    """The smallest margin, NaN if any margin is NaN, inf if there are
+    none."""
+    return float(np.min(margins)) if len(margins) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +110,8 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
     margins = [np.linalg.norm(x - y) + 1e-8 - np.linalg.norm(px - py)
                for x, y, px, py in zip(xs, ys, images[:n_pairs],
                                        images[n_pairs:])]
-    results.append(CheckResult("projection-nonexpansive", n_pairs,
-                               _min_margin(margins), _min_margin(margins) >= 0))
+    results.append(CheckResult.from_margins("projection-nonexpansive",
+                                            n_pairs, margins))
 
     polys, xs = [], []
     for i in range(n_pairs):
@@ -114,8 +123,8 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
     for poly, x, p in zip(polys, xs, _project_each(xs, polys)):
         gap = float(np.einsum("nd,d->n", poly.vertices - p, x - p).max())
         margins.append(1e-9 * (1.0 + np.linalg.norm(x)) - gap)
-    results.append(CheckResult("variational-certificate", n_pairs,
-                               _min_margin(margins), _min_margin(margins) >= 0))
+    results.append(CheckResult.from_margins("variational-certificate",
+                                            n_pairs, margins))
 
     n_triples = max(n_pairs // 2, 1)
     triples, shifts = [], []
@@ -131,8 +140,8 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
         1e-9 - geo._pair_hausdorff(a, a),
         1e-9 - np.abs(geo._pair_hausdorff(a + shift, b + shift) - d_ab),
         geo._pair_hausdorff(a, c) + geo._pair_hausdorff(c, b) + 1e-9 - d_ab])
-    results.append(CheckResult("hausdorff-metric-properties", n_triples,
-                               _min_margin(margins), _min_margin(margins) >= 0))
+    results.append(CheckResult.from_margins("hausdorff-metric-properties",
+                                            n_triples, margins))
 
     results.append(projection_difference_battery(seed, trials))
     results.append(slater_battery(seed, trials))
@@ -155,8 +164,8 @@ def projection_difference_battery(seed: int = 7,
         queries.append(rng.normal(size=dim) * radius)
     chk = geo.projection_difference_check(np.asarray(queries), bodies_c,
                                           bodies_d, radius)
-    worst = float((chk.rhs + 1e-8 - chk.lhs).min())
-    return CheckResult("projection-difference-bound", trials, worst, worst >= 0)
+    return CheckResult.from_margins("projection-difference-bound", trials,
+                                    chk.rhs + 1e-8 - chk.lhs)
 
 
 def _slater_rows(seed: int, trials: int):
@@ -188,8 +197,8 @@ def slater_battery(seed: int = 7, trials: int | None = None) -> CheckResult:
     all trials (default 500) in one `geometry.slater_intersection_check`."""
     trials = trials or 500
     chk = geo.slater_intersection_check(*_slater_rows(seed, trials))
-    worst = float((chk.rhs + 1e-8 - chk.lhs).min())
-    return CheckResult("slater-intersection-bound", trials, worst, worst >= 0)
+    return CheckResult.from_margins("slater-intersection-bound", trials,
+                                    chk.rhs + 1e-8 - chk.lhs)
 
 
 def intersection_continuity_battery(seed: int = 7,
@@ -213,8 +222,8 @@ def intersection_continuity_battery(seed: int = 7,
             c + shift, geo.Polytope(base.vertices + shift), r, c, base)
         margins.append(1e-2 - value if hypothesis_ok and not np.isnan(value)
                        else -1.0)
-    worst = _min_margin(margins)
-    return CheckResult("intersection-continuity", trials, worst, worst >= 0)
+    return CheckResult.from_margins("intersection-continuity", trials,
+                                    margins)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +271,8 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
             continue
         dist = path_distance(f_new, f)
         margins.append(eps * math.sqrt(t1) + 1e-6 - dist)
-    worst = _min_margin(margins)
-    results.append(CheckResult("close-selection-l2-bound", n, worst,
-                               worst >= 0))
+    results.append(CheckResult.from_margins("close-selection-l2-bound", n,
+                                            margins))
 
     # convex combinations of selections stay selections
     margins = []
@@ -283,15 +291,14 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
         mix = f1.with_values((1.0 - theta) * f1.values + theta * f2.values)
         res = sel.selection_residual(family, u, v, mix)
         margins.append(1e-8 - res)
-    worst = _min_margin(margins)
-    results.append(CheckResult("selection-convexity-closure", n_mixes, worst,
-                               worst >= 0))
+    results.append(CheckResult.from_margins("selection-convexity-closure",
+                                            n_mixes, margins))
 
     # trapezoid path norm against the analytic linear-ramp integral
     k = 10_001
     ramp = TimePath(0.0, 1.0, np.linspace(0.0, 1.0, k)[:, None])
     margin = 1e-6 - abs(path_l2_norm(ramp) - 1.0 / math.sqrt(3.0))
-    results.append(CheckResult("path-norm-analytic", 1, margin, margin >= 0))
+    results.append(CheckResult.from_margins("path-norm-analytic", 1, [margin]))
     return results
 
 
@@ -320,11 +327,9 @@ def semigroup_battery(seed: int = 7, trials: int | None = None) -> list:
                 iso_margins.append(1e-12 - drift)
             else:
                 iso_margins.append(1e-12 - abs(drift))
-    results.append(CheckResult("semigroup-law", 3 * n, _min_margin(margins),
-                               _min_margin(margins) >= 0))
-    results.append(CheckResult("isometry-contraction", 3 * n,
-                               _min_margin(iso_margins),
-                               _min_margin(iso_margins) >= 0))
+    results.append(CheckResult.from_margins("semigroup-law", 3 * n, margins))
+    results.append(CheckResult.from_margins("isometry-contraction", 3 * n,
+                                            iso_margins))
 
     # Duhamel linearity and the fine-step integrator cross-check
     margins = []
@@ -343,11 +348,9 @@ def semigroup_battery(seed: int = 7, trials: int | None = None) -> list:
         oracle = sg.rk4_oracle(gen, u0, f1, refine=16)
         mild = sg.duhamel_solve(gen, u0, f1)
         oracle_margins.append(1e-6 - path_distance(mild, oracle))
-    results.append(CheckResult("duhamel-linearity", 3, _min_margin(margins),
-                               _min_margin(margins) >= 0))
-    results.append(CheckResult("duhamel-integrator-oracle", 3,
-                               _min_margin(oracle_margins),
-                               _min_margin(oracle_margins) >= 0))
+    results.append(CheckResult.from_margins("duhamel-linearity", 3, margins))
+    results.append(CheckResult.from_margins("duhamel-integrator-oracle", 3,
+                                            oracle_margins))
 
     # resolvent smoothing ladder and the quadratic stability estimate
     margins = []
@@ -364,8 +367,7 @@ def semigroup_battery(seed: int = 7, trials: int | None = None) -> list:
                 for lam in ladder]
         margins.append(_min_margin([devs[i] - devs[i + 1] + 1e-12
                                     for i in range(len(devs) - 1)]))
-    worst = _min_margin(margins)
-    results.append(CheckResult("yosida-ladder", 3, worst, worst >= 0))
+    results.append(CheckResult.from_margins("yosida-ladder", 3, margins))
 
     # rough-data deviation profile and truncation stability
     t_list = np.logspace(-4, -2, 25)
@@ -409,17 +411,16 @@ def monotone_battery(seed: int = 7, trials: int | None = None) -> list:
         fd = (values[:15] - values[15:]) / (2.0 * eps) / pot.mesh
         rel = float(np.abs(grad - fd).max() / (1.0 + np.abs(grad).max()))
         margins.append(1e-5 - rel)
-    results.append(CheckResult("gradient-consistency", n, _min_margin(margins),
-                               _min_margin(margins) >= 0))
+    results.append(CheckResult.from_margins("gradient-consistency", n,
+                                            margins))
 
     n_pairs = max(n // 4, 1)
     points = [_rng(seed, 12000 + i).normal(size=(2, 15))
               for i in range(n_pairs)]
     xs, ys = np.array(points).transpose(1, 0, 2)
     gaps = mono.prox_nonexpansive_gap(pot, 0.3, 0.05, xs, ys)
-    margin = _min_margin(1e-10 - gaps)
-    results.append(CheckResult("prox-nonexpansive", n_pairs, margin,
-                               margin >= 0))
+    results.append(CheckResult.from_margins("prox-nonexpansive", n_pairs,
+                                            1e-10 - gaps))
 
     v0s = np.array([_rng(seed, 13000 + i).normal(size=15) for i in range(8)])
     forcing = zero_path(0.0, 1.0, 129, 15, pot.mesh)
@@ -432,8 +433,7 @@ def monotone_battery(seed: int = 7, trials: int | None = None) -> list:
         margins.append(_min_margin(1e-10 - np.diff(flow_energies)))
         norms = np.linalg.norm(sol.values, axis=1)
         margins.append(_min_margin(1e-10 - np.diff(norms)))
-    results.append(CheckResult("dissipation", 8, _min_margin(margins),
-                               _min_margin(margins) >= 0))
+    results.append(CheckResult.from_margins("dissipation", 8, margins))
 
     v0s, forcings = [], []
     for i in range(8):
@@ -448,15 +448,15 @@ def monotone_battery(seed: int = 7, trials: int | None = None) -> list:
             + np.concatenate([[0.0], np.cumsum(forcing.dt
                                                * forcing.node_norms()[:-1])])
         margins.append(_min_margin(bound + 1e-8 - sol.node_norms()))
-    results.append(CheckResult("discrete-apriori-bound", 8,
-                               _min_margin(margins), _min_margin(margins) >= 0))
+    results.append(CheckResult.from_margins("discrete-apriori-bound", 8,
+                                            margins))
 
     n_mono = trials or 1000
     pairs = np.array([_rng(seed, 15000 + i).normal(size=(2, 15))
                       for i in range(n_mono)])
     probes = mono.monotonicity_probe(pot, 0.4, pairs[:, 0], pairs[:, 1])
-    margin = _min_margin(probes + 1e-10)
-    results.append(CheckResult("monotonicity", n_mono, margin, margin >= 0))
+    results.append(CheckResult.from_margins("monotonicity", n_mono,
+                                            probes + 1e-10))
 
     results.append(p2_oracle_battery())
     results.append(complete_continuity_battery(seed))
@@ -669,8 +669,7 @@ def window_params_battery(seed: int = 7) -> CheckResult:
         w1 = sv.compute_window(beta, [env], 5.0)
         margins.append(w1.t_window - 0.0)
         margins.append((w1.m / max(w1.r, 1e-12)) ** 2 + 1e-9 - w1.t_window)
-    worst = _min_margin(margins)
-    return CheckResult("window-params", 21, worst, worst >= 0)
+    return CheckResult.from_margins("window-params", 21, margins)
 
 
 def gronwall_negative_control() -> CheckResult:
@@ -710,8 +709,7 @@ def elementary_bound_battery(seed: int = 7,
         margins.append(report.bound_margin + 1e-12)
         if not report.passed:
             margins.append(-1.0)
-    worst = _min_margin(margins)
-    return CheckResult("elementary-bound", trials, worst, worst >= 0)
+    return CheckResult.from_margins("elementary-bound", trials, margins)
 
 
 # ---------------------------------------------------------------------------

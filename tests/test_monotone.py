@@ -397,6 +397,73 @@ def test_prox_step_stack_with_a_coefficient_per_row():
         mono.prox_step(pot, d[:2], v_prev, g, 0.2)
 
 
+@pytest.mark.parametrize("seed, scale, rows, backtracking", [
+    (12, 10.0, [0, 1, 2, 3, 4, 6], 6),   # every row backtracks
+    (11, 1.0, range(8), 1),               # exactly one row does
+])
+def test_prox_step_stack_of_backtracking_rows_matches_single_calls(
+        monkeypatch, seed, scale, rows, backtracking):
+    # the line search evaluates the whole live stack at per-row step
+    # lengths; a row that passed its Armijo test is evaluated again at the
+    # same step while others halve theirs
+    pot = mono.make_potential(9, ("ramp", 2.2, 4.0), ("separable", 2.0, 0.3))
+    d = pot.coefficient_at(0.4)
+    v_prev = np.random.default_rng(seed).normal(size=(8, 9))[list(rows)] \
+        * scale
+    g = np.zeros_like(v_prev)
+    newton = _counting(monkeypatch, mono, "_thomas_solve")
+    trials = _counting(monkeypatch, mono._EnergyKernel, "values")
+    singles, backtracked = [], []
+    for row in range(len(v_prev)):
+        newton.clear()
+        trials.clear()
+        singles.append(mono.prox_step(pot, d, v_prev[row], g[row], 1.0))
+        backtracked.append(len(trials) - 1 > len(newton))
+    assert all(newton) and sum(backtracked) == backtracking
+    assert np.array_equal(mono.prox_step(pot, d, v_prev, g, 1.0),
+                          np.array(singles))
+
+
+def test_prox_line_search_accepts_its_50th_evaluation(monkeypatch):
+    # row 0's objective reads inf at every trial point, so its Armijo test
+    # never passes: it is evaluated 50 times, at 2^-k times its Newton step
+    # for k = 0, ..., 49, and the last point is accepted. Row 1 passes at
+    # the full step.
+    monkeypatch.setattr(mono, "PROX_NEWTON_ITERS", 1)
+    pot = mono.make_potential(9, ("constant", 3.0))
+    v_prev = np.array([np.linspace(-1.0, 1.0, 9), np.linspace(0.5, -0.5, 9)])
+    steps, states, accepted = [], [], []
+    thomas = mono._thomas_solve
+    monkeypatch.setattr(mono, "_thomas_solve",
+                        lambda *args: steps.append(thomas(*args)) or steps[-1])
+    values, gradient = mono._EnergyKernel.values, mono._EnergyKernel.gradient
+
+    def stuck(kernel):
+        states.append(kernel.v.copy())
+        out = values(kernel)
+        if len(states) > 1:
+            out[0] = math.inf
+        return out
+
+    def recorded(kernel):
+        accepted.append(kernel.v.copy())
+        return gradient(kernel)
+
+    monkeypatch.setattr(mono._EnergyKernel, "values", stuck)
+    monkeypatch.setattr(mono._EnergyKernel, "gradient", recorded)
+    with pytest.raises(mono.ProxDidNotConverge):
+        mono.prox_step(pot, pot.coefficient_at(0.1), v_prev,
+                       np.zeros_like(v_prev), 0.05)
+    (delta,) = steps
+    start, trials = states[0], states[1:]
+    assert len(trials) == 50
+    for k, w in enumerate(trials):
+        assert np.array_equal(w[0], start[0] + 2.0 ** -k * delta[0])
+        assert np.array_equal(w[1], start[1] + delta[1])
+    assert np.array_equal(accepted[-1], trials[-1])
+    assert np.array_equal(accepted[-1][0], start[0] + 2.0 ** -49 * delta[0])
+
+
 def test_energy_and_subgradient_stack_with_a_time_per_row():
     pot = mono.make_potential(15, ("ramp", 2.2, 4.0), ("separable", 2.0, 0.3))
     rng = np.random.default_rng(8)

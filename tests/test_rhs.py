@@ -75,6 +75,30 @@ def test_unbounded_general_coefficient_rejected():
         rhs.GeneralCoefficient(rhs.Inner("u", np.array([1.0, 0.0])))
 
 
+# An affine map of an unbounded leaf has no finite bound, so the affine
+# wrapper reaches its leaf through a sine.
+_WRAPPERS = {
+    "affine": lambda expr: rhs.Affine(2.0, 0.5, rhs.Sin(expr)),
+    "sin": rhs.Sin,
+    "tanh": rhs.Tanh,
+    "clamp": lambda expr: rhs.Clamp(-1.0, 1.0, expr),
+}
+_LEAVES = {
+    "inner": lambda arg: rhs.Inner(arg, np.array([1.0, 0.0])),
+    "norm": rhs.Norm,
+}
+
+
+@pytest.mark.parametrize("leaf", sorted(_LEAVES))
+@pytest.mark.parametrize("wrapper", sorted(_WRAPPERS))
+def test_growth_feedback_must_not_read_u_under_any_wrapper(wrapper, leaf):
+    wrap, make = _WRAPPERS[wrapper], _LEAVES[leaf]
+    with pytest.raises(rhs.RhsError, match="must not depend on u"):
+        rhs.GrowthCoefficient(0.1, wrap(make("u")))
+    coefficient = rhs.GrowthCoefficient(0.1, wrap(make("v")))
+    assert math.isfinite(coefficient.nu_bound)
+
+
 def test_nonfinite_coefficient_value_rejected():
     family = _growth_map([1.0], dim_u=1, dim_v=1)
     with pytest.raises(rhs.RhsError):

@@ -127,11 +127,12 @@ def test_resumed_selection_on_moved_hulls_matches_cold(rng):
     family = _origin_family()
     u, v = _random_paths(rng, 5, 3, k=65)
     anchor = TimePath(0.0, 1.0, rng.normal(size=(65, 5)))
-    _, weights = sel._resumed_selection(family, u, v, anchor, None)
+    _, _, weights = sel._resumed_selection(family, u, v, anchor, None)
     for _ in range(6):
         u, v, anchor = (p.with_values(p.values + 1e-2 * rng.normal(
             size=p.values.shape)) for p in (u, v, anchor))
-        warm, weights = sel._resumed_selection(family, u, v, anchor, weights)
+        warm, _, weights = sel._resumed_selection(family, u, v, anchor,
+                                                  weights)
         cold = sel.nearest_point_selection(family, u, v, anchor)
         assert _certified(family, u, v, anchor, warm)
         assert np.abs(warm.values - cold.values).max() <= 1e-12
@@ -145,11 +146,11 @@ def test_resumed_selection_on_unchanged_hulls_enters_no_vertex(
     family = _origin_family()
     u, v = _random_paths(rng, 5, 3, k=65)
     anchor = TimePath(0.0, 1.0, rng.normal(size=(65, 5)))
-    first, weights = sel._resumed_selection(family, u, v, anchor, None)
+    first, _, weights = sel._resumed_selection(family, u, v, anchor, None)
     support = weights > 0.0
     assert support.sum(axis=1).max() > 1   # faces, not only vertices
     calls = _count_minor_cycles(monkeypatch)
-    again, weights = sel._resumed_selection(family, u, v, anchor, weights)
+    again, _, weights = sel._resumed_selection(family, u, v, anchor, weights)
     # one minor cycle re-solves each face; no row fails its certificate,
     # so no vertex enters and no second major cycle runs
     assert calls == [65]
@@ -166,14 +167,14 @@ def test_resumed_selection_onto_repeated_vertices_is_certified(monkeypatch):
     v = zero_path(0.0, 1.0, 2, 3)
     anchor = constant_path(0.0, 1.0, 2, np.array([0.5, 0.5, 0.5]))
     u = constant_path(0.0, 1.0, 2, np.ones(3))
-    _, weights = sel._resumed_selection(family, u, v, anchor, None)
+    _, _, weights = sel._resumed_selection(family, u, v, anchor, None)
     assert np.array_equal(weights > 0.0, [[True, True, True, False]] * 2)
     pinv_calls = []
     pinv = np.linalg.pinv
     monkeypatch.setattr(np.linalg, "pinv",
                         lambda a: pinv_calls.append(a.shape) or pinv(a))
     u = constant_path(0.0, 1.0, 2, np.array([1.0, 0.0, 0.0]))
-    warm, _ = sel._resumed_selection(family, u, v, anchor, weights)
+    warm, _, _ = sel._resumed_selection(family, u, v, anchor, weights)
     assert pinv_calls
     assert _certified(family, u, v, anchor, warm)
     assert np.allclose(warm.values, [0.5, 0.0, 0.0], atol=1e-15)

@@ -462,6 +462,19 @@ def test_preset_windows_report_certified_flows(monkeypatch, name):
         _assert_reports_a_certified_flow(exp.potential, sol, flows)
 
 
+@pytest.mark.parametrize("name", ["heat_debye", "schrodinger_debye",
+                                  "feedback_growth"])
+def test_preset_residuals_are_the_norms_of_the_node_defects(name):
+    # one selection pass gives each window its node defects and its
+    # residuals, the trapezoid L2 norms of those defects
+    run, _ = _preset_run(name)
+    for sol in run.windows:
+        assert sol.report.residual_f == trapezoid_l2(sol.node_defect_f,
+                                                     sol.f.dt)
+        assert sol.report.residual_g == trapezoid_l2(sol.node_defect_g,
+                                                     sol.g.dt)
+
+
 # Newton iterations and sweeps of each bundled solve, the iterations summed
 # over its prox steps. Every exact v-flow of a window after the first, and
 # every sweep, resumes from the current v; with every flow started cold

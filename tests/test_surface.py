@@ -1,5 +1,5 @@
-"""Every public name of the package, and every field of its dataclasses,
-is used by the package itself."""
+"""Every top-level name and method of the package, public or private, and
+every field of its dataclasses, is used by the package itself."""
 
 import ast
 from collections import Counter
@@ -42,17 +42,31 @@ def _uses(tree) -> Counter:
                    if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def test_every_public_name_is_referenced_in_the_package():
+def _unreferenced(kept) -> list:
+    """The names `kept` selects whose every use in the package lies within
+    their own definition, as "file: name"."""
     assert SOURCES
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in SOURCES]
     uses = sum((_uses(tree) for tree in trees), Counter())
-    unused = [f"{path.name}: {name}"
-              for path, tree in zip(SOURCES, trees)
-              for name, node in _definitions(tree)
-              if not name.startswith("_") and name not in REFERENCE_ONLY
-              and uses[name] == _uses(node)[name]]
+    return [f"{path.name}: {name}"
+            for path, tree in zip(SOURCES, trees)
+            for name, node in _definitions(tree)
+            if kept(name) and uses[name] == _uses(node)[name]]
+
+
+def test_every_public_name_is_referenced_in_the_package():
+    unused = _unreferenced(lambda name: not name.startswith("_")
+                           and name not in REFERENCE_ONLY)
     assert not unused, f"public names no package code references: {unused}"
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    # a private helper whose last caller went away is dead code; dunders
+    # are called by Python itself
+    unused = _unreferenced(lambda name: name.startswith("_") and not (
+        name.startswith("__") and name.endswith("__")))
+    assert not unused, f"private names no package code references: {unused}"
 
 
 def _dataclass_fields(tree):
