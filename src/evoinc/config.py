@@ -115,14 +115,10 @@ def build_experiment(raw: dict) -> Experiment:
                     integer=True)
 
     spatial = raw["spatial"]
-    _require_keys(spatial, "config.spatial", ("nodes", "p_profile", "d_profile"),
-                  ("oracle_p2",))
+    _require_keys(spatial, "config.spatial", ("nodes", "p_profile", "d_profile"))
     nodes = _number(spatial["nodes"], "config.spatial.nodes", lo=1, hi=4096,
                     integer=True)
-    oracle_p2 = spatial.get("oracle_p2", False)
-    if not isinstance(oracle_p2, bool):
-        raise ConfigError("config.spatial.oracle_p2: expected a boolean")
-    p_profile = _parse_p_profile(spatial["p_profile"], oracle_p2)
+    p_profile = _parse_p_profile(spatial["p_profile"])
     d_profile = _parse_d_profile(spatial["d_profile"])
 
     time_cfg = raw["time"]
@@ -156,7 +152,7 @@ def build_experiment(raw: dict) -> Experiment:
     _require_keys(initial, "config.initial", ("u", "v"))
 
     generator = SpectralGenerator(kind, modes)
-    pot = make_potential(nodes, p_profile, d_profile, oracle_p2=oracle_p2)
+    pot = make_potential(nodes, p_profile, d_profile)
     spaces = _SpaceInfo(generator, pot)
     rhs_f = _build_rhs(raw["rhs_f"], "config.rhs_f", "u", spaces)
     rhs_g = _build_rhs(raw["rhs_g"], "config.rhs_g", "v", spaces)
@@ -194,7 +190,7 @@ def _check_window_count(horizon: float, cap: float, envelopes,
             f"{first:.3e}, more than {MAX_WINDOWS}")
 
 
-def _parse_p_profile(obj: dict, oracle_p2: bool) -> tuple:
+def _parse_p_profile(obj: dict) -> tuple:
     _require_keys(obj, "config.spatial.p_profile", ("kind",),
                   ("value", "low", "high", "base", "amplitude"))
     kind = obj["kind"]
@@ -205,11 +201,11 @@ def _parse_p_profile(obj: dict, oracle_p2: bool) -> tuple:
 
     if kind == "constant":
         value = exponent("value")
-        _check_exponent_floor(value, oracle_p2)
+        _check_exponent_floor(value)
         return ("constant", value)
     if kind == "ramp":
         lo, hi = exponent("low"), exponent("high")
-        _check_exponent_floor(min(lo, hi), oracle_p2)
+        _check_exponent_floor(min(lo, hi))
         return ("ramp", lo, hi)
     if kind == "bump":
         base = exponent("base")
@@ -217,20 +213,15 @@ def _parse_p_profile(obj: dict, oracle_p2: bool) -> tuple:
         if base + amp > MAX_EXPONENT:
             raise ConfigError("config.spatial.p_profile.amplitude: base + "
                               f"amplitude must be <= {MAX_EXPONENT}")
-        _check_exponent_floor(min(base, base + amp), oracle_p2)
+        _check_exponent_floor(min(base, base + amp))
         return ("bump", base, amp)
     raise ConfigError("config.spatial.p_profile.kind: must be constant, ramp "
                       "or bump")
 
 
-def _check_exponent_floor(p_min: float, oracle_p2: bool):
-    if oracle_p2:
-        if p_min < 2.0:
-            raise ConfigError("config.spatial.p_profile: exponents must be >= 2")
-    elif p_min <= 2.0:
-        raise ConfigError(
-            "config.spatial.p_profile: exponents must be > 2 "
-            "(set spatial.oracle_p2 for the linear cross-check mode)")
+def _check_exponent_floor(p_min: float):
+    if not p_min >= 2.0:
+        raise ConfigError("config.spatial.p_profile: exponents must be >= 2")
 
 
 def _parse_d_profile(obj: dict) -> tuple:

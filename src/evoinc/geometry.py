@@ -100,15 +100,6 @@ class Polytope:
 ConvexBody = Ball | Polytope
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Outcome of an inequality check lhs <= rhs; batched checks carry one
-    lhs and rhs per row and pass when every row does."""
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
-    passed: bool
-
-
 # ---------------------------------------------------------------------------
 # batch kernels
 
@@ -249,8 +240,9 @@ class HullProjector:
         self.m, self.n, self.d = v.shape
         self.lam = None  # weights of the last call, (m, n)
 
-    def project(self, x: np.ndarray, rows=None):
-        """Returns (points, gaps). gaps[i] = max_v <x-p, v-p> at return.
+    def project(self, x: np.ndarray, rows=None) -> np.ndarray:
+        """The nearest point of each row's hull to its query, one row per
+        query.
 
         `rows` limits the call to those rows of the vertex stack, one query
         each; the other rows keep their warm start. Raises
@@ -268,7 +260,7 @@ class HullProjector:
                 f"expected query shape {(rows.size, self.d)}, got {x.shape}")
         _require_finite(x)
         if self.n == 1:
-            return self.v[rows, 0, :].copy(), np.zeros(rows.size)
+            return self.v[rows, 0, :].copy()
         if self.lam is None:
             self.lam = np.zeros((self.m, self.n))
         if self.n == 2:
@@ -320,7 +312,7 @@ class HullProjector:
         if not every:
             self.lam[rows] = lam
         _certify(gaps, scale)
-        return points, gaps
+        return points
 
     def _project_segments(self, x: np.ndarray, rows: np.ndarray):
         """Two-vertex hulls in closed form: the segment parameter
@@ -341,7 +333,7 @@ class HullProjector:
         reach = _nearest_and_reach(stack, x)[1]
         _certify(gaps, PROJECTION_TOL * (1.0 + np.linalg.norm(x, axis=1))
                  * reach)
-        return points, gaps
+        return points
 
 
 def _certify(gaps: np.ndarray, scale: np.ndarray) -> None:
@@ -387,13 +379,13 @@ def _project_cap(x: np.ndarray, centers, radii, hull: HullProjector):
     c = np.broadcast_to(np.asarray(centers, dtype=float), x.shape)
     r = np.broadcast_to(np.asarray(radii, dtype=float), x.shape[:1])
     tol = PROJECTION_TOL * (1.0 + r)
-    x_on_h = hull.project(x, rows=np.arange(x.shape[0]))[0]
+    x_on_h = hull.project(x, rows=np.arange(x.shape[0]))
     y = x_on_h.copy()
     phi = np.linalg.norm(y - c, axis=1) - r
     active = np.flatnonzero(phi > tol)
     if active.size == 0:
         return y, x_on_h
-    anchor = hull.project(c[active], rows=active)[0]
+    anchor = hull.project(c[active], rows=active)
     f_hi = np.linalg.norm(anchor - c[active], axis=1) - r[active]
     ends = f_hi >= -tol[active]
     y[active[ends]] = anchor[ends]
@@ -407,7 +399,7 @@ def _project_cap(x: np.ndarray, centers, radii, hull: HullProjector):
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         ca = c[active]
         q = x[active] + t[:, None] * (ca - x[active])
-        y[active] = hull.project(q, rows=active)[0]
+        y[active] = hull.project(q, rows=active)
         f = np.linalg.norm(y[active] - ca, axis=1) - r[active]
         above = f > 0.0
         # Illinois: when the same end moves twice, halve the other's value.
@@ -443,7 +435,7 @@ def project(x, body: ConvexBody) -> np.ndarray:
     if isinstance(body, Ball):
         points = project_balls(rows, body.center, body.radius)
     else:
-        points = _repeated_hull(body, rows.shape[0]).project(rows)[0]
+        points = _repeated_hull(body, rows.shape[0]).project(rows)
     return points if x.ndim == 2 else points[0]
 
 
@@ -466,7 +458,7 @@ def pad_vertex_stack(polys) -> np.ndarray:
 
 def _stack_distances(x: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Distance of x[i] to the hull of stack[i], in one batched solve."""
-    return np.linalg.norm(x - HullProjector(stack).project(x)[0], axis=1)
+    return np.linalg.norm(x - HullProjector(stack).project(x), axis=1)
 
 
 def _pair_hausdorff(stack_a: np.ndarray, stack_b: np.ndarray) -> np.ndarray:
@@ -527,9 +519,9 @@ def _boundary_cloud(ball: Ball, vertices: np.ndarray):
 # lemma checks
 
 
-def projection_difference_check(xs, bodies_c, bodies_d,
-                                big_radius: float) -> BoundCheck:
-    """||p_C(x) - p_D(x)|| against sqrt((4||x|| + 2R) d_H(C, D)), per row.
+def projection_difference_check(xs, bodies_c, bodies_d, big_radius: float):
+    """(lhs, rhs) per row: ||p_C(x) - p_D(x)|| and
+    sqrt((4||x|| + 2R) d_H(C, D)).
 
     Row i pairs the query xs[i] with the polytopes bodies_c[i] and
     bodies_d[i], which must lie in B[0, R]. The Hausdorff distances are
@@ -543,16 +535,16 @@ def projection_difference_check(xs, bodies_c, bodies_d,
         if np.linalg.norm(stack, axis=2).max() > big_radius + 1e-9:
             raise GeometryError("bodies must lie in the ball of radius R at 0")
     hd = _pair_hausdorff(stack_c, stack_d)
-    pc, _ = HullProjector(stack_c).project(xs)
-    pd, _ = HullProjector(stack_d).project(xs)
+    pc = HullProjector(stack_c).project(xs)
+    pd = HullProjector(stack_d).project(xs)
     lhs = np.linalg.norm(pc - pd, axis=1)
     rhs = np.sqrt((4.0 * np.linalg.norm(xs, axis=1) + 2.0 * big_radius) * hd)
-    return BoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + 1e-8)))
+    return lhs, rhs
 
 
-def slater_intersection_check(xs, polytopes, balls, x0s, rhos) -> BoundCheck:
-    """dist(x, A cap B) against (1 + diam(A u B)/rho)(dist(x,A) + dist(x,B)),
-    per row.
+def slater_intersection_check(xs, polytopes, balls, x0s, rhos):
+    """(lhs, rhs) per row: dist(x, A cap B) and
+    (1 + diam(A u B)/rho)(dist(x,A) + dist(x,B)).
 
     Row i pairs the query xs[i] with the polytope A = polytopes[i], the
     ball B = balls[i] and the interior witness B[x0s[i], rhos[i]]; any other
@@ -581,7 +573,7 @@ def slater_intersection_check(xs, polytopes, balls, x0s, rhos) -> BoundCheck:
     centers = np.array([b.center for b in balls])
     radii = np.array([b.radius for b in balls], dtype=float)
 
-    outside = np.linalg.norm(x0s - HullProjector(vertices).project(x0s)[0],
+    outside = np.linalg.norm(x0s - HullProjector(vertices).project(x0s),
                              axis=1) > FEASIBILITY_TOL
     inside = (np.linalg.norm(x0s - centers, axis=1) + rhos
               <= radii + FEASIBILITY_TOL)
@@ -600,7 +592,7 @@ def slater_intersection_check(xs, polytopes, balls, x0s, rhos) -> BoundCheck:
     to_hull = np.linalg.norm(xs - x_on_hull, axis=1)
     rhs = (1.0 + union_diameter_upper(vertices, centers, radii) / rhos) \
         * (to_ball + to_hull)
-    return BoundCheck(lhs, rhs, bool(np.all(lhs <= rhs + 1e-8)))
+    return lhs, rhs
 
 
 def intersection_continuity_probe(c_n, b_n: Polytope, r: float, c,

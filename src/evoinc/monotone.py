@@ -10,9 +10,8 @@ forward differences include both boundary nodes, so the discrete divergence
 below is the exact adjoint of the difference stencil. The flow is advanced
 by proximal implicit Euler: each step minimizes
 energy(t_next, w) + ||w - v - tau g||^2 / (2 tau) by damped Newton on the
-tridiagonal Hessian. Exponents stay above 2 (strict) outside the
-documented linear cross-check mode, which keeps the energy twice
-continuously differentiable.
+tridiagonal Hessian. Exponents are at least 2, which keeps the energy
+twice continuously differentiable; p = 2 is the linear case.
 
 A flow evaluates the coefficient field once per time node into a
 (K, J + 2) table, validates positivity and time-monotonicity on that table
@@ -91,25 +90,19 @@ class VariableExponentPotential:
     `root_mesh` sqrt(h), and the exponent arrays p - 2, 1/p and p - 1 on
     the J + 1 difference edges p[:-1] (`edge_p_minus_2`, `edge_inv_p`,
     `edge_p_minus_1`) and on the J interior nodes p[1:-1] (`node_*`).
+    Every exponent must satisfy p >= 2; a NaN exponent is refused.
     """
 
     exponents: np.ndarray          # (J + 2,)
     coefficient: object            # callable t -> (J + 2,) array
-    oracle_p2: bool = False
 
     def __post_init__(self):
         p = np.asarray(self.exponents, dtype=float)
         object.__setattr__(self, "exponents", p)
         if p.ndim != 1 or p.size < 3:
             raise MonotoneError("need at least one interior node")
-        p_min = float(p.min())
-        if self.oracle_p2:
-            if p_min < 2.0:
-                raise MonotoneError("exponents must satisfy p >= 2")
-        elif p_min <= 2.0:
-            raise MonotoneError(
-                "exponents must satisfy p > 2 (set oracle_p2 for the "
-                "linear cross-check mode)")
+        if not p.min() >= 2.0:  # NaN included
+            raise MonotoneError("exponents must satisfy p >= 2")
         h = 1.0 / (p.size - 1)
         edge, node = p[:-1], p[1:-1]
         derived = {
@@ -188,11 +181,9 @@ def coefficient_profile(j: int, spec):
 
 
 def make_potential(j: int, p_spec=("constant", 3.0),
-                   d_spec=("constant", 1.0),
-                   oracle_p2: bool = False) -> VariableExponentPotential:
+                   d_spec=("constant", 1.0)) -> VariableExponentPotential:
     return VariableExponentPotential(exponent_profile(j, p_spec),
-                                     coefficient_profile(j, d_spec),
-                                     oracle_p2=oracle_p2)
+                                     coefficient_profile(j, d_spec))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +304,8 @@ def energy(pot: VariableExponentPotential, t, v: np.ndarray):
 def subgradient(pot: VariableExponentPotential, t,
                 v: np.ndarray) -> np.ndarray:
     """Exact mesh-weighted gradient of the energy: -div of the flux plus
-    the zeroth-order term. Coincides with the tridiagonal -Delta_h + I in
-    the p = 2 cross-check mode. States and times stack as in `energy`;
+    the zeroth-order term. Coincides with the tridiagonal -Delta_h + I for
+    p = 2 and D = 1. States and times stack as in `energy`;
     the result has the shape of `v`."""
     v = _states(pot, v)
     return _EnergyKernel(pot, _edge_coefficient(pot, t, v), v).gradient()

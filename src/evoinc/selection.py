@@ -57,7 +57,7 @@ def _resumed_selection(family, u: TimePath, v: TimePath, anchor: TimePath,
         raise ValueError("anchor must share the state grid")
     hull = HullProjector(family.vertex_array(u.values, v.values))
     hull.lam = weights
-    points, _ = hull.project(anchor.values)
+    points = hull.project(anchor.values)
     distances = math.sqrt(family.target_weight) * np.linalg.norm(
         anchor.values - points, axis=1)
     return (TimePath(u.t0, u.t1, points, family.target_weight), distances,

@@ -87,7 +87,7 @@ def _project_each(points, bodies) -> list:
                                      np.array([b.radius for b in group]))
         else:
             rows = geo.HullProjector(geo.pad_vertex_stack(group)) \
-                .project(queries)[0]
+                .project(queries)
         for i, row in zip(idx, rows):
             out[i] = row
     return out
@@ -162,10 +162,10 @@ def projection_difference_battery(seed: int = 7,
         bodies_c.append(_random_polytope(rng, dim, radius))
         bodies_d.append(_random_polytope(rng, dim, radius))
         queries.append(rng.normal(size=dim) * radius)
-    chk = geo.projection_difference_check(np.asarray(queries), bodies_c,
-                                          bodies_d, radius)
+    lhs, rhs = geo.projection_difference_check(np.asarray(queries), bodies_c,
+                                               bodies_d, radius)
     return CheckResult.from_margins("projection-difference-bound", trials,
-                                    chk.rhs + 1e-8 - chk.lhs)
+                                    rhs + 1e-8 - lhs)
 
 
 def _slater_rows(seed: int, trials: int):
@@ -196,9 +196,9 @@ def slater_battery(seed: int = 7, trials: int | None = None) -> CheckResult:
     """Interior-witness intersections against the linear-regularity bound,
     all trials (default 500) in one `geometry.slater_intersection_check`."""
     trials = trials or 500
-    chk = geo.slater_intersection_check(*_slater_rows(seed, trials))
+    lhs, rhs = geo.slater_intersection_check(*_slater_rows(seed, trials))
     return CheckResult.from_margins("slater-intersection-bound", trials,
-                                    chk.rhs + 1e-8 - chk.lhs)
+                                    rhs + 1e-8 - lhs)
 
 
 def intersection_continuity_battery(seed: int = 7,
@@ -307,11 +307,8 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
 
 
 def semigroup_battery(seed: int = 7, trials: int | None = None) -> list:
-    results = []
     n = trials or 100
-
-    margins = []
-    iso_margins = []
+    law, iso, linear, oracle, ladder_margins = [], [], [], [], []
     for kind in ("heat", "schroedinger", "wave"):
         gen = sg.SpectralGenerator(kind, 12)
         for i in range(n):
@@ -320,22 +317,12 @@ def semigroup_battery(seed: int = 7, trials: int | None = None) -> list:
             t1, t2 = rng.uniform(0.0, 1.0, size=2)
             two_step = sg.propagate(gen, sg.propagate(gen, state, t1), t2)
             one_step = sg.propagate(gen, state, t1 + t2)
-            margins.append(1e-12 - float(np.linalg.norm(two_step - one_step)))
+            law.append(1e-12 - float(np.linalg.norm(two_step - one_step)))
             drift = float(np.linalg.norm(sg.propagate(gen, state, t1))
                           - np.linalg.norm(state))
-            if kind == "heat":
-                iso_margins.append(1e-12 - drift)
-            else:
-                iso_margins.append(1e-12 - abs(drift))
-    results.append(CheckResult.from_margins("semigroup-law", 3 * n, margins))
-    results.append(CheckResult.from_margins("isometry-contraction", 3 * n,
-                                            iso_margins))
+            iso.append(1e-12 - (drift if kind == "heat" else abs(drift)))
 
-    # Duhamel linearity and the fine-step integrator cross-check
-    margins = []
-    oracle_margins = []
-    for kind in ("heat", "schroedinger", "wave"):
-        gen = sg.SpectralGenerator(kind, 12)
+        # Duhamel linearity and the fine-step integrator cross-check
         rng = _rng(seed, 9500)
         k = 2 ** 10 + 1
         f1 = TimePath(0.0, 1.0, rng.normal(size=(k, gen.state_dim)))
@@ -344,30 +331,28 @@ def semigroup_battery(seed: int = 7, trials: int | None = None) -> list:
         a = sg.duhamel_solve(gen, u0, f1.with_values(f1.values + f2.values))
         b = sg.duhamel_solve(gen, u0, f1)
         c = sg.duhamel_solve(gen, gen.zero_state(), f2)
-        margins.append(1e-10 - path_distance(a, b.with_values(b.values + c.values)))
-        oracle = sg.rk4_oracle(gen, u0, f1, refine=16)
-        mild = sg.duhamel_solve(gen, u0, f1)
-        oracle_margins.append(1e-6 - path_distance(mild, oracle))
-    results.append(CheckResult.from_margins("duhamel-linearity", 3, margins))
-    results.append(CheckResult.from_margins("duhamel-integrator-oracle", 3,
-                                            oracle_margins))
+        linear.append(1e-10 - path_distance(
+            a, b.with_values(b.values + c.values)))
+        oracle.append(1e-6 - path_distance(
+            b, sg.rk4_oracle(gen, u0, f1, refine=16)))
 
-    # resolvent smoothing ladder and the quadratic stability estimate
-    margins = []
-    for kind in ("heat", "schroedinger", "wave"):
-        gen = sg.SpectralGenerator(kind, 12)
+        # resolvent smoothing ladder and the quadratic stability estimate
         rng = _rng(seed, 9600)
-        k = 129
-        f = TimePath(0.0, 1.0, rng.normal(size=(k, gen.state_dim)))
+        f = TimePath(0.0, 1.0, rng.normal(size=(129, gen.state_dim)))
         u0 = rng.normal(size=gen.state_dim)
         ladder = [10.0 ** j for j in range(0, 7)]
         report = sv.yosida_stability_check(gen, u0, f, ladder)
-        margins.append(1.0 if report.passed else -1.0)
+        ladder_margins.append(1.0 if report.passed else -1.0)
         devs = [path_distance(sg.yosida_smooth(gen, lam, f), f)
                 for lam in ladder]
-        margins.append(_min_margin([devs[i] - devs[i + 1] + 1e-12
-                                    for i in range(len(devs) - 1)]))
-    results.append(CheckResult.from_margins("yosida-ladder", 3, margins))
+        ladder_margins.append(_min_margin([devs[i] - devs[i + 1] + 1e-12
+                                           for i in range(len(devs) - 1)]))
+    results = [
+        CheckResult.from_margins("semigroup-law", 3 * n, law),
+        CheckResult.from_margins("isometry-contraction", 3 * n, iso),
+        CheckResult.from_margins("duhamel-linearity", 3, linear),
+        CheckResult.from_margins("duhamel-integrator-oracle", 3, oracle),
+        CheckResult.from_margins("yosida-ladder", 3, ladder_margins)]
 
     # rough-data deviation profile and truncation stability
     t_list = np.logspace(-4, -2, 25)
@@ -464,11 +449,10 @@ def monotone_battery(seed: int = 7, trials: int | None = None) -> list:
 
 
 def p2_oracle_battery() -> CheckResult:
-    """Quadratic-mode flow against the diagonalized implicit-Euler recursion,
+    """The p = 2 flow against the diagonalized implicit-Euler recursion,
     63 grid nodes and 2^12 steps."""
     j, steps = 63, 2 ** 12
-    pot = mono.make_potential(j, ("constant", 2.0), ("constant", 1.0),
-                              oracle_p2=True)
+    pot = mono.make_potential(j, ("constant", 2.0), ("constant", 1.0))
     h = pot.mesh
     x = pot.nodes()[1:-1]
     v0 = np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x)
@@ -604,8 +588,7 @@ def linear_block_oracle_battery(seed: int = 7) -> CheckResult:
     """
     gen = sg.SpectralGenerator("heat", 5)
     j = 9
-    pot = mono.make_potential(j, ("constant", 2.0), ("constant", 1.0),
-                              oracle_p2=True)
+    pot = mono.make_potential(j, ("constant", 2.0), ("constant", 1.0))
     h = pot.mesh
     rng = _rng(seed, 18000)
     du, dv = gen.state_dim, j

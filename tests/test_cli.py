@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -176,17 +177,50 @@ def test_solve_out_below_a_file_is_usage_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
-def test_solve_rejects_p_two_without_oracle_flag(tmp_path, capsys):
+# each exponent profile kind with its smallest exponent set to `low`
+P_PROFILE_WITH_MIN = {
+    "constant": lambda low: {"kind": "constant", "value": low},
+    "ramp": lambda low: {"kind": "ramp", "low": low, "high": 3.0},
+    "bump": lambda low: {"kind": "bump", "base": low, "amplitude": 1.0}}
+
+
+def test_solve_rejects_p_below_two(tmp_path, capsys):
+    below = math.nextafter(2.0, 0.0)
+    for kind, profile in P_PROFILE_WITH_MIN.items():
+        cfg = json.loads(_read(preset_path("heat_debye")))
+        cfg["spatial"]["p_profile"] = profile(below)
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "should_not_exist"
+        code = main(["solve", "--config", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config.spatial.p_profile: exponents must be >= 2" in err
+        assert not out.exists()  # schema rejection leaves no partial files
+
+
+def test_solve_with_p_two_exits_zero(tmp_path):
     cfg = json.loads(_read(preset_path("heat_debye")))
-    cfg["spatial"]["p_profile"] = {"kind": "constant", "value": 2.0}
+    cfg["spatial"]["p_profile"] = P_PROFILE_WITH_MIN["constant"](2.0)
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(_read(out / "report.json"))["converged"] is True
+
+
+def test_solve_rejects_oracle_p2_key(tmp_path, capsys):
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    cfg["spatial"]["oracle_p2"] = True
+    cfg["spatial"]["p_profile"] = P_PROFILE_WITH_MIN["constant"](2.0)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     out = tmp_path / "should_not_exist"
     code = main(["solve", "--config", str(bad), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "p_profile" in err
-    assert not out.exists()  # schema rejection leaves no partial files
+    assert "config.spatial.oracle_p2: unknown key" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_solve_rejects_unknown_key_naming_it(tmp_path, capsys):
@@ -521,12 +555,12 @@ def test_config_rejects_nested_unknown_key():
     assert "generator.extra" in str(err.value)
 
 
-def test_config_accepts_oracle_p2_flag(tmp_path):
-    raw = json.loads(_read(preset_path("heat_debye")))
-    raw["spatial"]["oracle_p2"] = True
-    raw["spatial"]["p_profile"] = {"kind": "constant", "value": 2.0}
-    pot = build_experiment(raw).potential
-    assert pot.oracle_p2 and (pot.exponents == 2.0).all()
+def test_config_accepts_p_two_profiles():
+    for profile in P_PROFILE_WITH_MIN.values():
+        raw = json.loads(_read(preset_path("heat_debye")))
+        raw["spatial"]["p_profile"] = profile(2.0)
+        pot = build_experiment(raw).potential
+        assert pot.exponents.min() == 2.0
 
 
 def test_config_validates_rhs_direction_dimensions():

@@ -160,7 +160,7 @@ def test_project_polytope_on_cube_faces_matches_clip():
     x[np.arange(400), rng.integers(0, 3, size=400)] = rng.choice([-0.5, 0.5],
                                                                  size=400)
     x[1::2] += rng.normal(size=(200, 3))  # half of them moved off the face
-    p, _ = geo.HullProjector(np.broadcast_to(cube.vertices, (400, 8, 3))) \
+    p = geo.HullProjector(np.broadcast_to(cube.vertices, (400, 8, 3))) \
         .project(x)
     assert np.abs(p - np.clip(x, -0.5, 0.5)).max() <= 1e-12
 
@@ -176,9 +176,10 @@ def test_project_polytope_budget_exhaustion_reports(monkeypatch):
         geo.HullProjector(triangle).project(x)
     assert np.isfinite(err.value.residual) and err.value.residual > 0.0
     monkeypatch.setattr(geo, "PROJECTION_BUDGET", 2)
-    p, gaps = geo.HullProjector(triangle).project(x)
+    p = geo.HullProjector(triangle).project(x)
     assert np.allclose(p, [[0.4, 0.6]], atol=1e-12)
-    assert gaps[0] <= 1e-12 * (1.0 + np.linalg.norm(x))
+    gaps, bound = _certificate(triangle[None], x, p)
+    assert gaps[0] <= bound[0]
 
 
 # A hull whose last vertex is repeated three times (padding of a batched
@@ -205,9 +206,9 @@ def _certificate(vertices, x, p):
 
 def test_project_polytope_repeated_vertex_is_certified():
     x = REPEATED_VERTEX_QUERY
-    p, gaps = geo.HullProjector(REPEATED_VERTEX_HULL).project(x)
-    check, bound = _certificate(REPEATED_VERTEX_HULL[None], x[None], p)
-    assert gaps[0] <= bound[0] and check[0] <= bound[0]
+    p = geo.HullProjector(REPEATED_VERTEX_HULL).project(x)
+    gaps, bound = _certificate(REPEATED_VERTEX_HULL[None], x[None], p)
+    assert gaps[0] <= bound[0]
     # the padding copies change nothing: same point as the distinct vertices
     alone = geo.project(x, geo.Polytope(REPEATED_VERTEX_HULL[:6]))
     assert np.linalg.norm(p[0] - alone) <= 1e-10
@@ -219,9 +220,11 @@ def test_hull_projector_warm_start_on_repeated_vertex_support():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     projector = geo.HullProjector(vertices)
     projector.lam = np.array([[0.0, 0.5, 0.5, 0.0]])
-    p, gaps = projector.project(np.array([0.7, 0.9]))
+    x = np.array([[0.7, 0.9]])
+    p = projector.project(x)
     assert np.allclose(p, [[0.4, 0.6]], atol=1e-12)
-    assert gaps[0] <= 1e-12 * (1.0 + math.hypot(0.7, 0.9))
+    gaps, bound = _certificate(vertices[None], x, p)
+    assert gaps[0] <= bound[0]
 
 
 def test_projection_difference_known_seed_is_certified():
@@ -243,16 +246,16 @@ def test_hull_projector_batch_rows_and_warm_start_agree(dim):
     x[::4] = vertices[::4].mean(axis=1)  # some queries inside their hull
 
     projector = geo.HullProjector(vertices)
-    batch, _ = projector.project(x)
-    rows = np.vstack([geo.HullProjector(vertices[i]).project(x[i])[0]
+    batch = projector.project(x)
+    rows = np.vstack([geo.HullProjector(vertices[i]).project(x[i])
                       for i in range(m)])
     assert np.abs(batch - rows).max() <= 1e-10
     gaps, bound = _certificate(vertices, x, batch)
     assert np.all(gaps <= bound)
 
     moved = x + 1e-3 * rng.normal(size=x.shape)
-    warm, _ = projector.project(moved)
-    cold, _ = geo.HullProjector(vertices).project(moved)
+    warm = projector.project(moved)
+    cold = geo.HullProjector(vertices).project(moved)
     assert np.abs(warm - cold).max() <= 1e-10
     for points in (warm, cold):
         gaps, bound = _certificate(vertices, moved, points)
@@ -266,12 +269,12 @@ def test_hull_projector_certifies_far_hulls():
         rng = np.random.default_rng([97, i])
         vertices = 100.0 + 10.0 * rng.normal(size=(20, 8, 3))
         x = 0.01 * rng.normal(size=(20, 3))
-        p, gaps = geo.HullProjector(vertices).project(x)
-        check, _ = _certificate(vertices, x, p)
+        p = geo.HullProjector(vertices).project(x)
+        gaps, _ = _certificate(vertices, x, p)
         reach = np.linalg.norm(vertices - x[:, None, :], axis=2).max(axis=1)
         bound = 1e-12 * (1.0 + np.linalg.norm(x, axis=1)) \
             * np.maximum(reach, 1.0)
-        assert np.all(gaps <= bound) and np.all(check <= bound)
+        assert np.all(gaps <= bound)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
@@ -301,7 +304,7 @@ def test_cold_segment_projection_runs_no_minor_cycle(monkeypatch):
 
     monkeypatch.setattr(geo, "_minor_cycles", counted)
     segment = np.array([[0.0, 0.0], [2.0, 0.0]])
-    p, _ = geo.HullProjector(segment).project(np.array([0.5, 1.0]))
+    p = geo.HullProjector(segment).project(np.array([0.5, 1.0]))
     # a two-vertex hull is projected in closed form, at the foot of the
     # perpendicular, without Wolfe's cycles
     assert np.allclose(p, [[0.5, 0.0]], atol=1e-15)
@@ -315,7 +318,7 @@ def test_segment_projection_matches_closed_distance_and_wolfe(d):
     stack = rng.normal(size=(m, 2, d))
     x = 2.0 * rng.normal(size=(m, d))
     hull = geo.HullProjector(stack)
-    p, _ = hull.project(x)
+    p = hull.project(x)
     expected = [point_segment_distance(x[i], stack[i, 0], stack[i, 1])
                 for i in range(m)]
     assert np.allclose(np.linalg.norm(x - p, axis=1), expected,
@@ -326,7 +329,7 @@ def test_segment_projection_matches_closed_distance_and_wolfe(d):
                        rtol=0.0, atol=1e-15)
     # the same segments padded to three vertices take Wolfe's path
     padded = np.concatenate([stack, stack[:, 1:]], axis=1)
-    wolfe, _ = geo.HullProjector(padded).project(x)
+    wolfe = geo.HullProjector(padded).project(x)
     assert np.abs(p - wolfe).max() <= 1e-14
 
 
@@ -337,7 +340,8 @@ def test_segment_projection_degenerate_and_on_segment():
     on_segment = a + 0.3 * (b - a)
     x = np.stack([np.array([4.0, 0.0, 1.0]), on_segment])
     hull = geo.HullProjector(stack)
-    p, gaps = hull.project(x)
+    p = hull.project(x)
+    gaps, _ = _certificate(stack, x, p)
     # a == b has no direction: t = 0 and the point is the vertex
     assert np.array_equal(p[0], a)
     assert np.array_equal(hull.lam[0], [1.0, 0.0])
@@ -352,11 +356,11 @@ def test_segment_projection_row_subset_with_warm_weights():
     rng = np.random.default_rng(95)
     stack = rng.normal(size=(5, 2, 3))
     x = rng.normal(size=(5, 3))
-    cold, _ = geo.HullProjector(stack).project(x)
+    cold = geo.HullProjector(stack).project(x)
     hull = geo.HullProjector(stack)
     hull.lam = np.full((5, 2), 0.5)
     rows = np.array([1, 3])
-    p, _ = hull.project(x[rows], rows=rows)
+    p = hull.project(x[rows], rows=rows)
     assert np.array_equal(p, cold[rows])
     # the other rows keep their warm start
     assert np.array_equal(hull.lam[[0, 2, 4]], np.full((3, 2), 0.5))
@@ -481,11 +485,12 @@ def _check_cap_kkt(x, ball, hull, members):
     project = hull.project
 
     def recording(q, rows):
-        points, gaps = project(q, rows=rows)
+        points = project(q, rows=rows)
         last_q[rows] = q
-        assert np.all(gaps <= 1e-12 * (1.0 + np.linalg.norm(q, axis=1)))
+        gaps, bound = _certificate(hull.v[rows], q, points)
+        assert np.all(gaps <= bound)
         first.append(points.copy())
-        return points, gaps
+        return points
 
     hull.project = recording
     y, x_on_h = geo._project_cap(x, c, r, hull)
@@ -597,18 +602,18 @@ def test_hausdorff_random_polytopes_against_boundary_sampling(rng):
 
 def test_projection_difference_identical_sets():
     body = geo.Polytope(np.array([[0.2, 0.1], [0.9, 0.1], [0.2, 0.8]]))
-    chk = geo.projection_difference_check(np.array([2.0, 1.0]), [body], [body],
-                                          2.0)
-    assert chk.lhs[0] <= 1e-12 and chk.passed
+    lhs, rhs = geo.projection_difference_check(np.array([2.0, 1.0]), [body],
+                                               [body], 2.0)
+    assert lhs[0] <= 1e-12 and lhs[0] <= rhs[0]
 
 
 def test_projection_difference_closed_form_segments():
     c = geo.Polytope(np.array([[-1.0, 0.0], [1.0, 0.0]]))
     d = geo.Polytope(np.array([[-0.5, 0.0], [0.5, 0.0]]))
-    chk = geo.projection_difference_check(np.array([[2.0, 0.0]]), [c], [d], 1.0)
-    assert chk.lhs[0] == pytest.approx(0.5)
-    assert chk.rhs[0] == pytest.approx(math.sqrt(5.0))
-    assert chk.passed
+    lhs, rhs = geo.projection_difference_check(np.array([[2.0, 0.0]]), [c], [d],
+                                               1.0)
+    assert lhs[0] == pytest.approx(0.5)
+    assert rhs[0] == pytest.approx(math.sqrt(5.0))
 
 
 def test_projection_difference_requires_containment():
@@ -625,11 +630,11 @@ def test_projection_difference_requires_containment():
 
 def _slater_one(x, a, b, x0, rho):
     """`slater_intersection_check` on the single row (x, a, b, x0, rho),
-    with scalar lhs and rhs."""
-    chk = geo.slater_intersection_check(np.asarray(x, dtype=float)[None, :],
-                                        [a], [b], np.asarray(x0)[None, :],
-                                        [rho])
-    return geo.BoundCheck(float(chk.lhs[0]), float(chk.rhs[0]), chk.passed)
+    as scalar (lhs, rhs)."""
+    lhs, rhs = geo.slater_intersection_check(
+        np.asarray(x, dtype=float)[None, :], [a], [b],
+        np.asarray(x0)[None, :], [rho])
+    return float(lhs[0]), float(rhs[0])
 
 
 def _square(half=1.0, centre=(0.0, 0.0)):
@@ -641,9 +646,9 @@ def _square(half=1.0, centre=(0.0, 0.0)):
 
 def test_slater_check_zero_distance_inside():
     ball = geo.Ball(np.array([0.5, 0.0]), 1.0)
-    chk = _slater_one(np.array([0.4, 0.1]), _square(), ball,
-                      np.array([0.25, 0.0]), 0.2)
-    assert chk.lhs <= 1e-8 and chk.passed
+    lhs, rhs = _slater_one(np.array([0.4, 0.1]), _square(), ball,
+                           np.array([0.25, 0.0]), 0.2)
+    assert lhs <= 1e-8 and lhs <= rhs
 
 
 def test_slater_check_rejects_bad_witness():
@@ -659,18 +664,17 @@ def test_slater_check_rejects_bad_witness():
 @pytest.mark.parametrize("pair", ["polytope/ball"])
 def test_slater_batch_matches_one_row_calls(pair):
     rows = suites._slater_rows(7, 100)
-    single = [_slater_one(*row) for row in zip(*rows)]
-    chk = geo.slater_intersection_check(*rows)
-    assert chk.passed
-    for name in ("lhs", "rhs"):
-        np.testing.assert_allclose(
-            getattr(chk, name), [getattr(one, name) for one in single],
-            rtol=1e-15, atol=0.0)
+    single = np.array([_slater_one(*row) for row in zip(*rows)])
+    lhs, rhs = geo.slater_intersection_check(*rows)
+    assert np.all(lhs <= rhs + 1e-8)
+    np.testing.assert_allclose(np.stack([lhs, rhs], axis=1), single,
+                               rtol=1e-15, atol=0.0)
 
 
 def test_slater_batch_names_first_failing_row():
     xs, polys, balls, x0s, rhos = suites._slater_rows(7, 10)
-    assert geo.slater_intersection_check(xs, polys, balls, x0s, rhos).passed
+    lhs, rhs = geo.slater_intersection_check(xs, polys, balls, x0s, rhos)
+    assert np.all(lhs <= rhs + 1e-8)
     far = x0s.copy()
     far[6] += 10.0
     with pytest.raises(geo.SlaterViolation,
@@ -693,6 +697,27 @@ def test_slater_check_refuses_other_pairings(pair):
             "mixed": ([polys[0], balls[1]], [balls[0], polys[1]])}[pair]
     with pytest.raises(geo.GeometryError, match="polytope/ball"):
         geo.slater_intersection_check(xs, a, b, x0s, rhos)
+
+
+@pytest.mark.parametrize("battery, check", [
+    (suites.projection_difference_battery, "projection_difference_check"),
+    (suites.slater_battery, "slater_intersection_check")])
+def test_lemma_battery_margin_is_rhs_slack_minus_lhs(monkeypatch, battery,
+                                                     check):
+    # the checks return per-row (lhs, rhs); the 1e-8 slack is the battery's
+    returned = []
+    original = getattr(geo, check)
+
+    def recording(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(geo, check, recording)
+    result = battery(7, 40)
+    (lhs, rhs), = returned
+    assert lhs.shape == rhs.shape == (40,)
+    assert result.worst_margin == float(np.min(rhs + 1e-8 - lhs))
+    assert result.passed
 
 
 def test_slater_battery_builds_two_hull_projectors(monkeypatch):

@@ -26,10 +26,30 @@ def _tridiagonal(j, h, tau):
 
 
 def test_exponent_floor_enforced():
-    with pytest.raises(mono.MonotoneError):
-        mono.make_potential(7, ("constant", 2.0))
-    pot = mono.make_potential(7, ("constant", 2.0), oracle_p2=True)
-    assert pot.exponents.min() == 2.0
+    # p >= 2 everywhere: the floor itself is accepted by every profile, and
+    # the largest float below it is refused
+    below = math.nextafter(2.0, 0.0)
+    for low in (2.0, below):
+        for spec in (("constant", low), ("ramp", low, 3.5),
+                     ("bump", low, 1.5)):
+            if low == 2.0:
+                pot = mono.make_potential(7, spec)
+                assert pot.exponents.min() == 2.0
+            else:
+                with pytest.raises(mono.MonotoneError, match="p >= 2"):
+                    mono.make_potential(7, spec)
+
+
+def test_nan_exponents_refused():
+    # a NaN exponent fails `p >= 2`; accepted, it would only surface as a
+    # prox step that does not converge, with residual nan
+    with pytest.raises(mono.MonotoneError, match="p >= 2"):
+        mono.make_potential(5, ("constant", math.nan))
+    exponents = np.full(7, 3.0)
+    exponents[3] = math.nan
+    with pytest.raises(mono.MonotoneError, match="p >= 2"):
+        mono.VariableExponentPotential(
+            exponents, mono.coefficient_profile(5, ("constant", 1.0)))
 
 
 def test_coefficient_positivity_checked_on_grid():
@@ -86,7 +106,7 @@ def test_energy_zero_state():
 
 
 def test_energy_quadratic_case():
-    pot = mono.make_potential(5, ("constant", 2.0), oracle_p2=True)
+    pot = mono.make_potential(5, ("constant", 2.0))
     v = np.array([0.1, -0.3, 0.2, 0.5, -0.1])
     h = pot.mesh
     full = np.concatenate([[0.0], v, [0.0]])
@@ -108,7 +128,7 @@ def test_subgradient_zero_at_origin():
 
 
 def test_subgradient_linear_case(rng):
-    pot = mono.make_potential(9, ("constant", 2.0), oracle_p2=True)
+    pot = mono.make_potential(9, ("constant", 2.0))
     v = rng.normal(size=9)
     h = pot.mesh
     padded = np.concatenate([[0.0], v, [0.0]])
@@ -266,7 +286,7 @@ def test_prox_step_stationary_zero():
 def test_prox_step_linear_closed_form(rng, monkeypatch):
     # one Newton step is exact on the quadratic p = 2 objective
     monkeypatch.setattr(mono, "PROX_NEWTON_ITERS", 1)
-    pot = mono.make_potential(5, ("constant", 2.0), oracle_p2=True)
+    pot = mono.make_potential(5, ("constant", 2.0))
     tau = 0.01
     v_prev = rng.normal(size=5)
     g = rng.normal(size=5)
@@ -592,8 +612,7 @@ def test_flow_discrete_apriori_bound(rng):
 
 def test_flow_matches_spectral_recursion_j63():
     j, steps = 63, 2 ** 12
-    pot = mono.make_potential(j, ("constant", 2.0), ("constant", 1.0),
-                              oracle_p2=True)
+    pot = mono.make_potential(j, ("constant", 2.0), ("constant", 1.0))
     h = pot.mesh
     x = pot.nodes()[1:-1]
     v0 = np.sin(np.pi * x) + 0.3 * np.sin(3.0 * np.pi * x)
@@ -913,7 +932,7 @@ def test_monotonicity_zero_for_equal_arguments():
 
 
 def test_monotonicity_quadratic_form(rng):
-    pot = mono.make_potential(9, ("constant", 2.0), oracle_p2=True)
+    pot = mono.make_potential(9, ("constant", 2.0))
     v, w = rng.normal(size=9), rng.normal(size=9)
     got = mono.monotonicity_probe(pot, 0.0, v, w)
     h = pot.mesh
