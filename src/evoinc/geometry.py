@@ -216,20 +216,15 @@ class HullProjector:
     gap = max_v <x - p, v - p> <= tol * (1 + ||x||) * max(1, max_v ||v - x||)
     and adds the most violating vertex to the corral of every row that
     fails it. Rows retire as soon as their certificate holds; the result is
-    exact on its support. Two-vertex hulls take the closed form of the same
-    method: the segment parameter t = <x - a, b - a> / |b - a|^2 clamped to
-    [0, 1] (0 when a == b), with weights (1 - t, t) and the same
-    certificate, so they run no cycle at all.
+    exact on its support.
 
     A row's first call starts it at its nearest vertex, a one-vertex corral
     that is already its own affine minimizer, so a call whose rows all start
     cold skips the first minor cycle; later calls resume from the previous
     weights and their support, since the multiplier search of `_project_cap`
-    calls it with slowly moving inputs. A caller whose hulls move little
-    between projectors may seed `lam` with another projector's final
-    weights of the same shape; the relaxed iteration's selections do. The
-    warm-start state makes instances single-threaded; the module-level
-    entry points construct a fresh projector per call and stay pure.
+    calls it with slowly moving inputs. The warm-start state makes
+    instances single-threaded; the module-level entry points construct a
+    fresh projector per call and stay pure.
     """
 
     def __init__(self, vertices: np.ndarray):
@@ -263,8 +258,6 @@ class HullProjector:
             return self.v[rows, 0, :].copy()
         if self.lam is None:
             self.lam = np.zeros((self.m, self.n))
-        if self.n == 2:
-            return self._project_segments(x, rows)
         # A full call works on the state itself; a row subset on a copy.
         lam, stack = ((self.lam, self.v) if every
                       else (self.lam[rows], self.v[rows]))
@@ -312,27 +305,6 @@ class HullProjector:
         if not every:
             self.lam[rows] = lam
         _certify(gaps, scale)
-        return points
-
-    def _project_segments(self, x: np.ndarray, rows: np.ndarray):
-        """Two-vertex hulls in closed form: the segment parameter
-        t = <x - a, b - a> / |b - a|^2 clamped to [0, 1] (0 when a == b),
-        under the vertex-set certificate of `project`."""
-        stack = self.v[rows]
-        a = stack[:, 0, :]
-        e = stack[:, 1, :] - a
-        length2 = np.einsum("md,md->m", e, e)
-        along = np.einsum("md,md->m", x - a, e)
-        t = np.clip(np.divide(along, length2, out=np.zeros(rows.size),
-                              where=length2 > 0.0), 0.0, 1.0)
-        lam = np.stack([1.0 - t, t], axis=1)
-        self.lam[rows] = lam
-        points = (lam[:, None, :] @ stack)[:, 0, :]
-        gaps = ((stack - points[:, None, :])
-                @ (x - points)[:, :, None])[:, :, 0].max(axis=1)
-        reach = _nearest_and_reach(stack, x)[1]
-        _certify(gaps, PROJECTION_TOL * (1.0 + np.linalg.norm(x, axis=1))
-                 * reach)
         return points
 
 

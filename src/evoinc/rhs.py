@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
+
 ORTHONORMALITY_TOL = 1e-12
 
 
@@ -255,15 +257,61 @@ class BasisFamilyMap:
             raise RhsError("coefficient produced a non-finite value")
         return out
 
-    def vertex_array(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Stacked hull vertices per node: (K, N, target_dim), or
-        (K, N + 1, target_dim) with the origin appended."""
+    def project(self, u: np.ndarray, v: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+        """The nearest image point to each row of x, the image taken at the
+        same row of (u, v): (K, target_dim).
+
+        The image is conv{phi_n e_n}, with the origin when `include_origin`
+        or some phi_n = 0. With the coordinates y_n = w <x, e_n>, w =
+        `target_weight`, and b_n = phi_n y_n, the nearest point is a
+        continuous quadratic knapsack (Kiwiel 2008) with the exact answer
+        sum_n c_n e_n, c_n = (b_n - mu)^+ / phi_n, where
+        mu = max_k (sum_{S_k} b_n / phi_n^2 - 1) / sum_{S_k} 1 / phi_n^2
+        over S_k = {n : phi_n != 0, b_n >= b_k}, clamped at 0 in the rows
+        whose hull holds the origin. Every row is certified by
+        `HullProjector`'s vertex gap test, evaluated in these coordinates,
+        and a failing row raises ProjectionDidNotConverge; so does a
+        non-finite query, before any work.
+        """
         phi = self.coefficient_values(u, v)
-        verts = phi[:, :, None] * self.basis[None, :, :]
-        if self.include_origin:
-            zeros = np.zeros((verts.shape[0], 1, self.target_dim))
-            verts = np.concatenate([verts, zeros], axis=1)
-        return verts
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        geometry._require_finite(x)
+        if self.truncation == 1 and not self.include_origin:
+            return phi @ self.basis
+        w = self.target_weight
+        # with the origin in the hull, its term in each maximum over the
+        # vertices below is 0: the clamp of mu, its gap and its distance
+        floor = 0.0 if self.include_origin else -np.inf
+        y = w * (x @ self.basis.T)
+        # each row in units of its largest |phi_n|, so that 1 / phi_n
+        # stays finite: a phi_n below 1e-150 of it counts as 0, a vertex
+        # at the origin to far below the certificate's tolerance
+        scale = np.abs(phi).max(axis=1, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        phi_s, y_s = phi / scale, y / scale
+        live = np.abs(phi_s) > 1e-150
+        inv = np.divide(1.0, phi_s, out=np.zeros_like(phi), where=live)
+        b = phi_s * y_s
+        # in_k[:, k, n]: n is in S_k; a zero phi_k's candidate 0 is the clamp
+        in_k = (live[:, None, :] & (b[:, None, :] >= b[:, :, None])) * 1.0
+        sums = in_k @ np.stack([y_s * inv, inv * inv], axis=2)
+        mu = np.divide(sums[:, :, 0] - 1.0, sums[:, :, 1],
+                       out=np.zeros_like(phi), where=live)
+        mu = mu.max(axis=1, initial=floor)
+        c = scale * np.maximum(b - mu[:, None], 0.0) * inv
+        # per vertex v = phi_n e_n: w <x - p, v - p> + inner and w (||v - x||^2
+        # - ||x||^2); the farthest vertex is at least ||x|| / sqrt(2) from x,
+        # so these expanded forms round within the bound's eps ||x|| reach
+        along = y - c
+        inner = (along * c).sum(axis=1)
+        gaps = (phi * along).max(axis=1, initial=floor) - inner
+        xx = np.einsum("kd,kd->k", x, x)
+        reach2 = xx + (phi * (phi - 2.0 * y)).max(axis=1, initial=floor) / w
+        geometry._certify(gaps / w, geometry.PROJECTION_TOL
+                          * (1.0 + np.sqrt(xx))
+                          * np.sqrt(np.maximum(reach2, 1.0)))
+        return c @ self.basis
 
     # -- envelopes ----------------------------------------------------------
 
@@ -328,11 +376,12 @@ class SingletonAffineMap:
         return cls(np.zeros((value.size, dim_u)), np.zeros((value.size, dim_v)),
                    value, target_weight, u_weight, v_weight)
 
-    def vertex_array(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        pts = u @ self.mat_u.T + v @ self.mat_v.T + self.offset
-        return pts[:, None, :]
+    def project(self, u: np.ndarray, v: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+        """The one image point at each row of (u, v), the nearest to any
+        query; a non-finite x raises ProjectionDidNotConverge."""
+        geometry._require_finite(np.asarray(x, dtype=float))
+        return u @ self.mat_u.T + v @ self.mat_v.T + self.offset
 
     def growth_envelope(self) -> GrowthEnvelope:
         sw_t = math.sqrt(self.target_weight)

@@ -1,11 +1,14 @@
 """Grid-sampled selections of set-valued maps along state paths.
 
 A selection assigns to every time node a member of the map's image at the
-current states. Node-wise metric projection is the canonical generator;
-the eps-close regeneration after a state update projects the old selection
-onto the intersection of the new image with the eps-ball around the old
-value, which keeps the new selection within eps node-wise and hence within
-eps * sqrt(t1 - t0) in the path L2 norm.
+current states. Node-wise metric projection is the canonical generator,
+taken by the family itself: a basis-family image conv{phi_n e_n} has its
+nearest point in closed form (`BasisFamilyMap.project`), and a singleton
+image is its own nearest point. The eps-close regeneration after a state
+update projects the old selection onto the intersection of the new image
+with the eps-ball around the old value, which keeps the new selection
+within eps node-wise and hence within eps * sqrt(t1 - t0) in the path L2
+norm.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 
 import numpy as np
 
-from .geometry import HullProjector
 from .paths import TimePath, trapezoid_l2
 
 MEMBERSHIP_TOL = 1e-8
@@ -27,41 +29,22 @@ class SelectionError(RuntimeError):
 def nearest_point_selection(family, u: TimePath, v: TimePath,
                             anchor: TimePath) -> TimePath:
     """Node-wise certified projection of the anchor onto the image hulls
-    along (u, v); all three paths must share one time grid.
-
-    The returned values are exact convex combinations of the image
-    vertices, so they are members of the images by construction. Every
-    node's projection starts cold, at its nearest vertex; see
-    `_resumed_selection` for the warm start of a relaxed iteration.
-    """
-    return _resumed_selection(family, u, v, anchor, None)[0]
+    along (u, v), by the family's closed-form `project`; all three paths
+    must share one time grid."""
+    return _selection(family, u, v, anchor)[0]
 
 
-def _resumed_selection(family, u: TimePath, v: TimePath, anchor: TimePath,
-                       weights: np.ndarray | None):
-    """`nearest_point_selection` resumed from barycentric weights.
-
-    `weights` are the final weights of an earlier selection of the same
-    family on the same grid, (nodes, vertices), or None for a cold start.
-    Wolfe's method resumes from their support on the new hulls, so a node
-    whose optimal face did not move needs no vertex to enter; a node that
-    fails its certificate still enters vertices until it holds, and every
-    returned point passes the same gap test as a cold projection. Returns
-    (selection, node distances of the anchor to it in the target norm,
-    final weights); the weights are None for one-vertex images, which need
-    no iteration.
-    """
+def _selection(family, u: TimePath, v: TimePath, anchor: TimePath):
+    """(`nearest_point_selection` of the anchor, node distances of the
+    anchor to it in the target norm), from one projection pass."""
     if not u.same_grid(v):
         raise ValueError("state paths must share the time grid")
     if not anchor.same_grid(u):
         raise ValueError("anchor must share the state grid")
-    hull = HullProjector(family.vertex_array(u.values, v.values))
-    hull.lam = weights
-    points = hull.project(anchor.values)
+    points = family.project(u.values, v.values, anchor.values)
     distances = math.sqrt(family.target_weight) * np.linalg.norm(
         anchor.values - points, axis=1)
-    return (TimePath(u.t0, u.t1, points, family.target_weight), distances,
-            hull.lam)
+    return TimePath(u.t0, u.t1, points, family.target_weight), distances
 
 
 def selection_residual(family, u: TimePath, v: TimePath,
@@ -74,7 +57,7 @@ def selection_residual(family, u: TimePath, v: TimePath,
 def node_distances(family, u: TimePath, v: TimePath,
                    f: TimePath) -> np.ndarray:
     """Node-wise distance of f to the image hulls, in the target norm."""
-    return _resumed_selection(family, u, v, f, None)[1]
+    return _selection(family, u, v, f)[1]
 
 
 def approximate_selection(family, u_new: TimePath, v: TimePath,
@@ -89,7 +72,7 @@ def approximate_selection(family, u_new: TimePath, v: TimePath,
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    new, gaps, _ = _resumed_selection(family, u_new, v, f, None)
+    new, gaps = _selection(family, u_new, v, f)
     if np.any(gaps > eps + MEMBERSHIP_TOL):
         node = int(np.argmax(gaps))
         raise SelectionError(

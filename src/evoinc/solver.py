@@ -20,7 +20,7 @@ import numpy as np
 from .monotone import (MonotoneError, VariableExponentPotential, _flow,
                        _sweep)
 from .paths import TimePath, path_distance, path_l2_norm, trapezoid_l2, zero_path
-from .selection import _resumed_selection
+from .selection import _selection
 from .semigroup import SpectralGenerator, duhamel_solve, yosida_smooth
 
 THETA_FLOOR = 2.0 ** -10
@@ -177,14 +177,12 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     selections are redone along it; the window converges only if the
     residuals still pass. A loop that stops on the theta floor or the
     budget with a swept v finishes the same way, so every reported v, f*,
-    g* and residual comes from the exact flow. The first f- and
-    g-selections start cold; each later one resumes Wolfe's method from the
-    final hull weights of the previous selection of its family, since the
-    images move little between iterations, and is certified by the same
-    gap test. The current v and these weights live only for this call.
-    The report says why the loop stopped (`tolerance`, `theta_floor` or
-    `budget`). Non-convergence is an allowed outcome and is reported with
-    the residuals reached, never raised.
+    g* and residual comes from the exact flow. Every selection is the
+    closed-form nearest point of its family (`project`), certified node by
+    node, so none carries state from an earlier one. The current v lives
+    only for this call. The report says why the loop stopped
+    (`tolerance`, `theta_floor` or `budget`). Non-convergence is an allowed
+    outcome and is reported with the residuals reached, never raised.
     """
     num_nodes, theta = settings.nodes_per_window, settings.theta
     u0 = np.asarray(u0, dtype=float)
@@ -213,13 +211,10 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     def selections(u: TimePath, v: TimePath):
         """f*, g* and their residuals against f_path, g_path, the trapezoid
         L2 norms of the node distances, which become the window's node
-        defects; each selection resumes from the final hull weights of the
-        previous one of its family."""
-        nonlocal f_weights, g_weights, defects
-        f_star, defect_f, f_weights = _resumed_selection(f_map, u, v, f_path,
-                                                         f_weights)
-        g_star, defect_g, g_weights = _resumed_selection(g_map, u, v, g_path,
-                                                         g_weights)
+        defects."""
+        nonlocal defects
+        f_star, defect_f = _selection(f_map, u, v, f_path)
+        g_star, defect_g = _selection(g_map, u, v, g_path)
         defects = defect_f, defect_g
         return (f_star, g_star, trapezoid_l2(defect_f, f_path.dt),
                 trapezoid_l2(defect_g, g_path.dt))
@@ -231,7 +226,7 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
     v = v_flow(_flow)
     v_forcing = g_path.values   # the g-forcing that produced v
     swept = False               # whether v is a sweep rather than the flow
-    f_weights = g_weights = defects = None
+    defects = None
     f_path, g_path, _, _ = selections(u, v)
 
     history = []

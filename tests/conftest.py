@@ -2,7 +2,8 @@
 
 Everything in here is deliberately independent of the package's projection
 machinery: polygon distances are computed edge-by-edge, hulls come from a
-plain monotone chain, and grid searches enumerate candidates directly.
+plain monotone chain, grid searches enumerate candidates directly, and the
+vertices of a basis-family image are built from its coefficients.
 """
 
 import numpy as np
@@ -100,6 +101,18 @@ def polygon_boundary_sample(hull: np.ndarray, step: float) -> np.ndarray:
         for j in range(count):
             out.append(a + (b - a) * j / count)
     return np.asarray(out)
+
+
+def hull_vertices(family, u, v) -> np.ndarray:
+    """Vertex stack of a `BasisFamilyMap`'s images at the rows of (u, v):
+    (K, N, target_dim), phi_n e_n, or (K, N + 1, target_dim) with the
+    origin appended when the family includes it."""
+    phi = family.coefficient_values(u, v)
+    verts = phi[:, :, None] * family.basis
+    if family.include_origin:
+        origin = np.zeros((verts.shape[0], 1, family.target_dim))
+        verts = np.concatenate([verts, origin], axis=1)
+    return verts
 
 
 @pytest.fixture

@@ -294,23 +294,6 @@ def test_minor_cycles_leave_one_vertex_corrals_unchanged(dim):
     assert np.array_equal(corral, corral_before)
 
 
-def test_cold_segment_projection_runs_no_minor_cycle(monkeypatch):
-    calls = []
-    minor = geo._minor_cycles
-
-    def counted(*args):
-        calls.append(args[0].shape[0])
-        minor(*args)
-
-    monkeypatch.setattr(geo, "_minor_cycles", counted)
-    segment = np.array([[0.0, 0.0], [2.0, 0.0]])
-    p = geo.HullProjector(segment).project(np.array([0.5, 1.0]))
-    # a two-vertex hull is projected in closed form, at the foot of the
-    # perpendicular, without Wolfe's cycles
-    assert np.allclose(p, [[0.5, 0.0]], atol=1e-15)
-    assert calls == []
-
-
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_segment_projection_matches_closed_distance_and_wolfe(d):
     rng = np.random.default_rng(90 + d)
@@ -327,7 +310,7 @@ def test_segment_projection_matches_closed_distance_and_wolfe(d):
     assert np.allclose(hull.lam.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
     assert np.allclose((hull.lam[:, :, None] * stack).sum(axis=1), p,
                        rtol=0.0, atol=1e-15)
-    # the same segments padded to three vertices take Wolfe's path
+    # padding with a repeated vertex leaves every segment unchanged
     padded = np.concatenate([stack, stack[:, 1:]], axis=1)
     wolfe = geo.HullProjector(padded).project(x)
     assert np.abs(p - wolfe).max() <= 1e-14
@@ -342,7 +325,7 @@ def test_segment_projection_degenerate_and_on_segment():
     hull = geo.HullProjector(stack)
     p = hull.project(x)
     gaps, _ = _certificate(stack, x, p)
-    # a == b has no direction: t = 0 and the point is the vertex
+    # a == b: the point is the vertex, at weights (1, 0)
     assert np.array_equal(p[0], a)
     assert np.array_equal(hull.lam[0], [1.0, 0.0])
     assert gaps[0] == 0.0
@@ -369,7 +352,7 @@ def test_segment_projection_row_subset_with_warm_weights():
 
 
 def test_segment_projection_raises_without_certificate(monkeypatch):
-    # a bound no gap can meet: the closed form raises like Wolfe's path
+    # a bound no gap can meet
     monkeypatch.setattr(geo, "PROJECTION_TOL", -1.0)
     segment = np.array([[0.0, 0.0], [2.0, 0.0]])
     with pytest.raises(geo.ProjectionDidNotConverge):

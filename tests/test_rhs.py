@@ -8,6 +8,8 @@ import pytest
 from evoinc import geometry as geo, rhs
 from evoinc.config import build_experiment, load_config, preset_path
 
+from conftest import hull_vertices
+
 
 def _growth_map(c_values, nu_scales=None, dim_u=None, dim_v=3):
     n = len(c_values)
@@ -24,8 +26,8 @@ def _growth_map(c_values, nu_scales=None, dim_u=None, dim_v=3):
 
 def _vertices(family, u, v):
     """Hull vertices of the image at one state pair."""
-    return family.vertex_array(np.asarray(u, dtype=float),
-                               np.asarray(v, dtype=float))[0]
+    return hull_vertices(family, np.asarray(u, dtype=float),
+                         np.asarray(v, dtype=float))[0]
 
 
 def _vertex_norms(family, u, v):
@@ -102,7 +104,7 @@ def test_growth_feedback_must_not_read_u_under_any_wrapper(wrapper, leaf):
 def test_nonfinite_coefficient_value_rejected():
     family = _growth_map([1.0], dim_u=1, dim_v=1)
     with pytest.raises(rhs.RhsError):
-        family.vertex_array(np.array([np.inf]), np.zeros(1))
+        family.project(np.array([np.inf]), np.zeros(1), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +197,71 @@ def test_growth_envelope_of_huge_constants_is_finite():
 
 
 # ---------------------------------------------------------------------------
+# closed-form projection onto the images
+
+
+def _family_at(rng, phi, include_origin, weight):
+    """A growth-form family of signed unit axes in R^(n + 2), orthonormal
+    under the target weight, and the states at which its coefficients are
+    exactly phi."""
+    k, n = phi.shape
+    axes = np.eye(n + 2)[rng.permutation(n + 2)[:n]]
+    basis = axes * rng.choice([-1.0, 1.0], size=(n, 1)) / math.sqrt(weight)
+    family = rhs.BasisFamilyMap(basis, (rhs.GrowthCoefficient(1.0),) * n,
+                                include_origin, weight, u_weight=weight)
+    return family, phi @ basis, np.zeros((k, 1))
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.25, 1.0 / 16.0])
+@pytest.mark.parametrize("include_origin", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_project_matches_wolfe(n, include_origin, weight):
+    rng = np.random.default_rng([41, n, int(include_origin), int(1 / weight)])
+    k = 60
+    phi = rng.normal(size=(k, n)) * rng.uniform(0.1, 5.0, size=(k, 1))
+    # one batch mixes rows with a zero coefficient, whose hulls hold the
+    # origin, and rows without; repeated and negative coefficients too
+    rows = np.arange(0, k, 3)
+    phi[rows, rng.integers(0, n, size=rows.size)] = 0.0
+    phi[1::6] = 0.0
+    if n > 1:
+        phi[2::3, 1] = phi[2::3, 0]
+    # scales far from 1, within a row and between rows
+    phi[4, 0] = 1e-170
+    phi[7] *= 1e-200
+    phi[10] *= 1e100
+    family, u, v = _family_at(rng, phi, include_origin, weight)
+    assert np.array_equal(family.coefficient_values(u, v), phi)
+    x = rng.normal(size=(k, n + 2)) * rng.uniform(0.1, 10.0, size=(k, 1))
+    vertices = hull_vertices(family, u, v)
+    x[::5] = vertices[::5].mean(axis=1)     # queries inside their hulls
+    points = family.project(u, v, x)
+    wolfe = geo.HullProjector(vertices).project(x)
+    assert np.all(np.linalg.norm(points - wolfe, axis=1)
+                  <= 1e-13 * (1.0 + np.linalg.norm(x, axis=1)))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_project_of_non_finite_query_raises(n, rng):
+    family, u, v = _family_at(rng, rng.normal(size=(2, n)), False, 1.0)
+    x = np.zeros((2, n + 2))
+    x[1, 0] = math.nan
+    with pytest.raises(geo.ProjectionDidNotConverge) as exc:
+        family.project(u, v, x)
+    assert math.isnan(exc.value.residual)
+
+
+def test_project_raises_without_certificate(monkeypatch, rng):
+    # a bound no gap can meet
+    family, u, v = _family_at(rng, rng.normal(size=(4, 3)), True, 0.25)
+    x = rng.normal(size=(4, 5))
+    family.project(u, v, x)
+    monkeypatch.setattr(geo, "PROJECTION_TOL", -1.0)
+    with pytest.raises(geo.ProjectionDidNotConverge):
+        family.project(u, v, x)
+
+
+# ---------------------------------------------------------------------------
 # continuity probes
 
 
@@ -204,8 +271,8 @@ def _modulus(family, pairs):
     out = []
     for (u, v), (u2, v2) in pairs:
         dist = np.linalg.norm(u - u2) + np.linalg.norm(v - v2)
-        hd = geo._pair_hausdorff(family.vertex_array(u, v),
-                                 family.vertex_array(u2, v2))[0]
+        hd = geo._pair_hausdorff(hull_vertices(family, u, v),
+                                 hull_vertices(family, u2, v2))[0]
         out.append((float(dist), float(hd)))
     return out
 
@@ -293,8 +360,9 @@ def test_singleton_affine_map_envelope_and_eval():
     b = np.zeros((2, 3))
     c = np.array([1.0, -2.0])
     single = rhs.SingletonAffineMap(a, b, c)
-    verts = _vertices(single, np.array([2.0, 4.0]), np.zeros(3))
-    assert np.allclose(verts, [[2.0, -1.0]])
+    point = single.project(np.array([2.0, 4.0]), np.zeros(3),
+                           np.array([7.0, 7.0]))
+    assert np.allclose(point, [[2.0, -1.0]])
     env = single.growth_envelope()
     assert env.a == pytest.approx(0.5)
     assert env.b == 0.0

@@ -9,6 +9,8 @@ from evoinc import geometry as geo, rhs, selection as sel
 from evoinc.paths import (TimePath, constant_path, path_distance,
                           path_l2_norm, zero_path)
 
+from conftest import hull_vertices
+
 
 def _map_with(c_values, nu_scales=None, dim_u=None, dim_v=3):
     n = len(c_values)
@@ -87,100 +89,6 @@ def test_selection_nearest_point_of_segment():
 
 
 # ---------------------------------------------------------------------------
-# selections resumed from earlier weights
-
-
-def _origin_family(n=5):
-    """Hulls of n axis points (growth form) and the origin in R^n."""
-    base = _map_with(list(np.linspace(0.6, 1.4, n)),
-                     list(np.linspace(0.1, 0.3, n)), dim_u=n)
-    return rhs.BasisFamilyMap(base.basis, base.coefficients,
-                              include_origin=True)
-
-
-def _certified(family, u, v, anchor, f):
-    """Whether every node of f passes `HullProjector`'s gap test."""
-    verts = family.vertex_array(u.values, v.values)
-    x, p = anchor.values, f.values
-    gaps = np.einsum("knd,kd->kn", verts - p[:, None, :], x - p).max(axis=1)
-    reach = np.linalg.norm(verts - x[:, None, :], axis=2).max(axis=1)
-    bound = geo.PROJECTION_TOL * (1.0 + np.linalg.norm(x, axis=1)) \
-        * np.maximum(reach, 1.0)
-    return bool(np.all(gaps <= bound))
-
-
-def _count_minor_cycles(monkeypatch):
-    calls = []
-    minor = geo._minor_cycles
-
-    def counted(*args):
-        calls.append(args[0].shape[0])
-        minor(*args)
-
-    monkeypatch.setattr(geo, "_minor_cycles", counted)
-    return calls
-
-
-def test_resumed_selection_on_moved_hulls_matches_cold(rng):
-    # the relaxed iteration's pattern: states and anchors move a little,
-    # and each selection resumes from the previous one's weights
-    family = _origin_family()
-    u, v = _random_paths(rng, 5, 3, k=65)
-    anchor = TimePath(0.0, 1.0, rng.normal(size=(65, 5)))
-    _, _, weights = sel._resumed_selection(family, u, v, anchor, None)
-    for _ in range(6):
-        u, v, anchor = (p.with_values(p.values + 1e-2 * rng.normal(
-            size=p.values.shape)) for p in (u, v, anchor))
-        warm, _, weights = sel._resumed_selection(family, u, v, anchor,
-                                                  weights)
-        cold = sel.nearest_point_selection(family, u, v, anchor)
-        assert _certified(family, u, v, anchor, warm)
-        assert np.abs(warm.values - cold.values).max() <= 1e-12
-        verts = family.vertex_array(u.values, v.values)
-        assert np.array_equal(
-            warm.values, (weights[:, None, :] @ verts)[:, 0, :])
-
-
-def test_resumed_selection_on_unchanged_hulls_enters_no_vertex(
-        monkeypatch, rng):
-    family = _origin_family()
-    u, v = _random_paths(rng, 5, 3, k=65)
-    anchor = TimePath(0.0, 1.0, rng.normal(size=(65, 5)))
-    first, _, weights = sel._resumed_selection(family, u, v, anchor, None)
-    support = weights > 0.0
-    assert support.sum(axis=1).max() > 1   # faces, not only vertices
-    calls = _count_minor_cycles(monkeypatch)
-    again, _, weights = sel._resumed_selection(family, u, v, anchor, weights)
-    # one minor cycle re-solves each face; no row fails its certificate,
-    # so no vertex enters and no second major cycle runs
-    assert calls == [65]
-    assert np.array_equal(weights > 0.0, support)
-    assert np.abs(again.values - first.values).max() <= 1e-15
-
-
-def test_resumed_selection_onto_repeated_vertices_is_certified(monkeypatch):
-    # the weights sit on three axis points; at the new states two of them
-    # collapse onto the origin, which makes the resumed corral's system
-    # singular, and the least-norm solve must still certify
-    family = rhs.BasisFamilyMap(np.eye(3), (rhs.GrowthCoefficient(1.0),) * 3,
-                                include_origin=True)
-    v = zero_path(0.0, 1.0, 2, 3)
-    anchor = constant_path(0.0, 1.0, 2, np.array([0.5, 0.5, 0.5]))
-    u = constant_path(0.0, 1.0, 2, np.ones(3))
-    _, _, weights = sel._resumed_selection(family, u, v, anchor, None)
-    assert np.array_equal(weights > 0.0, [[True, True, True, False]] * 2)
-    pinv_calls = []
-    pinv = np.linalg.pinv
-    monkeypatch.setattr(np.linalg, "pinv",
-                        lambda a: pinv_calls.append(a.shape) or pinv(a))
-    u = constant_path(0.0, 1.0, 2, np.array([1.0, 0.0, 0.0]))
-    warm, _, _ = sel._resumed_selection(family, u, v, anchor, weights)
-    assert pinv_calls
-    assert _certified(family, u, v, anchor, warm)
-    assert np.allclose(warm.values, [0.5, 0.0, 0.0], atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
 # selection residual
 
 
@@ -233,7 +141,7 @@ def test_node_distances_vertex_is_zero():
     family = _map_with([1.0, 0.5])
     u = np.array([2.0, 1.0])
     v = np.zeros(3)
-    vertex = family.vertex_array(u, v)[0, 0]
+    vertex = hull_vertices(family, u, v)[0, 0]
     assert _node_distance(family, vertex, u, v) <= 1e-10
 
 
@@ -251,7 +159,7 @@ def test_node_distances_match_grid_oracle():
     u, v = rng.normal(size=2), rng.normal(size=3)
     x = rng.normal(size=2) * 2.0
     d = _node_distance(family, x, u, v)
-    verts = family.vertex_array(u, v)[0]
+    verts = hull_vertices(family, u, v)[0]
     lam = np.linspace(0.0, 1.0, 2001)[:, None]
     cand = lam * verts[0] + (1.0 - lam) * verts[1]
     oracle = float(np.linalg.norm(cand - x, axis=1).min())
@@ -298,7 +206,7 @@ def test_approximate_selection_l2_bound_and_node_oracle(rng):
     assert sel.selection_residual(family, u_new, v, f_new) <= 1e-10
 
     # node-wise cross-check: intersection projection of the old value
-    verts = family.vertex_array(u_new.values, v.values)
+    verts = hull_vertices(family, u_new.values, v.values)
     for i in range(0, 33, 8):
         oracle, _ = geo._project_cap(
             f.values[i][None, :], f.values[i], eps,

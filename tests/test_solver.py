@@ -487,19 +487,16 @@ PRESET_SWEEPS = {"heat_debye": 3, "schrodinger_debye": 18,
                  "feedback_growth": 0}
 
 
-@pytest.mark.parametrize("name, flows, prox, projections, minor_cycles", [
-    ("heat_debye", 4, 259, 14, 20),
-    ("schrodinger_debye", 4, 274, 44, 60),
-    ("feedback_growth", 8, 8, 370, 0),
+@pytest.mark.parametrize("name, flows, prox", [
+    ("heat_debye", 4, 259),
+    ("schrodinger_debye", 4, 274),
+    ("feedback_growth", 8, 8),
 ])
-def test_preset_work_counts(monkeypatch, name, flows, prox, projections,
-                            minor_cycles):
+def test_preset_work_counts(monkeypatch, name, flows, prox):
     # the work of each bundled solve, pinned without a wall-clock assert:
-    # exact v-flows, sweeps, prox calls (one per sweep), hull projections,
-    # Wolfe minor-cycle calls and Newton iterations. Each selection after a
-    # window's first resumes from the previous one's weights;
-    # feedback_growth's hulls are segments, which are projected in closed
-    # form without any minor cycle.
+    # exact v-flows, sweeps, prox calls (one per sweep) and Newton
+    # iterations. Every selection is the images' closed-form nearest point,
+    # so no solve runs a hull projection or a Wolfe minor cycle.
     counts = [_count_calls(monkeypatch, *target) for target in (
         (sv, "_flow"), (mono, "_prox"), (geo.HullProjector, "project"),
         (geo, "_minor_cycles"))]
@@ -515,15 +512,14 @@ def test_preset_work_counts(monkeypatch, name, flows, prox, projections,
     monkeypatch.setattr(mono, "_prox", summed)
     run, _ = _preset_run(name)
     assert run.converged
-    assert [c[0] for c in counts] == [flows, prox, projections, minor_cycles]
+    assert [c[0] for c in counts] == [flows, prox, 0, 0]
     assert sweeps[0] == PRESET_SWEEPS[name]
     assert newton[0] == PRESET_NEWTON_ITERATIONS[name]
 
 
 def test_back_to_back_solves_are_bit_identical():
-    # the resumed selection weights live in one window of one solve; a
-    # second solve in the same process starts from nothing the first left.
-    # u, v and the selections f*, g* of every window:
+    # a second solve in the same process starts from nothing the first
+    # left. u, v and the selections f*, g* of every window:
     first, _ = _preset_run("schrodinger_debye")
     second, _ = _preset_run("schrodinger_debye")
     assert len(first.windows) == len(second.windows) == 2
