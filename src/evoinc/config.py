@@ -287,11 +287,19 @@ class _SpaceInfo:
             math.pi * np.outer(kk, self.x_interior))
 
 
+# the keys of each expression primitive besides "op"
+_EXPR_KEYS = {"const": ("value",), "inner": ("arg", "direction"),
+              "norm": ("arg",), "affine": ("child", "scale", "shift"),
+              "sin": ("child",), "tanh": ("child",),
+              "clamp": ("child", "lo", "hi")}
+
+
 def _build_expr(obj: dict, path: str, spaces: _SpaceInfo):
-    _require_keys(obj, path, ("op",),
-                  ("value", "arg", "direction", "scale", "shift", "child",
-                   "lo", "hi"))
+    _require_keys(obj, path, ("op",), set().union(*_EXPR_KEYS.values()))
     op = obj["op"]
+    if not isinstance(op, str) or op not in _EXPR_KEYS:
+        raise ConfigError(f"{path}.op: unknown primitive {op!r}")
+    _require_keys(obj, path, ("op",), _EXPR_KEYS[op])
     if op == "const":
         return Const(_number(obj.get("value"), f"{path}.value"))
     if op in ("inner", "norm"):
@@ -314,10 +322,8 @@ def _build_expr(obj: dict, path: str, spaces: _SpaceInfo):
         return Sin(inner)
     if op == "tanh":
         return Tanh(inner)
-    if op == "clamp":
-        return _rhs_part(Clamp, path, _number(obj.get("lo"), f"{path}.lo"),
-                         _number(obj.get("hi"), f"{path}.hi"), inner)
-    raise ConfigError(f"{path}.op: unknown primitive {op!r}")
+    return _rhs_part(Clamp, path, _number(obj.get("lo"), f"{path}.lo"),
+                     _number(obj.get("hi"), f"{path}.hi"), inner)
 
 
 def _rhs_part(make, path: str, *args, **kwargs):

@@ -16,11 +16,12 @@ form and on the polytope by a certified projection.
 
 Everything is vectorized over batches of query points. The one public
 projection, `project(x, body)`, takes a point or rows of points and a ball
-(closed form) or a polytope (one `HullProjector`). The
-projection-difference and Slater checks are batched over rows: one call
-checks every trial, with the polytopes of each side in one vertex stack
-and one `HullProjector`, and the ball∩hull multiplier search runs over all
-rows at once, one ball per row.
+(closed form) or a polytope (one `HullProjector`, which holds only its
+vertex stack, so every call is pure). The projection-difference and
+Slater checks are batched over rows: one call checks every trial, with
+the polytopes of each side in one vertex stack, and the ball∩hull
+multiplier search runs over all rows at once, one ball per row, each pass
+projecting the rows still searching through one `HullProjector`.
 """
 
 from __future__ import annotations
@@ -209,81 +210,60 @@ class HullProjector:
     Wolfe's minimum-norm-point method ("Finding the nearest point in a
     polytope", 1976), run on all rows at once. Each row keeps a corral, an
     affinely independent subset of its vertices held as one row of an
-    (m, n) boolean mask, and barycentric weights `lam` supported on it.
-    Minor cycles move every row to the nearest point of its corral's affine
-    hull, one batched solve per pass, and drop vertices whose weight would
-    turn negative. Each major cycle checks the vertex-set certificate
+    (m, n) boolean mask, and barycentric weights supported on it. Minor
+    cycles move every row to the nearest point of its corral's affine hull,
+    one batched solve per pass, and drop vertices whose weight would turn
+    negative. Each major cycle checks the vertex-set certificate
     gap = max_v <x - p, v - p> <= tol * (1 + ||x||) * max(1, max_v ||v - x||)
     and adds the most violating vertex to the corral of every row that
     fails it. Rows retire as soon as their certificate holds; the result is
     exact on its support.
 
-    A row's first call starts it at its nearest vertex, a one-vertex corral
-    that is already its own affine minimizer, so a call whose rows all start
-    cold skips the first minor cycle; later calls resume from the previous
-    weights and their support, since the multiplier search of `_project_cap`
-    calls it with slowly moving inputs. The warm-start state makes
-    instances single-threaded; the module-level entry points construct a
-    fresh projector per call and stay pure.
+    The instance holds only its vertex stack `v`, so a call is pure. Every
+    row starts at its nearest vertex, a one-vertex corral that is already
+    its own affine minimizer, so the first major cycle skips its minor
+    cycle.
     """
 
     def __init__(self, vertices: np.ndarray):
         v = np.asarray(vertices, dtype=float)
-        if v.ndim == 2:
-            v = v[None, :, :]
-        self.v = v
-        self.m, self.n, self.d = v.shape
-        self.lam = None  # weights of the last call, (m, n)
+        self.v = v[None, :, :] if v.ndim == 2 else v
 
-    def project(self, x: np.ndarray, rows=None) -> np.ndarray:
-        """The nearest point of each row's hull to its query, one row per
-        query.
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """The nearest point of each row's hull to its query, one query per
+        row of the vertex stack.
 
-        `rows` limits the call to those rows of the vertex stack, one query
-        each; the other rows keep their warm start. Raises
-        ProjectionDidNotConverge when the certificate
+        Raises ProjectionDidNotConverge when the certificate
         gap <= tol * (1 + ||x||) * max(1, max_v ||v - x||), tol =
         PROJECTION_TOL, does not hold on every row after PROJECTION_BUDGET
         major cycles, or when a row stops improving short of it, and before
         any work for a non-finite query, whatever the number of vertices.
         """
         x = _rows(x)
-        every = rows is None
-        rows = np.arange(self.m) if every else np.asarray(rows)
-        if x.shape != (rows.size, self.d):
+        m, n, d = self.v.shape
+        if x.shape != (m, d):
             raise DimensionMismatch(
-                f"expected query shape {(rows.size, self.d)}, got {x.shape}")
+                f"expected query shape {(m, d)}, got {x.shape}")
         _require_finite(x)
-        if self.n == 1:
-            return self.v[rows, 0, :].copy()
-        if self.lam is None:
-            self.lam = np.zeros((self.m, self.n))
-        # A full call works on the state itself; a row subset on a copy.
-        lam, stack = ((self.lam, self.v) if every
-                      else (self.lam[rows], self.v[rows]))
-        nearest, reach = _nearest_and_reach(stack, x)
+        if n == 1:
+            return self.v[:, 0, :].copy()
+        nearest, reach = _nearest_and_reach(self.v, x)
         # <x - p, v - p> is rounded at about eps ||x - p|| ||v - p||, so the
         # bound grows with the farthest vertex once it is beyond unit reach
         scale = PROJECTION_TOL * (1.0 + np.linalg.norm(x, axis=1)) * reach
-        cold = ~lam.any(axis=1)
-        if cold.any():
-            lam[cold, nearest[cold]] = 1.0
+        lam = np.zeros((m, n))
+        lam[np.arange(m), nearest] = 1.0
         corral = lam > 0.0
         points = np.empty_like(x)
-        gaps = np.full(rows.size, np.inf)
-        active = np.arange(rows.size)
+        gaps = np.full(m, np.inf)
+        active = np.arange(m)
         entered = None
-        # A cold row is one vertex at weight 1.0, already its corral's
-        # affine minimizer: when every row is cold, the first minor cycle
-        # would change nothing.
-        settled = cold.all()
         for _ in range(PROJECTION_BUDGET):
-            v, xa = stack[active], x[active]
+            v, xa = self.v[active], x[active]
             kept, lam_a = corral[active], lam[active]
-            if not settled:
+            if entered is not None:
                 _minor_cycles(v, xa, kept, lam_a)
                 lam[active] = lam_a
-            settled = False
             p = (lam_a[:, None, :] @ v)[:, 0, :]
             inner = ((v - p[:, None, :]) @ (xa - p)[:, :, None])[:, :, 0]
             points[active] = p
@@ -302,8 +282,6 @@ class HullProjector:
                 break
             kept[go_on, entered] = True
             corral[active] = kept[go_on]
-        if not every:
-            self.lam[rows] = lam
         _certify(gaps, scale)
         return points
 
@@ -324,19 +302,18 @@ def _nearest_and_reach(stack: np.ndarray, x: np.ndarray):
     return dist2.argmin(axis=1), np.sqrt(dist2.max(axis=1, initial=1.0))
 
 
-def _repeated_hull(poly: Polytope, m: int) -> HullProjector:
-    """A `HullProjector` with the polytope's vertices on each of m rows."""
-    return HullProjector(np.broadcast_to(poly.vertices,
-                                         (m,) + poly.vertices.shape))
+def _repeated_hull(poly: Polytope, m: int) -> np.ndarray:
+    """The (m, n, d) vertex stack with the polytope's vertices on each row."""
+    return np.broadcast_to(poly.vertices, (m,) + poly.vertices.shape)
 
 
-def _project_cap(x: np.ndarray, centers, radii, hull: HullProjector):
+def _project_cap(x: np.ndarray, centers, radii, stack: np.ndarray):
     """Rows of x projected onto B[c_i, r_i] cap H_i by one multiplier per row.
 
     `centers` is (d,) or (m, d) and `radii` a scalar or (m,); both
-    broadcast over the m rows of x. Returns (points, P_H(x)). `hull` holds
-    H_i on its row i; every call projects only the rows still searching,
-    which warm-start from their previous projections. With mu the
+    broadcast over the m rows of x. Returns (points, P_H(x)). H_i is the
+    hull of stack[i]; each pass projects only the rows still searching,
+    through one `HullProjector` of their vertices. With mu the
     multiplier of the ball constraint and t = mu / (1 + mu), the KKT
     conditions give y = P_H((1 - t) x + t c) for one t in [0, 1), and
     phi(t) = ||y(t) - c|| - r does not increase in t (it is the derivative
@@ -351,13 +328,13 @@ def _project_cap(x: np.ndarray, centers, radii, hull: HullProjector):
     c = np.broadcast_to(np.asarray(centers, dtype=float), x.shape)
     r = np.broadcast_to(np.asarray(radii, dtype=float), x.shape[:1])
     tol = PROJECTION_TOL * (1.0 + r)
-    x_on_h = hull.project(x, rows=np.arange(x.shape[0]))
+    x_on_h = HullProjector(stack).project(x)
     y = x_on_h.copy()
     phi = np.linalg.norm(y - c, axis=1) - r
     active = np.flatnonzero(phi > tol)
     if active.size == 0:
         return y, x_on_h
-    anchor = hull.project(c[active], rows=active)
+    anchor = HullProjector(stack[active]).project(c[active])
     f_hi = np.linalg.norm(anchor - c[active], axis=1) - r[active]
     ends = f_hi >= -tol[active]
     y[active[ends]] = anchor[ends]
@@ -371,7 +348,7 @@ def _project_cap(x: np.ndarray, centers, radii, hull: HullProjector):
         t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         ca = c[active]
         q = x[active] + t[:, None] * (ca - x[active])
-        y[active] = hull.project(q, rows=active)
+        y[active] = HullProjector(stack[active]).project(q)
         f = np.linalg.norm(y[active] - ca, axis=1) - r[active]
         above = f > 0.0
         # Illinois: when the same end moves twice, halve the other's value.
@@ -407,7 +384,8 @@ def project(x, body: ConvexBody) -> np.ndarray:
     if isinstance(body, Ball):
         points = project_balls(rows, body.center, body.radius)
     else:
-        points = _repeated_hull(body, rows.shape[0]).project(rows)
+        points = HullProjector(_repeated_hull(body, rows.shape[0])) \
+            .project(rows)
     return points if x.ndim == 2 else points[0]
 
 
@@ -523,9 +501,9 @@ def slater_intersection_check(xs, polytopes, balls, x0s, rhos):
     pairing raises `GeometryError`. The witnesses are verified exactly: x0
     in A by one stacked projection, B[x0, rho] inside B in closed form. The
     first failing row raises SlaterViolation. The witness makes A cap B
-    nonempty, so the projections onto it are one `_project_cap` call, every
-    polytope in one `HullProjector`; its first step projects x onto A,
-    which gives A's term of the bound.
+    nonempty, so the projections onto it are one `_project_cap` call over
+    the polytopes' vertex stack; its first step projects x onto A, which
+    gives A's term of the bound.
     """
     xs, x0s = _rows(xs), _rows(x0s)
     rhos = np.asarray(rhos, dtype=float)
@@ -557,8 +535,7 @@ def slater_intersection_check(xs, polytopes, balls, x0s, rhos):
                             if outside[i] else
                             "B[x0, rho] is not contained in the ball"))
 
-    point, x_on_hull = _project_cap(xs, centers, radii,
-                                    HullProjector(vertices))
+    point, x_on_hull = _project_cap(xs, centers, radii, vertices)
     lhs = np.linalg.norm(xs - point, axis=1)
     to_ball = np.linalg.norm(xs - project_balls(xs, centers, radii), axis=1)
     to_hull = np.linalg.norm(xs - x_on_hull, axis=1)

@@ -252,12 +252,6 @@ class _EnergyKernel:
         h = pot.mesh
         return [h * (a + b) for a, b in zip(grad_terms, value_terms)]
 
-    def value(self):
-        """The energy: a float for one state, a list of floats for a
-        stack."""
-        values = self.values()
-        return values[0] if self.v.ndim == 1 else values
-
     def gradient(self) -> np.ndarray:
         """-div of the flux plus the zeroth-order term."""
         flux = self.flux
@@ -297,8 +291,8 @@ def energy(pot: VariableExponentPotential, t, v: np.ndarray):
     array. `t` is one time for every state or a (B,) array of times, one
     per row, so the node energies of a flow are one call."""
     v = _states(pot, v)
-    values = _EnergyKernel(pot, _edge_coefficient(pot, t, v), v).value()
-    return values if v.ndim == 1 else np.array(values)
+    values = _EnergyKernel(pot, _edge_coefficient(pot, t, v), v).values()
+    return values[0] if v.ndim == 1 else np.array(values)
 
 
 def subgradient(pot: VariableExponentPotential, t,

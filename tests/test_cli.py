@@ -607,6 +607,42 @@ def test_solve_rejects_bad_coefficients_naming_them(tmp_path, capsys, path,
     assert not out.exists()
 
 
+def test_solve_rejects_a_key_of_another_primitive(tmp_path, capsys):
+    # `scale` belongs to affine; on a const it used to be read as nothing
+    cfg = json.loads(_read(preset_path("feedback_growth")))
+    cfg["rhs_g"]["coefficients"][0]["expr"]["scale"] = 1e150
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code = main(["solve", "--config", str(bad), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config.rhs_g.coefficients[0].expr.scale: unknown key" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize("expr, foreign", [
+    ({"op": "const", "value": 0.5}, "child"),
+    (_inner("u"), "value"),
+    ({"op": "norm", "arg": "v"}, "direction"),
+    ({"op": "affine", "scale": 2.0, "child": _inner("u")}, "lo"),
+    ({"op": "sin", "child": _inner("u")}, "scale"),
+    ({"op": "tanh", "child": _inner("u")}, "arg"),
+    ({"op": "clamp", "lo": -1.0, "hi": 1.0, "child": _inner("u")}, "shift"),
+], ids=lambda case: case["op"] if isinstance(case, dict) else case)
+def test_config_expression_keys_are_per_primitive(expr, foreign):
+    # the preset builds with each expression, and refuses it with a key
+    # that only another primitive takes
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    clamp = {"op": "clamp", "lo": -1.0, "hi": 1.0, "child": expr}
+    cfg["rhs_g"]["coefficients"][0] = {"form": "general", "expr": clamp}
+    build_experiment(cfg)
+    expr[foreign] = 1.0
+    with pytest.raises(ConfigError, match=rf"\.expr\.child\.{foreign}: "
+                       "unknown key"):
+        build_experiment(cfg)
+
+
 def _leaves(obj, path=()):
     """(path, value) of every scalar in a decoded config."""
     items = obj.items() if isinstance(obj, dict) \

@@ -214,16 +214,28 @@ def test_project_polytope_repeated_vertex_is_certified():
     assert np.linalg.norm(p[0] - alone) <= 1e-10
 
 
-def test_hull_projector_warm_start_on_repeated_vertex_support():
-    # weights left on both copies of a vertex make the corral's system
-    # singular; the least-norm solve must still reach the certified point
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    projector = geo.HullProjector(vertices)
-    projector.lam = np.array([[0.0, 0.5, 0.5, 0.0]])
+def test_minor_cycles_split_weight_over_repeated_vertex(monkeypatch):
+    # a corral that holds both copies of a vertex makes its system
+    # singular; the least-norm solve splits the weight between the copies
+    pinv_calls = []
+    pinv = np.linalg.pinv
+
+    def counting(a):
+        pinv_calls.append(a.shape)
+        return pinv(a)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    vertices = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
     x = np.array([[0.7, 0.9]])
-    p = projector.project(x)
-    assert np.allclose(p, [[0.4, 0.6]], atol=1e-12)
-    gaps, bound = _certificate(vertices[None], x, p)
+    lam = np.array([[0.0, 0.25, 0.25, 0.5]])
+    corral = lam > 0.0
+    geo._minor_cycles(vertices, x, corral, lam)
+    assert pinv_calls
+    assert np.array_equal(corral, [[False, True, True, True]])
+    assert lam[0] == pytest.approx([0.0, 0.2, 0.2, 0.6], abs=1e-15)
+    p = lam @ vertices[0]
+    assert np.allclose(p, [[0.4, 0.6]], atol=1e-15)
+    gaps, bound = _certificate(vertices, x, p)
     assert gaps[0] <= bound[0]
 
 
@@ -245,21 +257,27 @@ def test_hull_projector_batch_rows_and_warm_start_agree(dim):
     x = rng.normal(size=(m, dim)) * 3.0
     x[::4] = vertices[::4].mean(axis=1)  # some queries inside their hull
 
-    projector = geo.HullProjector(vertices)
-    batch = projector.project(x)
+    batch = geo.HullProjector(vertices).project(x)
     rows = np.vstack([geo.HullProjector(vertices[i]).project(x[i])
                       for i in range(m)])
     assert np.abs(batch - rows).max() <= 1e-10
     gaps, bound = _certificate(vertices, x, batch)
     assert np.all(gaps <= bound)
 
-    moved = x + 1e-3 * rng.normal(size=x.shape)
-    warm = projector.project(moved)
-    cold = geo.HullProjector(vertices).project(moved)
-    assert np.abs(warm - cold).max() <= 1e-10
-    for points in (warm, cold):
-        gaps, bound = _certificate(vertices, moved, points)
-        assert np.all(gaps <= bound)
+
+def test_hull_projector_is_stateless():
+    # a second call on the same projector and a row subset through a fresh
+    # projector give the bits of one full call
+    rng = np.random.default_rng(105)
+    vertices = rng.normal(size=(30, 7, 3))
+    x = rng.normal(size=(30, 3)) * 3.0
+    projector = geo.HullProjector(vertices)
+    full = projector.project(x)
+    assert np.array_equal(projector.project(x), full)
+    rows = np.array([2, 5, 11, 29])
+    subset = geo.HullProjector(vertices[rows]).project(x[rows])
+    assert np.array_equal(subset, full[rows])
+    assert vars(projector).keys() == {"v"}
 
 
 def test_hull_projector_certifies_far_hulls():
@@ -300,16 +318,11 @@ def test_segment_projection_matches_closed_distance_and_wolfe(d):
     m = 300
     stack = rng.normal(size=(m, 2, d))
     x = 2.0 * rng.normal(size=(m, d))
-    hull = geo.HullProjector(stack)
-    p = hull.project(x)
+    p = geo.HullProjector(stack).project(x)
     expected = [point_segment_distance(x[i], stack[i, 0], stack[i, 1])
                 for i in range(m)]
     assert np.allclose(np.linalg.norm(x - p, axis=1), expected,
                        rtol=0.0, atol=1e-14)
-    assert np.all(hull.lam >= 0.0)
-    assert np.allclose(hull.lam.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
-    assert np.allclose((hull.lam[:, :, None] * stack).sum(axis=1), p,
-                       rtol=0.0, atol=1e-15)
     # padding with a repeated vertex leaves every segment unchanged
     padded = np.concatenate([stack, stack[:, 1:]], axis=1)
     wolfe = geo.HullProjector(padded).project(x)
@@ -322,33 +335,14 @@ def test_segment_projection_degenerate_and_on_segment():
     stack = np.stack([np.stack([a, a]), np.stack([a, b])])
     on_segment = a + 0.3 * (b - a)
     x = np.stack([np.array([4.0, 0.0, 1.0]), on_segment])
-    hull = geo.HullProjector(stack)
-    p = hull.project(x)
+    p = geo.HullProjector(stack).project(x)
     gaps, _ = _certificate(stack, x, p)
-    # a == b: the point is the vertex, at weights (1, 0)
+    # a == b: the point is the vertex
     assert np.array_equal(p[0], a)
-    assert np.array_equal(hull.lam[0], [1.0, 0.0])
     assert gaps[0] == 0.0
     # a query on the segment is its own projection
     assert np.abs(p[1] - on_segment).max() <= 1e-15
-    assert hull.lam[1] == pytest.approx([0.7, 0.3], abs=1e-15)
     assert abs(gaps[1]) <= 1e-14
-
-
-def test_segment_projection_row_subset_with_warm_weights():
-    rng = np.random.default_rng(95)
-    stack = rng.normal(size=(5, 2, 3))
-    x = rng.normal(size=(5, 3))
-    cold = geo.HullProjector(stack).project(x)
-    hull = geo.HullProjector(stack)
-    hull.lam = np.full((5, 2), 0.5)
-    rows = np.array([1, 3])
-    p = hull.project(x[rows], rows=rows)
-    assert np.array_equal(p, cold[rows])
-    # the other rows keep their warm start
-    assert np.array_equal(hull.lam[[0, 2, 4]], np.full((3, 2), 0.5))
-    assert np.all(hull.lam[rows] >= 0.0)
-    assert np.allclose(hull.lam[rows].sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
 
 
 def test_segment_projection_raises_without_certificate(monkeypatch):
@@ -386,7 +380,7 @@ def _cap_point(x, ball, poly):
     """Projection of the point x onto ball cap poly by `_project_cap`."""
     x = np.asarray(x, dtype=float)[None, :]
     y, _ = geo._project_cap(x, ball.center, ball.radius,
-                            geo.HullProjector(poly.vertices))
+                            poly.vertices[None])
     return y[0]
 
 
@@ -451,33 +445,53 @@ def _unit_rows(seed, count, dim):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _check_cap_kkt(x, ball, hull, members):
-    """Runs `_project_cap` on the `HullProjector` hull and checks its KKT
+class _TakenRows:
+    """A vertex stack that records the rows taken from it."""
+
+    def __init__(self, stack):
+        self.stack, self.taken = stack, []
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.stack, dtype=dtype)
+
+    def __getitem__(self, rows):
+        self.taken.append(rows)
+        return self.stack[rows]
+
+
+def _check_cap_kkt(x, ball, stack, members):
+    """Runs `_project_cap` on the vertex stack and checks its KKT
     certificate row by row.
 
     Every row's last query q must be (1 - t) x + t c, the returned point
     its certified projection, and the point must satisfy the ball
     constraint (with equality when t > 0) and the variational inequality
     over `members`. The second return value must be the first call's
-    projections of x. Returns the multipliers t.
+    projections of x. The first call projects every row, each later one
+    the rows that the search took from the stack just before it. Returns
+    the multipliers t.
     """
     c, r = ball.center, ball.radius
     tol = 1e-12 * (1.0 + r)
     last_q = np.full_like(x, np.nan)
-    first = []
-    project = hull.project
+    calls = []
+    stack = _TakenRows(stack)
+    project = geo.HullProjector.project
 
-    def recording(q, rows):
-        points = project(q, rows=rows)
+    def recording(self, q):
+        points = project(self, q)
+        rows = stack.taken[len(calls) - 1] if calls else slice(None)
         last_q[rows] = q
-        gaps, bound = _certificate(hull.v[rows], q, points)
+        gaps, bound = _certificate(self.v, q, points)
         assert np.all(gaps <= bound)
-        first.append(points.copy())
+        calls.append(points.copy())
         return points
 
-    hull.project = recording
-    y, x_on_h = geo._project_cap(x, c, r, hull)
-    assert np.array_equal(x_on_h, first[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geo.HullProjector, "project", recording)
+        y, x_on_h = geo._project_cap(x, c, r, stack)
+    assert len(stack.taken) == len(calls) - 1
+    assert np.array_equal(x_on_h, calls[0])
     t = np.einsum("md,md->m", last_q - x, c - x) / np.sum((c - x) ** 2, axis=1)
     assert np.abs(last_q - (x + t[:, None] * (c - x))).max() <= 1e-12
     assert np.all((t >= 0.0) & (t <= 1.0))
@@ -502,8 +516,7 @@ def test_project_cap_kkt_certificate_on_hulls(dim):
         r = np.linalg.norm(c - geo.project(c, poly)) \
             + rng.uniform(0.4, 1.2)
         x = c + rng.normal(size=(m, dim)) * 3.0
-        hull = geo.HullProjector(np.broadcast_to(vertices,
-                                                 (m,) + vertices.shape))
+        stack = np.broadcast_to(vertices, (m,) + vertices.shape)
         # members: hull vertices inside the ball, ball points inside the hull
         ball_points = c + r * rng.uniform(size=(1000, 1)) ** (1.0 / dim) \
             * _unit_rows(320 + dim, 1000, dim)
@@ -511,7 +524,8 @@ def test_project_cap_kkt_certificate_on_hulls(dim):
         in_hull = np.linalg.norm(off_hull, axis=1) <= 1e-12
         in_ball = np.linalg.norm(vertices - c, axis=1) <= r
         members = np.vstack([vertices[in_ball], ball_points[in_hull]])
-        multipliers.append(_check_cap_kkt(x, geo.Ball(c, r), hull, members))
+        multipliers.append(_check_cap_kkt(x, geo.Ball(c, r), stack,
+                                          members))
     t = np.concatenate(multipliers)
     assert np.any(t == 0.0) and np.any(t > 0.0)
 
@@ -525,8 +539,8 @@ def test_project_intersection_tangent_pair_returns_touching_point():
         y = _cap_point(row, ball, geo.Polytope(square))
         assert np.allclose(y, [1.0, 0.0], atol=1e-12)
         assert _ball_excess(y, ball) <= 1e-12
-    hull = geo.HullProjector(np.broadcast_to(square, (3, 4, 2)))
-    t = _check_cap_kkt(x, ball, hull, np.array([[1.0, 0.0]]))
+    t = _check_cap_kkt(x, ball, np.broadcast_to(square, (3, 4, 2)),
+                       np.array([[1.0, 0.0]]))
     assert np.array_equal(t, [1.0, 0.0, 1.0])
 
 
@@ -703,17 +717,42 @@ def test_lemma_battery_margin_is_rhs_slack_minus_lhs(monkeypatch, battery,
     assert result.passed
 
 
-def test_slater_battery_builds_two_hull_projectors(monkeypatch):
-    built = []
-    init = geo.HullProjector.__init__
+def _count_projections(monkeypatch):
+    """[calls, rows] of `HullProjector.project`, counted from now on."""
+    counts = [0, 0]
+    project = geo.HullProjector.project
 
-    def counting(self, vertices):
-        built.append(self)
-        init(self, vertices)
+    def counted(self, x):
+        counts[0] += 1
+        counts[1] += np.atleast_2d(x).shape[0]
+        return project(self, x)
 
-    monkeypatch.setattr(geo.HullProjector, "__init__", counting)
+    monkeypatch.setattr(geo.HullProjector, "project", counted)
+    return counts
+
+
+def test_slater_battery_projection_counts(monkeypatch):
+    # the witness check, the first cap step, its anchor and one call per
+    # pass of the multiplier search, over the rows still searching
+    counts = _count_projections(monkeypatch)
     assert suites.slater_battery(7, 500).passed
-    assert len(built) <= 2
+    assert counts == [35, 2913]
+
+
+@pytest.mark.parametrize("seed, trials, margin", [
+    (7, 1000, 4.409461576179975), (1, 1000, 4.62793790384932),
+    (7, 40, 6.267787614731494), (1, 40, 5.7519265155182975)])
+def test_projection_difference_battery_margins(seed, trials, margin):
+    result = suites.projection_difference_battery(seed, trials)
+    assert result.passed and result.worst_margin == margin
+
+
+@pytest.mark.parametrize("seed, trials, margin", [
+    (7, 500, 1e-08), (1, 500, 1.000000300853684e-08),
+    (7, 40, 5.738679206613403), (1, 40, 50.82118699933487)])
+def test_slater_battery_margins(seed, trials, margin):
+    result = suites.slater_battery(seed, trials)
+    assert result.passed and result.worst_margin == margin
 
 
 # ---------------------------------------------------------------------------
@@ -804,17 +843,9 @@ def test_intersection_continuity_battery_margins(trials, margin):
 
 def test_intersection_continuity_battery_projection_counts(monkeypatch):
     # one pair per trial: the limit and member caps of the 0.5/512 shift
-    calls, rows = [0], [0]
-    project = geo.HullProjector.project
-
-    def counted(self, x, *args, **kwargs):
-        calls[0] += 1
-        rows[0] += np.atleast_2d(x).shape[0]
-        return project(self, x, *args, **kwargs)
-
-    monkeypatch.setattr(geo.HullProjector, "project", counted)
+    counts = _count_projections(monkeypatch)
     suites.intersection_continuity_battery(7, 1)
-    assert (calls[0], rows[0]) == (6, 8227)
+    assert counts == [6, 8227]
 
 
 def test_intersection_continuity_battery_reads_hypothesis(monkeypatch,

@@ -210,7 +210,7 @@ def test_approximate_selection_l2_bound_and_node_oracle(rng):
     for i in range(0, 33, 8):
         oracle, _ = geo._project_cap(
             f.values[i][None, :], f.values[i], eps,
-            geo.HullProjector(verts[i]))
+            verts[i][None])
         assert np.linalg.norm(f_new.values[i] - oracle[0]) <= 1e-6
 
 
