@@ -336,6 +336,10 @@ def _rhs_part(make, path: str, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# the keys of each coefficient form besides "form"
+_COEFFICIENT_KEYS = {"growth": ("c", "nu"), "general": ("expr",)}
+
+
 def _build_rhs(obj: dict, path: str, target: str, spaces: _SpaceInfo):
     _require_keys(obj, path, ("basis", "coefficients"), ("include_origin",))
     basis_kind = obj["basis"]
@@ -360,15 +364,19 @@ def _build_rhs(obj: dict, path: str, target: str, spaces: _SpaceInfo):
     coeffs = []
     for i, spec in enumerate(coeffs_spec):
         cpath = f"{path}.coefficients[{i}]"
-        _require_keys(spec, cpath, ("form",), ("c", "nu", "expr"))
+        _require_keys(spec, cpath, ("form",),
+                      set().union(*_COEFFICIENT_KEYS.values()))
         form = spec["form"]
+        if not isinstance(form, str) or form not in _COEFFICIENT_KEYS:
+            raise ConfigError(f"{cpath}.form: must be growth or general")
+        _require_keys(spec, cpath, ("form",), _COEFFICIENT_KEYS[form])
         if form == "growth":
             c = _number(spec.get("c", 0.0), f"{cpath}.c")
             nu = spec.get("nu")
             nu_expr = _build_expr(nu, f"{cpath}.nu", spaces) if nu else None
             coeffs.append(_rhs_part(GrowthCoefficient, f"{cpath}.nu", c,
                                     nu_expr))
-        elif form == "general":
+        else:
             expr_spec = spec.get("expr")
             if expr_spec is None:
                 raise ConfigError(f"{cpath}.expr: missing")
@@ -376,8 +384,6 @@ def _build_rhs(obj: dict, path: str, target: str, spaces: _SpaceInfo):
             coeffs.append(_rhs_part(
                 GeneralCoefficient, expr_path,
                 _build_expr(expr_spec, expr_path, spaces)))
-        else:
-            raise ConfigError(f"{cpath}.form: must be growth or general")
     family = _rhs_part(BasisFamilyMap, path, basis, tuple(coeffs),
                        include_origin=include_origin,
                        target_weight=spaces.weight(target),

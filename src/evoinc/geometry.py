@@ -50,11 +50,15 @@ class SlaterViolation(GeometryError):
 
 
 class ProjectionDidNotConverge(RuntimeError):
-    """Raised instead of returning an uncertified point."""
+    """Raised instead of returning an uncertified point. The constructor
+    arguments stay in `args`, so the exception pickles with its residual."""
 
     def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
+        super().__init__(message, residual)
         self.residual = residual
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (residual {self.residual:.3e})"
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,15 @@ class MonotoneError(ValueError):
 
 
 class ProxDidNotConverge(RuntimeError):
+    """Raised when a proximal step ends uncertified. The constructor
+    argument stays in `args`, so the exception pickles with its residual."""
+
     def __init__(self, residual: float):
-        super().__init__(f"inner solver left gradient residual {residual:.3e}")
+        super().__init__(residual)
         self.residual = residual
+
+    def __str__(self) -> str:
+        return f"inner solver left gradient residual {self.residual:.3e}"
 
 
 @dataclass(frozen=True)

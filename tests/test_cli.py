@@ -621,6 +621,26 @@ def test_solve_rejects_a_key_of_another_primitive(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+@pytest.mark.parametrize("side, key, value", [
+    ("rhs_f", "expr", {"op": "const", "value": 1e150}),
+    ("rhs_g", "c", 1e150),
+], ids=["growth", "general"])
+def test_solve_rejects_a_key_of_another_coefficient_form(tmp_path, capsys,
+                                                         side, key, value):
+    # `expr` belongs to general coefficients and `c` to growth ones; on the
+    # other form each used to be read as nothing
+    cfg = json.loads(_read(preset_path("feedback_growth")))
+    cfg[side]["coefficients"][0][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code = main(["solve", "--config", str(bad), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config.{side}.coefficients[0].{key}: unknown key" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 @pytest.mark.parametrize("expr, foreign", [
     ({"op": "const", "value": 0.5}, "child"),
     (_inner("u"), "value"),

@@ -1,6 +1,7 @@
 """Convex bodies: projections, Hausdorff distances, and the lemma checks."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -180,6 +181,14 @@ def test_project_polytope_budget_exhaustion_reports(monkeypatch):
     assert np.allclose(p, [[0.4, 0.6]], atol=1e-12)
     gaps, bound = _certificate(triangle[None], x, p)
     assert gaps[0] <= bound[0]
+
+
+def test_projection_did_not_converge_pickles_with_its_residual():
+    exc = geo.ProjectionDidNotConverge("x", 1.0)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is geo.ProjectionDidNotConverge
+    assert str(back) == str(exc) == "x (residual 1.000e+00)"
+    assert back.residual == 1.0
 
 
 # A hull whose last vertex is repeated three times (padding of a batched

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -270,6 +271,16 @@ def test_prox_with_a_zero_newton_pivot_raises_by_name(monkeypatch):
     # per Newton iteration, instead of spending the iteration budget
     assert singular.index(True) == len(singular) - 1
     assert len(singular) < mono.PROX_NEWTON_ITERS
+
+
+def test_prox_did_not_converge_pickles_with_its_residual():
+    for residual in (1.5, math.nan):
+        exc = mono.ProxDidNotConverge(residual)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is mono.ProxDidNotConverge
+        assert str(back) == str(exc)
+        assert str(back) == f"inner solver left gradient residual {residual:.3e}"
+        assert back.residual == residual or math.isnan(back.residual)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,20 @@
-"""Grading of the property batteries' margins."""
+"""Grading of the property batteries' margins, and the monotone suite's
+flow checks in forked children."""
 
 import math
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
 
+import pytest
+
+from evoinc import monotone as mono
 from evoinc import suites
+from evoinc.cli import main
+from evoinc.geometry import ProjectionDidNotConverge
 
 
 def test_a_nan_margin_fails_its_check_wherever_it_comes():
@@ -19,3 +31,191 @@ def test_margins_grade_by_their_minimum():
     assert result == suites.CheckResult("probe", 3, 0.0, True)
     assert not suites.CheckResult.from_margins("probe", 2, [1.0, -1e-9]).passed
     assert suites._min_margin([]) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the flow checks of `verify monotone` in forked children
+
+
+# `verify monotone` as printed before its flow checks moved to children
+MONOTONE_LINES = {
+    1: """\
+PASS gradient-consistency trials=200 worst_margin=1.000e-05
+PASS prox-nonexpansive trials=50 worst_margin=6.886e-01
+PASS dissipation trials=8 worst_margin=1.022e-07
+PASS discrete-apriori-bound trials=8 worst_margin=1.000e-08
+PASS monotonicity trials=1000 worst_margin=1.042e+04
+PASS p2-spectral-oracle trials=1 worst_margin=1.000e-06
+PASS complete-continuity trials=5 worst_margin=1.000e-03
+""",
+    7: """\
+PASS gradient-consistency trials=200 worst_margin=1.000e-05
+PASS prox-nonexpansive trials=50 worst_margin=6.706e-01
+PASS dissipation trials=8 worst_margin=3.245e-08
+PASS discrete-apriori-bound trials=8 worst_margin=1.000e-08
+PASS monotonicity trials=1000 worst_margin=1.248e+04
+PASS p2-spectral-oracle trials=1 worst_margin=1.000e-06
+PASS complete-continuity trials=5 worst_margin=1.000e-03
+""",
+}
+
+
+def _cpus(monkeypatch, count):
+    """Make `_concurrently` see `count` CPUs: 2 forks, 1 runs inline."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _starved_continuity(seed):
+    """complete-continuity with no Newton iteration: its first step that
+    needs one raises ProxDidNotConverge."""
+    iters = mono.PROX_NEWTON_ITERS
+    mono.PROX_NEWTON_ITERS = 0
+    try:
+        return _COMPLETE_CONTINUITY(seed)
+    finally:
+        mono.PROX_NEWTON_ITERS = iters
+
+
+_COMPLETE_CONTINUITY = suites.complete_continuity_battery
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_verify_monotone_forked_and_inline_agree(monkeypatch, capsys, seed):
+    runs = {}
+    run_suite = suites.run_suite
+
+    def recorded(*args, **kwargs):
+        results = run_suite(*args, **kwargs)
+        runs[cpus] = results
+        return results
+
+    monkeypatch.setattr(suites, "run_suite", recorded)
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        assert main(["verify", "monotone", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == MONOTONE_LINES[seed]
+        _assert_no_child_left()
+    # every bit of every margin, not only the printed digits
+    assert runs[2] == runs[1]
+
+
+def test_a_flow_check_raising_in_its_child_raises_in_the_parent(monkeypatch,
+                                                                capsys):
+    monkeypatch.setattr(suites, "complete_continuity_battery",
+                        _starved_continuity)
+    raised = {}
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(mono.ProxDidNotConverge) as exc:
+            main(["verify", "monotone", "--seed", "1"])
+        raised[cpus] = exc.value
+        _assert_no_child_left()
+    assert capsys.readouterr().out == ""
+    forked, inline = raised[2], raised[1]
+    assert type(forked) is type(inline)
+    assert forked.residual == inline.residual and math.isfinite(
+        forked.residual)
+    assert str(forked) == str(inline)
+
+
+def test_concurrently_runs_tasks_in_children_and_keeps_their_order(
+        monkeypatch):
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+    pids = suites._concurrently(os.getpid, os.getpid, os.getpid)
+    assert pids[0] == parent and parent not in pids[1:]
+    assert len(set(pids)) == 3
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_concurrently_raises_the_first_failing_task_in_order(monkeypatch,
+                                                             cpus):
+    _cpus(monkeypatch, cpus)
+
+    def fail(residual):
+        def task():
+            raise ProjectionDidNotConverge("probe", residual)
+        return task
+
+    with pytest.raises(ProjectionDidNotConverge) as exc:
+        suites._concurrently(lambda: 1, fail(2.5), fail(3.5))
+    assert exc.value.residual == 2.5
+    assert str(exc.value) == "probe (residual 2.500e+00)"
+    _assert_no_child_left()
+
+
+def test_concurrently_kills_and_reaps_children_when_the_parent_raises(
+        monkeypatch):
+    _cpus(monkeypatch, 2)
+    statuses = []
+    waitpid = os.waitpid
+
+    def recorded(pid, options):
+        out = waitpid(pid, options)
+        statuses.append(out[1])
+        return out
+
+    def parent_task():
+        raise ValueError("parent")
+
+    monkeypatch.setattr(os, "waitpid", recorded)
+    with pytest.raises(ValueError, match="parent"):
+        suites._concurrently(parent_task, lambda: time.sleep(30))
+    monkeypatch.undo()
+    assert len(statuses) == 1
+    assert os.WIFSIGNALED(statuses[0])
+    assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
+    _assert_no_child_left()
+
+
+def test_concurrently_runs_inline_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    parent = os.getpid()
+    assert suites._concurrently(os.getpid, os.getpid) == [parent, parent]
+
+
+def test_verify_monotone_writes_buffered_output_once():
+    # stdout to a pipe is block-buffered, so the marker sits in the buffer
+    # while the children are forked: a child that flushed it, or ran the
+    # interpreter's exit, would write it twice
+    script = """\
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from evoinc import monotone as mono, suites
+from evoinc.cli import main
+sys.stdout.write("marker before\\n")
+assert main(["verify", "monotone", "--seed", "7"]) == 0
+sys.stdout.write("marker between\\n")
+original = suites.complete_continuity_battery
+def starved(seed):
+    mono.PROX_NEWTON_ITERS = 0
+    return original(seed)
+suites.complete_continuity_battery = starved
+try:
+    main(["verify", "monotone", "--seed", "7"])
+except mono.ProxDidNotConverge as exc:
+    sys.stdout.write(f"raised {exc.residual!r}\\n")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.stdout.write("no child left\\n")
+"""
+    src = pathlib.Path(suites.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "marker before"
+    assert "\n".join(lines[1:8]) + "\n" == MONOTONE_LINES[7]
+    assert lines[8] == "marker between"
+    assert lines[9].startswith("raised ") and len(lines) == 11
+    assert lines[10] == "no child left"
