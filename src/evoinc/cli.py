@@ -202,17 +202,17 @@ def cmd_solve(args) -> int:
                 "apriori": {
                     "lhs": w.report.apriori.lhs,
                     "rhs": w.report.apriori.rhs,
-                    "passed": bool(w.report.apriori.passed),
+                    "passed": w.report.apriori.passed,
                 },
-                "membership_ok": bool(w.report.membership_ok),
+                "membership_ok": w.report.membership.passed,
             }
             for w in run.windows
         ],
         "gronwall": None if run.gronwall is None else {
             "K": run.gronwall.k_const,
             "rho": run.gronwall.rho,
-            "passed": bool(run.gronwall.passed),
-            "worst_margin": run.gronwall.worst_margin,
+            "passed": run.gronwall.bound.passed,
+            "worst_margin": run.gronwall.bound.margin,
         },
     }
     if failure is not None:

@@ -32,6 +32,27 @@ class SolverError(ValueError):
 
 
 @dataclass(frozen=True)
+class Bound:
+    """The inequality lhs <= rhs + slack, over scalars or arrays that
+    broadcast together. Its margin is the least rhs + slack - lhs (NaN when
+    any row is NaN, inf when there are no rows), and it passes when the
+    margin is >= 0, so a NaN fails. Every certificate of the package is
+    graded by this rule alone."""
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    slack: float | np.ndarray
+
+    @property
+    def margin(self) -> float:
+        return float(np.min(np.add(self.rhs, self.slack)
+                            - np.asarray(self.lhs), initial=math.inf))
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
+
+
+@dataclass(frozen=True)
 class GlobalSettings:
     """Settings of a solve: the relaxation factor theta in (0, 1], a finite
     positive tolerance on both selection residuals, the iteration budget
@@ -125,8 +146,8 @@ class SolveReport:
     residual_history: tuple
     converged: bool
     stop_reason: str     # "tolerance", "theta_floor" or "budget"
-    apriori: "AprioriReport | None"
-    membership_ok: bool
+    apriori: Bound
+    membership: Bound    # the L2 norms of f*, g* against m
 
 
 @dataclass(frozen=True)
@@ -141,21 +162,14 @@ class WindowSolution:
     node_defect_g: np.ndarray
 
 
-@dataclass(frozen=True)
-class AprioriReport:
-    lhs: float
-    rhs: float
-    passed: bool
-
-
 def apriori_bound_check(u: TimePath, v: TimePath, f: TimePath, g: TimePath,
-                        window: WindowParams) -> AprioriReport:
+                        window: WindowParams) -> Bound:
     """sup-node state norms against m - 1 + sqrt(T0) max forcing L2 norm,
     up to a slack of 1e-6."""
     lhs = max(float(u.node_norms().max()), float(v.node_norms().max()))
     forcing = max(path_l2_norm(f), path_l2_norm(g))
     rhs = window.m - 1.0 + math.sqrt(window.t_window) * forcing
-    return AprioriReport(lhs, rhs, lhs <= rhs + 1e-6)
+    return Bound(lhs, rhs, 1e-6)
 
 
 def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
@@ -267,8 +281,8 @@ def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
         history[-1] = (res_f, res_g)
 
     apriori = apriori_bound_check(u, v, f_star, g_star, window)
-    membership = (path_l2_norm(f_star) <= window.m + 1e-6
-                  and path_l2_norm(g_star) <= window.m + 1e-6)
+    membership = Bound(np.array([path_l2_norm(f_star), path_l2_norm(g_star)]),
+                       window.m, 1e-6)
     report = SolveReport(iterations, res_f, res_g, tuple(history),
                          stop == "tolerance", stop, apriori, membership)
     return WindowSolution(window, u, v, f_star, g_star, report, *defects)
@@ -363,8 +377,7 @@ def solve_global(gen: SpectralGenerator, pot: VariableExponentPotential,
 class GronwallReport:
     k_const: float
     rho: float
-    passed: bool
-    worst_margin: float
+    bound: Bound         # node norms ||u|| + ||v|| against K e^{rho t}
 
 
 def gronwall_constants(a: float, b: float, c: float, u0_norm: float,
@@ -391,23 +404,15 @@ def gronwall_check_windows(windows, a: float, b: float, c: float,
     k_const, rho = gronwall_constants(a, b, c, u0_norm, v0_norm, t_end)
     if rho_override is not None:
         rho = rho_override
-    worst = math.inf
-    for w in windows:
-        total = w.u.node_norms() + w.v.node_norms()
-        envelope = k_const * np.exp(rho * w.u.times())
-        worst = min(worst, float((envelope + 1e-6 * (1.0 + k_const)
-                                  - total).min()))
-    return GronwallReport(k_const, rho, worst >= 0.0, worst)
+    total = np.concatenate([w.u.node_norms() + w.v.node_norms()
+                            for w in windows])
+    times = np.concatenate([w.u.times() for w in windows])
+    return GronwallReport(k_const, rho, Bound(total,
+                                              k_const * np.exp(rho * times),
+                                              1e-6 * (1.0 + k_const)))
 
 
-@dataclass(frozen=True)
-class ElementaryBoundReport:
-    recursion_gap: float
-    bound_margin: float
-    passed: bool
-
-
-def elementary_bound_probe(c: float, h_path: TimePath) -> ElementaryBoundReport:
+def elementary_bound_probe(c: float, h_path: TimePath) -> tuple:
     """Quadratic integral inequality: maximal solution against c + half the
     integral of the rate.
 
@@ -417,8 +422,9 @@ def elementary_bound_probe(c: float, h_path: TimePath) -> ElementaryBoundReport:
     supersolution on a refined grid; the monotone limit is the maximal
     fixed point even in the degenerate c = 0 case, where one-step
     integrators would lock onto the trivial branch. The grid is refined
-    512-fold, and the sub-solutions 0.25, 0.5 and 0.9 times the recursion
-    are checked against the same bound, all up to a slack of 1e-8.
+    512-fold. Two Bounds, both up to a slack of 1e-8: the recursion's
+    distance from the closed form at the nodes, and the recursion and its
+    sub-solutions 0.25, 0.5 and 0.9 times it below the closed form.
     """
     refine, slack = 512, 1e-8
     if c < 0.0:
@@ -447,31 +453,20 @@ def elementary_bound_probe(c: float, h_path: TimePath) -> ElementaryBoundReport:
         if delta <= 1e-13:
             break
     recursion = u_iter[::refine]
-    gap = float(np.abs(recursion - closed).max())
-    margin = float((closed + slack - recursion).min())
-    ok = gap <= 1e-8 and margin >= 0.0
-    for scale in (0.25, 0.5, 0.9):
-        sub = scale * recursion
-        ok = ok and bool(np.all(sub <= closed + slack))
-    return ElementaryBoundReport(gap, margin, ok)
-
-
-@dataclass(frozen=True)
-class YosidaStabilityReport:
-    lhs: tuple           # squared path distances of the smoothed solves
-    rhs: tuple           # (T0^2 / 2) * squared forcing distances
-    passed: bool
+    return (Bound(np.abs(recursion - closed), 0.0, slack),
+            Bound(np.multiply.outer((1.0, 0.25, 0.5, 0.9), recursion), closed,
+                  slack))
 
 
 def yosida_stability_check(gen: SpectralGenerator, u0: np.ndarray,
-                           forcing: TimePath,
-                           lambda_ladder) -> YosidaStabilityReport:
+                           forcing: TimePath, lambda_ladder) -> tuple:
     """Resolvent-smoothed solves against the quadratic forcing estimate.
 
-    For each ladder value, the squared path distance of the smoothed solve
-    must stay below (T0^2 / 2) times the squared forcing distance (the
-    propagator is a contraction, see `WindowParams`), and both sides must
-    vanish up the ladder, both up to a relative slack of 1e-9.
+    Three Bounds, each up to a relative slack of 1e-9 (1 + rhs): for each
+    ladder value, the squared path distance of the smoothed solve (lhs)
+    below (T0^2 / 2) times the squared forcing distance (rhs; the
+    propagator is a contraction, see `WindowParams`), and the steps of
+    both sides up the ladder below 0, so that both vanish.
     """
     t0_span = forcing.t1 - forcing.t0
     u = duhamel_solve(gen, u0, forcing)
@@ -481,10 +476,7 @@ def yosida_stability_check(gen: SpectralGenerator, u0: np.ndarray,
         u_lam = duhamel_solve(gen, u0, f_lam)
         lhs.append(path_distance(u_lam, u) ** 2)
         rhs.append(0.5 * t0_span ** 2 * path_distance(f_lam, forcing) ** 2)
-    lhs_arr = np.array(lhs)
-    rhs_arr = np.array(rhs)
-    scale = 1e-9 * (1.0 + rhs_arr)
-    ok = bool(np.all(lhs_arr <= rhs_arr + scale))
-    ok = ok and bool(np.all(np.diff(lhs_arr) <= scale[1:])) \
-        and bool(np.all(np.diff(rhs_arr) <= scale[1:]))
-    return YosidaStabilityReport(tuple(lhs), tuple(rhs), ok)
+    lhs, rhs = np.array(lhs), np.array(rhs)
+    slack = 1e-9 * (1.0 + rhs)
+    return (Bound(lhs, rhs, slack), Bound(np.diff(lhs), 0.0, slack[1:]),
+            Bound(np.diff(rhs), 0.0, slack[1:]))

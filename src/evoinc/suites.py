@@ -1,10 +1,10 @@
 """Property batteries behind the `verify` command.
 
 Each battery runs a family of seeded checks and reports one line's worth of
-data per check: a tag, the trial count, and the worst margin observed
-(negative margins are failures). Trials derive their generators from
-(seed, trial index) so batteries are reproducible and independent of
-execution order.
+data per check: a tag, the trial count, and the worst margin of the
+`solver.Bound`s that grade it (negative margins are failures). Trials
+derive their generators from (seed, trial index) so batteries are
+reproducible and independent of execution order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import rhs as rhsmod
 from . import selection as sel
 from . import semigroup as sg
 from . import solver as sv
+from .solver import Bound
 from .paths import TimePath, constant_path, path_distance, path_l2_norm, zero_path
 
 SUITES = ("convex", "selection", "semigroup", "monotone", "solver")
@@ -29,17 +30,28 @@ SUITES = ("convex", "selection", "semigroup", "monotone", "solver")
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One verify line. Its verdict is the sign of its printed margin."""
     name: str
     trials: int
     worst_margin: float
-    passed: bool
 
     @classmethod
-    def from_margins(cls, name: str, trials: int, margins) -> "CheckResult":
-        """The check graded by its worst margin, which fails when negative
-        or NaN."""
-        worst = _min_margin(margins)
-        return cls(name, trials, worst, worst >= 0)
+    def grade(cls, name: str, trials: int, bounds=(),
+              gates=()) -> "CheckResult":
+        """The check graded by the least margin of `bounds` (NaN if any is
+        NaN), or by -1.0 when one of `gates` fails. A gate is a Bound or a
+        boolean precondition, such as a converged solve, whose margin is
+        not printed. A check with gates alone has margin 1.0 when they all
+        hold."""
+        if not all(g.passed if isinstance(g, Bound) else g for g in gates):
+            return cls(name, trials, -1.0)
+        return cls(name, trials, float(np.min([b.margin for b in bounds]))
+                   if bounds else 1.0)
+
+    @property
+    def passed(self) -> bool:
+        """The printed margin, read by `Bound`'s rule."""
+        return Bound(0.0, self.worst_margin, 0.0).passed
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -60,12 +72,6 @@ def _random_polytope(rng, dim: int, radius: float):
     over = norms > radius
     verts[over] *= (radius / norms[over])[:, None]
     return geo.Polytope(verts)
-
-
-def _min_margin(margins) -> float:
-    """The smallest margin, NaN if any margin is NaN, inf if there are
-    none."""
-    return float(np.min(margins)) if len(margins) else math.inf
 
 
 def _concurrently(*tasks) -> list:
@@ -178,11 +184,12 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
         xs.append(rng.normal(size=dim) * 3.0)
         ys.append(rng.normal(size=dim) * 3.0)
     images = _project_each(xs + ys, bodies + bodies)
-    margins = [np.linalg.norm(x - y) + 1e-8 - np.linalg.norm(px - py)
-               for x, y, px, py in zip(xs, ys, images[:n_pairs],
-                                       images[n_pairs:])]
-    results.append(CheckResult.from_margins("projection-nonexpansive",
-                                            n_pairs, margins))
+    lhs = [np.linalg.norm(px - py)
+           for px, py in zip(images[:n_pairs], images[n_pairs:])]
+    rhs = [np.linalg.norm(x - y) for x, y in zip(xs, ys)]
+    results.append(CheckResult.grade("projection-nonexpansive", n_pairs,
+                                     [Bound(np.array(lhs), np.array(rhs),
+                                            1e-8)]))
 
     polys, xs = [], []
     for i in range(n_pairs):
@@ -190,12 +197,11 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
         dim = int(rng.integers(2, 4))
         polys.append(_random_polytope(rng, dim, 3.0))
         xs.append(rng.normal(size=dim) * 3.0)
-    margins = []
-    for poly, x, p in zip(polys, xs, _project_each(xs, polys)):
-        gap = float(np.einsum("nd,d->n", poly.vertices - p, x - p).max())
-        margins.append(1e-9 * (1.0 + np.linalg.norm(x)) - gap)
-    results.append(CheckResult.from_margins("variational-certificate",
-                                            n_pairs, margins))
+    gaps = [np.einsum("nd,d->n", poly.vertices - p, x - p).max()
+            for poly, x, p in zip(polys, xs, _project_each(xs, polys))]
+    slack = 1e-9 * (1.0 + np.array([np.linalg.norm(x) for x in xs]))
+    results.append(CheckResult.grade("variational-certificate", n_pairs,
+                                     [Bound(np.array(gaps), 0.0, slack)]))
 
     n_triples = max(n_pairs // 2, 1)
     triples, shifts = [], []
@@ -206,13 +212,15 @@ def convex_battery(seed: int = 7, trials: int | None = None) -> list:
     a, b, c = (geo.pad_vertex_stack(polys) for polys in zip(*triples))
     shift = np.asarray(shifts)[:, None, :]
     d_ab = geo._pair_hausdorff(a, b)
-    margins = np.concatenate([
-        1e-9 - np.abs(d_ab - geo._pair_hausdorff(b, a)),
-        1e-9 - geo._pair_hausdorff(a, a),
-        1e-9 - np.abs(geo._pair_hausdorff(a + shift, b + shift) - d_ab),
-        geo._pair_hausdorff(a, c) + geo._pair_hausdorff(c, b) + 1e-9 - d_ab])
-    results.append(CheckResult.from_margins("hausdorff-metric-properties",
-                                            n_triples, margins))
+    bounds = [
+        Bound(np.abs(d_ab - geo._pair_hausdorff(b, a)), 0.0, 1e-9),
+        Bound(geo._pair_hausdorff(a, a), 0.0, 1e-9),
+        Bound(np.abs(geo._pair_hausdorff(a + shift, b + shift) - d_ab), 0.0,
+              1e-9),
+        Bound(d_ab, geo._pair_hausdorff(a, c) + geo._pair_hausdorff(c, b),
+              1e-9)]
+    results.append(CheckResult.grade("hausdorff-metric-properties",
+                                     n_triples, bounds))
 
     results.append(projection_difference_battery(seed, trials))
     results.append(slater_battery(seed, trials))
@@ -235,8 +243,8 @@ def projection_difference_battery(seed: int = 7,
         queries.append(rng.normal(size=dim) * radius)
     lhs, rhs = geo.projection_difference_check(np.asarray(queries), bodies_c,
                                                bodies_d, radius)
-    return CheckResult.from_margins("projection-difference-bound", trials,
-                                    rhs + 1e-8 - lhs)
+    return CheckResult.grade("projection-difference-bound", trials,
+                             [Bound(lhs, rhs, 1e-8)])
 
 
 def _slater_rows(seed: int, trials: int):
@@ -268,19 +276,19 @@ def slater_battery(seed: int = 7, trials: int | None = None) -> CheckResult:
     all trials (default 500) in one `geometry.slater_intersection_check`."""
     trials = trials or 500
     lhs, rhs = geo.slater_intersection_check(*_slater_rows(seed, trials))
-    return CheckResult.from_margins("slater-intersection-bound", trials,
-                                    rhs + 1e-8 - lhs)
+    return CheckResult.grade("slater-intersection-bound", trials,
+                             [Bound(lhs, rhs, 1e-8)])
 
 
 def intersection_continuity_battery(seed: int = 7,
                                     trials: int | None = None) -> CheckResult:
     """Convergent ball/polytope families (default 10 trials), graded on one
     pair each: the member shifted by 0.5/512 along a random unit direction
-    against its limit. The sampled gap must be below 1e-2. A trial fails
+    against its limit. The sampled gap must be below 1e-2. The check fails
     with margin -1 when a cap is empty or when the open limit ball misses
     the limit polytope (the lemma's hypothesis)."""
     trials = trials or 10
-    margins = []
+    values, gates = [], []
     for i in range(trials):
         rng = _rng(seed, 6000 + i)
         base = _random_polytope(rng, 2, 1.5)
@@ -291,10 +299,10 @@ def intersection_continuity_battery(seed: int = 7,
         shift = direction / 512 * 0.5
         value, hypothesis_ok = geo.intersection_continuity_probe(
             c + shift, geo.Polytope(base.vertices + shift), r, c, base)
-        margins.append(1e-2 - value if hypothesis_ok and not np.isnan(value)
-                       else -1.0)
-    return CheckResult.from_margins("intersection-continuity", trials,
-                                    margins)
+        values.append(value)
+        gates.append(hypothesis_ok and not np.isnan(value))
+    return CheckResult.grade("intersection-continuity", trials,
+                             [Bound(np.array(values), 0.0, 1e-2)], gates)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +329,7 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
     n = trials or 100
 
     # eps-tube regeneration: L2 distance <= eps * sqrt(span)
-    margins = []
+    dists, radii, regenerated = [], [], True
     for i in range(n):
         rng = _rng(seed, 7000 + i)
         dim_u, dim_v, k = 5, 4, 33
@@ -338,15 +346,16 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
         try:
             f_new = sel.approximate_selection(family, u_new, v, f, eps)
         except sel.SelectionError:
-            margins.append(-1.0)
+            regenerated = False
             continue
-        dist = path_distance(f_new, f)
-        margins.append(eps * math.sqrt(t1) + 1e-6 - dist)
-    results.append(CheckResult.from_margins("close-selection-l2-bound", n,
-                                            margins))
+        dists.append(path_distance(f_new, f))
+        radii.append(eps * math.sqrt(t1))
+    results.append(CheckResult.grade(
+        "close-selection-l2-bound", n,
+        [Bound(np.array(dists), np.array(radii), 1e-6)], [regenerated]))
 
     # convex combinations of selections stay selections
-    margins = []
+    residuals = []
     n_mixes = max(n // 4, 1)
     for i in range(n_mixes):
         rng = _rng(seed, 8000 + i)
@@ -360,16 +369,16 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
             family, u, v, TimePath(0.0, 1.0, rng.normal(size=(k, dim_u))))
         theta = float(rng.uniform(0.0, 1.0))
         mix = f1.with_values((1.0 - theta) * f1.values + theta * f2.values)
-        res = sel.selection_residual(family, u, v, mix)
-        margins.append(1e-8 - res)
-    results.append(CheckResult.from_margins("selection-convexity-closure",
-                                            n_mixes, margins))
+        residuals.append(sel.selection_residual(family, u, v, mix))
+    results.append(CheckResult.grade("selection-convexity-closure", n_mixes,
+                                     [Bound(np.array(residuals), 0.0, 1e-8)]))
 
     # trapezoid path norm against the analytic linear-ramp integral
     k = 10_001
     ramp = TimePath(0.0, 1.0, np.linspace(0.0, 1.0, k)[:, None])
-    margin = 1e-6 - abs(path_l2_norm(ramp) - 1.0 / math.sqrt(3.0))
-    results.append(CheckResult.from_margins("path-norm-analytic", 1, [margin]))
+    error = abs(path_l2_norm(ramp) - 1.0 / math.sqrt(3.0))
+    results.append(CheckResult.grade("path-norm-analytic", 1,
+                                     [Bound(error, 0.0, 1e-6)]))
     return results
 
 
@@ -379,7 +388,7 @@ def selection_battery(seed: int = 7, trials: int | None = None) -> list:
 
 def semigroup_battery(seed: int = 7, trials: int | None = None) -> list:
     n = trials or 100
-    law, iso, linear, oracle, ladder_margins = [], [], [], [], []
+    law, iso, linear, oracle, ladder, stability = [], [], [], [], [], []
     for kind in ("heat", "schroedinger", "wave"):
         gen = sg.SpectralGenerator(kind, 12)
         for i in range(n):
@@ -388,10 +397,10 @@ def semigroup_battery(seed: int = 7, trials: int | None = None) -> list:
             t1, t2 = rng.uniform(0.0, 1.0, size=2)
             two_step = sg.propagate(gen, sg.propagate(gen, state, t1), t2)
             one_step = sg.propagate(gen, state, t1 + t2)
-            law.append(1e-12 - float(np.linalg.norm(two_step - one_step)))
+            law.append(float(np.linalg.norm(two_step - one_step)))
             drift = float(np.linalg.norm(sg.propagate(gen, state, t1))
                           - np.linalg.norm(state))
-            iso.append(1e-12 - (drift if kind == "heat" else abs(drift)))
+            iso.append(drift if kind == "heat" else abs(drift))
 
         # Duhamel linearity and the fine-step integrator cross-check
         rng = _rng(seed, 9500)
@@ -402,43 +411,42 @@ def semigroup_battery(seed: int = 7, trials: int | None = None) -> list:
         a = sg.duhamel_solve(gen, u0, f1.with_values(f1.values + f2.values))
         b = sg.duhamel_solve(gen, u0, f1)
         c = sg.duhamel_solve(gen, gen.zero_state(), f2)
-        linear.append(1e-10 - path_distance(
-            a, b.with_values(b.values + c.values)))
-        oracle.append(1e-6 - path_distance(
-            b, sg.rk4_oracle(gen, u0, f1, refine=16)))
+        linear.append(Bound(path_distance(
+            a, b.with_values(b.values + c.values)), 0.0, 1e-10))
+        oracle.append(Bound(path_distance(
+            b, sg.rk4_oracle(gen, u0, f1, refine=16)), 0.0, 1e-6))
 
-        # resolvent smoothing ladder and the quadratic stability estimate
+        # resolvent smoothing ladder and the quadratic stability estimate,
+        # which grades as a gate
         rng = _rng(seed, 9600)
         f = TimePath(0.0, 1.0, rng.normal(size=(129, gen.state_dim)))
         u0 = rng.normal(size=gen.state_dim)
-        ladder = [10.0 ** j for j in range(0, 7)]
-        report = sv.yosida_stability_check(gen, u0, f, ladder)
-        ladder_margins.append(1.0 if report.passed else -1.0)
+        lambdas = [10.0 ** j for j in range(0, 7)]
+        stability.extend(sv.yosida_stability_check(gen, u0, f, lambdas))
         devs = [path_distance(sg.yosida_smooth(gen, lam, f), f)
-                for lam in ladder]
-        ladder_margins.append(_min_margin([devs[i] - devs[i + 1] + 1e-12
-                                           for i in range(len(devs) - 1)]))
+                for lam in lambdas]
+        ladder.append(Bound(np.diff(devs), 0.0, 1e-12))
     results = [
-        CheckResult.from_margins("semigroup-law", 3 * n, law),
-        CheckResult.from_margins("isometry-contraction", 3 * n, iso),
-        CheckResult.from_margins("duhamel-linearity", 3, linear),
-        CheckResult.from_margins("duhamel-integrator-oracle", 3, oracle),
-        CheckResult.from_margins("yosida-ladder", 3, ladder_margins)]
+        CheckResult.grade("semigroup-law", 3 * n,
+                          [Bound(np.array(law), 0.0, 1e-12)]),
+        CheckResult.grade("isometry-contraction", 3 * n,
+                          [Bound(np.array(iso), 0.0, 1e-12)]),
+        CheckResult.grade("duhamel-linearity", 3, linear),
+        CheckResult.grade("duhamel-integrator-oracle", 3, oracle),
+        CheckResult.grade("yosida-ladder", 3, ladder, stability)]
 
-    # rough-data deviation profile and truncation stability
+    # rough-data deviation profile, with truncation stability as a gate
     t_list = np.logspace(-4, -2, 25)
     prof = sg.counterexample_profile(2000, t_list)
-    slope_ok = 0.4 <= prof.slope <= 0.6
     ratio_factor = (sg.deviation_norm(2000, 1e-6) / 1e-6) \
         / (sg.deviation_norm(2000, 1e-2) / 1e-2)
-    ratio_ok = 80.0 <= ratio_factor <= 120.0
     trunc = abs(sg.deviation_norm(2000, 5e-3) ** 2
                 - sg.deviation_norm(4000, 5e-3) ** 2)
-    trunc_ok = trunc <= 4.0 * sg.coefficient_tail_bound(2000)
-    passed = slope_ok and ratio_ok and trunc_ok
-    margin = min(prof.slope - 0.4, 0.6 - prof.slope, ratio_factor - 80.0,
-                 120.0 - ratio_factor)
-    results.append(CheckResult("rough-data-profile", 25, float(margin), passed))
+    results.append(CheckResult.grade(
+        "rough-data-profile", 25,
+        [Bound(0.4, prof.slope, 0.0), Bound(prof.slope, 0.6, 0.0),
+         Bound(80.0, ratio_factor, 0.0), Bound(ratio_factor, 120.0, 0.0)],
+        [Bound(trunc, 4.0 * sg.coefficient_tail_bound(2000), 0.0)]))
     return results
 
 
@@ -471,7 +479,7 @@ def _light_monotone_checks(seed: int, trials: int | None) -> list:
     pot = mono.make_potential(15, ("ramp", 2.2, 4.0), ("separable", 2.0, 0.3))
     eps = 1e-6
     bump = np.concatenate([np.eye(15), -np.eye(15)]) * eps
-    margins = []
+    errors = []
     for i in range(n):
         rng = _rng(seed, 11000 + i)
         v = rng.normal(size=15)
@@ -479,18 +487,17 @@ def _light_monotone_checks(seed: int, trials: int | None) -> list:
         grad = mono.subgradient(pot, t, v)
         values = mono.energy(pot, t, v + bump)
         fd = (values[:15] - values[15:]) / (2.0 * eps) / pot.mesh
-        rel = float(np.abs(grad - fd).max() / (1.0 + np.abs(grad).max()))
-        margins.append(1e-5 - rel)
-    results.append(CheckResult.from_margins("gradient-consistency", n,
-                                            margins))
+        errors.append(np.abs(grad - fd).max() / (1.0 + np.abs(grad).max()))
+    results.append(CheckResult.grade("gradient-consistency", n,
+                                     [Bound(np.array(errors), 0.0, 1e-5)]))
 
     n_pairs = max(n // 4, 1)
     points = [_rng(seed, 12000 + i).normal(size=(2, 15))
               for i in range(n_pairs)]
     xs, ys = np.array(points).transpose(1, 0, 2)
     gaps = mono.prox_nonexpansive_gap(pot, 0.3, 0.05, xs, ys)
-    results.append(CheckResult.from_margins("prox-nonexpansive", n_pairs,
-                                            1e-10 - gaps))
+    results.append(CheckResult.grade("prox-nonexpansive", n_pairs,
+                                     [Bound(gaps, 0.0, 1e-10)]))
 
     v0s = np.array([_rng(seed, 13000 + i).normal(size=15) for i in range(8)])
     forcing = zero_path(0.0, 1.0, 129, 15, pot.mesh)
@@ -498,12 +505,12 @@ def _light_monotone_checks(seed: int, trials: int | None) -> list:
     ts = forcing.times()
     energies = mono.energy(pot, np.tile(ts, 8),
                            np.concatenate([sol.values for sol in sols]))
-    margins = []
+    bounds = []
     for sol, flow_energies in zip(sols, energies.reshape(8, ts.size)):
-        margins.append(_min_margin(1e-10 - np.diff(flow_energies)))
+        bounds.append(Bound(np.diff(flow_energies), 0.0, 1e-10))
         norms = np.linalg.norm(sol.values, axis=1)
-        margins.append(_min_margin(1e-10 - np.diff(norms)))
-    results.append(CheckResult.from_margins("dissipation", 8, margins))
+        bounds.append(Bound(np.diff(norms), 0.0, 1e-10))
+    results.append(CheckResult.grade("dissipation", 8, bounds))
 
     v0s, forcings = [], []
     for i in range(8):
@@ -512,21 +519,20 @@ def _light_monotone_checks(seed: int, trials: int | None) -> list:
         forcings.append(TimePath(0.0, 1.0, rng.normal(size=(65, 15)),
                                  pot.mesh))
     sols = mono.solve_monotone_ivp(pot, np.array(v0s), forcings)
-    margins = []
+    bounds = []
     for v0, forcing, sol in zip(v0s, forcings, sols):
-        bound = math.sqrt(pot.mesh) * np.linalg.norm(v0) \
+        limit = math.sqrt(pot.mesh) * np.linalg.norm(v0) \
             + np.concatenate([[0.0], np.cumsum(forcing.dt
                                                * forcing.node_norms()[:-1])])
-        margins.append(_min_margin(bound + 1e-8 - sol.node_norms()))
-    results.append(CheckResult.from_margins("discrete-apriori-bound", 8,
-                                            margins))
+        bounds.append(Bound(sol.node_norms(), limit, 1e-8))
+    results.append(CheckResult.grade("discrete-apriori-bound", 8, bounds))
 
     n_mono = trials or 1000
     pairs = np.array([_rng(seed, 15000 + i).normal(size=(2, 15))
                       for i in range(n_mono)])
     probes = mono.monotonicity_probe(pot, 0.4, pairs[:, 0], pairs[:, 1])
-    results.append(CheckResult.from_margins("monotonicity", n_mono,
-                                            probes + 1e-10))
+    results.append(CheckResult.grade("monotonicity", n_mono,
+                                     [Bound(0.0, probes, 1e-10)]))
     return results
 
 
@@ -556,8 +562,8 @@ def p2_oracle_battery() -> CheckResult:
         coeff = (coeff + tau * f_coeff[k]) / (1.0 + tau * eigen)
         values[k + 1] = coeff @ transform
     oracle = TimePath(0.0, 1.0, values, h)
-    err = path_distance(sol, oracle)
-    return CheckResult("p2-spectral-oracle", 1, 1e-6 - err, err <= 1e-6)
+    return CheckResult.grade("p2-spectral-oracle", 1,
+                             [Bound(path_distance(sol, oracle), 0.0, 1e-6)])
 
 
 def complete_continuity_battery(seed: int = 7) -> CheckResult:
@@ -568,8 +574,8 @@ def complete_continuity_battery(seed: int = 7) -> CheckResult:
     The graded sup is the one at frequency 1024, which aliases on the
     1,025-node grid: sin(2 pi 1024 t_k) = sin(2 pi k) is rounding (at most
     6.9e-13), so that forcing equals the base forcing to rounding and the
-    margin is 1e-3 minus a rounding-level sup. The check grades nothing
-    beyond the monotone decrease of the five sups."""
+    margin is 1e-3 minus a rounding-level sup. Beyond that the check has
+    one gate: the five sups decrease."""
     pot = mono.make_potential(15, ("constant", 3.0), ("constant", 1.0))
     h = pot.mesh
     rng = _rng(seed, 16000)
@@ -590,10 +596,10 @@ def complete_continuity_battery(seed: int = 7) -> CheckResult:
     sups = [math.sqrt(h) * float(np.linalg.norm(v_osc.values - v_base.values,
                                                 axis=1).max())
             for v_osc in v_oscs]
-    decreasing = all(sups[i + 1] <= sups[i] + 1e-12 for i in range(len(sups) - 1))
-    margin = 1e-3 - sups[-1]
-    return CheckResult("complete-continuity", len(sups), margin,
-                       decreasing and margin >= 0)
+    return CheckResult.grade("complete-continuity", len(sups),
+                             [Bound(sups[-1], 0.0, 1e-3)],
+                             [Bound(np.array(sups[1:]), np.array(sups[:-1]),
+                                    1e-12)])
 
 
 # ---------------------------------------------------------------------------
@@ -631,28 +637,26 @@ def solver_battery(seed: int = 7, trials: int | None = None) -> list:
     decoupled_u = sg.duhamel_solve(gen, u0,
                                    constant_path(0.0, window.t_window, 65, f0))
     exact = bool(np.array_equal(sol.u.values, decoupled_u.values))
-    ok = sol.report.converged and sol.report.iterations == 1 and exact
-    results.append(CheckResult("singleton-one-iteration", 1,
-                               1.0 if ok else -1.0, ok))
+    results.append(CheckResult.grade(
+        "singleton-one-iteration", 1,
+        gates=[sol.report.converged, sol.report.iterations == 1, exact]))
 
     results.append(linear_block_oracle_battery(seed))
     results.append(window_params_battery(seed))
 
-    # bundled presets end to end
+    # bundled presets end to end: every window's residuals, a-priori and
+    # membership bounds, and the envelope over the run
     for name in ("heat_debye", "schrodinger_debye"):
         run, exp = _preset_run(name)
-        checks = [run.converged]
-        worst = math.inf
+        gates = [run.converged] + [w.report.converged for w in run.windows]
+        bounds = [] if run.gronwall is None else [run.gronwall.bound]
         for w in run.windows:
-            checks.append(w.report.converged)
-            checks.append(w.report.apriori.passed)
-            checks.append(w.report.membership_ok)
-            worst = min(worst, exp.settings.tol - w.report.residual_f,
-                        exp.settings.tol - w.report.residual_g)
-        checks.append(run.gronwall is not None and run.gronwall.passed)
-        ok = all(checks)
-        results.append(CheckResult(f"preset-{name}", len(run.windows),
-                                   worst if ok else -1.0, ok))
+            bounds += [Bound(np.array([w.report.residual_f,
+                                       w.report.residual_g]),
+                             exp.settings.tol, 0.0),
+                       w.report.apriori, w.report.membership]
+        results.append(CheckResult.grade(f"preset-{name}", len(run.windows),
+                                         bounds, gates))
 
     results.append(gronwall_negative_control())
     results.append(elementary_bound_battery(seed, trials))
@@ -715,34 +719,37 @@ def linear_block_oracle_battery(seed: int = 7) -> CheckResult:
         v_vals[i + 1] = step_v @ (v_vals[i] + tau * g_i)
     err_u = path_distance(sol.u, sol.u.with_values(u_vals))
     err_v = path_distance(sol.v, sol.v.with_values(v_vals))
-    err = max(err_u, err_v)
-    return CheckResult("linear-block-oracle", 1, 1e-5 - err,
-                       sol.report.converged and err <= 1e-5)
+    return CheckResult.grade("linear-block-oracle", 1,
+                             [Bound(max(err_u, err_v), 0.0, 1e-5)],
+                             [sol.report.converged])
 
 
 def window_params_battery(seed: int = 7) -> CheckResult:
     """Window constants: arithmetic anchors plus refined-iteration agreement."""
-    margins = []
     w = sv.compute_window(2.0, [rhsmod.GrowthEnvelope(0.0, 0.0, 1.5)], 10.0)
-    margins.append(1e-12 - abs(w.m - 3.0))
-    margins.append(1e-12 - abs(w.r - 1.5))
-    margins.append(1e-12 - abs(w.t_window - (3.0 / 1.5) ** 2))
+    bounds = [Bound(abs(w.m - 3.0), 0.0, 1e-12),
+              Bound(abs(w.r - 1.5), 0.0, 1e-12),
+              Bound(abs(w.t_window - (3.0 / 1.5) ** 2), 0.0, 1e-12)]
     for i in range(20):
         rng = _rng(seed, 19000 + i)
         env = rhsmod.GrowthEnvelope(*rng.uniform(0.05, 1.0, size=3))
         beta = float(rng.uniform(0.1, 3.0))
         w1 = sv.compute_window(beta, [env], 5.0)
-        margins.append(w1.t_window - 0.0)
-        margins.append((w1.m / max(w1.r, 1e-12)) ** 2 + 1e-9 - w1.t_window)
-    return CheckResult.from_margins("window-params", 21, margins)
+        bounds.append(Bound(0.0, w1.t_window, 0.0))
+        bounds.append(Bound(w1.t_window, (w1.m / max(w1.r, 1e-12)) ** 2,
+                            1e-9))
+    return CheckResult.grade("window-params", 21, bounds)
 
 
 def gronwall_negative_control() -> CheckResult:
     """A converged growing run must violate a deliberately undersized rate:
     the feedback_growth preset, a rotation-kind run with pure state
-    feedback, grows in norm."""
+    feedback, grows in norm. A run that does not converge fails its
+    gate."""
     run, exp = _preset_run("feedback_growth")
-    assert run.converged
+    if not run.converged:
+        return CheckResult.grade("gronwall-negative-control", 1,
+                                 gates=[run.converged])
     envs = [exp.rhs_f.growth_envelope(), exp.rhs_g.growth_envelope()]
     a = max(env.a for env in envs)
     b = max(env.b for env in envs)
@@ -751,9 +758,10 @@ def gronwall_negative_control() -> CheckResult:
                                         exp.horizon)
     broken = sv.gronwall_check_windows(run.windows, a, b, c, exp.u0, exp.v0,
                                        exp.horizon, rho_override=0.0)
-    ok = genuine.passed and not broken.passed
-    return CheckResult("gronwall-negative-control", 1,
-                       -broken.worst_margin if ok else -1.0, ok)
+    # graded by how far the undersized envelope is violated
+    return CheckResult.grade("gronwall-negative-control", 1,
+                             [Bound(0.0, -broken.bound.margin, 0.0)],
+                             [genuine.bound])
 
 
 def elementary_bound_battery(seed: int = 7,
@@ -761,7 +769,7 @@ def elementary_bound_battery(seed: int = 7,
     """Quadratic integral inequality on seeded piecewise-constant rates
     (default 100)."""
     trials = trials or 100
-    margins = []
+    bounds = []
     for i in range(trials):
         rng = _rng(seed, 20000 + i)
         k = 65
@@ -769,12 +777,8 @@ def elementary_bound_battery(seed: int = 7,
         vals = np.repeat(pieces, k // 8 + 1)[:k]
         h_path = TimePath(0.0, float(rng.uniform(0.5, 2.0)), vals[:, None])
         c = float(rng.uniform(0.0, 2.0))
-        report = sv.elementary_bound_probe(c, h_path)
-        margins.append(1e-8 - report.recursion_gap)
-        margins.append(report.bound_margin + 1e-12)
-        if not report.passed:
-            margins.append(-1.0)
-    return CheckResult.from_margins("elementary-bound", trials, margins)
+        bounds.extend(sv.elementary_bound_probe(c, h_path))
+    return CheckResult.grade("elementary-bound", trials, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_singleton_maps_converge_in_one_iteration(heat_setup):
         assert _mesh_norm(pot, r) <= target, k
         cold_target = mono.PROX_RESIDUAL_TOL * (1.0 + _mesh_norm(pot, cold[k]))
         assert np.abs(w[k + 1] - cold[k + 1]).max() <= tau * cold_target, k
-    assert sol.report.apriori.passed and sol.report.membership_ok
+    assert sol.report.apriori.passed and sol.report.membership.passed
 
 
 def test_singleton_apriori_margin_hand_computed(heat_setup):
@@ -224,7 +224,7 @@ def test_growth_maps_converge_below_tolerance(heat_setup):
     assert max(sol.report.residual_f, sol.report.residual_g) <= 1e-8
     assert sel.selection_residual(f_map, sol.u, sol.v, sol.f) <= 1e-8
     assert sel.selection_residual(g_map, sol.u, sol.v, sol.g) <= 1e-8
-    assert sol.report.apriori.passed and sol.report.membership_ok
+    assert sol.report.apriori.passed and sol.report.membership.passed
 
 
 def test_relaxed_update_contracts_residual(heat_setup):
@@ -543,7 +543,7 @@ def test_global_growth_run_window_count(heat_setup):
     for w in run.windows:
         assert w.window.t_window <= (w.window.m / w.window.r) ** 2 + 1e-9
         assert w.window.t_window <= w.window.t_cap + 1e-12
-    assert run.gronwall is not None and run.gronwall.passed
+    assert run.gronwall is not None and run.gronwall.bound.passed
 
 
 @pytest.mark.parametrize("field, value", [
@@ -594,7 +594,7 @@ def test_gronwall_zero_maps_static_bound(heat_setup):
     settings = sv.GlobalSettings(nodes_per_window=33, max_window=0.5)
     run = sv.solve_global(gen, pot, u0, v0, f_map, g_map, 1.0, settings)
     rep = sv.gronwall_check_windows(run.windows, 0.0, 0.0, 0.0, u0, v0, 1.0)
-    assert rep.passed and rep.rho == 0.0
+    assert rep.bound.passed and rep.rho == 0.0
     assert rep.k_const >= np.linalg.norm(u0)
 
 
@@ -610,21 +610,21 @@ def test_gronwall_negative_control_fails_as_designed():
     undersized = sv.gronwall_check_windows(run.windows, a, b, c, exp.u0,
                                            exp.v0, exp.horizon,
                                            rho_override=0.0)
-    assert genuine.passed
-    assert not undersized.passed and undersized.worst_margin < 0.0
+    assert genuine.bound.passed
+    assert not undersized.bound.passed and undersized.bound.margin < 0.0
 
 
 def test_elementary_probe_constant_rate_closed_form():
     # c = 0, h = 2 on [0, 1]: the maximal solution is u(t) = t
     h_path = TimePath(0.0, 1.0, np.full((65, 1), 2.0))
-    rep = sv.elementary_bound_probe(0.0, h_path)
-    assert rep.passed and rep.recursion_gap <= 1e-8
+    gap, bound = sv.elementary_bound_probe(0.0, h_path)
+    assert gap.passed and bound.passed and np.max(gap.lhs) <= 1e-8
 
 
 def test_elementary_probe_zero_rate_tight():
     h_path = TimePath(0.0, 1.0, np.zeros((9, 1)))
-    rep = sv.elementary_bound_probe(1.5, h_path)
-    assert rep.passed and rep.recursion_gap == 0.0
+    gap, bound = sv.elementary_bound_probe(1.5, h_path)
+    assert bound.passed and np.max(gap.lhs) == 0.0
 
 
 def test_elementary_probe_rejects_negative_inputs():
@@ -640,11 +640,11 @@ def test_yosida_stability_constant_path_closed_form():
     vals = np.tile(np.array([1.0, 0.5, 0.0, 0.25]), (k, 1))
     forcing = TimePath(0.0, 1.0, vals)
     ladder = [1.0, 10.0, 100.0]
-    rep = sv.yosida_stability_check(gen, np.zeros(4), forcing, ladder)
-    assert rep.passed
+    bounds = sv.yosida_stability_check(gen, np.zeros(4), forcing, ladder)
+    assert all(b.passed for b in bounds)
     # closed form of the forcing side: factors lam/(lam + n^2) per mode
     mu = np.arange(1, 5, dtype=float) ** 2
-    for lam, rhs_val in zip(ladder, rep.rhs, strict=True):
+    for lam, rhs_val in zip(ladder, bounds[0].rhs, strict=True):
         gap = (1.0 - lam / (lam + mu)) * vals[0]
         expected = 0.5 * float(np.sum(gap ** 2))  # T0 = 1, unit span
         assert rhs_val == pytest.approx(expected, rel=1e-10)
@@ -655,10 +655,10 @@ def test_yosida_stability_random_ladder(rng):
         gen = sg.SpectralGenerator(kind, 10)
         forcing = TimePath(0.0, 0.8, rng.normal(size=(65, gen.state_dim)))
         u0 = rng.normal(size=gen.state_dim)
-        rep = sv.yosida_stability_check(gen, u0, forcing,
-                                        [10.0 ** j for j in range(0, 7)])
-        assert rep.passed
-        assert rep.lhs[-1] <= 1e-6 and rep.rhs[-1] <= 1e-4
+        estimate, *vanishing = sv.yosida_stability_check(
+            gen, u0, forcing, [10.0 ** j for j in range(0, 7)])
+        assert estimate.passed and all(b.passed for b in vanishing)
+        assert estimate.lhs[-1] <= 1e-6 and estimate.rhs[-1] <= 1e-4
 
 
 def test_window_consistency_under_refinement(heat_setup):

@@ -1,6 +1,7 @@
-"""Grading of the property batteries' margins, and the monotone suite's
-flow checks in forked children."""
+"""Grading of the property batteries by their Bounds, and the monotone
+suite's flow checks in forked children."""
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -9,9 +10,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from evoinc import monotone as mono
+from evoinc import semigroup as sg
+from evoinc import solver as sv
 from evoinc import suites
 from evoinc.cli import main
 from evoinc.geometry import ProjectionDidNotConverge
@@ -19,18 +23,103 @@ from evoinc.geometry import ProjectionDidNotConverge
 
 def test_a_nan_margin_fails_its_check_wherever_it_comes():
     for margins in ([1.0, math.nan], [math.nan, 1.0], [2.0, math.nan, 1.0]):
-        assert math.isnan(suites._min_margin(margins))
-        result = suites.CheckResult.from_margins("probe", len(margins),
-                                                 margins)
-        assert not result.passed
+        assert math.isnan(sv.Bound(0.0, np.array(margins), 0.0).margin)
+        assert not sv.Bound(np.array(margins), 3.0, 0.0).passed
+        result = suites.CheckResult.grade(
+            "probe", len(margins), [sv.Bound(0.0, m, 0.0) for m in margins])
+        assert math.isnan(result.worst_margin) and not result.passed
         assert result.line().startswith("FAIL probe trials=")
 
 
 def test_margins_grade_by_their_minimum():
-    result = suites.CheckResult.from_margins("probe", 3, [0.5, 0.0, 2.0])
-    assert result == suites.CheckResult("probe", 3, 0.0, True)
-    assert not suites.CheckResult.from_margins("probe", 2, [1.0, -1e-9]).passed
-    assert suites._min_margin([]) == math.inf
+    bound = sv.Bound(np.array([1.0, 2.0]), 2.0, np.array([0.5, 0.0]))
+    assert bound.margin == 0.0 and bound.passed
+    assert not sv.Bound(1.0, 1.0, -1e-12).passed
+    assert sv.Bound(np.empty(0), 0.0, 0.0).margin == math.inf
+    result = suites.CheckResult.grade(
+        "probe", 3, [sv.Bound(0.0, m, 0.0) for m in (0.5, 0.0, 2.0)])
+    assert result == suites.CheckResult("probe", 3, 0.0) and result.passed
+    assert not suites.CheckResult.grade(
+        "probe", 2, [sv.Bound(0.0, 1.0, 0.0), sv.Bound(1e-9, 0.0, 0.0)]).passed
+    # gates: a failing one prints -1.0 whatever the bounds; gates alone
+    # print 1.0 when they hold
+    assert suites.CheckResult.grade("probe", 1, gates=[True]).worst_margin \
+        == 1.0
+    for gate in (False, sv.Bound(1.0, 0.0, 0.0)):
+        failed = suites.CheckResult.grade(
+            "probe", 1, [sv.Bound(0.0, 5.0, 0.0)], [True, gate])
+        assert failed.line() == "FAIL probe trials=1 worst_margin=-1.000e+00"
+
+
+# ---------------------------------------------------------------------------
+# a forced gate failure prints FAIL with a negative margin
+
+
+def _fail_truncation(monkeypatch):
+    monkeypatch.setattr(sg, "coefficient_tail_bound", lambda modes: 0.0)
+    return suites.semigroup_battery(7, 1)
+
+
+def _fail_yosida_stability(monkeypatch):
+    monkeypatch.setattr(sv, "yosida_stability_check",
+                        lambda *args: (sv.Bound(1.0, 0.0, 0.0),))
+    return suites.semigroup_battery(7, 1)
+
+
+def _fail_decrease(monkeypatch):
+    # the first two oscillating flows swap, so the sups stop decreasing
+    # while the graded last sup stays below 1e-3
+    real = mono.solve_monotone_ivp
+
+    def swapped(*args):
+        base, first, second, *rest = real(*args)
+        return [base, second, first, *rest]
+    monkeypatch.setattr(mono, "solve_monotone_ivp", swapped)
+    return [suites.complete_continuity_battery(7)]
+
+
+def _fail_convergence(monkeypatch):
+    real = sv.solve_window
+
+    def unconverged(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return dataclasses.replace(
+            sol, report=dataclasses.replace(sol.report, converged=False))
+    monkeypatch.setattr(sv, "solve_window", unconverged)
+    return [suites.linear_block_oracle_battery(7)]
+
+
+def _assert_verdicts_are_margin_signs(results):
+    for result in results:
+        status, _, _, margin = result.line().split()
+        assert (status == "PASS") == (float(margin.split("=")[1]) >= 0.0), \
+            result.line()
+
+
+@pytest.mark.parametrize("check, fail", [
+    ("rough-data-profile", _fail_truncation),
+    ("yosida-ladder", _fail_yosida_stability),
+    ("complete-continuity", _fail_decrease),
+    ("linear-block-oracle", _fail_convergence)])
+def test_a_failing_gate_prints_fail_with_a_negative_margin(monkeypatch, check,
+                                                           fail):
+    results = fail(monkeypatch)
+    _assert_verdicts_are_margin_signs(results)
+    failed = next(r for r in results if r.name == check)
+    assert failed.line().startswith(f"FAIL {check} trials=")
+    assert failed.line().endswith(" worst_margin=-1.000e+00")
+
+
+def test_gronwall_negative_control_fails_its_gate_on_a_run_that_stops(
+        monkeypatch):
+    real = suites._preset_run
+
+    def unconverged(name):
+        run, exp = real(name)
+        return dataclasses.replace(run, converged=False), exp
+    monkeypatch.setattr(suites, "_preset_run", unconverged)
+    assert suites.gronwall_negative_control().line() == \
+        "FAIL gronwall-negative-control trials=1 worst_margin=-1.000e+00"
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,13 @@ def test_every_dataclass_field_is_read_in_the_package():
     assert not unread, f"dataclass fields no package code reads: {unread}"
 
 
+def test_no_dataclass_stores_a_verdict():
+    # a verdict is the sign of a margin, computed by `solver.Bound` alone
+    stored = [field for tree in _trees() for field in _dataclass_fields(tree)
+              if field.split(".")[1] == "passed"]
+    assert not stored, f"dataclass fields that store a verdict: {stored}"
+
+
 def test_exemptions_name_existing_unused_symbols():
     # an exemption for a name that is gone or now used would silently cover
     # the next symbol of that spelling
