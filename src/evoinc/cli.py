@@ -25,8 +25,10 @@ from .solver import GlobalSolution, SolverError, solve_global
 
 USAGE_ERROR = 2
 # Largest --modes and --points of `counterexample`. The profile holds
-# arrays of `modes` and of `points` floats and takes modes * points sines,
-# so far larger values only fail to allocate or run for hours.
+# arrays of `modes` and of `points` floats and takes modes * points sines;
+# from `semigroup.FORK_MIN_SINES` sines on, the points split over the CPUs
+# and each forked child holds its own `modes`-float buffer. Far larger
+# values only fail to allocate or run for hours.
 MAX_MODES = 1_000_000
 MAX_POINTS = 10_000
 # Raised inside a solve the config validation let through: the run stops,

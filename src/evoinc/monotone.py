@@ -67,6 +67,11 @@ from .paths import TimePath
 
 PROX_RESIDUAL_TOL = 1e-10
 PROX_NEWTON_ITERS = 60
+# Most start rows (steps times stacked states) one `_certified_run`
+# certifies. A run holds about 11 arrays of its rows: a 20,001-step J = 63
+# flow at rest certified in one run peaked at 106.7 MiB of traced memory
+# for a 9.6 MiB result, and at 24.3 MiB in pieces of this size.
+CHAIN_ROWS = 1024
 
 
 class MonotoneError(ValueError):
@@ -572,14 +577,16 @@ def _flow(pot: VariableExponentPotential, table: np.ndarray,
 
     Without a guess, a step whose start point v + tau g already certifies
     takes no Newton iteration and returns that point. When step 0 is such
-    a step, the loop speculates once: it forms the start points of steps
-    1 to K - 2 by the same sequential additions, `np.add.accumulate`,
-    certifies them all in one `_certified_run`, accepts the leading steps
-    that certify and hands the rest, from the first one that does not, to
-    `_prox` one by one. A flow whose first step needs Newton never
-    speculates. An accepted step makes the floating-point operations of a
-    `_prox` call that returns its start point, so the values are
-    bit-identical to one `_prox` call per step.
+    a step, the loop speculates: piece by piece, each of as many steps as
+    fit in CHAIN_ROWS start rows (at least one), it forms the start points
+    of the next steps from the last accepted state by the same sequential
+    additions, `np.add.accumulate`, certifies them in one `_certified_run`
+    and accepts the leading steps that certify. The first step that does
+    not ends the speculation, and it and the rest go to `_prox` one by
+    one. A flow whose first step needs Newton never speculates. An
+    accepted step makes the floating-point operations of a `_prox` call
+    that returns its start point, so the values are bit-identical to one
+    `_prox` call per step.
     """
     edges = table[:, :-1]
     tau_g = tau * g
@@ -593,10 +600,16 @@ def _flow(pot: VariableExponentPotential, table: np.ndarray,
         k += 1
         out[k] = v
         if k == 1 and len(g) > 2 and not iterations and start is None:
-            run = _certified_run(pot, edges[2:], v, tau_g[1:-1])
-            out[2:2 + len(run)] = run
-            k += len(run)
-            v = out[k]
+            piece = max(CHAIN_ROWS // (v.size // v.shape[-1]), 1)
+            while k < len(g) - 1:
+                m = min(piece, len(g) - 1 - k)
+                run = _certified_run(pot, edges[k + 1:k + 1 + m], v,
+                                     tau_g[k:k + m])
+                out[k + 1:k + 1 + len(run)] = run
+                k += len(run)
+                v = out[k]
+                if len(run) < m:
+                    break
     return out if v0.ndim == 1 else out.transpose(1, 0, 2).copy()
 
 

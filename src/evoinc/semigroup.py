@@ -25,9 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forks import concurrently, usable_cpus
 from .paths import TimePath
 
 _KINDS = ("heat", "schroedinger", "wave")
+# Least number of sines, modes times times, for which `_deviation_norms`
+# splits its times over the CPUs. On a 2-vCPU Xeon host a fork round trip
+# costs about 3 ms, and 2^20 sines 13 ms (arguments up to 1e8) to 60 ms
+# (up to 1e10).
+FORK_MIN_SINES = 2 ** 20
 
 
 class SemigroupError(ValueError):
@@ -192,11 +198,35 @@ def deviation_norm(modes: int, t: float) -> float:
 
 def _deviation_norms(modes: int, times) -> list:
     """`deviation_norm` at each of `times`, from mode arrays n^2 and
-    a_n^2 = (1 + n^2)^(-3/2) built once."""
+    a_n^2 = (1 + n^2)^(-3/2) built once.
+
+    Each norm is sqrt(sum 4 sin^2(t n^2 / 2) a_n^2), its terms formed in
+    one reused buffer. From FORK_MIN_SINES sines (modes times times) on,
+    the times split into one contiguous chunk per CPU of
+    `forks.usable_cpus`, and `forks.concurrently` runs the chunks. Every
+    norm has the same bits whatever the split.
+    """
     n_sq = np.arange(1, modes + 1, dtype=float) ** 2
     a_sq = (1.0 + n_sq) ** (-1.5)
-    return [float(np.sqrt(np.sum(4.0 * np.sin((0.5 * t) * n_sq) ** 2 * a_sq)))
-            for t in times]
+
+    def norms(chunk) -> list:
+        terms = np.empty(modes)
+        out = []
+        for t in chunk:
+            np.multiply(0.5 * t, n_sq, out=terms)
+            np.sin(terms, out=terms)
+            np.square(terms, out=terms)
+            terms *= 4.0
+            terms *= a_sq
+            out.append(float(np.sqrt(np.sum(terms))))
+        return out
+
+    if modes * len(times) < FORK_MIN_SINES:
+        return norms(times)
+    size = -(-len(times) // usable_cpus())
+    parts = concurrently(*(lambda chunk=times[i:i + size]: norms(chunk)
+                           for i in range(0, len(times), size)))
+    return [norm for part in parts for norm in part]
 
 
 def coefficient_tail_bound(modes: int) -> float:

@@ -10,8 +10,6 @@ reproducible and independent of execution order.
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +20,7 @@ from . import rhs as rhsmod
 from . import selection as sel
 from . import semigroup as sg
 from . import solver as sv
+from .forks import concurrently
 from .solver import Bound
 from .paths import TimePath, constant_path, path_distance, path_l2_norm, zero_path
 
@@ -72,75 +71,6 @@ def _random_polytope(rng, dim: int, radius: float):
     over = norms > radius
     verts[over] *= (radius / norms[over])[:, None]
     return geo.Polytope(verts)
-
-
-def _concurrently(*tasks) -> list:
-    """The results of the zero-argument callables `tasks`, in order.
-
-    Where `os.fork` exists and `os.sched_getaffinity` names at least two
-    CPUs, each task but the first runs in a forked child while the parent
-    runs the first. A child sends back the pickle of its result, or of the
-    exception it raised, which the parent re-raises; the first failing
-    task in order wins, as inline. Otherwise the tasks run inline, in
-    order. A task computes the same bits either way.
-
-    A child ends in `os._exit`, so it never returns into the caller's
-    stack, flushes no inherited stdio buffer and runs no `atexit` handler.
-    The parent reaps every child, and kills those still running when its
-    own task raises.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
-        return [task() for task in tasks]
-    children = []  # (pid, read end of its pipe)
-    try:
-        for task in tasks[1:]:
-            children.append(_fork_task(task))
-        results = [tasks[0]()]
-        replies = [pipe.read() for _, pipe in children]
-    except BaseException:
-        import signal  # only here: importing it costs 0.7 ms
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-    for reply in replies:
-        if not reply:
-            raise ChildProcessError("a check's child process ended "
-                                    "without a result")
-        ok, value = pickle.loads(reply)
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
-
-def _fork_task(task):
-    """(pid, read end) of a forked child that runs `task` and writes the
-    pickle of (True, result), or of (False, exception), to the pipe."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        try:
-            os.close(read)
-            try:
-                reply = pickle.dumps((True, task()))
-            except BaseException as exc:
-                reply = pickle.dumps((False, exc))
-            with open(write, "wb") as pipe:
-                pipe.write(reply)
-        finally:
-            os._exit(0)
-    os.close(write)
-    return pid, open(read, "rb")
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +388,14 @@ def monotone_battery(seed: int = 7, trials: int | None = None) -> list:
     """The monotone suite. The five light checks run in this process while
     the two long sequential flows, `p2_oracle_battery` and
     `complete_continuity_battery`, run in forked children when two CPUs are
-    available (`_concurrently`); the lines and their bits are the same
-    either way.
+    available (`forks.concurrently`); the lines and their bits are the
+    same either way.
 
     Every light check is one stacked call per trial (gradient consistency)
     or per check: the states of all trials go through `energy`,
     `subgradient`, `prox_step` or `solve_monotone_ivp` as one (B, J)
     stack."""
-    light, oracle, continuity = _concurrently(
+    light, oracle, continuity = concurrently(
         lambda: _light_monotone_checks(seed, trials), p2_oracle_battery,
         lambda: complete_continuity_battery(seed))
     return light + [oracle, continuity]
@@ -617,6 +547,18 @@ def _preset_run(name: str):
 
 
 def solver_battery(seed: int = 7, trials: int | None = None) -> list:
+    """The solver suite. Its longest check, `elementary_bound_battery`,
+    runs in a forked child while this process runs the others, when two
+    CPUs are available (`forks.concurrently`); the lines and their bits
+    are the same either way."""
+    checks, elementary = concurrently(
+        lambda: _solver_checks(seed),
+        lambda: elementary_bound_battery(seed, trials))
+    return checks + [elementary]
+
+
+def _solver_checks(seed: int) -> list:
+    """The solver suite's checks before its elementary-bound battery."""
     results = []
 
     gen = sg.SpectralGenerator("heat", 6)
@@ -659,7 +601,6 @@ def solver_battery(seed: int = 7, trials: int | None = None) -> list:
                                          bounds, gates))
 
     results.append(gronwall_negative_control())
-    results.append(elementary_bound_battery(seed, trials))
     return results
 
 

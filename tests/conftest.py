@@ -3,8 +3,12 @@
 Everything in here is deliberately independent of the package's projection
 machinery: polygon distances are computed edge-by-edge, hulls come from a
 plain monotone chain, grid searches enumerate candidates directly, and the
-vertices of a basis-family image are built from its coefficients.
+vertices of a basis-family image are built from its coefficients. The
+CPU helpers make `evoinc.forks` fork or run inline, and check that no child
+outlives a call.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -113,6 +117,18 @@ def hull_vertices(family, u, v) -> np.ndarray:
         origin = np.zeros((verts.shape[0], 1, family.target_dim))
         verts = np.concatenate([verts, origin], axis=1)
     return verts
+
+
+def set_cpus(monkeypatch, count: int):
+    """Make `os.sched_getaffinity` name `count` CPUs: with 2 the fork helper
+    forks, with 1 it runs inline."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -761,8 +762,9 @@ def test_flow_from_rest_switched_on_mid_flow(rows, monkeypatch):
 @pytest.mark.parametrize("fault", ["nan", "spike"])
 def test_flow_speculation_fails_like_prox_step_loop(fault, monkeypatch):
     pot, v0, g = _mixed_flow(3, 401, ())
-    # node 300 lies inside the one speculated run, of steps 1-399; a
-    # TimePath refuses NaN, so the flow loop runs on the raw node values
+    # node 300 lies inside the first speculated piece, of steps 1-341 (341
+    # steps of 3 states fit in CHAIN_ROWS); a TimePath refuses NaN, so the
+    # flow loop runs on the raw node values
     if fault == "nan":
         g[300, 1, 4] = math.nan
     else:
@@ -777,9 +779,44 @@ def test_flow_speculation_fails_like_prox_step_loop(fault, monkeypatch):
     assert np.array_equal(flow.value.residual, stepwise.value.residual,
                           equal_nan=True)
     assert (fault == "nan") == math.isnan(flow.value.residual)
-    # the first step went to `_prox`, every later one through a speculated
-    # run, and the failing one to `_prox` again
-    assert seen["prox"] == 2 and sum(seen["rows"]) == 399 * 3
+    # the first step went to `_prox`, every later one through the first
+    # speculated piece, and the failing one to `_prox` again
+    assert seen["prox"] == 2 and seen["rows"] == [341 * 3]
+
+
+def test_flow_speculates_in_pieces_like_prox_step_loop(monkeypatch):
+    # 8 states: a piece is 128 steps of CHAIN_ROWS = 1024 start rows. Steps
+    # 1-384 certify in three whole pieces, the fourth piece (steps 385-511)
+    # stops at row 5's spike at node 450, and that step and every later one
+    # go to `_prox` and take Newton
+    nodes = 513
+    pot, v0, g = _mixed_flow(8, nodes, ())
+    g[450, 5] += 1.0
+    g[451, 5] -= 1.0
+    expected = _step_by_step(pot, v0, g)
+    seen = _count_steps(monkeypatch)
+    assert np.array_equal(_solve(pot, v0, g), expected)
+    assert seen["rows"] == [1024, 1024, 1024, 127 * 8]
+    assert seen["prox"] == 1 + (nodes - 1 - 450)
+    assert seen["newton"] == nodes - 1 - 450
+
+
+def test_long_flow_at_rest_certifies_in_bounded_memory():
+    # 20,000 steps of one state at rest, every one speculated: the pieces
+    # add little to the node values and the scaled forcing (2 x 9.6 MiB);
+    # one run over the whole chain peaked at 106.7 MiB
+    pot = mono.make_potential(63, ("ramp", 2.5, 3.5), ("linear_decay", 2.0))
+    nodes = 20_001
+    table = pot.coefficient_table(np.linspace(0.0, 1.0, nodes))
+    g = np.zeros((nodes, 63))
+    tracemalloc.start()
+    try:
+        values = mono._flow(pot, table, np.zeros(63), g, 1.0 / (nodes - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not values.any()
+    assert peak <= 3 * values.nbytes
 
 
 @pytest.mark.parametrize("ratio", [0.975, 1.025])

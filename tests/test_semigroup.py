@@ -1,9 +1,11 @@
 """Spectral propagators: algebra, inhomogeneous solves, smoothing, profiles."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left, set_cpus
 
 from evoinc import semigroup as sg
 from evoinc.paths import TimePath, path_distance, trapezoid_l2
@@ -341,6 +343,69 @@ def test_slope_stabilizes_once_tail_resolved():
     slope_a = sg.counterexample_profile(n_stable, t_list).slope
     slope_b = sg.counterexample_profile(2000, t_list).slope
     assert abs(slope_a - slope_b) <= 0.02
+
+
+def _series_norm(modes, t):
+    """|| S(t) f - f || summed as one expression, with its temporaries."""
+    n_sq = np.arange(1, modes + 1, dtype=float) ** 2
+    a_sq = (1.0 + n_sq) ** (-1.5)
+    return float(np.sqrt(np.sum(4.0 * np.sin((0.5 * t) * n_sq) ** 2 * a_sq)))
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_profile_above_the_fork_gate_has_the_same_bits_on_any_cpus(
+        monkeypatch):
+    # 2,048 modes at 600 times is 1.2 million sines, over FORK_MIN_SINES:
+    # 2 CPUs split the times into 2 chunks, one in a forked child, and 3
+    # CPUs into 3
+    modes, t_list = 2048, np.logspace(-4, 0, 600)
+    assert modes * t_list.size >= sg.FORK_MIN_SINES
+    forks = _count_forks(monkeypatch)
+    profiles = {}
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        profiles[cpus] = sg.counterexample_profile(modes, t_list)
+        assert len(forks) == cpus - 1
+        forks.clear()
+        assert_no_child_left()
+    expected = [_series_norm(modes, t) for t in t_list.tolist()]
+    for profile in profiles.values():
+        assert profile.norms.tolist() == expected
+        assert profile.slope == profiles[1].slope
+        assert np.array_equal(profile.ratios, profiles[1].ratios)
+
+
+@pytest.mark.parametrize("modes, times", [(2000, 25), (100_000, 1),
+                                          (1024, 1023)])
+def test_series_below_the_fork_gate_never_forks(monkeypatch, modes, times):
+    # the verify semigroup profile, one deviation norm, and one time short
+    # of the gate, 2^20 sines
+    def refused():
+        raise AssertionError("forked below the gate")
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refused)
+    t_list = np.logspace(-4, -2, times) if times > 1 else [1e-3]
+    profile = sg.counterexample_profile(modes, t_list)
+    assert profile.norms.tolist() == [_series_norm(modes, t)
+                                      for t in np.asarray(t_list).tolist()]
+
+
+def test_series_at_the_fork_gate_forks(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    sg.counterexample_profile(1024, np.logspace(-4, -2, 1024))
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,22 @@
-"""Grading of the property batteries by their Bounds, and the monotone
-suite's flow checks in forked children."""
+"""Grading of the property batteries by their Bounds, and the checks of
+the monotone and solver suites in forked children."""
 
 import dataclasses
 import math
 import os
 import pathlib
-import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left, set_cpus
 
 from evoinc import monotone as mono
 from evoinc import semigroup as sg
 from evoinc import solver as sv
 from evoinc import suites
 from evoinc.cli import main
-from evoinc.geometry import ProjectionDidNotConverge
 
 
 def test_a_nan_margin_fails_its_check_wherever_it_comes():
@@ -149,17 +147,6 @@ PASS complete-continuity trials=5 worst_margin=1.000e-03
 }
 
 
-def _cpus(monkeypatch, count):
-    """Make `_concurrently` see `count` CPUs: 2 forks, 1 runs inline."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _starved_continuity(seed):
     """complete-continuity with no Newton iteration: its first step that
     needs one raises ProxDidNotConverge."""
@@ -186,10 +173,10 @@ def test_verify_monotone_forked_and_inline_agree(monkeypatch, capsys, seed):
 
     monkeypatch.setattr(suites, "run_suite", recorded)
     for cpus in (2, 1):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         assert main(["verify", "monotone", "--seed", str(seed)]) == 0
         assert capsys.readouterr().out == MONOTONE_LINES[seed]
-        _assert_no_child_left()
+        assert_no_child_left()
     # every bit of every margin, not only the printed digits
     assert runs[2] == runs[1]
 
@@ -200,11 +187,11 @@ def test_a_flow_check_raising_in_its_child_raises_in_the_parent(monkeypatch,
                         _starved_continuity)
     raised = {}
     for cpus in (2, 1):
-        _cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         with pytest.raises(mono.ProxDidNotConverge) as exc:
             main(["verify", "monotone", "--seed", "1"])
         raised[cpus] = exc.value
-        _assert_no_child_left()
+        assert_no_child_left()
     assert capsys.readouterr().out == ""
     forked, inline = raised[2], raised[1]
     assert type(forked) is type(inline)
@@ -213,61 +200,38 @@ def test_a_flow_check_raising_in_its_child_raises_in_the_parent(monkeypatch,
     assert str(forked) == str(inline)
 
 
-def test_concurrently_runs_tasks_in_children_and_keeps_their_order(
-        monkeypatch):
-    _cpus(monkeypatch, 2)
-    parent = os.getpid()
-    pids = suites._concurrently(os.getpid, os.getpid, os.getpid)
-    assert pids[0] == parent and parent not in pids[1:]
-    assert len(set(pids)) == 3
-    _assert_no_child_left()
+# `verify solver --seed 7` as printed before its elementary-bound battery
+# moved to a child
+SOLVER_LINES = """\
+PASS singleton-one-iteration trials=1 worst_margin=1.000e+00
+PASS linear-block-oracle trials=1 worst_margin=1.000e-05
+PASS window-params trials=21 worst_margin=1.000e-12
+PASS preset-heat_debye trials=2 worst_margin=2.029e-10
+PASS preset-schrodinger_debye trials=2 worst_margin=6.703e-10
+PASS gronwall-negative-control trials=1 worst_margin=3.779e-01
+PASS elementary-bound trials=100 worst_margin=6.556e-09
+"""
 
 
-@pytest.mark.parametrize("cpus", [2, 1])
-def test_concurrently_raises_the_first_failing_task_in_order(monkeypatch,
-                                                             cpus):
-    _cpus(monkeypatch, cpus)
+def test_verify_solver_forked_and_inline_agree(monkeypatch, capsys):
+    pids = []
+    real = suites.elementary_bound_battery
 
-    def fail(residual):
-        def task():
-            raise ProjectionDidNotConverge("probe", residual)
-        return task
+    def recorded(*args):
+        pids.append(os.getpid())
+        return real(*args)
 
-    with pytest.raises(ProjectionDidNotConverge) as exc:
-        suites._concurrently(lambda: 1, fail(2.5), fail(3.5))
-    assert exc.value.residual == 2.5
-    assert str(exc.value) == "probe (residual 2.500e+00)"
-    _assert_no_child_left()
-
-
-def test_concurrently_kills_and_reaps_children_when_the_parent_raises(
-        monkeypatch):
-    _cpus(monkeypatch, 2)
-    statuses = []
-    waitpid = os.waitpid
-
-    def recorded(pid, options):
-        out = waitpid(pid, options)
-        statuses.append(out[1])
-        return out
-
-    def parent_task():
-        raise ValueError("parent")
-
-    monkeypatch.setattr(os, "waitpid", recorded)
-    with pytest.raises(ValueError, match="parent"):
-        suites._concurrently(parent_task, lambda: time.sleep(30))
-    monkeypatch.undo()
-    assert len(statuses) == 1
-    assert os.WIFSIGNALED(statuses[0])
-    assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
-    _assert_no_child_left()
-
-
-def test_concurrently_runs_inline_without_fork(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    parent = os.getpid()
-    assert suites._concurrently(os.getpid, os.getpid) == [parent, parent]
+    monkeypatch.setattr(suites, "elementary_bound_battery", recorded)
+    results = {}
+    for cpus in (2, 1):
+        set_cpus(monkeypatch, cpus)
+        results[cpus] = suites.run_suite("solver", 7)
+        assert "\n".join(r.line() for r in results[cpus]) + "\n" \
+            == SOLVER_LINES
+        assert_no_child_left()
+    # the forked run's battery ran in a child, whose record stayed there
+    assert pids == [os.getpid()]
+    assert results[2] == results[1]
 
 
 def test_verify_monotone_writes_buffered_output_once():
