@@ -2,6 +2,7 @@
 
 Subpackage map:
 
+* ``paths``: uniformly sampled time paths with trapezoid time integration.
 * ``geometry``: convex bodies, certified projections, Hausdorff brackets,
   and the executable convex-analysis lemma checks.
 * ``rhs``: hull-valued right-hand-side families with growth envelopes.
@@ -11,8 +12,10 @@ Subpackage map:
   resolvent smoothing, and the rough-data deviation profile.
 * ``monotone``: the variable-exponent gradient flow under proximal
   implicit Euler.
-* ``solver``: window constants, the relaxed projection iteration for the
-  coupled system, global continuation, and the inequality probes.
+* ``solver``: window constants, the coupled map of one window and the
+  relaxed projection iteration over it, global continuation, and the
+  inequality probes.
+* ``forks``: independent pieces of one command on several CPUs, by fork.
 * ``config`` / ``suites`` / ``cli``: experiment files, property batteries,
   and the command-line surface.
 """

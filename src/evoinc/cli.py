@@ -19,7 +19,6 @@ from .config import (ConfigError, build_experiment, dump_json, format_number,
 from .geometry import ProjectionDidNotConverge
 from .monotone import MonotoneError, ProxDidNotConverge
 from .rhs import RhsError
-from .selection import SelectionError
 from .semigroup import counterexample_profile
 from .solver import GlobalSolution, SolverError, solve_global
 
@@ -34,7 +33,7 @@ MAX_POINTS = 10_000
 # Raised inside a solve the config validation let through: the run stops,
 # and its report names the exception instead of ending in a traceback.
 SOLVE_FAILURES = (MonotoneError, RhsError, ProxDidNotConverge,
-                  ProjectionDidNotConverge, SelectionError, SolverError)
+                  ProjectionDidNotConverge, SolverError)
 LEMMAS = {
     "projection-difference": suites.projection_difference_battery,
     "slater": suites.slater_battery,

@@ -19,7 +19,8 @@ from .monotone import VariableExponentPotential, make_potential
 from .rhs import (Affine, BasisFamilyMap, Clamp, Const, GeneralCoefficient,
                   GrowthCoefficient, Inner, Norm, RhsError, Sin, Tanh)
 from .semigroup import SpectralGenerator, deviation_coefficients
-from .solver import BLOWUP_NORM, GlobalSettings, SolverError, compute_window
+from .solver import (BLOWUP_NORM, GlobalSettings, SolverError, compute_window,
+                     data_bound)
 
 # Largest exponent an exponent profile may reach. From p = 1026 on, a
 # difference quotient of 2 overflows |g|^(p - 2). Raising the top of each
@@ -163,20 +164,19 @@ def build_experiment(raw: dict) -> Experiment:
                               max_window=max_window)
     _check_window_count(horizon, min(max_window, horizon), [
         rhs_f.growth_envelope(), rhs_g.growth_envelope()],
-        u0, math.sqrt(pot.mesh) * v0)
+        u0, v0, pot.mesh)
     return Experiment(seed, horizon, generator, pot, rhs_f, rhs_g, u0, v0,
                       settings, raw)
 
 
 def _check_window_count(horizon: float, cap: float, envelopes,
-                        u0: np.ndarray, weighted_v0: np.ndarray):
+                        u0: np.ndarray, v0: np.ndarray, h: float):
     """Refuse a horizon that the first window, as the solve computes it,
     would cover only in more than MAX_WINDOWS windows. Data past the
     blow-up norm, and a window that underflows, are left to the solve,
     which reports each by name."""
     with np.errstate(over="ignore", invalid="ignore"):
-        beta = max(float(np.linalg.norm(u0)),
-                   float(np.linalg.norm(weighted_v0)))
+        beta = data_bound(u0, v0, h)
     if not beta <= BLOWUP_NORM:
         return
     try:
@@ -247,8 +247,6 @@ def _parse_d_profile(obj: dict) -> tuple:
 
 class _SpaceInfo:
     def __init__(self, gen: SpectralGenerator, pot: VariableExponentPotential):
-        self.gen = gen
-        self.pot = pot
         self.dim_u = gen.state_dim
         self.dim_v = pot.interior_nodes
         self.weight_u = 1.0

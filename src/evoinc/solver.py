@@ -172,120 +172,129 @@ def apriori_bound_check(u: TimePath, v: TimePath, f: TimePath, g: TimePath,
     return Bound(lhs, rhs, 1e-6)
 
 
+def data_bound(u, v, h: float) -> float:
+    """max(||u||, sqrt(h) ||v||): the norm of the data pair (u, v), with v
+    in the norm of mesh width h."""
+    return max(float(np.linalg.norm(u)),
+               math.sqrt(h) * float(np.linalg.norm(v)))
+
+
+def _window_map(gen: SpectralGenerator, pot: VariableExponentPotential,
+                table: np.ndarray, u0: np.ndarray, v0: np.ndarray, f_map,
+                g_map, f_path: TimePath, g_path: TimePath, step,
+                v: TimePath | None = None, u: TimePath | None = None):
+    """The coupled map of one window at the forcing pair (f_path, g_path).
+
+    u solves the propagator problem under f_path, unless the `u` it
+    produced is given. v is the node values of `step` under g_path, with
+    the coefficient rows of `table`: the cold `_flow` without a current
+    `v`, else `_flow` or `_sweep` resumed from it; with `step` None the
+    current `v` is kept. f* and g* are the nearest points of the images
+    along (u, v), each the closed form of its family (`project`), certified
+    node by node. Returns u, v, f*, g* and the node distances of f_path
+    to f* and of g_path to g* in the target norms.
+    """
+    if u is None:
+        u = duhamel_solve(gen, u0, f_path)
+    if step is not None:
+        v = TimePath(g_path.t0, g_path.t1, step(
+            pot, table, v0, g_path.values, g_path.dt,
+            None if v is None else v.values), pot.mesh)
+    f_star, defect_f = _selection(f_map, u, v, f_path)
+    g_star, defect_g = _selection(g_map, u, v, g_path)
+    return u, v, f_star, g_star, defect_f, defect_g
+
+
 def solve_window(gen: SpectralGenerator, pot: VariableExponentPotential,
                  u0: np.ndarray, v0: np.ndarray, f_map, g_map,
                  window: WindowParams, t_start: float = 0.0,
                  settings: GlobalSettings = GlobalSettings()) -> WindowSolution:
-    """Relaxed projection iteration on one window, with the grid, starting
-    relaxation factor, tolerance and budget of `settings`.
+    """Relaxed projection iteration of `_window_map` on one window, with
+    the grid, starting relaxation factor, tolerance and budget of
+    `settings`.
 
-    The v-flow before the loop is the exact implicit-Euler flow, each step
-    started from v + tau g. Inside the loop, u is solved every iteration,
-    and v moves only when the g-forcing differs, bit for bit, from the one
-    that produced the current v (a NaN never compares equal): one
-    Jacobi-in-time sweep over the current v (`monotone._sweep`, one
-    stacked prox call) stands in for the flow, since it only feeds the
-    next selections. When both residuals first pass the tolerance along a
-    swept v, the exact flow runs once, each step resumed from the sweep's
-    node value and certified against its actual predecessor, and both
-    selections are redone along it; the window converges only if the
-    residuals still pass. A loop that stops on the theta floor or the
-    budget with a swept v finishes the same way, so every reported v, f*,
-    g* and residual comes from the exact flow. Every selection is the
-    closed-form nearest point of its family (`project`), certified node by
-    node, so none carries state from an earlier one. The current v lives
-    only for this call. The report says why the loop stopped
-    (`tolerance`, `theta_floor` or `budget`). Non-convergence is an allowed
-    outcome and is reported with the residuals reached, never raised.
+    The map before the loop runs the cold exact flow under the zero
+    forcing pair. Each iteration maps the relaxed pair with a fresh u;
+    v moves only when the g-forcing differs, bit for bit, from the one
+    that produced the current v (a NaN never compares equal), and then by
+    one Jacobi-in-time sweep over the current v (`monotone._sweep`), since
+    it only feeds the next selections. The finish maps the same pair
+    again with the same u and the exact flow resumed from a swept v, each
+    step certified against its actual predecessor. It runs when both
+    residuals first pass the tolerance along a swept v, and the window
+    converges only if they still pass; it also runs when the theta floor
+    or the budget stops the loop on a swept v, and then replaces that
+    iteration's residuals. So every reported v, f*, g* and residual comes
+    from the exact flow. The report says why the loop stopped
+    (`tolerance`, `theta_floor` or `budget`). Non-convergence is an
+    allowed outcome and is reported with the residuals reached, never
+    raised.
     """
-    num_nodes, theta = settings.nodes_per_window, settings.theta
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    h = pot.mesh
-    t_end = t_start + window.t_window
-    if max(np.linalg.norm(u0), math.sqrt(h) * np.linalg.norm(v0)) \
-            > window.beta + 1e-9:
+    u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+    if data_bound(u0, v0, pot.mesh) > window.beta + 1e-9:
         raise SolverError("initial data exceeds the window's data bound")
     if v0.shape != (pot.interior_nodes,):
         raise MonotoneError("state dimension mismatch")
 
+    t_end, num_nodes = t_start + window.t_window, settings.nodes_per_window
     f_path = zero_path(t_start, t_end, num_nodes, gen.state_dim, 1.0)
-    g_path = zero_path(t_start, t_end, num_nodes, pot.interior_nodes, h)
+    g_path = zero_path(t_start, t_end, num_nodes, pot.interior_nodes,
+                       pot.mesh)
     # Every v-flow and sweep of the window runs on this grid: one
     # coefficient table. The forcing keeps the grid's dimension: the
     # g-selections project onto hulls of that dimension.
-    table = pot.coefficient_table(g_path.times())
-
-    def v_flow(step, guess=None) -> TimePath:
-        """The node values of `step`, `_flow` or `_sweep`, under the
-        g-forcing g_path, resumed from `guess` when given."""
-        return TimePath(t_start, t_end, step(pot, table, v0, g_path.values,
-                                             g_path.dt, guess), h)
-
-    def selections(u: TimePath, v: TimePath):
-        """f*, g* and their residuals against f_path, g_path, the trapezoid
-        L2 norms of the node distances, which become the window's node
-        defects."""
-        nonlocal defects
-        f_star, defect_f = _selection(f_map, u, v, f_path)
-        g_star, defect_g = _selection(g_map, u, v, g_path)
-        defects = defect_f, defect_g
-        return (f_star, g_star, trapezoid_l2(defect_f, f_path.dt),
-                trapezoid_l2(defect_g, g_path.dt))
-
-    def within_tol(res_f: float, res_g: float) -> bool:
-        return res_f <= settings.tol and res_g <= settings.tol
-
-    u = duhamel_solve(gen, u0, f_path)
-    v = v_flow(_flow)
+    fixed = (gen, pot, pot.coefficient_table(g_path.times()), u0, v0,
+             f_map, g_map)
     v_forcing = g_path.values   # the g-forcing that produced v
-    swept = False               # whether v is a sweep rather than the flow
-    defects = None
-    f_path, g_path, _, _ = selections(u, v)
+    u, v, f_path, g_path, _, _ = _window_map(*fixed, f_path, g_path, _flow)
 
-    history = []
-    prev_res = math.inf
-    stop = "budget"
-    for it in range(settings.max_iter):     # at least once: max_iter >= 1
-        iterations = it + 1
-        u = duhamel_solve(gen, u0, f_path)
-        if not np.array_equal(g_path.values, v_forcing):
-            v = v_flow(_sweep, v.values)
-            v_forcing, swept = g_path.values, True
-        f_star, g_star, res_f, res_g = selections(u, v)
-        if swept and within_tol(res_f, res_g):
-            # certify: the exact flow, resumed from the sweep, and fresh
-            # selections along it
-            v, swept = v_flow(_flow, v.values), False
-            f_star, g_star, res_f, res_g = selections(u, v)
-        history.append((res_f, res_g))
-        if within_tol(res_f, res_g):
-            stop = "tolerance"
-            break
-        res = max(res_f, res_g)
-        if res > prev_res * (1.0 + 1e-12):
-            theta *= 0.5
-            if theta < THETA_FLOOR:
+    tol, theta = settings.tol, settings.theta
+    history, prev_res = [], math.inf
+    iterations, stop, swept = 0, None, False   # swept: v is not the flow
+    # one map per pass: an iteration, or the finish of a swept v that
+    # passed the tolerance or stopped the loop
+    while stop is None or swept:
+        if swept and (stop or passed):
+            step, u_kept, swept = _flow, u, False
+        else:
+            iterations += 1
+            moved = not np.array_equal(g_path.values, v_forcing)
+            step, u_kept = (_sweep if moved else None), None
+            if moved:
+                v_forcing, swept = g_path.values, True
+        u, v, f_star, g_star, defect_f, defect_g = _window_map(
+            *fixed, f_path, g_path, step, v, u_kept)
+        res_f = trapezoid_l2(defect_f, f_path.dt)
+        res_g = trapezoid_l2(defect_g, g_path.dt)
+        passed = res_f <= tol and res_g <= tol
+        if stop:    # the loop's last residuals, now along the flow
+            history[-1] = (res_f, res_g)
+        elif not (swept and passed):   # a passing sweep is finished first
+            history.append((res_f, res_g))
+            res = max(res_f, res_g)
+            grew = res > prev_res * (1.0 + 1e-12)
+            if grew:
+                theta *= 0.5
+            if passed:
+                stop = "tolerance"
+            elif grew and theta < THETA_FLOOR:
                 stop = "theta_floor"
-                break
-        if iterations == settings.max_iter:
-            break   # keep the forcing pair that produced u and v
-        prev_res = res
-        f_path = f_path.with_values(
-            (1.0 - theta) * f_path.values + theta * f_star.values)
-        g_path = g_path.with_values(
-            (1.0 - theta) * g_path.values + theta * g_star.values)
-    if swept:   # the theta floor or the budget stopped on a swept v
-        v = v_flow(_flow, v.values)
-        f_star, g_star, res_f, res_g = selections(u, v)
-        history[-1] = (res_f, res_g)
+            elif iterations == settings.max_iter:
+                stop = "budget"  # keep the forcing pair that produced u, v
+            else:
+                prev_res = res
+                f_path = f_path.with_values(
+                    (1.0 - theta) * f_path.values + theta * f_star.values)
+                g_path = g_path.with_values(
+                    (1.0 - theta) * g_path.values + theta * g_star.values)
 
     apriori = apriori_bound_check(u, v, f_star, g_star, window)
     membership = Bound(np.array([path_l2_norm(f_star), path_l2_norm(g_star)]),
                        window.m, 1e-6)
     report = SolveReport(iterations, res_f, res_g, tuple(history),
                          stop == "tolerance", stop, apriori, membership)
-    return WindowSolution(window, u, v, f_star, g_star, report, *defects)
+    return WindowSolution(window, u, v, f_star, g_star, report, defect_f,
+                          defect_g)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +339,6 @@ def solve_global(gen: SpectralGenerator, pot: VariableExponentPotential,
     u_cur = np.asarray(u0, dtype=float)
     v_cur = np.asarray(v0, dtype=float)
     envelopes = [f_map.growth_envelope(), g_map.growth_envelope()]
-    h = pot.mesh
     windows = []
     t_cur = 0.0
     blowup = False
@@ -340,8 +348,7 @@ def solve_global(gen: SpectralGenerator, pot: VariableExponentPotential,
     # warning.
     with np.errstate(over="ignore", invalid="ignore"):
         while t_cur < horizon - 1e-12:
-            beta = max(float(np.linalg.norm(u_cur)),
-                       math.sqrt(h) * float(np.linalg.norm(v_cur)))
+            beta = data_bound(u_cur, v_cur, pot.mesh)
             if beta > BLOWUP_NORM:
                 blowup = True
                 break
@@ -357,15 +364,8 @@ def solve_global(gen: SpectralGenerator, pot: VariableExponentPotential,
             u_cur = sol.u.values[-1]
             v_cur = sol.v.values[-1]
     converged = failure is None and not blowup and t_cur >= horizon - 1e-12
-    gronwall = None
-    if converged:
-        a = max(env.a for env in envelopes)
-        b = max(env.b for env in envelopes)
-        c = max(env.c for env in envelopes)
-        gronwall = gronwall_check_windows(windows, a, b, c,
-                                          np.asarray(u0, dtype=float),
-                                          np.asarray(v0, dtype=float),
-                                          horizon)
+    gronwall = (gronwall_check_windows(windows, envelopes, u0, v0, horizon)
+                if converged else None)
     return GlobalSolution(tuple(windows), converged, blowup, failure, gronwall)
 
 
@@ -393,17 +393,15 @@ def gronwall_constants(a: float, b: float, c: float, u0_norm: float,
     return k_const, rho
 
 
-def gronwall_check_windows(windows, a: float, b: float, c: float,
-                           u0: np.ndarray, v0: np.ndarray, t_end: float,
-                           rho_override: float | None = None) -> GronwallReport:
-    """Envelope check across a chain of window solutions, up to a slack of
-    1e-6 (1 + K)."""
+def gronwall_check_windows(windows, envelopes, u0: np.ndarray,
+                           v0: np.ndarray, t_end: float) -> GronwallReport:
+    """Envelope check across a chain of window solutions, with the largest
+    a, b and c of the growth envelopes, up to a slack of 1e-6 (1 + K)."""
+    a, b, c = (max(getattr(env, k) for env in envelopes) for k in "abc")
     u0_norm = float(np.linalg.norm(np.asarray(u0, dtype=float)))
     h_w = windows[0].v.weight
     v0_norm = math.sqrt(h_w) * float(np.linalg.norm(np.asarray(v0, dtype=float)))
     k_const, rho = gronwall_constants(a, b, c, u0_norm, v0_norm, t_end)
-    if rho_override is not None:
-        rho = rho_override
     total = np.concatenate([w.u.node_norms() + w.v.node_norms()
                             for w in windows])
     times = np.concatenate([w.u.times() for w in windows])

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -529,6 +530,35 @@ def test_solve_outputs_are_byte_deterministic(tmp_path, capsys):
     capsys.readouterr()
     for fname in ("report.json", "trajectory.csv", "config_echo.json"):
         assert _read(tmp_path / "a" / fname) == _read(tmp_path / "b" / fname)
+
+
+# SHA-256 of each bundled preset's solve outputs. A change that moves any
+# byte of them fails here; if the move is intended, re-record with
+#   evoinc solve --config src/evoinc/presets/<name>.json --out <dir>
+#   sha256sum <dir>/report.json <dir>/trajectory.csv
+# and say in the change's notes why the bytes moved.
+PRESET_OUTPUT_SHA256 = {
+    "heat_debye": (
+        "85b32ea5acfdb2986b739ae16f535a10dd7eb394fa802bfefb6c7ee575dcb700",
+        "05291d29158587768c81757badacca10e1e25176c02608e668b9d3e52a40f684"),
+    "schrodinger_debye": (
+        "e141edaab6dfa2b14d436c1a7433ddaf68904c41dbbb94661320615b6e563835",
+        "a94451304df4965e0f234411e92139f62475ab7f4c743df765916d8afd32a771"),
+    "feedback_growth": (
+        "300c7561ec8646180651d750fd2491fac342cf8436f7a182b7065aca7b9820e1",
+        "49958c1cf25c1f2c4456251a6cdbce656b77643e210b35f5deb25a91fa0fde99"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_OUTPUT_SHA256))
+def test_preset_solve_outputs_match_their_digests(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert main(["solve", "--config", str(preset_path(name)),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(_read(out / fname)).hexdigest()
+                    for fname in ("report.json", "trajectory.csv"))
+    assert digests == PRESET_OUTPUT_SHA256[name]
 
 
 # ---------------------------------------------------------------------------

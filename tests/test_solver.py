@@ -332,6 +332,27 @@ def test_nonconvergence_is_reported_not_raised(heat_setup, monkeypatch):
     _assert_reports_a_certified_flow(pot, sol, flows)
 
 
+def test_theta_floor_stop_reports_the_exact_flow(heat_setup, monkeypatch):
+    # a relaxation factor 1.5 times the floor: the first residual growth
+    # halves it below the floor, on iteration 2, along a swept v; the
+    # window reports every iteration's residuals and finishes on the exact
+    # flow, like a window that stops on the budget
+    gen, pot, u0, v0 = heat_setup
+    flows = _record_flows(monkeypatch)
+    f_map, g_map = _growth_maps(gen, pot, 0.4)
+    beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 0.5)
+    settings = sv.GlobalSettings(theta=1.5 * sv.THETA_FLOOR,
+                                 nodes_per_window=65)
+    sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
+                          settings=settings)
+    assert not sol.report.converged
+    assert sol.report.stop_reason == "theta_floor"
+    assert sol.report.iterations == len(sol.report.residual_history) == 2
+    _assert_reports_a_certified_flow(pot, sol, flows)
+
+
 # ---------------------------------------------------------------------------
 # linear block oracle
 
@@ -593,7 +614,9 @@ def test_gronwall_zero_maps_static_bound(heat_setup):
                                    np.zeros(15))
     settings = sv.GlobalSettings(nodes_per_window=33, max_window=0.5)
     run = sv.solve_global(gen, pot, u0, v0, f_map, g_map, 1.0, settings)
-    rep = sv.gronwall_check_windows(run.windows, 0.0, 0.0, 0.0, u0, v0, 1.0)
+    rep = sv.gronwall_check_windows(run.windows, [f_map.growth_envelope(),
+                                                  g_map.growth_envelope()],
+                                    u0, v0, 1.0)
     assert rep.bound.passed and rep.rho == 0.0
     assert rep.k_const >= np.linalg.norm(u0)
 
@@ -602,16 +625,13 @@ def test_gronwall_negative_control_fails_as_designed():
     run, exp = _preset_run("feedback_growth")
     assert run.converged
     envs = [exp.rhs_f.growth_envelope(), exp.rhs_g.growth_envelope()]
-    a = max(env.a for env in envs)
-    b = max(env.b for env in envs)
-    c = max(env.c for env in envs)
-    genuine = sv.gronwall_check_windows(run.windows, a, b, c, exp.u0, exp.v0,
+    genuine = sv.gronwall_check_windows(run.windows, envs, exp.u0, exp.v0,
                                         exp.horizon)
-    undersized = sv.gronwall_check_windows(run.windows, a, b, c, exp.u0,
-                                           exp.v0, exp.horizon,
-                                           rho_override=0.0)
+    # the rate-0 envelope K e^{0 t} = K against the same node norms
+    undersized = sv.Bound(genuine.bound.lhs, genuine.k_const,
+                          genuine.bound.slack)
     assert genuine.bound.passed
-    assert not undersized.bound.passed and undersized.bound.margin < 0.0
+    assert not undersized.passed and undersized.margin < 0.0
 
 
 def test_elementary_probe_constant_rate_closed_form():
