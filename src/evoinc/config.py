@@ -2,6 +2,10 @@
 
 Configs are plain JSON with a fixed key set; unknown keys anywhere are
 rejected with the offending path so experiment files stay self-describing.
+Each tagged section (the exponent and coefficient profiles, the initial u
+and v, a direction's `kind`, an expression's `op`, a coefficient's `form`)
+is read through `_variant`, and takes only the keys of the variant its tag
+names: a key of another variant is refused like an unknown one.
 Numbers in echoed configs and reports are serialized with 17 significant
 digits for exact round-trips.
 """
@@ -18,9 +22,9 @@ import numpy as np
 from .monotone import VariableExponentPotential, make_potential
 from .rhs import (Affine, BasisFamilyMap, Clamp, Const, GeneralCoefficient,
                   GrowthCoefficient, Inner, Norm, RhsError, Sin, Tanh)
-from .semigroup import SpectralGenerator, deviation_coefficients
-from .solver import (BLOWUP_NORM, GlobalSettings, SolverError, compute_window,
-                     data_bound)
+from .semigroup import KINDS, SpectralGenerator, deviation_coefficients
+from .solver import (BLOWUP_NORM, THETA_FLOOR, GlobalSettings, SolverError,
+                     compute_window, data_bound)
 
 # Largest exponent an exponent profile may reach. From p = 1026 on, a
 # difference quotient of 2 overflows |g|^(p - 2). Raising the top of each
@@ -49,6 +53,20 @@ def _require_keys(obj: dict, path: str, required, optional=()):
     for key in required:
         if key not in obj:
             raise ConfigError(f"{path}.{key}: missing")
+
+
+def _variant(obj, path: str, tag: str, keys: dict) -> str:
+    """The variant that `obj[tag]` names in the tagged section `obj` at
+    `path`, where `keys` maps each variant to the keys it takes besides
+    `tag`. Refuses, in this order, a key that no variant takes, a missing
+    or unknown tag, and a key of another variant."""
+    _require_keys(obj, path, (), {tag}.union(*keys.values()))
+    name = obj.get(tag)
+    if not isinstance(name, str) or name not in keys:
+        *rest, last = keys
+        raise ConfigError(f"{path}.{tag}: must be {', '.join(rest)} or {last}")
+    _require_keys(obj, path, (), (tag, *keys[name]))
+    return name
 
 
 def _number(obj, path: str, lo: float | None = None, hi: float | None = None,
@@ -108,10 +126,8 @@ def build_experiment(raw: dict) -> Experiment:
 
     gen = raw["generator"]
     _require_keys(gen, "config.generator", ("kind", "modes"))
-    kind = gen["kind"]
-    if kind not in ("heat", "schroedinger", "wave"):
-        raise ConfigError("config.generator.kind: must be heat, schroedinger "
-                          "or wave")
+    kind = _variant(gen, "config.generator", "kind",
+                    dict.fromkeys(KINDS, ("modes",)))
     modes = _number(gen["modes"], "config.generator.modes", lo=1, hi=4096,
                     integer=True)
 
@@ -141,8 +157,10 @@ def build_experiment(raw: dict) -> Experiment:
 
     solver = raw["solver"]
     _require_keys(solver, "config.solver", (), ("theta", "tol", "max_iter"))
+    # below twice the floor, the first residual growth halves theta under
+    # it and stops the window
     theta = _number(solver.get("theta", 0.5), "config.solver.theta",
-                    lo=1e-9, hi=1.0)
+                    lo=2 * THETA_FLOOR, hi=1.0)
     tol = _number(solver.get("tol", 1e-8), "config.solver.tol", lo=0.0)
     if tol <= 0.0:
         raise ConfigError("config.solver.tol: must be > 0")
@@ -190,10 +208,13 @@ def _check_window_count(horizon: float, cap: float, envelopes,
             f"{first:.3e}, more than {MAX_WINDOWS}")
 
 
+# the keys of each exponent profile besides "kind"
+_P_PROFILE_KEYS = {"constant": ("value",), "ramp": ("low", "high"),
+                   "bump": ("base", "amplitude")}
+
+
 def _parse_p_profile(obj: dict) -> tuple:
-    _require_keys(obj, "config.spatial.p_profile", ("kind",),
-                  ("value", "low", "high", "base", "amplitude"))
-    kind = obj["kind"]
+    kind = _variant(obj, "config.spatial.p_profile", "kind", _P_PROFILE_KEYS)
 
     def exponent(key: str) -> float:
         return _number(obj.get(key), f"config.spatial.p_profile.{key}",
@@ -207,16 +228,13 @@ def _parse_p_profile(obj: dict) -> tuple:
         lo, hi = exponent("low"), exponent("high")
         _check_exponent_floor(min(lo, hi))
         return ("ramp", lo, hi)
-    if kind == "bump":
-        base = exponent("base")
-        amp = _number(obj.get("amplitude"), "config.spatial.p_profile.amplitude")
-        if base + amp > MAX_EXPONENT:
-            raise ConfigError("config.spatial.p_profile.amplitude: base + "
-                              f"amplitude must be <= {MAX_EXPONENT}")
-        _check_exponent_floor(min(base, base + amp))
-        return ("bump", base, amp)
-    raise ConfigError("config.spatial.p_profile.kind: must be constant, ramp "
-                      "or bump")
+    base = exponent("base")
+    amp = _number(obj.get("amplitude"), "config.spatial.p_profile.amplitude")
+    if base + amp > MAX_EXPONENT:
+        raise ConfigError("config.spatial.p_profile.amplitude: base + "
+                          f"amplitude must be <= {MAX_EXPONENT}")
+    _check_exponent_floor(min(base, base + amp))
+    return ("bump", base, amp)
 
 
 def _check_exponent_floor(p_min: float):
@@ -224,25 +242,22 @@ def _check_exponent_floor(p_min: float):
         raise ConfigError("config.spatial.p_profile: exponents must be >= 2")
 
 
+# the numbers of each coefficient profile besides "kind", each with its
+# lower bound, in the order `make_potential` takes them
+_D_PROFILE_KEYS = {"constant": {"value": 1e-12},
+                   "linear_decay": {"start": 1e-12},
+                   "separable": {"base": 1e-12, "decay": 0.0}}
+
+
 def _parse_d_profile(obj: dict) -> tuple:
-    _require_keys(obj, "config.spatial.d_profile", ("kind",),
-                  ("value", "start", "base", "decay"))
-    kind = obj["kind"]
-    if kind == "constant":
-        return ("constant", _number(obj.get("value"),
-                                    "config.spatial.d_profile.value", lo=1e-12))
-    if kind == "linear_decay":
-        return ("linear_decay", _number(obj.get("start"),
-                                        "config.spatial.d_profile.start",
-                                        lo=1e-12))
-    if kind == "separable":
-        return ("separable",
-                _number(obj.get("base"), "config.spatial.d_profile.base",
-                        lo=1e-12),
-                _number(obj.get("decay"), "config.spatial.d_profile.decay",
-                        lo=0.0))
-    raise ConfigError("config.spatial.d_profile.kind: must be constant, "
-                      "linear_decay or separable")
+    path = "config.spatial.d_profile"
+    kind = _variant(obj, path, "kind", _D_PROFILE_KEYS)
+    return (kind, *(_number(obj.get(key), f"{path}.{key}", lo=lo)
+                    for key, lo in _D_PROFILE_KEYS[kind].items()))
+
+
+# the keys of each direction besides "kind"
+_DIRECTION_KEYS = {"unit": ("index",), "sine": ("mode",), "values": ("values",)}
 
 
 class _SpaceInfo:
@@ -260,8 +275,7 @@ class _SpaceInfo:
         return self.weight_u if arg == "u" else self.weight_v
 
     def direction(self, spec: dict, arg: str, path: str) -> np.ndarray:
-        _require_keys(spec, path, ("kind",), ("index", "mode", "values"))
-        kind = spec["kind"]
+        kind = _variant(spec, path, "kind", _DIRECTION_KEYS)
         dim = self.dim(arg)
         if kind == "unit":
             idx = _number(spec.get("index"), f"{path}.index", lo=0,
@@ -275,9 +289,7 @@ class _SpaceInfo:
             if arg != "v":
                 raise ConfigError(f"{path}: sine directions live on the grid")
             return math.sqrt(2.0) * np.sin(math.pi * mode * self.x_interior)
-        if kind == "values":
-            return _numbers(spec.get("values"), f"{path}.values", dim)
-        raise ConfigError(f"{path}.kind: must be unit, sine or values")
+        return _numbers(spec.get("values"), f"{path}.values", dim)
 
     def sine_basis(self, count: int) -> np.ndarray:
         kk = np.arange(1, count + 1)
@@ -293,11 +305,7 @@ _EXPR_KEYS = {"const": ("value",), "inner": ("arg", "direction"),
 
 
 def _build_expr(obj: dict, path: str, spaces: _SpaceInfo):
-    _require_keys(obj, path, ("op",), set().union(*_EXPR_KEYS.values()))
-    op = obj["op"]
-    if not isinstance(op, str) or op not in _EXPR_KEYS:
-        raise ConfigError(f"{path}.op: unknown primitive {op!r}")
-    _require_keys(obj, path, ("op",), _EXPR_KEYS[op])
+    op = _variant(obj, path, "op", _EXPR_KEYS)
     if op == "const":
         return Const(_number(obj.get("value"), f"{path}.value"))
     if op in ("inner", "norm"):
@@ -362,13 +370,7 @@ def _build_rhs(obj: dict, path: str, target: str, spaces: _SpaceInfo):
     coeffs = []
     for i, spec in enumerate(coeffs_spec):
         cpath = f"{path}.coefficients[{i}]"
-        _require_keys(spec, cpath, ("form",),
-                      set().union(*_COEFFICIENT_KEYS.values()))
-        form = spec["form"]
-        if not isinstance(form, str) or form not in _COEFFICIENT_KEYS:
-            raise ConfigError(f"{cpath}.form: must be growth or general")
-        _require_keys(spec, cpath, ("form",), _COEFFICIENT_KEYS[form])
-        if form == "growth":
+        if _variant(spec, cpath, "form", _COEFFICIENT_KEYS) == "growth":
             c = _number(spec.get("c", 0.0), f"{cpath}.c")
             nu = spec.get("nu")
             nu_expr = _build_expr(nu, f"{cpath}.nu", spaces) if nu else None
@@ -393,12 +395,21 @@ def _build_rhs(obj: dict, path: str, target: str, spaces: _SpaceInfo):
     return family
 
 
+# the keys of each initial u and v besides "kind"
+_INITIAL_U_KEYS = {"zero": (), "mode": ("mode", "amplitude", "slot"),
+                   "decay": ("amplitude", "rate"), "rough": ("amplitude",),
+                   "values": ("values",)}
+_INITIAL_V_KEYS = {"zero": (), "bump": ("amplitude",),
+                   "mode": ("mode", "amplitude"), "values": ("values",)}
+
+
 def _build_initial_u(obj: dict, gen: SpectralGenerator) -> np.ndarray:
-    _require_keys(obj, "config.initial.u", ("kind",),
-                  ("mode", "amplitude", "rate", "values", "slot"))
-    kind = obj["kind"]
+    kind = _variant(obj, "config.initial.u", "kind", _INITIAL_U_KEYS)
     if kind == "zero":
         return gen.zero_state()
+    if kind == "values":
+        return _numbers(obj.get("values"), "config.initial.u.values",
+                        gen.state_dim)
     amp = _number(obj.get("amplitude", 1.0), "config.initial.u.amplitude")
     if kind == "mode":
         mode = _number(obj.get("mode", 1), "config.initial.u.mode", lo=1,
@@ -410,40 +421,25 @@ def _build_initial_u(obj: dict, gen: SpectralGenerator) -> np.ndarray:
         rate = _number(obj.get("rate", 2.0), "config.initial.u.rate", lo=0.0)
         n = np.arange(1, gen.modes + 1, dtype=float)
         coeff = amp * n ** (-rate)
-        state = np.zeros(gen.state_dim)
-        state[::gen.block] = coeff
-        return state
-    if kind == "rough":
+    else:
         coeff = amp * deviation_coefficients(gen.modes)
-        state = np.zeros(gen.state_dim)
-        state[::gen.block] = coeff
-        return state
-    if kind == "values":
-        return _numbers(obj.get("values"), "config.initial.u.values",
-                        gen.state_dim)
-    raise ConfigError("config.initial.u.kind: must be zero, mode, decay, "
-                      "rough or values")
+    state = np.zeros(gen.state_dim)
+    state[::gen.block] = coeff
+    return state
 
 
 def _build_initial_v(obj: dict, pot: VariableExponentPotential) -> np.ndarray:
-    _require_keys(obj, "config.initial.v", ("kind",),
-                  ("mode", "amplitude", "values"))
-    kind = obj["kind"]
+    kind = _variant(obj, "config.initial.v", "kind", _INITIAL_V_KEYS)
     x = pot.nodes()[1:-1]
     if kind == "zero":
         return np.zeros(pot.interior_nodes)
-    amp = _number(obj.get("amplitude", 1.0), "config.initial.v.amplitude")
-    if kind == "bump":
-        return amp * np.sin(math.pi * x)
-    if kind == "mode":
-        mode = _number(obj.get("mode", 1), "config.initial.v.mode", lo=1,
-                       integer=True)
-        return amp * np.sin(math.pi * mode * x)
     if kind == "values":
         return _numbers(obj.get("values"), "config.initial.v.values",
                         pot.interior_nodes)
-    raise ConfigError("config.initial.v.kind: must be zero, bump, mode or "
-                      "values")
+    amp = _number(obj.get("amplitude", 1.0), "config.initial.v.amplitude")
+    mode = 1 if kind == "bump" else _number(
+        obj.get("mode", 1), "config.initial.v.mode", lo=1, integer=True)
+    return amp * np.sin(math.pi * mode * x)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from .forks import concurrently, usable_cpus
 from .paths import TimePath
 
-_KINDS = ("heat", "schroedinger", "wave")
+KINDS = ("heat", "schroedinger", "wave")
 # Least number of sines, modes times times, for which `_deviation_norms`
 # splits its times over the CPUs. On a 2-vCPU Xeon host a fork round trip
 # costs about 3 ms, and 2^20 sines 13 ms (arguments up to 1e8) to 60 ms
@@ -46,7 +46,7 @@ class SpectralGenerator:
     modes: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise SemigroupError(f"unknown generator kind {self.kind!r}")
         if self.modes < 1:
             raise SemigroupError("need at least one mode")

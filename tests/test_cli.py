@@ -11,9 +11,11 @@ import sys
 import pytest
 
 import evoinc
+from evoinc import config
 from evoinc.cli import main
 from evoinc.config import (MAX_EXPONENT, MAX_WINDOWS, ConfigError,
                            build_experiment, preset_path)
+from evoinc.solver import THETA_FLOOR
 
 
 def _read(path):
@@ -372,6 +374,28 @@ def test_solve_rejects_zero_tolerance(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("theta", [1e-9, 2.0 ** -10])
+def test_solve_rejects_theta_below_twice_the_floor(tmp_path, capsys, theta):
+    # the first residual growth would halve theta under THETA_FLOOR and
+    # stop the window after two iterations
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    cfg["solver"]["theta"] = theta
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code = main(["solve", "--config", str(bad), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config.solver.theta: must be >= {2 * THETA_FLOOR}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_config_accepts_theta_at_twice_the_floor():
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    cfg["solver"]["theta"] = 2.0 ** -9
+    assert build_experiment(cfg).settings.theta == 2 * THETA_FLOOR
+
+
 @pytest.mark.parametrize("start", [0.5, 1.0])
 def test_solve_rejects_linear_decay_reaching_zero(tmp_path, capsys, start):
     # D(t) = start - t must stay positive up to the horizon 1.0
@@ -691,6 +715,131 @@ def test_config_expression_keys_are_per_primitive(expr, foreign):
     with pytest.raises(ConfigError, match=rf"\.expr\.child\.{foreign}: "
                        "unknown key"):
         build_experiment(cfg)
+
+
+# Every tagged section of a config: where it sits in heat_debye, its tag,
+# its key table in `config`, and one example of each variant, in the
+# table's order, that holds every key the variant takes.
+TAGGED_SECTIONS = {
+    "p_profile": (("spatial", "p_profile"), "kind", config._P_PROFILE_KEYS, [
+        {"kind": "constant", "value": 3.0},
+        {"kind": "ramp", "low": 2.4, "high": 3.2},
+        {"kind": "bump", "base": 2.6, "amplitude": 0.8}]),
+    "d_profile": (("spatial", "d_profile"), "kind", config._D_PROFILE_KEYS, [
+        {"kind": "constant", "value": 1.0},
+        {"kind": "linear_decay", "start": 2.0},
+        {"kind": "separable", "base": 1.5, "decay": 0.4}]),
+    "initial.u": (("initial", "u"), "kind", config._INITIAL_U_KEYS, [
+        {"kind": "zero"},
+        {"kind": "mode", "mode": 2, "amplitude": 0.5, "slot": 0},
+        {"kind": "decay", "amplitude": 0.6, "rate": 2.0},
+        {"kind": "rough", "amplitude": 0.5},
+        {"kind": "values", "values": [0.1] * 8}]),
+    "initial.v": (("initial", "v"), "kind", config._INITIAL_V_KEYS, [
+        {"kind": "zero"},
+        {"kind": "bump", "amplitude": 0.5},
+        {"kind": "mode", "mode": 2, "amplitude": 0.5},
+        {"kind": "values", "values": [0.1] * 15}]),
+    "direction": (("rhs_f", "coefficients", 0, "nu", "child", "child",
+                   "direction"), "kind", config._DIRECTION_KEYS, [
+        {"kind": "unit", "index": 0},
+        {"kind": "sine", "mode": 1},
+        {"kind": "values", "values": [0.1] * 15}]),
+    "op": (("rhs_g", "coefficients", 0, "expr", "child", "child"), "op",
+           config._EXPR_KEYS, [
+        {"op": "const", "value": 0.5},
+        _inner("u"),
+        {"op": "norm", "arg": "v"},
+        {"op": "affine", "scale": 2.0, "shift": 0.1, "child": _inner("u")},
+        {"op": "sin", "child": _inner("u")},
+        {"op": "tanh", "child": _inner("u")},
+        {"op": "clamp", "lo": -1.0, "hi": 1.0, "child": _inner("u")}]),
+    "form": (("rhs_f", "coefficients", 0), "form", config._COEFFICIENT_KEYS, [
+        {"form": "growth", "c": 0.1, "nu": {"op": "const", "value": 0.5}},
+        {"form": "general", "expr": {"op": "const", "value": 0.5}}]),
+}
+
+
+def _with_section(name, spec):
+    """heat_debye with the tagged section `name` replaced by `spec`, and
+    that section's config path."""
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    place = TAGGED_SECTIONS[name][0]
+    node = cfg
+    for key in place[:-1]:
+        node = node[key]
+    node[place[-1]] = json.loads(json.dumps(spec))
+    return cfg, "config" + "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" for key in place)
+
+
+def _section_cases(foreign: bool):
+    """(section, variant example, key, value) for each key the example
+    takes, or with `foreign` for each key that only other variants take,
+    valued as in the first of those."""
+    for name, (_, tag, _, examples) in TAGGED_SECTIONS.items():
+        for spec in examples:
+            keys = {}
+            for other in examples if foreign else [spec]:
+                for key, value in other.items():
+                    if key != tag and (key in spec) != foreign:
+                        keys.setdefault(key, value)
+            for key, value in keys.items():
+                yield pytest.param(name, spec, key, value,
+                                   id=f"{name}-{spec[tag]}-{key}")
+
+
+@pytest.mark.parametrize("name", sorted(TAGGED_SECTIONS))
+def test_config_tagged_section_tables_match_their_variants(name):
+    # each variant builds with every key it takes, the key table lists
+    # exactly those keys, and a missing or unknown tag lists the variants
+    _, tag, table, examples = TAGGED_SECTIONS[name]
+    assert [spec[tag] for spec in examples] == list(table)
+    assert {spec[tag]: set(spec) - {tag} for spec in examples} \
+        == {variant: set(keys) for variant, keys in table.items()}
+    for spec in examples:
+        build_experiment(_with_section(name, spec)[0])
+    variants = [spec[tag] for spec in examples]
+    message = f"must be {', '.join(variants[:-1])} or {variants[-1]}"
+    for bad in ({tag: "x"}, {tag: 1}, {}):
+        cfg, path = _with_section(name, bad)
+        with pytest.raises(ConfigError) as err:
+            build_experiment(cfg)
+        assert str(err.value) == f"{path}.{tag}: {message}"
+
+
+@pytest.mark.parametrize("name, spec, key, value", _section_cases(True))
+def test_config_tagged_sections_refuse_a_key_of_another_variant(name, spec,
+                                                                key, value):
+    cfg, path = _with_section(name, {**spec, key: value})
+    with pytest.raises(ConfigError) as err:
+        build_experiment(cfg)
+    assert str(err.value) == f"{path}.{key}: unknown key"
+
+
+@pytest.mark.parametrize("name, spec, key, value", _section_cases(False))
+def test_config_tagged_sections_read_every_key_they_take(name, spec, key,
+                                                         value):
+    cfg, path = _with_section(name, {**spec, key: "x"})
+    with pytest.raises(ConfigError) as err:
+        build_experiment(cfg)
+    assert str(err.value).startswith(f"{path}.{key}: ")
+
+
+def test_solve_rejects_a_key_of_another_profile_variant(tmp_path, capsys):
+    # `value` belongs to a constant exponent profile; on heat_debye's ramp
+    # it used to be read as nothing
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    cfg["spatial"]["p_profile"]["value"] = 3.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code = main(["solve", "--config", str(bad), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config.spatial.p_profile.value: unknown key" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def _leaves(obj, path=()):

@@ -16,14 +16,18 @@ from evoinc.paths import (TimePath, constant_path, path_distance,
 from evoinc.suites import _preset_run
 
 
-@pytest.fixture(scope="module")
-def heat_setup():
-    gen = sg.SpectralGenerator("heat", 6)
+def _setup(kind):
+    gen = sg.SpectralGenerator(kind, 6)
     pot = mono.make_potential(15, ("constant", 3.0), ("constant", 1.0))
     rng = np.random.default_rng(61)
     u0 = rng.normal(size=gen.state_dim) * 0.5
     v0 = rng.normal(size=15) * 0.5
     return gen, pot, u0, v0
+
+
+@pytest.fixture(scope="module")
+def heat_setup():
+    return _setup("heat")
 
 
 def _singleton_maps(gen, pot, f0, g0):
@@ -225,6 +229,25 @@ def test_growth_maps_converge_below_tolerance(heat_setup):
     assert sel.selection_residual(f_map, sol.u, sol.v, sol.f) <= 1e-8
     assert sel.selection_residual(g_map, sol.u, sol.v, sol.g) <= 1e-8
     assert sol.report.apriori.passed and sol.report.membership.passed
+
+
+@pytest.mark.parametrize("kind", sg.KINDS)
+def test_coupled_window_converges_for_each_generator(monkeypatch, kind):
+    # the growth maps couple u and v through every generator kind: the
+    # window stops on the tolerance and reports a certified exact flow
+    gen, pot, u0, v0 = _setup(kind)
+    f_map, g_map = _growth_maps(gen, pot)
+    beta = max(np.linalg.norm(u0), math.sqrt(pot.mesh) * np.linalg.norm(v0))
+    window = sv.compute_window(beta, [f_map.growth_envelope(),
+                                      g_map.growth_envelope()], 0.5)
+    flows = _record_flows(monkeypatch)
+    sol = sv.solve_window(gen, pot, u0, v0, f_map, g_map, window,
+                          settings=sv.GlobalSettings(nodes_per_window=65))
+    rep = sol.report
+    assert rep.converged and rep.stop_reason == "tolerance"
+    assert max(rep.residual_f, rep.residual_g) <= 1e-8
+    assert rep.apriori.passed and rep.membership.passed
+    _assert_reports_a_certified_flow(pot, sol, flows)
 
 
 def test_relaxed_update_contracts_residual(heat_setup):
