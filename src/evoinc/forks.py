@@ -21,54 +21,64 @@ def concurrently(*tasks) -> list:
 
     With at least two `usable_cpus`, each task but the first runs in a
     forked child while the parent runs the first. A child sends back the
-    pickle of its result, or of the exception it raised, which the parent
-    re-raises; the first failing task in order wins, as inline. Otherwise
-    the tasks run inline, in order. A task computes the same bits either
-    way.
+    pickle of its result, or of the exception it raised, and the parent
+    takes the results in order, re-raising the first failure, so the first
+    failing task in order wins, as inline. A task whose pipe or fork the
+    system refuses (`OSError`, say EAGAIN) runs in the parent at its turn.
+    Otherwise the tasks run inline, in order. A task computes the same
+    bits either way.
 
     A child ends in `os._exit`, so it never returns into the caller's
     stack, flushes no inherited stdio buffer and runs no `atexit` handler.
-    The parent reaps every child, and kills those still running when its
-    own task raises.
+    The parent reaps every child, and kills those still running when a
+    task raises.
     """
     if usable_cpus() < 2:
         return [task() for task in tasks]
-    children = []  # (pid, read end of its pipe)
+    children = []  # per later task: (pid, read end of its pipe), or None
     try:
         for task in tasks[1:]:
             children.append(_fork_task(task))
         results = [tasks[0]()]
-        replies = [pipe.read() for _, pipe in children]
+        for task, child in zip(tasks[1:], children):
+            results.append(task() if child is None else _result(child[1]))
+        return results
     except BaseException:
         import signal  # only here: importing it costs 0.7 ms
-        for pid, _ in children:
+        for pid, _ in filter(None, children):
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, pipe in children:
+        for pid, pipe in filter(None, children):
             pipe.close()
             os.waitpid(pid, 0)
-    for reply in replies:
-        if not reply:
-            raise ChildProcessError("a task's child process ended "
-                                    "without a result")
-        ok, value = pickle.loads(reply)
-        if not ok:
-            raise value
-        results.append(value)
-    return results
+
+
+def _result(pipe):
+    """The result that a child wrote to `pipe`, or the exception it wrote,
+    raised."""
+    reply = pipe.read()
+    if not reply:
+        raise ChildProcessError("a task's child process ended without a "
+                                "result")
+    ok, value = pickle.loads(reply)
+    if not ok:
+        raise value
+    return value
 
 
 def _fork_task(task):
     """(pid, read end) of a forked child that runs `task` and writes the
-    pickle of (True, result), or of (False, exception), to the pipe."""
-    read, write = os.pipe()
+    pickle of (True, result), or of (False, exception), to the pipe; None
+    when the system refuses the pipe or the fork."""
+    fds = ()
     try:
+        fds = read, write = os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read)
-        os.close(write)
-        raise
+        for fd in fds:
+            os.close(fd)
+        return None
     if pid == 0:
         try:
             os.close(read)

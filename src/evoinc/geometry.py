@@ -249,8 +249,6 @@ class HullProjector:
             raise DimensionMismatch(
                 f"expected query shape {(m, d)}, got {x.shape}")
         _require_finite(x)
-        if n == 1:
-            return self.v[:, 0, :].copy()
         nearest, reach = _nearest_and_reach(self.v, x)
         # <x - p, v - p> is rounded at about eps ||x - p|| ||v - p||, so the
         # bound grows with the farthest vertex once it is beyond unit reach

@@ -86,56 +86,44 @@ class WindowParams:
     m: float             # beta + 1
     r: float             # image bound of the right-hand sides
     t_window: float      # admissible window length
-    t_cap: float         # horizon cap the window was computed under
 
     def __post_init__(self):
         if self.m < 1.0:
             raise SolverError("need m >= 1")
         if self.r < 0.0:
             raise SolverError("image bound must be nonnegative")
-        if not 0.0 < self.t_window <= self.t_cap:
-            raise SolverError("window length must lie in (0, t_cap]")
+        if not self.t_window > 0.0:
+            raise SolverError("window length must be > 0")
 
 
 def compute_window(b_bound: float, envelopes, t_max: float) -> WindowParams:
-    """Self-consistent window length from the growth envelopes.
+    """Window length T0 from the growth envelopes, at most t_max.
 
-    The a-priori state radius rho = m - 1 + sqrt(T0) m and the image bound
-    r = max envelope over the rho-ball depend on each other through T0; the
-    damped iteration T0 <- min(T0, t_max, (m/r)^2) is monotone and stops at
-    an admissible pair (polished to 1e-12). Zero envelopes leave the window
-    unconstrained at t_max.
+    The a-priori state radius is rho = m - 1 + sqrt(T) m, and r(T) is the
+    largest envelope over the rho-ball. With r0 = r(t_max), T0 =
+    min(t_max, (m / r0)^2), or t_max when r0 = 0. Every step of r is
+    monotone in T, so r(T0) <= r0 and sqrt(T0) r(T0) <= m: T0 is
+    admissible, and r(T0) is returned with it. T0 is the first admissible
+    length, not the largest: a longer one can solve sqrt(T) r(T) = m.
     """
-    if min(b_bound, t_max) < 0.0 or t_max <= 0.0:
-        raise SolverError("window inputs must be positive")
+    if b_bound < 0.0 or not 0.0 < t_max < math.inf:
+        raise SolverError("need a data bound >= 0 and a finite t_max > 0")
     envelopes = list(envelopes)
     if not envelopes:
         raise SolverError("need at least one growth envelope")
     m = b_bound + 1.0
-    t0 = t_max
 
     def image_bound(t_win: float) -> float:
         rho = m - 1.0 + math.sqrt(t_win) * m
         return max(env.value(rho, rho) for env in envelopes)
 
-    r = image_bound(t0)
-    for _ in range(200):
-        cap = t_max if r == 0.0 else min(t_max, (m / r) ** 2)
-        if cap == 0.0:
-            raise SolverError(
-                f"window length (m / r)^2 underflows to 0: image bound "
-                f"r = {r:.3e} against m = {m:.3e}")
-        t_new = min(t0, cap)
-        r = image_bound(t_new)
-        if abs(t_new - t0) <= 1e-12 * max(1.0, t0):
-            t0 = t_new
-            break
-        t0 = t_new
-    else:
-        raise SolverError("window fixed point did not settle")
-    if r > 0.0 and t0 > (m / r) ** 2 + 1e-9:
-        raise SolverError("window fixed point inadmissible")
-    return WindowParams(b_bound, m, r, t0, t_max)
+    r0 = image_bound(t_max)
+    t0 = t_max if r0 == 0.0 else min(t_max, (m / r0) ** 2)
+    if t0 == 0.0:
+        raise SolverError(
+            f"window length (m / r)^2 underflows to 0: image bound "
+            f"r = {r0:.3e} against m = {m:.3e}")
+    return WindowParams(b_bound, m, image_bound(t0), t0)
 
 
 @dataclass(frozen=True)
@@ -363,7 +351,7 @@ def solve_global(gen: SpectralGenerator, pot: VariableExponentPotential,
             t_cur += window.t_window
             u_cur = sol.u.values[-1]
             v_cur = sol.v.values[-1]
-    converged = failure is None and not blowup and t_cur >= horizon - 1e-12
+    converged = failure is None and not blowup
     gronwall = (gronwall_check_windows(windows, envelopes, u0, v0, horizon)
                 if converged else None)
     return GlobalSolution(tuple(windows), converged, blowup, failure, gronwall)

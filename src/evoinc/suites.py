@@ -666,7 +666,8 @@ def linear_block_oracle_battery(seed: int = 7) -> CheckResult:
 
 
 def window_params_battery(seed: int = 7) -> CheckResult:
-    """Window constants: arithmetic anchors plus refined-iteration agreement."""
+    """Window constants: arithmetic anchors of a constant envelope, and on
+    20 seeded envelopes a window T0 in (0, (m / r)^2], up to 1e-9."""
     w = sv.compute_window(2.0, [rhsmod.GrowthEnvelope(0.0, 0.0, 1.5)], 10.0)
     bounds = [Bound(abs(w.m - 3.0), 0.0, 1e-12),
               Bound(abs(w.r - 1.5), 0.0, 1e-12),
@@ -687,13 +688,11 @@ def gronwall_negative_control() -> CheckResult:
     the feedback_growth preset, a rotation-kind run with pure state
     feedback, grows in norm. A run that does not converge fails its
     gate."""
-    run, exp = _preset_run("feedback_growth")
+    run, _ = _preset_run("feedback_growth")
     if not run.converged:
         return CheckResult.grade("gronwall-negative-control", 1,
                                  gates=[run.converged])
-    genuine = sv.gronwall_check_windows(
-        run.windows, [exp.rhs_f.growth_envelope(), exp.rhs_g.growth_envelope()],
-        exp.u0, exp.v0, exp.horizon)
+    genuine = run.gronwall
     # the rate-0 envelope K e^{0 t} = K, graded by how far it is violated
     broken = Bound(genuine.bound.lhs, genuine.k_const, genuine.bound.slack)
     return CheckResult.grade("gronwall-negative-control", 1,

@@ -68,3 +68,54 @@ def test_concurrently_runs_inline_without_fork(monkeypatch):
     assert forks.usable_cpus() == 1
     parent = os.getpid()
     assert forks.concurrently(os.getpid, os.getpid) == [parent, parent]
+
+
+def _refuse_fork(monkeypatch, calls):
+    """Make the fork calls numbered in `calls` (from 1) raise EAGAIN."""
+    fork, count = os.fork, []
+
+    def refused():
+        count.append(1)
+        if len(count) in calls:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+    monkeypatch.setattr(os, "fork", refused)
+
+
+@pytest.mark.parametrize("calls", [{1}, {2}, {1, 2}])
+def test_a_refused_fork_runs_its_task_in_the_parent(monkeypatch, calls):
+    set_cpus(monkeypatch, 2)
+    _refuse_fork(monkeypatch, calls)
+    parent = os.getpid()
+    pids = forks.concurrently(os.getpid, os.getpid, os.getpid)
+    assert pids[0] == parent
+    for i in (1, 2):
+        assert (pids[i] == parent) == (i in calls)
+    assert_no_child_left()
+
+
+def test_a_refused_pipe_runs_its_task_in_the_parent(monkeypatch):
+    set_cpus(monkeypatch, 2)
+
+    def refused():
+        raise OSError(24, "Too many open files")
+    monkeypatch.setattr(os, "pipe", refused)
+    assert forks.concurrently(lambda: 1.0 / 3.0, os.getpid) == [
+        1.0 / 3.0, os.getpid()]
+
+
+@pytest.mark.parametrize("calls", [{1}, {2}])
+def test_a_refused_fork_keeps_the_first_failing_task_in_order(monkeypatch,
+                                                              calls):
+    set_cpus(monkeypatch, 2)
+    _refuse_fork(monkeypatch, calls)
+
+    def fail(residual):
+        def task():
+            raise ProjectionDidNotConverge("probe", residual)
+        return task
+
+    with pytest.raises(ProjectionDidNotConverge) as exc:
+        forks.concurrently(lambda: 1, fail(2.5), fail(3.5))
+    assert exc.value.residual == 2.5
+    assert_no_child_left()

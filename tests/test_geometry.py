@@ -362,6 +362,19 @@ def test_segment_projection_raises_without_certificate(monkeypatch):
         geo.HullProjector(segment).project(np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_vertex_hull_projects_to_its_vertex_bit_for_bit(dim):
+    # the general path starts at the only vertex with weight 1.0, finds
+    # gap 0 and retires the row in its first major cycle
+    rng = np.random.default_rng([34, dim])
+    vertices = rng.normal(size=(50, 1, dim)) * 10.0 ** rng.uniform(
+        -3.0, 3.0, size=(50, 1, 1))
+    x = rng.normal(size=(50, dim)) * 10.0 ** rng.uniform(-3.0, 3.0,
+                                                        size=(50, 1))
+    p = geo.HullProjector(vertices).project(x)
+    assert p.tobytes() == vertices[:, 0, :].tobytes()
+
+
 @pytest.mark.parametrize("query", [[math.nan, 0.0], [math.inf, 0.0],
                                    [0.0, -math.inf]])
 def test_hull_projection_of_non_finite_query_raises(query):

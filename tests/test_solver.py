@@ -134,26 +134,49 @@ def test_window_underflowing_to_zero_is_named():
     assert tiny.t_window == pytest.approx((3.0 / 1e150) ** 2)
 
 
+def test_window_refuses_a_non_finite_cap():
+    env = rhs.GrowthEnvelope(0.0, 0.0, 0.0)
+    for t_max in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(sv.SolverError, match="finite t_max > 0"):
+            sv.compute_window(1.0, [env], t_max)
+
+
 def test_window_matches_refined_scalar_iteration():
-    # oracle: plain fixed-point sweep at 10x tighter settling threshold
-    for i in range(25):
+    # oracle: the plain sweep T <- min(T, t_max, (m / r(T))^2) from t_max,
+    # run until it stops moving, over 1 to 3 envelopes with zeroed
+    # components, and caps t_max below and above (m / r(t_max))^2
+    below = above = 0
+    for i in range(60):
         rng = np.random.default_rng([62, i])
-        env = rhs.GrowthEnvelope(*rng.uniform(0.05, 1.2, size=3))
+        abc = rng.uniform(0.05, 1.2, size=(int(rng.integers(1, 4)), 3))
+        abc[rng.random(abc.shape) < 0.25] = 0.0
+        envs = [rhs.GrowthEnvelope(*row) for row in abc]
         beta = float(rng.uniform(0.1, 3.0))
-        t_max = float(rng.uniform(0.5, 5.0))
-        w = sv.compute_window(beta, [env], t_max)
+        t_max = float(10.0 ** rng.uniform(-2.0, 1.0))
+        w = sv.compute_window(beta, envs, t_max)
         m = beta + 1.0
+
+        def image_bound(t):
+            rho = m - 1.0 + math.sqrt(t) * m
+            return max(env.value(rho, rho) for env in envs)
+
         t0 = t_max
         for _ in range(10_000):
-            rho = m - 1.0 + math.sqrt(t0) * m
-            r = env.value(rho, rho)
+            r = image_bound(t0)
             t_new = min(t0, t_max if r == 0 else min(t_max, (m / r) ** 2))
-            if abs(t_new - t0) <= 1e-13 * max(1.0, t0):
-                t0 = t_new
+            if t_new == t0:
                 break
             t0 = t_new
-        assert w.t_window == pytest.approx(t0, rel=1e-9)
-        assert w.t_window <= (w.m / w.r) ** 2 + 1e-9
+        assert (w.beta, w.m, w.r, w.t_window) == (beta, m, image_bound(t0),
+                                                  t0)
+        # admissible: sqrt(T0) r <= m, up to the rounding of sqrt and **2
+        assert math.sqrt(w.t_window) * w.r <= w.m * (1.0 + 1e-15)
+        r_max = image_bound(t_max)
+        if r_max == 0.0 or t_max < (m / r_max) ** 2:
+            below += 1
+        else:
+            above += 1
+    assert min(below, above) >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +609,7 @@ def test_global_growth_run_window_count(heat_setup):
     assert len(run.windows) == 3
     for w in run.windows:
         assert w.window.t_window <= (w.window.m / w.window.r) ** 2 + 1e-9
-        assert w.window.t_window <= w.window.t_cap + 1e-12
+        assert w.window.t_window <= 2.0 - w.u.t0 + 1e-12
     assert run.gronwall is not None and run.gronwall.bound.passed
 
 

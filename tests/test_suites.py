@@ -234,6 +234,18 @@ def test_verify_solver_forked_and_inline_agree(monkeypatch, capsys):
     assert results[2] == results[1]
 
 
+def test_verify_solver_runs_inline_when_the_fork_is_refused(monkeypatch,
+                                                           capsys):
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refused)
+    assert main(["verify", "solver", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == SOLVER_LINES
+    assert_no_child_left()
+
+
 def test_verify_monotone_writes_buffered_output_once():
     # stdout to a pipe is block-buffered, so the marker sits in the buffer
     # while the children are forked: a child that flushed it, or ran the
