@@ -661,6 +661,48 @@ def test_solve_rejects_bad_coefficients_naming_them(tmp_path, capsys, path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("side, key, value", [
+    ("rhs_f", "expr", {"op": "const", "value": 1e150}),
+    ("rhs_g", "c", 1e150),
+], ids=["growth", "general"])
+def test_solve_rejects_a_key_of_another_coefficient_form(tmp_path, capsys,
+                                                         side, key, value):
+    # `expr` belongs to general coefficients and `c` to growth ones; on the
+    # other form each used to be read as nothing
+    cfg = json.loads(_read(preset_path("feedback_growth")))
+    cfg[side]["coefficients"][0][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    code = main(["solve", "--config", str(bad), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config.{side}.coefficients[0].{key}: unknown key" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize("expr, foreign", [
+    ({"op": "const", "value": 0.5}, "child"),
+    (_inner("u"), "value"),
+    ({"op": "norm", "arg": "v"}, "direction"),
+    ({"op": "affine", "scale": 2.0, "child": _inner("u")}, "lo"),
+    ({"op": "sin", "child": _inner("u")}, "scale"),
+    ({"op": "tanh", "child": _inner("u")}, "arg"),
+    ({"op": "clamp", "lo": -1.0, "hi": 1.0, "child": _inner("u")}, "shift"),
+], ids=lambda case: case["op"] if isinstance(case, dict) else case)
+def test_config_expression_keys_are_per_primitive(expr, foreign):
+    # the preset builds with each expression, and refuses it with a key
+    # that only another primitive takes
+    cfg = json.loads(_read(preset_path("heat_debye")))
+    clamp = {"op": "clamp", "lo": -1.0, "hi": 1.0, "child": expr}
+    cfg["rhs_g"]["coefficients"][0] = {"form": "general", "expr": clamp}
+    build_experiment(cfg)
+    expr[foreign] = 1.0
+    with pytest.raises(ConfigError, match=rf"\.expr\.child\.{foreign}: "
+                       "unknown key"):
+        build_experiment(cfg)
+
+
 # Every tagged section of a config: where it sits in heat_debye, its tag,
 # its key table in `config`, and one example of each variant, in the
 # table's order, that holds every key the variant takes.
@@ -773,15 +815,12 @@ def test_config_tagged_sections_read_every_key_they_take(name, spec, key,
 @pytest.mark.parametrize("name, spec, key, value", [
     ("p_profile", {"kind": "ramp", "low": 2.4, "high": 3.2}, "value", 3.0),
     ("op", {"op": "const", "value": 0.5}, "scale", 1e150),
-    ("form", {"form": "growth", "c": 0.1, "nu": {"op": "const", "value": 0.5}},
-     "expr", {"op": "const", "value": 1e150}),
-], ids=["profile", "op", "form"])
+], ids=["profile", "op"])
 def test_solve_rejects_a_key_of_another_profile_variant(tmp_path, capsys,
                                                         name, spec, key,
                                                         value):
     # a key that only another variant takes (a constant profile's `value`,
-    # affine's `scale`, a general coefficient's `expr`) used to be read as
-    # nothing
+    # affine's `scale`) used to be read as nothing
     cfg, path = _with_section(name, {**spec, key: value})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
