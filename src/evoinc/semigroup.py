@@ -32,8 +32,7 @@ KINDS = ("heat", "schroedinger", "wave")
 # Least number of sines, modes times times, for which `_deviation_norms`
 # splits its times over the CPUs. On a 2-vCPU Xeon host a fork round trip
 # costs about 3 ms, and 2^20 sines 13 ms (arguments up to 1e8) to 60 ms
-# (up to 1e10): a fork costs about the work of FORK_MIN_SINES / 4 sines,
-# so no chunk holds fewer than that.
+# (up to 1e10).
 FORK_MIN_SINES = 2 ** 20
 
 
@@ -203,10 +202,9 @@ def _deviation_norms(modes: int, times) -> list:
 
     Each norm is sqrt(sum 4 sin^2(t n^2 / 2) a_n^2), its terms formed in
     one reused buffer. From FORK_MIN_SINES sines (modes times times) on,
-    the times split into contiguous chunks, one per CPU of
-    `forks.usable_cpus` but at most one per FORK_MIN_SINES / 4 sines, and
-    `forks.concurrently` runs the chunks. Every norm has the same bits
-    whatever the split.
+    the times split into one contiguous chunk per CPU of
+    `forks.usable_cpus`, and `forks.concurrently` runs the chunks. Every
+    norm has the same bits whatever the split.
     """
     n_sq = np.arange(1, modes + 1, dtype=float) ** 2
     a_sq = (1.0 + n_sq) ** (-1.5)
@@ -225,8 +223,7 @@ def _deviation_norms(modes: int, times) -> list:
 
     if modes * len(times) < FORK_MIN_SINES:
         return norms(times)
-    chunks = min(usable_cpus(), modes * len(times) // (FORK_MIN_SINES // 4))
-    size = -(-len(times) // chunks)
+    size = -(-len(times) // usable_cpus())
     parts = concurrently(*(lambda chunk=times[i:i + size]: norms(chunk)
                            for i in range(0, len(times), size)))
     return [norm for part in parts for norm in part]

@@ -324,6 +324,8 @@ def solve_global(gen: SpectralGenerator, pot: VariableExponentPotential,
     `BLOWUP_NORM`; a non-convergent window stops the run with the
     partial result and its index.
     """
+    if not (math.isfinite(horizon) and horizon > 1e-12):
+        raise SolverError("need a finite horizon > 1e-12")
     u_cur = np.asarray(u0, dtype=float)
     v_cur = np.asarray(v0, dtype=float)
     envelopes = [f_map.growth_envelope(), g_map.growth_envelope()]

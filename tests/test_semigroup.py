@@ -408,26 +408,6 @@ def test_series_at_the_fork_gate_forks(monkeypatch):
     assert_no_child_left()
 
 
-def test_many_cpus_at_the_fork_gate_get_a_chunk_per_quarter_gate(
-        monkeypatch):
-    # 1024 x 1024 sines on 64 CPUs: 4 chunks of FORK_MIN_SINES / 4 sines,
-    # not 64; the chunks run inline here, so nothing forks
-    tasks = []
-
-    def inline(*chunks):
-        tasks.extend(chunks)
-        return [chunk() for chunk in chunks]
-
-    monkeypatch.setattr(sg, "concurrently", inline)
-    set_cpus(monkeypatch, 64)
-    modes, t_list = 1024, np.logspace(-4, -2, 1024)
-    assert modes * t_list.size == sg.FORK_MIN_SINES
-    profile = sg.counterexample_profile(modes, t_list)
-    assert len(tasks) == 4
-    assert profile.norms.tolist() == [_series_norm(modes, t)
-                                      for t in t_list.tolist()]
-
-
 # ---------------------------------------------------------------------------
 # path regularity
 

@@ -642,6 +642,16 @@ def test_global_blowup_before_first_window_is_empty(heat_setup):
     assert run.node_table().shape == (0, 5)
 
 
+def test_global_refuses_a_horizon_that_covers_no_window(heat_setup):
+    # a NaN horizon used to run no window and report converged = False;
+    # 0 or below ran none and raised IndexError in the Gronwall check
+    gen, pot, u0, v0 = heat_setup
+    f_map, g_map = _growth_maps(gen, pot)
+    for horizon in (math.nan, math.inf, 0.0, 1e-13, -1.0):
+        with pytest.raises(sv.SolverError, match="finite horizon"):
+            sv.solve_global(gen, pot, u0, v0, f_map, g_map, horizon)
+
+
 # ---------------------------------------------------------------------------
 # inequality probes
 
